@@ -1177,8 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs_arg,
         default=1,
-        help="worker processes for per-metric fitting "
-        "(0 = one per CPU, 'auto' = pool only when the host justifies it)",
+        help="worker processes for per-metric fitting (0 = one per "
+        "available CPU; 'auto' = fit in-process unless SPIRE_JOBS names "
+        "a count)",
     )
     p.add_argument(
         "--full-model",
@@ -1225,8 +1226,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_jobs_arg,
         default="auto",
-        help="worker processes for the simulations (0 = one per CPU; "
-        "'auto', the default, fuses serially unless a pool is justified)",
+        help="worker processes for the simulations (0 = one per available "
+        "CPU; 'auto', the default, always runs the fused engine in-process, "
+        "about 5x faster than a 2-worker pool at paper scale, unless "
+        "SPIRE_JOBS names a count)",
     )
     p.add_argument(
         "--cache-dir",

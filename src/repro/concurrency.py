@@ -8,6 +8,17 @@ now route through this module so the knobs behave — and fail —
 identically everywhere, and always with a :class:`ConfigError`: a bad
 job count is a configuration problem, not a fitting problem.
 
+``jobs="auto"`` resolves to ``1`` on every host: the experiment runs
+in-process on the fused engine and training fits serially.  A process
+pool is reached only through an explicit ``jobs=N`` (or ``0``/``None``)
+or the ``SPIRE_JOBS`` environment variable, for callers who want its
+hang/timeout isolation.  A pool does not pay for speed: on a 2-vCPU
+Xeon VM one unfused pool task (1,200 windows) took 105–134 ms while all
+27 tasks of a paper-scale experiment took 259–317 ms fused, so a pool
+needs about a dozen workers just to tie, before fork and result
+transport costs.  A whole paper-scale ``run_experiment`` there took
+0.40–0.51 s at ``"auto"`` against 2.3–3.0 s with a 2-worker pool.
+
 This module deliberately imports nothing heavier than :mod:`os` so both
 ``repro.core`` and ``repro.runtime`` can use it without import cycles.
 """
@@ -21,12 +32,6 @@ from repro.errors import ConfigError
 
 #: Environment override consulted by ``jobs="auto"`` resolution.
 JOBS_ENV = "SPIRE_JOBS"
-
-#: Minimum tasks-per-worker before "auto" considers a pool worth its
-#: pickle/startup overhead.  On the benchmarked experiment sizes the
-#: fused serial engine beats the pool unless each worker gets several
-#: whole tasks to amortize against.
-AUTO_MIN_TASKS_PER_CPU = 2
 
 
 def available_cpus() -> int:
@@ -46,35 +51,29 @@ def available_cpus() -> int:
 
 
 def resolve_jobs(jobs: "int | str | None", tasks: int | None = None) -> int:
-    """Normalize a job-count knob: ``None``/``0`` means one per CPU.
+    """Normalize a job-count knob: ``None``/``0`` means one per available CPU.
 
-    ``"auto"`` picks the fused serial path (``1``) unless the host has
-    multiple available CPUs *and* the task count (when known) gives each
-    worker at least :data:`AUTO_MIN_TASKS_PER_CPU` tasks to amortize pool
-    startup and transport against.  The ``SPIRE_JOBS`` environment
-    variable overrides the ``"auto"`` decision with an explicit count;
+    ``"auto"`` means ``1`` — the in-process fused path — unless the
+    ``SPIRE_JOBS`` environment variable names an explicit count;
     explicitly numeric ``jobs`` arguments are never overridden.
+    ``tasks`` (the pending-task count some callers pass) no longer
+    changes the answer.
     """
     if jobs == "auto":
         raw = os.environ.get(JOBS_ENV, "").strip()
-        if raw and raw.lower() != "auto":
-            try:
-                override = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{JOBS_ENV} must be an integer or 'auto', got {raw!r}"
-                ) from None
-            return resolve_jobs(override, tasks)
-        cpus = available_cpus()
-        if cpus < 2:
+        if not raw or raw.lower() == "auto":
             return 1
-        if tasks is not None and tasks < AUTO_MIN_TASKS_PER_CPU * cpus:
-            return 1
-        return cpus
+        try:
+            override = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{JOBS_ENV} must be an integer or 'auto', got {raw!r}"
+            ) from None
+        return resolve_jobs(override)
     if isinstance(jobs, str):
         raise ConfigError(f"jobs must be an integer or 'auto', got {jobs!r}")
     if jobs is None or jobs == 0:
-        return os.cpu_count() or 1
+        return available_cpus()
     if jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
     return int(jobs)

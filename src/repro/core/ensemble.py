@@ -165,10 +165,12 @@ class SpireModel:
         still raises :class:`FitError`.
 
         Each metric's roofline is fit independently, so with ``jobs > 1``
-        the per-metric groups are chunk-mapped over a process pool.  Small
-        sample sets (fewer than ``parallel_threshold`` samples in total)
-        always train serially — the fits are cheaper than process startup.
-        The trained model is identical either way.
+        the per-metric groups are chunk-mapped over a process pool.
+        ``jobs="auto"`` fits in-process unless ``SPIRE_JOBS`` names a count
+        (:func:`repro.concurrency.resolve_jobs`).  Small sample sets (fewer
+        than ``parallel_threshold`` samples in total) always train serially
+        — the fits are cheaper than process startup.  The trained model is
+        identical either way.
         """
         opts = options or TrainOptions()
         if isinstance(samples, (SampleSet, SampleArray)):

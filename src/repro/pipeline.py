@@ -160,8 +160,9 @@ def run_experiment(
 
     ``jobs`` fans the independent workload simulations (and, for large
     sample sets, the per-metric roofline fits) out over that many worker
-    processes; ``jobs=1`` runs serially and ``jobs=0`` uses every CPU.
-    Results are identical for any job count.
+    processes; ``jobs=1`` and ``jobs="auto"`` run in-process on the fused
+    engine (``"auto"`` unless ``SPIRE_JOBS`` names a count) and ``jobs=0``
+    uses every available CPU.  Results are identical for any job count.
 
     ``cache`` (an :class:`~repro.runtime.cache.ExperimentCache` or a cache
     directory) consults and populates the persistent on-disk experiment

@@ -3,22 +3,24 @@
 Instead of simulating an experiment's workloads one at a time — 27 round
 trips through :func:`repro.pipeline.run_workload`, each paying its own
 column setup, formula evaluation and per-window collection loop — this
-module lays *every* workload's windows out as one concatenated columnar
-plan (a per-workload segment-index column marks the boundaries), runs the
-vectorized core-model formula pass **once** over the whole concatenation,
-evaluates every PMU event formula **once** as array expressions, and then
-scatters the results back into per-workload
-:class:`~repro.counters.collector.CollectionResult` segments.
+module lays the workloads' windows out as concatenated columnar plans (a
+per-workload segment-index column marks the boundaries), runs the
+vectorized core-model formula pass **once** per plan, evaluates every PMU
+event formula **once** per plan as array expressions, and then scatters
+the results back into per-workload
+:class:`~repro.counters.collector.CollectionResult` segments.  A plan
+holds whole tasks up to :data:`CHUNK_WINDOWS` windows, which bounds the
+transient working set.
 
 Bit-identity with the per-workload path is load-bearing and holds by
 construction:
 
 - the core-model formulas (:func:`repro.uarch.batch.evaluate_run_columns`)
-  are elementwise, so evaluating a concatenation equals evaluating each
-  segment separately;
-- every per-workload rng stream is drawn by its own scalar pre-pass with
-  the same seed derivation, in the same order, as
-  :func:`~repro.pipeline.run_workload`;
+  are elementwise, so evaluating a concatenation (of any chunk of tasks)
+  equals evaluating each segment separately;
+- every per-workload rng stream is drawn by its own pre-pass
+  (:func:`repro.uarch.batch.draw_run_randomness`) with the same seed
+  derivation, in the same order, as :func:`~repro.pipeline.run_workload`;
 - every reduction replays the scalar accumulation order: per-segment
   running sums use ``np.cumsum`` (sequential left-to-right, bitwise equal
   to a Python ``+=`` loop at every prefix), and the per-(group, period)
@@ -107,7 +109,7 @@ class ActivityColumns:
 
 @dataclass
 class FusedBatchPlan:
-    """One experiment's windows as a single columnar mega-batch.
+    """A chunk of an experiment's tasks as one columnar mega-batch.
 
     ``segment_ids`` is the per-workload segment-index column: row ``i`` of
     every concatenated column belongs to ``tasks[segment_ids[i]]``.
@@ -234,20 +236,40 @@ _ACTIVITY_FIELDS = tuple(
 )
 
 
+#: Most windows one fused chunk evaluates at once.  Chunks hold whole
+#: tasks, so the transient columns (~130 float64 per window) stay near
+#: 8 MB however large the experiment; a task larger than the budget is a
+#: chunk of its own.  Chunking is bit-identical to one mega-batch: every
+#: formula is elementwise and every reduction is per segment.
+CHUNK_WINDOWS = 8192
+
+
+def _task_chunks(tasks: Sequence["WorkloadTask"]) -> list[list["WorkloadTask"]]:
+    """Split ``tasks``, in order, into runs of at most ``CHUNK_WINDOWS``."""
+    chunks: list[list["WorkloadTask"]] = []
+    size = 0
+    for task in tasks:
+        if not chunks or size + task.n_windows > CHUNK_WINDOWS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(task)
+        size += task.n_windows
+    return chunks
+
+
 def simulate_tasks_fused(
     tasks: Sequence["WorkloadTask"],
     machine: MachineConfig,
     config: "ExperimentConfig",
 ) -> list["WorkloadRun"]:
-    """Simulate a task list as one fused mega-batch.
+    """Simulate a task list as fused mega-batches of whole tasks.
 
     Returns one :class:`~repro.pipeline.WorkloadRun` per task, in order,
     bit-identical to calling :func:`~repro.pipeline.run_workload` on each
     task separately (asserted by the ``fused_experiment`` guard's sampled
-    parity checks and the equivalence tests/CI gate).
+    parity checks and the equivalence tests/CI gate).  The tasks are
+    evaluated in chunks of at most :data:`CHUNK_WINDOWS` windows.
     """
-    from repro.pipeline import WorkloadRun
-
     collection_config = config.collection()
     catalog = default_catalog()
     # Reuse the collector's validation and constraint-aware packing so a
@@ -257,8 +279,26 @@ def simulate_tasks_fused(
     pmu = PMU(machine, catalog)
     for group in groups:
         pmu.program(group)
+    analyzer = TopDownAnalyzer(machine)
 
-    plan = build_fused_plan(tasks, machine, config)
+    runs: list["WorkloadRun"] = []
+    for chunk in _task_chunks(tasks):
+        plan = build_fused_plan(chunk, machine, config)
+        runs.extend(_simulate_plan(plan, machine, collector, groups, analyzer))
+    return runs
+
+
+def _simulate_plan(
+    plan: FusedBatchPlan,
+    machine: MachineConfig,
+    collector: SampleCollector,
+    groups: list[list[str]],
+    analyzer: TopDownAnalyzer,
+) -> list["WorkloadRun"]:
+    """Evaluate one fused plan and scatter it into per-task runs."""
+    from repro.pipeline import WorkloadRun
+
+    catalog = collector.catalog
     out, port_columns = evaluate_run_columns(
         machine, plan.columns, plan.instructions, plan.noise
     )
@@ -285,7 +325,6 @@ def simulate_tasks_fused(
         catalog, machine, ActivityColumns(activity_columns), n_total
     )
 
-    analyzer = TopDownAnalyzer(machine)
     runs: list[WorkloadRun] = []
     for task_index, task in enumerate(plan.tasks):
         start = int(plan.offsets[task_index])

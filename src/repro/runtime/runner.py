@@ -28,9 +28,13 @@ On top of that, each task is executed through a resilience envelope:
 - a :class:`RunReport` recording every attempt, latency, terminal
   failure, pool rebuild and checkpoint event.
 
-``jobs=1`` (the default) bypasses the pool entirely and runs in-process —
-the serial path is the parallel path with the executor removed, so the two
-produce identical :class:`~repro.pipeline.WorkloadRun` objects.
+``jobs=1`` (the default) and ``jobs="auto"`` bypass the pool entirely and
+run in-process, on the fused engine (:mod:`repro.runtime.fused`) — the
+serial path is the parallel path with the executor removed, so the two
+produce identical :class:`~repro.pipeline.WorkloadRun` objects.  The pool
+is reached only through an explicit ``jobs=N`` or ``SPIRE_JOBS``: it buys
+hang/timeout isolation, not speed (see :mod:`repro.concurrency` for the
+measurements).
 """
 
 from __future__ import annotations
@@ -248,9 +252,8 @@ class ParallelRunner:
     ----------
     jobs:
         Worker process count.  ``1`` runs in-process; ``0`` or ``None``
-        uses one worker per CPU; ``"auto"`` picks the fused serial path
-        unless the host's available CPUs and the pending task count
-        justify a pool (``SPIRE_JOBS`` overrides the auto decision).
+        uses one worker per available CPU; ``"auto"`` always runs the
+        fused engine in-process, unless ``SPIRE_JOBS`` names a count.
     chunksize:
         Retained for API compatibility with the PR-1 runner, which fed
         ``pool.map``.  The resilient runner submits tasks individually
@@ -272,9 +275,6 @@ class ParallelRunner:
         options: RunnerOptions | None = None,
         faults: FaultPlan | None = None,
     ):
-        # "auto" is re-resolved per run with the pending-task count, so a
-        # small batch stays on the fused serial path even on wide hosts.
-        self._jobs_request = jobs
         self.jobs = resolve_jobs(jobs)
         self.chunksize = resolve_chunksize(chunksize)
         self.options = options or RunnerOptions()
@@ -329,8 +329,6 @@ class ParallelRunner:
 
         pending = [s for s in states if not s.done]
         if pending:
-            if self._jobs_request == "auto":
-                self.jobs = resolve_jobs(self._jobs_request, tasks=len(pending))
             if self.jobs <= 1 or len(pending) == 1:
                 self._run_serial(pending, plan, results, report, on_result)
             else:

@@ -12,8 +12,10 @@ the vectorized data plane:
 
 - random draws are consumed in exactly the scalar order — per window,
   the eleven jitter factors in ``jitter_spec``'s argument order, then the
-  one measurement-noise factor — in a scalar pre-pass, since elementwise
-  ``math.exp(rng.gauss(...))`` is the only rng-dependent work;
+  one measurement-noise factor — in a bulk pre-pass that replays
+  ``random.gauss`` bit for bit and leaves the rng where the scalar loop
+  would, since elementwise ``math.exp(rng.gauss(...))`` is the only
+  rng-dependent work;
 - every formula is the same elementwise float64 expression the scalar
   models evaluate, in the same order (elementwise IEEE ops are identical
   between NumPy and Python floats);
@@ -36,6 +38,8 @@ from repro.uarch.activity import WindowActivity
 from repro.uarch.backend import _DIVIDER_EXPOSURE, _VW_EVENT_RATE, port_activity_histogram
 from repro.uarch.frontend import _UOPS_PER_MITE_BURST, _UOPS_PER_MS_FLOW
 from repro.uarch.spec import WindowSpec
+
+_TWOPI = 2.0 * math.pi
 
 # Jittered fields in jitter_spec's draw order: (name, sigma multiplier,
 # clamp low, clamp high); high=None means max(low, value) only.
@@ -93,38 +97,84 @@ def spec_columns(
     return columns, instructions
 
 
+def _standard_normals(rng: random.Random, count: int) -> np.ndarray:
+    """The next ``count`` unit normals of ``rng.gauss``, drawn in bulk.
+
+    Bit-exact replay of CPython's ``random.gauss`` by construction:
+
+    - ``random.random()`` is genrand_res53 over two successive MT19937
+      words ``a, b``: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
+      ``rng.getrandbits(32 * k)`` returns the next ``k`` words, least
+      significant first, and advances ``rng`` exactly as ``k / 2``
+      ``random()`` calls would.  The integer part is below 2**53, so its
+      float64 evaluation (and the power-of-two scale) is exact;
+    - each Box–Muller pair is formed with array ``*``, ``-`` and
+      ``np.sqrt`` (correctly rounded, like their scalar counterparts),
+      while ``log``, ``cos`` and ``sin`` stay on libm via ``math`` —
+      NumPy's transcendentals may differ in the last ulp;
+    - a ``gauss_next`` cached on entry is the first normal, and the
+      second half of a split pair is left cached, exactly where ``count``
+      scalar calls leave it.
+    """
+    lead = [] if rng.gauss_next is None else [rng.gauss_next]
+    pairs = (count - len(lead) + 1) // 2
+    words = np.frombuffer(
+        rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"), dtype="<u4"
+    ).reshape(pairs, 2, 2)
+    uniform = (
+        (words[:, :, 0] >> 5).astype(np.float64) * 67108864.0
+        + (words[:, :, 1] >> 6)
+    ) * (1.0 / 9007199254740992.0)
+    angle = (uniform[:, 0] * _TWOPI).tolist()
+    log_term = np.fromiter(
+        map(math.log, (1.0 - uniform[:, 1]).tolist()), np.float64, pairs
+    )
+    radius = np.sqrt(-2.0 * log_term)
+    normals = np.empty((pairs, 2))
+    normals[:, 0] = np.fromiter(map(math.cos, angle), np.float64, pairs) * radius
+    normals[:, 1] = np.fromiter(map(math.sin, angle), np.float64, pairs) * radius
+    normals = np.concatenate([np.asarray(lead, dtype=np.float64), normals.ravel()])
+    rng.gauss_next = float(normals[count]) if len(normals) > count else None
+    return normals[:count]
+
+
 def draw_run_randomness(
     core, n_windows: int, rng: random.Random | None
 ) -> tuple[dict[str, np.ndarray] | None, np.ndarray | None]:
-    """Scalar rng pre-pass in the exact per-window draw order.
+    """The run's jitter and noise factors, in the exact per-window draw order.
 
     Returns ``(jitter_factors, noise)``; either is None when the
     corresponding knob is off.  This consumes the rng stream exactly as
     the scalar :meth:`CoreModel.simulate_window` loop would — per window,
     the eleven jitter factors in ``_JITTER_FIELDS`` order, then the one
-    measurement-noise factor.
+    measurement-noise factor — drawing the unit normals in bulk
+    (:func:`_standard_normals`) and keeping ``math.exp(0.0 + z * sigma)``
+    on libm.
     """
     jitter_on = rng is not None and core.jitter > 0
     noise_on = rng is not None and core.measurement_noise > 0
     if not jitter_on and not noise_on:
         return None, None
-    gauss = rng.gauss
-    jitter_sigma = core.jitter
-    noise_sigma = core.measurement_noise
+    sigmas = (
+        [core.jitter * multiplier for _, multiplier, _, _ in _JITTER_FIELDS]
+        if jitter_on
+        else []
+    )
+    if noise_on:
+        sigmas.append(core.measurement_noise)
+    count = n_windows * len(sigmas)
+    exponents = 0.0 + _standard_normals(rng, count).reshape(
+        n_windows, len(sigmas)
+    ) * np.array(sigmas)
+    draws = np.fromiter(
+        map(math.exp, exponents.ravel().tolist()), np.float64, count
+    ).reshape(n_windows, len(sigmas)).T.copy()
     factors = (
-        {name: np.empty(n_windows) for name, _, _, _ in _JITTER_FIELDS}
+        {name: draws[index] for index, (name, _, _, _) in enumerate(_JITTER_FIELDS)}
         if jitter_on
         else None
     )
-    noise = np.empty(n_windows) if noise_on else None
-    for window in range(n_windows):
-        if jitter_on:
-            for name, multiplier, _, _ in _JITTER_FIELDS:
-                factors[name][window] = math.exp(
-                    gauss(0.0, jitter_sigma * multiplier)
-                )
-        if noise_on:
-            noise[window] = math.exp(gauss(0.0, noise_sigma))
+    noise = draws[-1] if noise_on else None
     return factors, noise
 
 

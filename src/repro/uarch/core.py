@@ -226,17 +226,20 @@ class CoreModel:
             return simulate_run_batch(self, specs, rng)
 
         # Sampled oracle check: snapshot the rng stream, run the batch
-        # path, then replay per-window from the snapshot and compare
-        # activities bit-for-bit.
-        rng_state = rng.getstate() if rng is not None else None
-        result = simulate_run_batch(self, specs, rng)
+        # path, then replay per-window from the snapshot and compare the
+        # activities and where each path left the rng stream (including a
+        # cached ``gauss_next``) bit-for-bit.
         replay_rng: random.Random | None = None
-        if rng_state is not None:
+        if rng is not None:
             replay_rng = random.Random()
-            replay_rng.setstate(rng_state)
+            replay_rng.setstate(rng.getstate())
+        result = simulate_run_batch(self, specs, rng)
         with force_scalar():
             expected = [self.simulate_window(spec, replay_rng) for spec in specs]
-        if guard.resolve(result == expected):
+        same_stream = rng is None or rng.getstate() == replay_rng.getstate()
+        if guard.resolve(result == expected and same_stream):
             return result
-        # Real divergence: trust the scalar replay.
+        # Real divergence: trust the scalar replay, stream position included.
+        if rng is not None:
+            rng.setstate(replay_rng.getstate())
         return expected

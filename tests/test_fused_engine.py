@@ -15,7 +15,8 @@ Three layers of guarantees:
 - :func:`repro.runtime.fused.simulate_tasks_fused` produces
   ``WorkloadRun``s bit-identical to per-workload ``run_workload`` calls
   for randomized workload subsets, window counts and seeds (hypothesis),
-  with the shared-memory transport preserving them byte-for-byte.
+  and across chunk boundaries of the bounded working set, with the
+  shared-memory transport preserving them byte-for-byte.
 """
 
 import random
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline import ExperimentConfig, run_workload
+from repro.runtime import fused
 from repro.runtime.fused import runs_equal, simulate_tasks_fused
 from repro.runtime.plan import TESTING, TRAINING, WorkloadTask
 from repro.runtime.shm import ShmRun, decode_run, encode_run
@@ -205,6 +207,40 @@ def test_fused_mega_batch_matches_per_workload(indices, windows, seed):
 
     fused = simulate_tasks_fused(tasks, machine, config)
     for task, fused_run in zip(tasks, fused):
+        oracle = run_workload(task.workload, machine, task.n_windows, config)
+        assert runs_equal(fused_run, oracle), task.name
+
+
+# Window counts against a chunk budget of 16: the second task straddles
+# the budget, the two tasks fill it exactly, and the middle task is
+# larger than the budget on its own.
+CHUNK_CASES = {
+    "straddle": ((10, 10, 6), [[10], [10, 6]]),
+    "exact": ((8, 8, 9), [[8, 8], [9]]),
+    "oversized": ((6, 40, 7), [[6], [40], [7]]),
+}
+
+
+@pytest.mark.parametrize("case", CHUNK_CASES)
+def test_fused_chunk_boundaries_match_per_workload(monkeypatch, case):
+    windows, expected_chunks = CHUNK_CASES[case]
+    monkeypatch.setattr(fused, "CHUNK_WINDOWS", 16)
+    chunks = []
+    build = fused.build_fused_plan
+
+    def spy(tasks, machine, config):
+        chunks.append([task.n_windows for task in tasks])
+        return build(tasks, machine, config)
+
+    monkeypatch.setattr(fused, "build_fused_plan", spy)
+    config = ExperimentConfig(windows_per_period=6, seed=11)
+    machine = skylake_gold_6126()
+    tasks = _subset_tasks((3, 9, 17), windows)
+
+    runs = simulate_tasks_fused(tasks, machine, config)
+    assert chunks == expected_chunks
+    assert len(runs) == len(tasks)
+    for task, fused_run in zip(tasks, runs):
         oracle = run_workload(task.workload, machine, task.n_windows, config)
         assert runs_equal(fused_run, oracle), task.name
 

@@ -6,14 +6,19 @@ import json
 
 import pytest
 
+from repro import concurrency
+from repro.concurrency import JOBS_ENV
 from repro.core import SpireModel
+from repro.core import ensemble as ensemble_module
 from repro.errors import ConfigError
 from repro.pipeline import (
     ExperimentConfig,
     cached_experiment,
     clear_caches,
     run_experiment,
+    run_experiment_with_report,
 )
+from repro.runtime import runner as runner_module
 from repro.runtime import (
     ExecutionPlan,
     ExperimentCache,
@@ -78,6 +83,54 @@ class TestParallelDeterminism:
         assert resolve_jobs(0) >= 1
         with pytest.raises(ConfigError):
             resolve_jobs(-1)
+
+
+class TestAutoJobs:
+    """``jobs="auto"`` stays in-process on every host."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_override(self, monkeypatch):
+        monkeypatch.delenv(JOBS_ENV, raising=False)
+
+    @pytest.mark.parametrize("cpus", (1, 2, 64))
+    @pytest.mark.parametrize("tasks", (None, 4, 27))
+    def test_auto_is_one_on_any_host(self, monkeypatch, cpus, tasks):
+        monkeypatch.setattr(concurrency, "available_cpus", lambda: cpus)
+        assert resolve_jobs("auto", tasks=tasks) == 1
+
+    @pytest.mark.parametrize("raw, expected", (("3", 3), ("auto", 1), ("", 1)))
+    def test_env_override(self, monkeypatch, raw, expected):
+        monkeypatch.setenv(JOBS_ENV, raw)
+        assert resolve_jobs("auto") == expected
+
+    def test_bad_env_override_raises(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "x")
+        with pytest.raises(ConfigError):
+            resolve_jobs("auto")
+
+    @pytest.mark.parametrize("jobs", (None, 0))
+    def test_per_cpu_honours_affinity(self, monkeypatch, jobs):
+        monkeypatch.setattr(concurrency, "available_cpus", lambda: 3)
+        assert resolve_jobs(jobs) == 3
+
+    def test_auto_experiment_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(concurrency, "available_cpus", lambda: 2)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
+        _, report = run_experiment_with_report(TINY, jobs="auto")
+        assert report.attempts
+        assert all(attempt.in_process for attempt in report.attempts)
+        assert report.pool_rebuilds == 0
+
+    def test_auto_training_never_builds_a_pool(self, monkeypatch):
+        pooled = run_experiment(TINY).training_samples
+        monkeypatch.setattr(concurrency, "available_cpus", lambda: 64)
+        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
+        auto = SpireModel.train(pooled, jobs="auto", parallel_threshold=0)
+        assert auto.metrics == SpireModel.train(pooled).metrics
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("jobs='auto' must not construct a process pool")
 
 
 class TestExperimentCache:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DegradedDataWarning
 from repro.trace import wavefront
 from repro.trace import (
     KERNELS,
@@ -384,12 +384,36 @@ def _suite_specs():
     ]
 
 
-@pytest.mark.parametrize("seed", (None, 7))
-def test_simulate_run_batch_matches_simulate_window(seed):
-    core = CoreModel(skylake_gold_6126())
+def _rng_pair(seed, cached_gauss=False):
+    """Two identical rngs (or Nones); ``cached_gauss`` leaves a Box–Muller
+    second half in ``gauss_next`` on entry."""
+    if seed is None:
+        return None, None
+    pair = random.Random(seed), random.Random(seed)
+    if cached_gauss:
+        for rng in pair:
+            rng.gauss(0.0, 1.0)
+    return pair
+
+
+# (core keyword arguments, seed, gauss_next cached on entry).  jitter=0
+# draws 1 normal per window and measurement_noise=0 draws 11, so in both
+# a Box–Muller pair straddles a window boundary.
+SIMULATE_RUN_CASES = {
+    "None": ({}, None, False),
+    "7": ({}, 7, False),
+    "jitter0": ({"jitter": 0}, 7, False),
+    "noise0": ({"measurement_noise": 0}, 7, False),
+    "cached-gauss": ({}, 7, True),
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_RUN_CASES)
+def test_simulate_run_batch_matches_simulate_window(case):
+    core_kwargs, seed, cached_gauss = SIMULATE_RUN_CASES[case]
+    core = CoreModel(skylake_gold_6126(), **core_kwargs)
     specs = _suite_specs()
-    rng_a = random.Random(seed) if seed is not None else None
-    rng_b = random.Random(seed) if seed is not None else None
+    rng_a, rng_b = _rng_pair(seed, cached_gauss)
     scalar = [core.simulate_window(spec, rng_a) for spec in specs]
     batch = core.simulate_run(specs, rng_b)
     names = [spec.name for spec in fields(WindowActivity)]
@@ -397,7 +421,81 @@ def test_simulate_run_batch_matches_simulate_window(seed):
         for name in names:
             assert getattr(batch_act, name) == getattr(scalar_act, name), name
     if seed is not None:  # the rng streams stayed in lockstep
-        assert rng_a.random() == rng_b.random()
+        assert rng_b.getstate() == rng_a.getstate()
+
+
+def test_simulate_run_guard_checks_the_rng_stream(monkeypatch):
+    """Matching activities are not enough: a batch path that leaves the
+    rng elsewhere is a divergence, and the caller's rng continues the
+    scalar stream."""
+    from repro.guard.dispatch import GuardConfig, health_report, reset_guards
+    from repro.uarch import batch
+
+    original = batch.simulate_run_batch
+
+    def stray_draw(core, specs, rng):
+        result = original(core, specs, rng)
+        rng.random()
+        return result
+
+    monkeypatch.setattr(batch, "simulate_run_batch", stray_draw)
+    core = CoreModel(skylake_gold_6126())
+    specs = _suite_specs()
+    rng_a, rng_b = _rng_pair(3)
+    scalar = [core.simulate_window(spec, rng_a) for spec in specs]
+    reset_guards(GuardConfig(check_rate=1))
+    try:
+        with pytest.warns(DegradedDataWarning, match="simulate_run"):
+            assert core.simulate_run(specs, rng_b) == scalar
+        assert rng_b.getstate() == rng_a.getstate()
+        health = health_report()
+        assert [event.kernel for event in health.divergences] == ["simulate_run"]
+        assert health.kernels["simulate_run"].tripped
+    finally:
+        reset_guards()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from((0, 2**31 - 2)),
+        st.integers(min_value=0, max_value=2**31 - 2),
+    ),
+    n_windows=st.integers(min_value=1, max_value=1_500),
+    jitter=st.booleans(),
+    noise=st.booleans(),
+    cached_gauss=st.booleans(),
+)
+def test_bulk_draws_match_scalar_lognormals(
+    seed, n_windows, jitter, noise, cached_gauss
+):
+    """The bulk pre-pass equals the scalar per-window ``_lognormal``
+    sequence and leaves the rng in the identical state."""
+    from repro.uarch.batch import _JITTER_FIELDS, draw_run_randomness
+    from repro.uarch.core import _lognormal
+
+    core = CoreModel(
+        skylake_gold_6126(),
+        jitter=0.25 if jitter else 0.0,
+        measurement_noise=0.01 if noise else 0.0,
+    )
+    bulk_rng, scalar_rng = _rng_pair(seed, cached_gauss)
+    factors, noise_factors = draw_run_randomness(core, n_windows, bulk_rng)
+
+    expected: list[float] = []
+    drawn: list[float] = []
+    for window in range(n_windows):
+        if jitter:
+            for name, multiplier, _, _ in _JITTER_FIELDS:
+                expected.append(_lognormal(scalar_rng, core.jitter * multiplier))
+                drawn.append(float(factors[name][window]))
+        if noise:
+            expected.append(_lognormal(scalar_rng, core.measurement_noise))
+            drawn.append(float(noise_factors[window]))
+    assert (factors is None) == (not jitter)
+    assert (noise_factors is None) == (not noise)
+    assert drawn == expected
+    assert bulk_rng.getstate() == scalar_rng.getstate()
 
 
 def test_simulate_run_fallback_routes_per_window(monkeypatch):
