@@ -36,7 +36,7 @@ from dataclasses import fields
 
 from conftest import write_artifact
 
-from repro.trace import phases, wavefront
+from repro.trace import phases
 from repro.trace.kernels import KERNELS
 from repro.trace.sampling import collect_trace_samples
 from repro.uarch.activity import WindowActivity
@@ -52,14 +52,14 @@ _ACTIVITY_FIELDS = tuple(spec.name for spec in fields(WindowActivity))
 def _run_kernels(n_uops: int, window_uops: int):
     """Cold ``collect_trace_samples`` over every kernel; returns results.
 
-    Phase self-time (vectorized pre-pass vs recurrence vs counter
-    flush) and wavefront span coverage are accumulated across kernels
-    so ``BENCH_sim.json`` records exactly where block time goes.
+    Phase self-time (vectorized pre-pass, per-window event counts and
+    column set-up, recurrence loop, and ``TracePipeline.execute`` on
+    the scalar path) is accumulated across kernels so
+    ``BENCH_sim.json`` records exactly where pipeline time goes.
     """
     results = {}
     phases.enable(True)
     phases.reset()
-    wavefront.reset_stats()
     started = time.perf_counter()
     for kernel in KERNELS:
         results[kernel] = collect_trace_samples(
@@ -68,26 +68,19 @@ def _run_kernels(n_uops: int, window_uops: int):
     elapsed = time.perf_counter() - started
     phase_totals = phases.totals()
     phases.enable(False)
-    coverage = wavefront.stats()["span_coverage"]
-    return results, elapsed, phase_totals, coverage
+    return results, elapsed, phase_totals
 
 
-def _phase_summary(phase_totals: dict, coverage: float) -> dict:
-    """Pre-pass / recurrence / counters split plus span coverage."""
-    recurrence = phase_totals.get("recurrence_wavefront", 0.0) + (
-        phase_totals.get("recurrence_scalar", 0.0)
-    )
+def _phase_summary(phase_totals: dict) -> dict:
+    """Block time split into its phases, plus time in ``execute``."""
+    block = {
+        name: phase_totals.get(name, 0.0)
+        for name in ("prepass", "counters", "recurrence")
+    }
     return {
-        "prepass_s": round(phase_totals.get("prepass", 0.0), 4),
-        "recurrence_s": round(recurrence, 4),
-        "recurrence_wavefront_s": round(
-            phase_totals.get("recurrence_wavefront", 0.0), 4
-        ),
-        "recurrence_scalar_s": round(
-            phase_totals.get("recurrence_scalar", 0.0), 4
-        ),
-        "counters_s": round(phase_totals.get("counters", 0.0), 4),
-        "span_coverage": round(coverage, 4),
+        **{f"{name}_s": round(value, 4) for name, value in block.items()},
+        "block_s": round(sum(block.values()), 4),
+        "execute_s": round(phase_totals.get("execute", 0.0), 4),
     }
 
 
@@ -134,7 +127,7 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
     phase_split = {}
     for label, enabled in (("scalar", True), ("vectorized", False)):
         with scalar_fallback(enabled):
-            kernel_runs, trace_s, phase_totals, coverage = _run_kernels(
+            kernel_runs, trace_s, phase_totals = _run_kernels(
                 n_uops, window_uops
             )
             acts, uarch_s = _run_uarch(uarch_repeats)
@@ -144,29 +137,29 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
             "trace_s": round(trace_s, 4),
             "uarch_s": round(uarch_s, 4),
         }
-        phase_split[label] = _phase_summary(phase_totals, coverage)
+        phase_split[label] = _phase_summary(phase_totals)
     _assert_trace_equivalent(runs["scalar"], runs["vectorized"])
     _assert_uarch_equivalent(activities["scalar"], activities["vectorized"])
 
-    # The scalar-fallback label routes through the MicroOp object loop
-    # (no phase instrumentation), so its whole trace pass IS the
-    # recurrence; the vectorized label splits into pre-pass, recurrence
-    # (wavefront + residual scalar loop), and counter flush.
-    vector_recurrence = phase_split["vectorized"]["recurrence_s"]
+    # Both sides of speedup_pipeline time the same work, the pipeline
+    # over every uop: the scalar label spends it in the per-MicroOp
+    # TracePipeline.execute, the vectorized label in blocks (pre-pass,
+    # event counts, recurrence loop).  Trace generation and sampling
+    # are outside both.
+    scalar_execute = phase_split["scalar"]["execute_s"]
+    vector_blocks = phase_split["vectorized"]["block_s"]
     return {
         "kernels": len(KERNELS),
         "n_uops": n_uops,
         "window_uops": window_uops,
         "uarch_windows": len(activities["vectorized"]),
         **timings,
-        "phases": phase_split["vectorized"],
+        "phases": phase_split,
         "speedup_trace": round(
             timings["scalar"]["trace_s"] / timings["vectorized"]["trace_s"], 2
         ),
-        "speedup_recurrence": round(
-            timings["scalar"]["trace_s"] / vector_recurrence, 2
-        )
-        if vector_recurrence
+        "speedup_pipeline": round(scalar_execute / vector_blocks, 2)
+        if vector_blocks
         else None,
         "speedup_uarch": round(
             timings["scalar"]["uarch_s"] / timings["vectorized"]["uarch_s"], 2
@@ -179,7 +172,7 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
 
 
 def _vector_pass_seconds(n_uops: int, window_uops: int, uarch_repeats: int):
-    _, trace_s, _, _ = _run_kernels(n_uops, window_uops)
+    _, trace_s, _ = _run_kernels(n_uops, window_uops)
     _, uarch_s = _run_uarch(uarch_repeats)
     return trace_s + uarch_s
 

@@ -12,8 +12,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/collect.py
     PYTHONPATH=src python benchmarks/collect.py \\
-        --check benchmarks/baselines \\
-        --min-coverage 0.25
+        --check benchmarks/baselines --min-ratio 0.5
 """
 
 from __future__ import annotations
@@ -52,12 +51,6 @@ def main(argv=None) -> int:
         default=0.5,
         help="speedups must hold this fraction of baseline (default 0.5)",
     )
-    parser.add_argument(
-        "--min-coverage",
-        type=float,
-        default=None,
-        help="absolute wavefront span-coverage floor (default: no floor)",
-    )
     args = parser.parse_args(argv)
 
     summary = benchtrack.summarize(args.out_dir)
@@ -68,10 +61,7 @@ def main(argv=None) -> int:
         return 0
     baseline = benchtrack.load_baseline(args.check)
     failures = benchtrack.check_against_baseline(
-        summary,
-        baseline,
-        min_ratio=args.min_ratio,
-        min_coverage=args.min_coverage,
+        summary, baseline, min_ratio=args.min_ratio
     )
     if failures:
         for failure in failures:

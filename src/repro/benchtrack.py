@@ -2,17 +2,15 @@
 
 Every bench in ``benchmarks/`` writes a ``BENCH_<name>.json`` artifact
 with free-form structure.  This module distills the comparable numbers
-out of all of them — speedups, guard overhead percentages, wavefront
-span coverage — into one flat ``BENCH_summary.json`` keyed by artifact
-and dotted metric path, so the performance trajectory is
-machine-readable across PRs without every consumer learning every
-bench's schema.
+out of all of them — speedups and guard overhead percentages — into
+one flat ``BENCH_summary.json`` keyed by artifact and dotted metric
+path, so the performance trajectory is machine-readable across PRs
+without every consumer learning every bench's schema.
 
 The same extraction feeds the CI regression gate: a committed
 reduced-scale baseline (``benchmarks/baselines/``) is compared against
 a fresh run by *ratio* — wall clock is far too noisy across hosts, but
-a speedup collapsing to half its recorded value, or span coverage
-falling through its floor, is a real regression.
+a speedup collapsing to half its recorded value is a real regression.
 
 Used by ``benchmarks/collect.py`` (standalone script) and the
 ``spire bench-summary`` subcommand.
@@ -36,7 +34,7 @@ SUMMARY_NAME = "BENCH_summary.json"
 # Leaf keys worth tracking across PRs.  Timings in seconds are
 # deliberately excluded: they do not compare across hosts, while these
 # ratios and percentages do.
-_LEAF_EXACT = ("span_coverage", "guard_overhead_pct")
+_LEAF_EXACT = ("guard_overhead_pct",)
 _LEAF_PREFIXES = ("speedup",)
 
 
@@ -130,18 +128,12 @@ def check_against_baseline(
     summary: dict,
     baseline: dict,
     min_ratio: float = 0.5,
-    min_coverage: "float | None" = None,
 ) -> "list[str]":
     """Ratio-gate a fresh summary against a committed baseline.
 
     Returns human-readable failure strings (empty means the gate
-    passes).  Rules:
-
-    - every ``speedup*`` metric present in both must hold at least
-      ``min_ratio`` of its baseline value;
-    - every ``span_coverage`` metric in the fresh summary must be at
-      least ``min_coverage`` (when a floor is given), regardless of the
-      baseline — coverage regressions hide behind stable speedups.
+    passes): every ``speedup*`` metric present in both must hold at
+    least ``min_ratio`` of its baseline value.
 
     Metrics missing from either side are skipped: benches come and go
     across PRs and the gate should only compare what both runs measured.
@@ -152,20 +144,14 @@ def check_against_baseline(
         base_metrics = base_artifacts.get(name, {})
         for path, value in metrics.items():
             leaf = path.rsplit(".", 1)[-1]
-            if leaf.startswith("speedup"):
-                base = base_metrics.get(path)
-                if isinstance(base, (int, float)) and base > 0:
-                    floor = base * min_ratio
-                    if value < floor:
-                        failures.append(
-                            f"{name}:{path} = {value:g} fell below "
-                            f"{floor:g} ({min_ratio:g}x of baseline "
-                            f"{base:g})"
-                        )
-            elif leaf == "span_coverage" and min_coverage is not None:
-                if value < min_coverage:
+            if not leaf.startswith("speedup"):
+                continue
+            base = base_metrics.get(path)
+            if isinstance(base, (int, float)) and base > 0:
+                floor = base * min_ratio
+                if value < floor:
                     failures.append(
-                        f"{name}:{path} = {value:g} below the "
-                        f"coverage floor {min_coverage:g}"
+                        f"{name}:{path} = {value:g} fell below "
+                        f"{floor:g} ({min_ratio:g}x of baseline {base:g})"
                     )
     return failures

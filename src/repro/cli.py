@@ -1109,13 +1109,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_bench_summary(args: argparse.Namespace) -> int:
     """Merge bench artifacts into ``BENCH_summary.json``; optionally gate.
 
-    Aggregates the tracked metrics (speedups, guard overhead, wavefront
-    span coverage) from every ``BENCH_*.json`` under ``--out-dir``.
-    With ``--check`` the fresh summary is ratio-gated against a
-    committed baseline (a summary file, one ``BENCH_*.json`` artifact,
-    or a directory of artifacts): exit code 1 means a speedup collapsed
-    below ``--min-ratio`` of its recorded value or span coverage fell
-    through ``--min-coverage``.
+    Aggregates the tracked metrics (speedups, guard overhead) from
+    every ``BENCH_*.json`` under ``--out-dir``.  With ``--check`` the
+    fresh summary is ratio-gated against a committed baseline (a
+    summary file, one ``BENCH_*.json`` artifact, or a directory of
+    artifacts): exit code 1 means a speedup collapsed below
+    ``--min-ratio`` of its recorded value.
     """
     from repro import benchtrack
 
@@ -1137,10 +1136,7 @@ def _cmd_bench_summary(args: argparse.Namespace) -> int:
         return 0
     baseline = benchtrack.load_baseline(args.check)
     failures = benchtrack.check_against_baseline(
-        summary,
-        baseline,
-        min_ratio=args.min_ratio,
-        min_coverage=args.min_coverage,
+        summary, baseline, min_ratio=args.min_ratio
     )
     if failures:
         for failure in failures:
@@ -1609,12 +1605,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         help="speedups must hold this fraction of baseline (default 0.5)",
-    )
-    p.add_argument(
-        "--min-coverage",
-        type=float,
-        default=None,
-        help="absolute wavefront span-coverage floor (default: no floor)",
     )
     p.set_defaults(func=_cmd_bench_summary)
 

@@ -20,10 +20,9 @@ import os
 import threading
 from contextlib import contextmanager
 
-__all__ = ["force_scalar", "scalar_fallback_enabled", "wavefront_enabled"]
+__all__ = ["force_scalar", "scalar_fallback_enabled"]
 
 _FALLBACK_OFF = ("", "0", "false", "no", "off")
-_WAVEFRONT_OFF = ("0", "false", "no", "off")
 
 _local = threading.local()
 
@@ -60,18 +59,3 @@ def scalar_fallback_enabled() -> bool:
         not in _FALLBACK_OFF
     )
 
-
-def wavefront_enabled() -> bool:
-    """True when the wavefront-compressed block recurrence may run.
-
-    On by default; ``SPIRE_WAVEFRONT=0`` routes every block through the
-    exact scalar recurrence while keeping the rest of the vectorized
-    path.  The scalar-fallback switches above subsume this one: when
-    they force the scalar oracle, the block executor never runs at all.
-    """
-    if scalar_fallback_enabled():
-        return False
-    return (
-        os.environ.get("SPIRE_WAVEFRONT", "").strip().lower()
-        not in _WAVEFRONT_OFF
-    )

@@ -101,10 +101,10 @@ DEFAULT_RATE_OVERRIDES = {
     # rate 8 keeps the amortized overhead well inside the 5% budget.
     "fused_experiment": 8,
     "trace.fused_run": 64,
-    # One block_recurrence check re-runs a whole 16k-uop block through
-    # the scalar loop (on a deep-copied pipeline), so the oracle costs
-    # roughly one fast block; rate 512 keeps that amortized well under
-    # the overhead budget while still checking every full-scale run.
+    # One block_recurrence check replays a whole block (up to 16k uops)
+    # uop by uop through TracePipeline.execute on a deep-copied
+    # pipeline, about ten fast blocks' worth; rate 512 amortizes that
+    # to ~2% while still checking every full-scale run.
     "trace.block_recurrence": 512,
     "shm.transport": 64,
     # One stream.update call refits one metric from its maintained

@@ -180,7 +180,7 @@ def render_server_health(payload: dict) -> str:
 
     Starts from the server's own render and appends the long-lived
     process detail the one-line summary elides: micro-batch fill
-    histogram, hostility-breaker counters, and per-kernel guard state.
+    histogram, quota rejections, and per-kernel guard state.
     """
     lines = [str(payload.get("render", "")).rstrip()]
     health = payload.get("health", {})
@@ -193,15 +193,6 @@ def render_server_health(payload: dict) -> str:
             f"{label}:{count}" for label, count in histogram.items() if count
         )
         lines.append(f"  batch fill histogram: {buckets}")
-
-    hostility = serve.get("hostility") or {}
-    if hostility.get("spans_attempted"):
-        lines.append(
-            "  hostility breaker: "
-            f"{hostility.get('spans_attempted', 0)} span(s) attempted, "
-            f"{hostility.get('spans_rejected', 0)} rejected, "
-            f"coverage {hostility.get('span_coverage', 0.0):.2f}"
-        )
 
     quotas = serve.get("quotas") or {}
     if quotas.get("rejected"):

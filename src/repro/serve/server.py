@@ -434,12 +434,6 @@ class SpireServer:
         }
         serve_state["admission"] = self.admission.snapshot()
         serve_state["rollover"] = self.rollover.snapshot()
-        try:
-            from repro.trace.wavefront import stats as wavefront_stats
-
-            serve_state["hostility"] = wavefront_stats()
-        except Exception:  # pragma: no cover - trace subsystem optional
-            pass
         report.serve_state = serve_state
         return _Response(
             200,

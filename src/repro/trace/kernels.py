@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from repro.bulkrng import random_draws
 from repro.errors import ConfigError
 from repro.fastpath import scalar_fallback_enabled
 from repro.trace.trace_array import KIND_CODES, TraceArray
@@ -198,10 +199,6 @@ def make_kernel_trace(
 # ----------------------------------------------------------------------
 
 
-def _uniform_draws(rng: random.Random, n: int) -> np.ndarray:
-    return np.fromiter((rng.random() for _ in range(n)), np.float64, count=n)
-
-
 def _one_source_offsets(n: int) -> np.ndarray:
     return np.arange(n + 1, dtype=np.int32)
 
@@ -209,7 +206,7 @@ def _one_source_offsets(n: int) -> np.ndarray:
 def stream_array(n: int, intensity: float, rng: random.Random) -> TraceArray:
     load_share = 0.1 + 0.5 * intensity
     footprint = 64 * 1024 * 1024
-    is_load = _uniform_draws(rng, n) < load_share
+    is_load = random_draws(rng, n) < load_share
     index = np.arange(n, dtype=np.int64)
     address = np.full(n, -1, dtype=np.int64)
     # The generator advances its cursor by half a line before each load,
@@ -297,7 +294,7 @@ def compute_array(n: int, intensity: float, rng: random.Random) -> TraceArray:
 
 def divider_array(n: int, intensity: float, rng: random.Random) -> TraceArray:
     divide_share = 0.002 + 0.08 * intensity
-    is_div = _uniform_draws(rng, n) < divide_share
+    is_div = random_draws(rng, n) < divide_share
     index = np.arange(n, dtype=np.int64)
     return TraceArray(
         np.where(is_div, _DIV, _ALU).astype(np.int8),

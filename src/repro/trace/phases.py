@@ -1,9 +1,10 @@
 """Opt-in phase timers for the trace pipeline's block executor.
 
 `bench_sim.py` enables these to attribute block self-time to the
-vectorized pre-pass, the counter flush machinery, and the two
-recurrence paths (wavefront vs scalar).  Disabled by default: the
-pipeline checks one module-level boolean per block, so the production
+vectorized pre-pass, the per-window event counts and column set-up,
+and the recurrence loop, and to time ``TracePipeline.execute`` on the
+scalar reference path.  Disabled by default: the pipeline checks one
+module-level boolean per block or ``execute`` call, so the production
 path pays nothing measurable.
 """
 

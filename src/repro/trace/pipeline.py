@@ -33,7 +33,7 @@ import numpy as np
 from time import perf_counter
 
 from repro.errors import ConfigError
-from repro.fastpath import force_scalar, wavefront_enabled
+from repro.fastpath import force_scalar
 from repro.guard.dispatch import kernel_guard
 from repro.trace import phases, wavefront
 from repro.trace.branch import GsharePredictor
@@ -47,12 +47,17 @@ _DIV_CODE = KINDS.index("div")
 _LOAD_CODE = KINDS.index("load")
 _BRANCH_CODE = KINDS.index("branch")
 
-# Initial span of the per-kind FU occupancy rings (slots, power of two).
-# The live scheduling window — cycles between the current dispatch and the
-# furthest booked FU slot — is bounded by dependence latencies and
-# contention, typically a few hundred cycles; rings double on the rare
-# occasion a live entry would be overwritten.
-_FU_RING_SIZE = 1 << 12
+# Row flags of the block loop.  A row with no flag, or only _MISS, takes
+# the loop's lean path; any other flag sends it down the general path.
+_MISS = 1        # icache miss: the front end stalls for the refill
+_MISPREDICT = 2  # mispredicted branch: fetch restarts after it resolves
+_MULTI = 4       # two or more sources: operands read through the CSR
+_DIVIDE = 8      # the non-pipelined divider instead of an FU booking
+
+# A per-kind FU booking dict above this many cycles is pruned of the
+# cycles no probe can reach any more at the end of an ``execute`` call
+# or block.
+_FU_PRUNE_AT = 1 << 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,63 +143,6 @@ _COUNTER_FIELDS = tuple(spec.name for spec in fields(PipelineCounters))
 _COUNTER_KEYS = tuple("trace." + name for name in _COUNTER_FIELDS)
 
 
-class _BlockColumns:
-    """Per-block column bundle the recurrence regions share."""
-
-    __slots__ = (
-        "kind",
-        "hits",
-        "dest",
-        "latency",
-        "src_offsets",
-        "src_values",
-        "correct",
-        "src1",
-        "_sources_list",
-    )
-
-    def __init__(
-        self, kind, hits, dest, latency, src_offsets, src_values, correct
-    ):
-        self.kind = kind
-        self.hits = hits
-        self.dest = dest
-        self.latency = latency
-        self.src_offsets = src_offsets
-        self.src_values = src_values
-        self.correct = correct
-        self.src1 = None
-        self._sources_list = None
-
-    def sources_list(self) -> list:
-        """The packed source column as a list, materialized on demand."""
-        if self._sources_list is None:
-            self._sources_list = self.src_values.tolist()
-        return self._sources_list
-
-
-class _BlockState:
-    """Mutable recurrence state handed between regions of one block."""
-
-    __slots__ = (
-        "fetch_ready",
-        "fetched",
-        "divider_free",
-        "last_retire",
-        "dispatch",
-        "registers",
-        "rob",
-        "retire",
-        "operand_wait",
-        "fu_contention",
-        "rob_stall",
-        "redirect_stall",
-        "branch_cursor",
-        "boundary_idx",
-        "flushed",
-    )
-
-
 class TracePipeline:
     """Executes micro-op traces, keeping state across calls."""
 
@@ -218,17 +166,14 @@ class TracePipeline:
         self._register_ready: dict[int, int] = {}
         self._fetch_ready = 0          # next cycle fetch can deliver
         self._fetched_this_cycle = 0
-        # Per-kind FU occupancy as rolling ring buffers: slot = cycle
-        # masked into the ring, valid only when the stamp matches.  Every
-        # probe starts at or after the current dispatch cycle, which is
-        # nondecreasing, so slots stamped before `_dispatch_floor` are
-        # dead and can be reused without clearing.
-        self._fu_ring_size = _FU_RING_SIZE
-        self._fu_rings: dict[str, tuple[list[int], list[int]]] = {}
-        self._dispatch_floor = 0
+        # Per-kind FU bookings, cycle -> units taken.  Every probe starts
+        # at or after the current fetch cycle, which never decreases, so
+        # cycles below it are dead and are pruned now and then.
+        self._fu_books: dict[str, dict[int, int]] = {}
         self._divider_free = 0
-        self._rob: deque[int] = deque()          # retire cycles, oldest first
-        self._retire_times: deque[int] = deque()  # last `width` retire cycles
+        # Retire cycles of the last `rob_size` uops, oldest first: the
+        # ROB's occupants.  The retire window is its last `width` entries.
+        self._retired: deque[int] = deque(maxlen=self.config.rob_size)
         self._last_retire = 0
 
     # ------------------------------------------------------------------
@@ -250,60 +195,23 @@ class TracePipeline:
             self.counters.divider_busy_cycles += self.config.divider_occupancy
             return start
         limit = self.config.throughput[kind]
-        ring = self._fu_rings.get(kind)
-        if ring is None:
-            size = self._fu_ring_size
-            ring = self._fu_rings[kind] = ([0] * size, [-1] * size)
-        counts, stamps = ring
-        mask = self._fu_ring_size - 1
-        floor = self._dispatch_floor
+        book = self._fu_books.setdefault(kind, {})
         cycle = earliest
-        while True:
-            slot = cycle & mask
-            stamp = stamps[slot]
-            if stamp != cycle:
-                if stamp >= floor:
-                    # A live booking from another cycle shares this slot:
-                    # the scheduling window outgrew the ring.
-                    self._grow_fu_rings()
-                    return self._fu_start(kind, earliest)
-                stamps[slot] = cycle
-                counts[slot] = 1
-                return cycle
-            if counts[slot] < limit:
-                counts[slot] = counts[slot] + 1
-                return cycle
+        taken = book.get(cycle, 0)
+        while taken >= limit:
             cycle += 1
+            taken = book.get(cycle, 0)
+        book[cycle] = taken + 1
+        return cycle
 
-    def _grow_fu_rings(self) -> None:
-        """Double the FU rings until no two live bookings share a slot."""
-        floor = self._dispatch_floor
-        live = {
-            kind: [
-                (stamp, count)
-                for stamp, count in zip(stamps, counts)
-                if stamp >= floor
-            ]
-            for kind, (counts, stamps) in self._fu_rings.items()
-        }
-        size = self._fu_ring_size
-        while True:
-            size *= 2
-            mask = size - 1
-            if all(
-                len({stamp & mask for stamp, _ in entries}) == len(entries)
-                for entries in live.values()
-            ):
-                break
-        self._fu_ring_size = size
-        self._fu_rings = {}
-        for kind, entries in live.items():
-            counts = [0] * size
-            stamps = [-1] * size
-            for stamp, count in entries:
-                stamps[stamp & mask] = stamp
-                counts[stamp & mask] = count
-            self._fu_rings[kind] = (counts, stamps)
+    def _prune_fu_books(self) -> None:
+        """Drop the bookings of cycles below the fetch clock."""
+        floor = self._fetch_ready
+        for kind, book in self._fu_books.items():
+            if len(book) > _FU_PRUNE_AT:
+                self._fu_books[kind] = {
+                    cycle: taken for cycle, taken in book.items() if cycle >= floor
+                }
 
     def _rob_admit(self, fetch_cycle: int) -> int:
         """Dispatch cycle respecting ROB capacity; counts ROB stalls.
@@ -312,9 +220,10 @@ class TracePipeline:
         dispatch, so the fetch clock advances with the stall (keeping
         ``rob_stall_cycles`` a genuine cycle count, not a per-uop sum).
         """
-        if len(self._rob) < self.config.rob_size:
+        if len(self._retired) < self.config.rob_size:
             return fetch_cycle
-        free_at = self._rob.popleft()
+        # The oldest occupant; _retire's append evicts it.
+        free_at = self._retired[0]
         dispatch = max(fetch_cycle, free_at)
         if dispatch > fetch_cycle:
             self.counters.rob_stall_cycles += dispatch - fetch_cycle
@@ -325,14 +234,11 @@ class TracePipeline:
     def _retire(self, finish: int) -> int:
         """In-order retirement at ``width`` per cycle."""
         retire = max(finish + 1, self._last_retire)
-        if len(self._retire_times) >= self.config.width:
-            oldest = self._retire_times.popleft()
-            retire = max(retire, oldest + 1)
-        self._retire_times.append(retire)
+        width = self.config.width
+        if len(self._retired) >= width:
+            retire = max(retire, self._retired[-width] + 1)
+        self._retired.append(retire)
         self._last_retire = retire
-        self._rob.append(retire)
-        while len(self._rob) > self.config.rob_size:
-            self._rob.popleft()
         return retire
 
     # ------------------------------------------------------------------
@@ -341,6 +247,8 @@ class TracePipeline:
         """Run a trace fragment; state persists for subsequent calls."""
         cfg = self.config
         counters = self.counters
+        timing = phases.enabled()
+        tick = perf_counter() if timing else 0.0
         for uop in trace:
             # Instruction fetch goes through the instruction cache; a miss
             # stalls the front end for the refill penalty.
@@ -351,7 +259,6 @@ class TracePipeline:
                 self._fetched_this_cycle = 0
             fetch = self._fetch_cycle()
             dispatch = self._rob_admit(fetch)
-            self._dispatch_floor = dispatch
 
             ready = dispatch
             for source in uop.sources:
@@ -398,6 +305,9 @@ class TracePipeline:
             retire = self._retire(finish)
             counters.instructions += 1
             counters.cycles = max(counters.cycles, retire)
+        self._prune_fu_books()
+        if timing:
+            phases.add("execute", perf_counter() - tick)
         return counters
 
     def execute_array(self, trace: "TraceArray", block_size: int = 16384) -> PipelineCounters:
@@ -407,8 +317,9 @@ class TracePipeline:
         components — icache lookups, branch prediction, and the data-cache
         hierarchy, all of which the scalar loop touches in trace order
         regardless of pipeline timing — are resolved by the vectorized
-        batch kernels, then a tight scalar loop over pre-extracted columns
-        runs the fetch/ROB/dependence/FU/retire recurrence.
+        batch kernels, then one exact loop over pre-extracted columns
+        runs the fetch/ROB/dependence/FU/retire recurrence (see
+        :meth:`_run_block`).
 
         State persists across calls and is shared with :meth:`execute`,
         so scalar and columnar windows can be mixed freely.  With
@@ -449,8 +360,8 @@ class TracePipeline:
         :meth:`execute_array` on each slice and snapshotting between
         calls.  The fused pass amortizes the vectorized pre-passes over
         whole ``block_size`` blocks and enters the sequential recurrence
-        once per block instead of once per window; window boundaries
-        become in-loop snapshot points instead of call boundaries.
+        once per block instead of once per window; the block loop walks
+        the block one window slice at a time and snapshots between them.
 
         Dispatches through the ``"trace.fused_run"`` kernel guard:
         sampled calls snapshot the pipeline and replay the per-window
@@ -517,588 +428,341 @@ class TracePipeline:
         boundaries: "list[int] | None" = None,
         snapshots: "list[PipelineCounters] | None" = None,
     ) -> None:
-        """One block through the recurrence, wavefront path guarded.
+        """One block through the recurrence, checked against ``execute``.
 
-        Dispatches through the ``"trace.block_recurrence"`` kernel
-        guard: sampled calls deep-copy the pipeline, run the block both
-        with and without the wavefront spans, and compare counters and
-        window snapshots exactly.  A divergence adopts the scalar-loop
-        state and trips the wavefront path for the process.
-        ``SPIRE_WAVEFRONT=0`` skips the spans without the guard.
+        ``boundaries`` are block-relative window ends; a counter snapshot
+        is appended to ``snapshots`` at each.  Dispatches through the
+        ``"trace.block_recurrence"`` kernel guard: sampled calls deep-copy
+        the pipeline, replay the block uop by uop through :meth:`execute`
+        (snapshotting at the same boundaries) and compare counters and
+        snapshots exactly.  A divergence adopts the replayed state and
+        trips the block loop for the process.
         """
         if len(block) == 0:
             return
-        if not wavefront_enabled():
-            self._execute_block_impl(block, boundaries, snapshots, False)
-            return
+        boundaries = boundaries or []
+        out: list[PipelineCounters] = []
         guard = kernel_guard("trace.block_recurrence")
         if not guard.use_fast():
-            self._execute_block_impl(block, boundaries, snapshots, False)
-            return
-        if not guard.should_check():
-            self._execute_block_impl(block, boundaries, snapshots, True)
-            return
-        reference = copy.deepcopy(self)
-        fast_snapshots = None if snapshots is None else []
-        self._execute_block_impl(block, boundaries, fast_snapshots, True)
-        ref_snapshots = None if snapshots is None else []
-        reference._execute_block_impl(block, boundaries, ref_snapshots, False)
-        ok = self.counters.as_dict() == reference.counters.as_dict()
-        if ok and snapshots is not None:
-            ok = [s.as_dict() for s in fast_snapshots] == [
-                s.as_dict() for s in ref_snapshots
+            self._replay_block(block, boundaries, out)
+        elif not guard.should_check():
+            self._run_block(block, boundaries, out)
+        else:
+            reference = copy.deepcopy(self)
+            self._run_block(block, boundaries, out)
+            expected: list[PipelineCounters] = []
+            with force_scalar():
+                reference._replay_block(block, boundaries, expected)
+            ok = [s.as_dict() for s in [*out, self.counters]] == [
+                s.as_dict() for s in [*expected, reference.counters]
             ]
-        if guard.resolve(ok):
-            if snapshots is not None:
-                snapshots.extend(fast_snapshots)
-            return
-        self.__dict__.clear()
-        self.__dict__.update(reference.__dict__)
+            if not guard.resolve(ok):
+                self.__dict__.clear()
+                self.__dict__.update(reference.__dict__)
+                out = expected
         if snapshots is not None:
-            snapshots.extend(ref_snapshots)
+            snapshots.extend(out)
 
-    def _execute_block_impl(
+    def _replay_block(
         self,
         block: "TraceArray",
-        boundaries: "list[int] | None",
-        snapshots: "list[PipelineCounters] | None",
-        use_wavefront: bool,
+        boundaries: "list[int]",
+        snapshots: "list[PipelineCounters]",
     ) -> None:
+        """The oracle: the block's uops through :meth:`execute`."""
+        ops = block.to_microops()
+        start = 0
+        for stop in boundaries:
+            self.execute(ops[start:stop])
+            snapshots.append(self.snapshot())
+            start = stop
+        if start < len(ops):
+            self.execute(ops[start:])
+
+    def _run_block(
+        self,
+        block: "TraceArray",
+        boundaries: "list[int]",
+        snapshots: "list[PipelineCounters]",
+    ) -> None:
+        """The block loop: one exact pass over the rows, window by window.
+
+        The recurrence runs on plain lists: one retire history serves the
+        ROB and the retire window, the register file has a zero slot and
+        a sink slot, and a flag column sends the rare rows — several
+        sources, a divide, a mispredicted branch — down a general path.
+        Each window slice ends with its counters settled, and with a
+        snapshot when it ends at one of ``boundaries``.
+        """
         cfg = self.config
         counters = self.counters
         n = len(block)
-        if n == 0:
-            return
-        kind_column = block.kind
+        kind = block.kind
+        wavefront.record_block(n)
         timing = phases.enabled()
         tick = perf_counter() if timing else 0.0
 
-        # Vectorized pre-pass.  These three components consume the trace
-        # in program order independent of scheduling, so batching them is
-        # exact: the icache sees every pc, the predictor every branch, and
-        # the hierarchy every load address, each in trace order.
-        icache_hit = self.icache.access_batch(block.pc)
-        icache_misses = int(n - icache_hit.sum())
-        branch_mask = kind_column == _BRANCH_CODE
-        n_branches = int(branch_mask.sum())
-        if n_branches:
-            correct_column = np.asarray(
-                self.predictor.update_batch(
-                    block.pc[branch_mask], block.taken[branch_mask]
-                ),
-                dtype=np.bool_,
+        # Vectorized pre-pass.  The icache, the predictor and the data
+        # caches consume the trace in program order whatever the timing,
+        # so each runs as one batch over the block.
+        missed = ~self.icache.access_batch(block.pc)
+        branch_mask = kind == _BRANCH_CODE
+        mispredicted = np.zeros(n, dtype=np.bool_)
+        if branch_mask.any():
+            correct = self.predictor.update_batch(
+                block.pc[branch_mask], block.taken[branch_mask]
             )
-            correct = correct_column.tolist()
-        else:
-            correct_column = np.zeros(0, dtype=np.bool_)
-            correct = []
-        load_mask = kind_column == _LOAD_CODE
-        n_loads = int(load_mask.sum())
-        div_mask = kind_column == _DIV_CODE
-        n_divides = int(div_mask.sum())
-
-        # Precomputed latency schedule: scatter the per-load hierarchy
-        # latencies and the divider occupancy into one column so the
-        # recurrence reads a single list with no per-uop cursor chasing.
-        # With nothing to scatter the trace's own column serves as-is;
-        # otherwise scatter into a copy (the block's latency array can
-        # be a view into a fused trace).
-        if n_loads or n_divides:
-            latency_column = block.latency.copy()
-        else:
-            latency_column = block.latency
-        if n_loads:
+            mispredicted[branch_mask] = ~np.asarray(correct, dtype=np.bool_)
+        load_mask = kind == _LOAD_CODE
+        div_mask = kind == _DIV_CODE
+        # Latency per row: the hierarchy's for loads, the divider's
+        # occupancy for divides.  The block's column may be a view into
+        # a fused trace, so scatter into a copy.
+        latency = block.latency.astype(np.int64)
+        level = np.zeros(n, dtype=np.int8)
+        if load_mask.any():
             levels, load_latencies = self.caches.access_batch(
                 block.address[load_mask]
             )
-            latency_column[load_mask] = load_latencies
-        else:
-            levels = load_latencies = np.zeros(0, dtype=np.int64)
-        if n_divides:
-            latency_column[div_mask] = cfg.divider_occupancy
+            level[load_mask] = levels
+            latency[load_mask] = load_latencies
+        latency[div_mask] = cfg.divider_occupancy
         if timing:
             phases.add("prepass", perf_counter() - tick)
             tick = perf_counter()
 
-        if boundaries is None:
-            counters.icache_misses += icache_misses
-            counters.icache_stall_cycles += (
-                icache_misses * cfg.icache_miss_penalty
-            )
-            counters.branches += n_branches
-            counters.branch_mispredicts += n_branches - sum(correct)
-            counters.loads += n_loads
-            if n_loads:
-                counters.l1_misses += int((levels >= 1).sum())
-                counters.l2_misses += int((levels >= 2).sum())
-                counters.l3_misses += int((levels == 3).sum())
-                counters.memory_wait_cycles += int(load_latencies.sum())
-            counters.divides += n_divides
-            counters.divider_busy_cycles += n_divides * cfg.divider_occupancy
-            counters.instructions += n
-            flush = None
-        else:
-            # Windowed run: the event counts above are bumped per window
-            # instead, from integer prefix sums over the block — additions
-            # of integers regroup exactly, so each window's increment is
-            # bit-identical to a per-window pre-pass.
-            zero = np.zeros(1, dtype=np.int64)
-            miss_cum = np.concatenate([zero, np.cumsum(~icache_hit)])
-            branch_pos = np.flatnonzero(branch_mask)
-            if n_branches:
-                correct_cum = np.concatenate(
-                    [zero, np.cumsum(np.asarray(correct, dtype=np.int64))]
-                )
-            else:
-                correct_cum = zero
-            load_pos = np.flatnonzero(load_mask)
-            if n_loads:
-                l1_cum = np.concatenate([zero, np.cumsum(levels >= 1)])
-                l2_cum = np.concatenate([zero, np.cumsum(levels >= 2)])
-                l3_cum = np.concatenate([zero, np.cumsum(levels == 3)])
-                wait_cum = np.concatenate([zero, np.cumsum(load_latencies)])
-            else:
-                l1_cum = l2_cum = l3_cum = wait_cum = zero
-            div_pos = np.flatnonzero(div_mask)
-            penalty = cfg.icache_miss_penalty
-            busy = cfg.divider_occupancy
+        # The loop walks the block in window slices, which end at each
+        # boundary and at the block end.  Event counts per slice: the
+        # recurrence does not touch them, so one segmented sum over the
+        # rows settles every slice at once.
+        stops = list(boundaries)
+        if not stops or stops[-1] < n:
+            stops.append(n)
+        starts = [0, *stops[:-1]]
+        last_boundary = boundaries[-1] if boundaries else 0
+        window_events = np.vstack(
+            [
+                np.add.reduceat(
+                    np.stack(
+                        [
+                            missed,
+                            branch_mask,
+                            mispredicted,
+                            load_mask,
+                            level >= 1,
+                            level >= 2,
+                            level == 3,
+                            div_mask,
+                        ]
+                    ),
+                    starts,
+                    axis=1,
+                    dtype=np.int64,
+                ),
+                np.add.reduceat(np.where(load_mask, latency, 0), starts),
+            ]
+        ).T.tolist()
 
-            def flush(lo: int, hi: int) -> None:
-                counters.instructions += hi - lo
-                misses = int(miss_cum[hi] - miss_cum[lo])
-                counters.icache_misses += misses
-                counters.icache_stall_cycles += misses * penalty
-                b_lo = int(np.searchsorted(branch_pos, lo))
-                b_hi = int(np.searchsorted(branch_pos, hi))
-                counters.branches += b_hi - b_lo
-                counters.branch_mispredicts += (b_hi - b_lo) - int(
-                    correct_cum[b_hi] - correct_cum[b_lo]
-                )
-                l_lo = int(np.searchsorted(load_pos, lo))
-                l_hi = int(np.searchsorted(load_pos, hi))
-                counters.loads += l_hi - l_lo
-                counters.l1_misses += int(l1_cum[l_hi] - l1_cum[l_lo])
-                counters.l2_misses += int(l2_cum[l_hi] - l2_cum[l_lo])
-                counters.l3_misses += int(l3_cum[l_hi] - l3_cum[l_lo])
-                counters.memory_wait_cycles += int(
-                    wait_cum[l_hi] - wait_cum[l_lo]
-                )
-                d_lo = int(np.searchsorted(div_pos, lo))
-                d_hi = int(np.searchsorted(div_pos, hi))
-                counters.divides += d_hi - d_lo
-                counters.divider_busy_cycles += (d_hi - d_lo) * busy
-
-        if timing:
-            phases.add("counters", perf_counter() - tick)
-
-        # Shared recurrence state, normalized for region handoff: the
-        # wavefront solver and the scalar loop alternate over regions of
-        # the block, exchanging state through this bundle.  The register
-        # scoreboard is a flat array (ready cycles are >= 1, so 0 doubles
-        # as "never written" — the scalar dict's .get default).
-        max_register = block.max_register()
-        if self._register_ready:
-            max_register = max(max_register, max(self._register_ready))
-        registers = np.zeros(max(max_register + 1, 1), dtype=np.int64)
+        # Register file as a list, with a zero slot that rows without a
+        # source read and a sink slot that rows without a destination
+        # write.  A multi-source row's source column holds its row index
+        # into the CSR instead.
+        n_registers = max(block.max_register(), *self._register_ready, -1) + 1
+        zero_slot = n_registers
+        registers = [0] * (n_registers + 2)
         for register, cycle in self._register_ready.items():
             registers[register] = cycle
-
-        state = _BlockState()
-        state.fetch_ready = self._fetch_ready
-        state.fetched = self._fetched_this_cycle
-        state.divider_free = self._divider_free
-        state.last_retire = self._last_retire
-        state.dispatch = self._dispatch_floor
-        state.registers = registers
-        state.rob = list(self._rob)
-        state.retire = list(self._retire_times)
-        state.operand_wait = 0
-        state.fu_contention = 0
-        state.rob_stall = 0
-        state.redirect_stall = 0
-        state.branch_cursor = 0
-        state.boundary_idx = 0
-        state.flushed = 0
-
-        boundary_list = boundaries if boundaries else []
-
-        def settle(boundary: int) -> None:
-            # Window boundary: settle the counters exactly as a
-            # per-window execute_array call would have and snapshot.
-            counters.operand_wait_cycles += state.operand_wait
-            counters.fu_contention_cycles += state.fu_contention
-            counters.rob_stall_cycles += state.rob_stall
-            counters.redirect_stall_cycles += state.redirect_stall
-            state.operand_wait = 0
-            state.fu_contention = 0
-            state.rob_stall = 0
-            state.redirect_stall = 0
-            flush(state.flushed, boundary)
-            state.flushed = boundary
-            if state.last_retire > counters.cycles:
-                counters.cycles = state.last_retire
-            if snapshots is not None:
-                snapshots.append(counters.copy())
-
-        cols = _BlockColumns(
-            kind_column,
-            icache_hit,
-            block.dest,
-            latency_column,
-            block.src_offsets,
-            block.src_values,
-            correct,
+        offsets = block.src_offsets
+        source_counts = np.diff(offsets)
+        source = np.full(n, zero_slot, dtype=np.int64)
+        single = source_counts == 1
+        source[single] = block.src_values[offsets[:-1][single]]
+        multi = source_counts >= 2
+        if multi.any():
+            source[multi] = np.flatnonzero(multi)
+            csr_offsets = offsets.tolist()
+            csr_values = block.src_values.tolist()
+        dest = np.where(block.dest >= 0, block.dest, n_registers + 1)
+        flags = (
+            missed * _MISS
+            + mispredicted * _MISPREDICT
+            + multi * _MULTI
+            + div_mask * _DIVIDE
         )
 
-        if use_wavefront:
-            src1, breaker = block.single_source()
-            cols.src1 = src1
-            if n_divides:
-                breaker |= div_mask
-            if n_branches:
-                mispredicted = np.flatnonzero(branch_mask)[~correct_column]
-                if len(mispredicted):
-                    breaker[mispredicted] = True
-            regions = wavefront.plan_regions(
-                breaker, wavefront.configured_min_span()
-            )
-            wavefront.record_block(n)
-            fu = wavefront.FuBookings(self)
-            # Chronic-hostility memory spans regions AND blocks: once
-            # consecutive regions end hostile (the solver kept paying
-            # full chunk setup for sliver commits), later spans go
-            # straight to the scalar loop, re-probing occasionally in
-            # case the workload's contention profile shifts.
-            wf_hostile = getattr(self, "_wf_hostile_regions", 0)
-            wf_skipped = getattr(self, "_wf_skipped_regions", 0)
-            for lo, hi, is_span in regions:
-                if not is_span:
-                    fu.flush(state.dispatch)
-                    if timing:
-                        tick = perf_counter()
-                    self._run_scalar_region(
-                        cols, state, lo, hi, boundary_list, settle
-                    )
-                    if timing:
-                        phases.add(
-                            "recurrence_scalar", perf_counter() - tick
-                        )
-                    continue
-                if wf_hostile >= wavefront.HOSTILE_BLOCK_OFF:
-                    if (wf_skipped + 1) % wavefront.HOSTILE_REPROBE:
-                        wf_skipped += 1
-                        fu.flush(state.dispatch)
-                        if timing:
-                            tick = perf_counter()
-                        self._run_scalar_region(
-                            cols, state, lo, hi, boundary_list, settle
-                        )
-                        if timing:
-                            phases.add(
-                                "recurrence_scalar", perf_counter() - tick
-                            )
-                        continue
-                    wf_skipped += 1
-                # Span: alternate solver and scalar loop.  An
-                # uncertifiable row (FU contention, miss/stall overlap)
-                # stops the solver at an exact prefix; the scalar loop
-                # carries execution past it and the solver re-enters.
-                # The scalar stride backs off exponentially when the
-                # solver keeps stopping short, so chronically contended
-                # stretches degrade to the plain scalar loop instead of
-                # thrashing on solve-discard cycles.
-                pos = lo
-                stride = wavefront.RETRY_STRIDE_MIN
-                hint: dict = {}
-                while pos < hi:
-                    if timing:
-                        tick = perf_counter()
-                    committed = wavefront.run_span(
-                        cfg, state, cols, fu, pos, hi, boundary_list,
-                        settle, hint,
-                    )
-                    if timing:
-                        phases.add(
-                            "recurrence_wavefront", perf_counter() - tick
-                        )
-                    pos += committed
-                    if pos >= hi:
-                        break
-                    fu.flush(state.dispatch)
-                    step = min(hi, pos + stride)
-                    if timing:
-                        tick = perf_counter()
-                    self._run_scalar_region(
-                        cols, state, pos, step, boundary_list, settle
-                    )
-                    if timing:
-                        phases.add(
-                            "recurrence_scalar", perf_counter() - tick
-                        )
-                    pos = step
-                    if committed >= wavefront.RETRY_COMMIT_GOOD:
-                        stride = wavefront.RETRY_STRIDE_MIN
-                    else:
-                        stride = min(stride * 2, wavefront.RETRY_STRIDE_MAX)
-                if hint.get("hostile", 0) >= wavefront.HOSTILE_REGION_BAD:
-                    wf_hostile += 1
-                else:
-                    wf_hostile = 0
-                    wf_skipped = 0
-            self._wf_hostile_regions = wf_hostile
-            self._wf_skipped_regions = wf_skipped
-            fu.flush(state.dispatch)
-        else:
-            if timing:
-                tick = perf_counter()
-            self._run_scalar_region(cols, state, 0, n, boundary_list, settle)
-            if timing:
-                phases.add("recurrence_scalar", perf_counter() - tick)
-
-        if flush is not None and state.flushed < n:
-            flush(state.flushed, n)
-
-        self._fetch_ready = state.fetch_ready
-        self._fetched_this_cycle = state.fetched
-        self._divider_free = state.divider_free
-        self._last_retire = state.last_retire
-        self._dispatch_floor = state.dispatch
-        self._register_ready = {
-            register: cycle
-            for register, cycle in enumerate(state.registers.tolist())
-            if cycle
-        }
-        self._rob = deque(state.rob)
-        self._retire_times = deque(state.retire)
-        counters.operand_wait_cycles += state.operand_wait
-        counters.fu_contention_cycles += state.fu_contention
-        counters.rob_stall_cycles += state.rob_stall
-        counters.redirect_stall_cycles += state.redirect_stall
-        counters.cycles = max(counters.cycles, state.last_retire)
-
-    def _run_scalar_region(
-        self,
-        cols: "_BlockColumns",
-        state: "_BlockState",
-        lo: int,
-        hi: int,
-        boundaries: "list[int]",
-        settle,
-    ) -> None:
-        """The exact scalar recurrence over block rows ``[lo, hi)``.
-
-        Reads and writes the shared :class:`_BlockState`; over a whole
-        block this is the pre-wavefront monolithic loop, byte for byte.
-        """
-        span = hi - lo
-        if span <= 0:
-            return
-        cfg = self.config
-        kinds = cols.kind[lo:hi].tolist()
-        hits = cols.hits[lo:hi].tolist()
-        dests = cols.dest[lo:hi].tolist()
-        base_latency = cols.latency[lo:hi].tolist()
-        offsets = cols.src_offsets[lo : hi + 1].tolist()
-        sources = cols.sources_list()
-        correct = cols.correct
-        registers = state.registers.tolist()
+        # FU bookings and unit counts per kind code.
+        books: list = [None] * len(KINDS)
+        limits = [0] * len(KINDS)
+        present = np.flatnonzero(np.bincount(kind, minlength=len(KINDS)))
+        for code in present.tolist():
+            if code != _DIV_CODE:
+                name = KINDS[code]
+                limits[code] = cfg.throughput[name]
+                books[code] = self._fu_books.setdefault(name, {})
 
         width = cfg.width
         rob_size = cfg.rob_size
         redirect_penalty = cfg.redirect_penalty
         icache_penalty = cfg.icache_miss_penalty
         occupancy = cfg.divider_occupancy
-        fetch_ready = state.fetch_ready
-        fetched = state.fetched
-        divider_free = state.divider_free
-        last_retire = state.last_retire
-        dispatch = state.dispatch
-        ring_size = self._fu_ring_size
-        mask = ring_size - 1
-        ring_by_code: list = [None] * len(KINDS)
-        operand_wait = state.operand_wait
-        fu_contention = state.fu_contention
-        rob_stall = state.rob_stall
-        redirect_stall = state.redirect_stall
-        branch_cursor = state.branch_cursor
-        boundary_idx = state.boundary_idx
-        next_boundary = (
-            boundaries[boundary_idx] if boundary_idx < len(boundaries) else -1
-        )
+        fetch_ready = self._fetch_ready
+        fetched = self._fetched_this_cycle
+        divider_free = self._divider_free
+        last_retire = self._last_retire
+        # Retire cycles in program order, padded with -1 to a full ROB:
+        # [evict] is the occupant a new row evicts, [follow] the retire-
+        # window entry it retires after.  A padding entry never stalls.
+        history = [-1] * (rob_size - len(self._retired)) + list(self._retired)
+        push = history.append
+        evict = -rob_size
+        follow = -width
+        operand_wait = fu_contention = rob_stall = redirect_stall = 0
+        if timing:
+            phases.add("counters", perf_counter() - tick)
+            tick = perf_counter()
 
-        # The ROB and retire windows are bounded FIFOs (rob_size / width
-        # entries), so inside the region they run as fixed-size ring lists
-        # — no deque method dispatch or len() calls per uop — and are
-        # rebuilt as plain lists at the region boundary.
-        rob_entries = state.rob
-        rob_count = len(rob_entries)
-        rob_buf = rob_entries + [0] * (rob_size - rob_count)
-        rob_head = 0
-        rob_tail = rob_count % rob_size
-        retire_entries = state.retire
-        retire_count = len(retire_entries)
-        retire_buf = retire_entries + [0] * (width - retire_count)
-        retire_head = 0
-        retire_tail = retire_count % width
-
-        for i in range(span):
-            code = kinds[i]
-            if not hits[i]:
-                fetch_ready += icache_penalty
-                fetched = 0
-            if fetched >= width:
-                fetch_ready += 1
-                fetched = 0
-            fetch = fetch_ready
-            fetched += 1
-            if rob_count < rob_size:
-                dispatch = fetch
-                rob_count += 1
-            else:
-                free_at = rob_buf[rob_head]
-                rob_head += 1
-                if rob_head == rob_size:
-                    rob_head = 0
-                if free_at > fetch:
-                    dispatch = free_at
-                    rob_stall += free_at - fetch
-                    fetch_ready = free_at
-                    fetched = 1
+        start = 0
+        for stop, window in zip(stops, window_events):
+            for code, src, dst, lat, flag in zip(
+                kind[start:stop].tolist(),
+                source[start:stop].tolist(),
+                dest[start:stop].tolist(),
+                latency[start:stop].tolist(),
+                flags[start:stop].tolist(),
+            ):
+                if flag > _MISS:
+                    # General path: any mix of the flagged hazards.
+                    if flag & _MISS:
+                        fetch_ready += icache_penalty
+                        fetched = 1
+                    elif fetched < width:
+                        fetched += 1
+                    else:
+                        fetch_ready += 1
+                        fetched = 1
+                    free_at = history[evict]
+                    if free_at > fetch_ready:
+                        rob_stall += free_at - fetch_ready
+                        fetch_ready = free_at
+                        fetched = 1
+                    # Dispatch is the fetch clock from here on.
+                    ready = fetch_ready
+                    if flag & _MULTI:
+                        for j in range(csr_offsets[src], csr_offsets[src + 1]):
+                            t = registers[csr_values[j]]
+                            if t > ready:
+                                ready = t
+                    else:
+                        t = registers[src]
+                        if t > ready:
+                            ready = t
+                    operand_wait += ready - fetch_ready
+                    if flag & _DIVIDE:
+                        begin = divider_free if divider_free > ready else ready
+                        divider_free = begin + occupancy
+                    else:
+                        book = books[code]
+                        limit = limits[code]
+                        begin = ready
+                        taken = book.get(begin, 0)
+                        while taken >= limit:
+                            begin += 1
+                            taken = book.get(begin, 0)
+                        book[begin] = taken + 1
+                    fu_contention += begin - ready
+                    finish = begin + lat
+                    registers[dst] = finish
+                    if flag & _MISPREDICT:
+                        redirect = finish + redirect_penalty
+                        if redirect > fetch_ready:
+                            redirect_stall += redirect - fetch_ready
+                            fetch_ready = redirect
+                            fetched = 0
                 else:
-                    dispatch = fetch
-
-            ready = dispatch
-            first = offsets[i]
-            last = offsets[i + 1]
-            if first < last:
-                t = registers[sources[first]]
-                if t > ready:
-                    ready = t
-                for j in range(first + 1, last):
-                    t = registers[sources[j]]
-                    if t > ready:
-                        ready = t
-            operand_wait += ready - dispatch
-
-            if code == _DIV_CODE:
-                start = divider_free if divider_free > ready else ready
-                divider_free = start + occupancy
-            else:
-                entry = ring_by_code[code]
-                if entry is None:
-                    name = KINDS[code]
-                    limit = cfg.throughput[name]
-                    ring = self._fu_rings.get(name)
-                    if ring is None:
-                        ring = self._fu_rings[name] = (
-                            [0] * ring_size,
-                            [-1] * ring_size,
-                        )
-                    ring_by_code[code] = entry = (ring[0], ring[1], limit)
-                counts, stamps, limit = entry
-                cycle = ready
-                while True:
-                    slot = cycle & mask
-                    stamp = stamps[slot]
-                    if stamp != cycle:
-                        if stamp >= dispatch:
-                            self._dispatch_floor = dispatch
-                            self._grow_fu_rings()
-                            ring_size = self._fu_ring_size
-                            mask = ring_size - 1
-                            ring_by_code = [None] * len(KINDS)
-                            ring = self._fu_rings[KINDS[code]]
-                            ring_by_code[code] = (ring[0], ring[1], limit)
-                            counts, stamps = ring
-                            cycle = ready
-                            continue
-                        stamps[slot] = cycle
-                        counts[slot] = 1
-                        start = cycle
-                        break
-                    if counts[slot] < limit:
-                        counts[slot] = counts[slot] + 1
-                        start = cycle
-                        break
-                    cycle += 1
-            fu_contention += start - ready
-
-            finish = start + base_latency[i]
-            dest = dests[i]
-            if dest >= 0:
-                registers[dest] = finish
-
-            if code == _BRANCH_CODE:
-                if not correct[branch_cursor]:
-                    redirect = finish + redirect_penalty
-                    if redirect > fetch_ready:
-                        redirect_stall += redirect - fetch_ready
-                        fetch_ready = redirect
-                        fetched = 0
-                branch_cursor += 1
-
-            retire = finish + 1
-            if retire < last_retire:
-                retire = last_retire
-            if retire_count >= width:
-                oldest = retire_buf[retire_head]
-                retire_head += 1
-                if retire_head == width:
-                    retire_head = 0
-                if oldest + 1 > retire:
+                    # Lean path: one source, a pipelined unit, at most an
+                    # icache miss.
+                    if flag:
+                        fetch_ready += icache_penalty
+                        fetched = 1
+                    elif fetched < width:
+                        fetched += 1
+                    else:
+                        fetch_ready += 1
+                        fetched = 1
+                    free_at = history[evict]
+                    if free_at > fetch_ready:
+                        rob_stall += free_at - fetch_ready
+                        fetch_ready = free_at
+                        fetched = 1
+                    ready = registers[src]
+                    if ready > fetch_ready:
+                        operand_wait += ready - fetch_ready
+                    else:
+                        ready = fetch_ready
+                    book = books[code]
+                    if ready in book:
+                        taken = book[ready]
+                        begin = ready
+                        limit = limits[code]
+                        while taken >= limit:
+                            begin += 1
+                            taken = book.get(begin, 0)
+                        book[begin] = taken + 1
+                        fu_contention += begin - ready
+                        finish = begin + lat
+                    else:
+                        book[ready] = 1
+                        finish = ready + lat
+                    registers[dst] = finish
+                retire = finish + 1
+                if retire < last_retire:
+                    retire = last_retire
+                oldest = history[follow]
+                if oldest >= retire:
                     retire = oldest + 1
-            else:
-                retire_count += 1
-            retire_buf[retire_tail] = retire
-            retire_tail += 1
-            if retire_tail == width:
-                retire_tail = 0
-            last_retire = retire
-            rob_buf[rob_tail] = retire
-            rob_tail += 1
-            if rob_tail == rob_size:
-                rob_tail = 0
+                push(retire)
+                last_retire = retire
 
-            if lo + i + 1 == next_boundary:
-                state.operand_wait = operand_wait
-                state.fu_contention = fu_contention
-                state.rob_stall = rob_stall
-                state.redirect_stall = redirect_stall
-                state.last_retire = last_retire
-                settle(next_boundary)
-                operand_wait = fu_contention = rob_stall = redirect_stall = 0
-                boundary_idx += 1
-                next_boundary = (
-                    boundaries[boundary_idx]
-                    if boundary_idx < len(boundaries)
-                    else -1
-                )
+            # Window end: settle the counters exactly as per-window
+            # execute calls would have, and snapshot at a boundary.
+            (misses, branches, mispredicts, loads, l1, l2, l3, divides,
+             memory_wait) = window
+            counters.instructions += stop - start
+            counters.icache_misses += misses
+            counters.icache_stall_cycles += misses * icache_penalty
+            counters.branches += branches
+            counters.branch_mispredicts += mispredicts
+            counters.loads += loads
+            counters.l1_misses += l1
+            counters.l2_misses += l2
+            counters.l3_misses += l3
+            counters.memory_wait_cycles += memory_wait
+            counters.divides += divides
+            counters.divider_busy_cycles += divides * occupancy
+            counters.operand_wait_cycles += operand_wait
+            counters.fu_contention_cycles += fu_contention
+            counters.rob_stall_cycles += rob_stall
+            counters.redirect_stall_cycles += redirect_stall
+            operand_wait = fu_contention = rob_stall = redirect_stall = 0
+            if last_retire > counters.cycles:
+                counters.cycles = last_retire
+            if stop <= last_boundary:
+                snapshots.append(counters.copy())
+            start = stop
 
-        state.fetch_ready = fetch_ready
-        state.fetched = fetched
-        state.divider_free = divider_free
-        state.last_retire = last_retire
-        state.dispatch = dispatch
-        state.registers = np.asarray(registers, dtype=np.int64)
-        state.operand_wait = operand_wait
-        state.fu_contention = fu_contention
-        state.rob_stall = rob_stall
-        state.redirect_stall = redirect_stall
-        state.branch_cursor = branch_cursor
-        state.boundary_idx = boundary_idx
-        if rob_head + rob_count <= rob_size:
-            state.rob = rob_buf[rob_head : rob_head + rob_count]
-        else:
-            state.rob = (
-                rob_buf[rob_head:] + rob_buf[: rob_head + rob_count - rob_size]
-            )
-        if retire_head + retire_count <= width:
-            state.retire = retire_buf[retire_head : retire_head + retire_count]
-        else:
-            state.retire = (
-                retire_buf[retire_head:]
-                + retire_buf[: retire_head + retire_count - width]
-            )
+        self._fetch_ready = fetch_ready
+        self._fetched_this_cycle = fetched
+        self._divider_free = divider_free
+        self._last_retire = last_retire
+        self._retired.extend(history[-min(n, rob_size):])
+        self._register_ready = {
+            register: cycle
+            for register, cycle in enumerate(registers[:n_registers])
+            if cycle
+        }
+        self._prune_fu_books()
+        if timing:
+            phases.add("recurrence", perf_counter() - tick)
 
     def snapshot(self) -> PipelineCounters:
         """A copy of the running totals."""

@@ -274,25 +274,6 @@ class TraceArray:
             latency=self.latency[start:stop],
         )
 
-    def single_source(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row ``(src1, multi)`` columns for the wavefront planner.
-
-        ``src1[i]`` is the sole source register of row ``i`` (``-1``
-        when the row has no sources), and ``multi[i]`` is True when the
-        row has two or more — those rows break wavefront spans, so the
-        solver only ever consults ``src1`` where ``multi`` is False.
-        Both arrays are freshly allocated and safe to mutate.
-        """
-        n = len(self)
-        offsets = self.src_offsets.astype(np.int64)
-        counts = np.diff(offsets)
-        multi = counts >= 2
-        src1 = np.full(n, -1, dtype=np.int64)
-        single = counts == 1
-        if single.any():
-            src1[single] = self.src_values[offsets[:-1][single]]
-        return src1, multi
-
     def max_register(self) -> int:
         """Highest register id referenced (``-1`` if none)."""
         highest = -1

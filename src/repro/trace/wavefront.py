@@ -1,163 +1,13 @@
-"""Wavefront-compressed execution of the block recurrence.
+"""Block and uop counters of the trace pipeline's block loop.
 
-The sequential fetch/ROB/dependence/FU/retire recurrence in
-:meth:`~repro.trace.pipeline.TracePipeline._execute_block` resisted
-naive vectorization because FU-ring booking is probe-order-dependent
-and the ROB couples retirement back into the fetch clock.  This module
-applies the Concorde-style decomposition bit-exactly: partition each
-block into **certified spans** where the whole recurrence collapses to
-closed forms, and leave the residual to the exact scalar loop.
-
-A span is a maximal run with no *structural breakers*:
-
-- no divide (the non-pipelined divider serializes through
-  ``divider_free``),
-- no micro-op with two or more sources (operand readiness then reduces
-  to single-parent chains),
-- no mispredicted branch (known in advance from the predictor batch
-  pre-pass; correctly predicted branches are timing no-ops).
-
-Inside a span every hazard is either solved in closed form or verified
-post hoc:
-
-- **ROB back-pressure is solved, not assumed away.**  A pop's
-  ``free_at`` is the retire time of the uop ``rob_size`` positions
-  earlier, so processing the span in chunks of ``rob_size`` rows makes
-  every pop time known before its chunk solves.  Within a miss-free
-  chunk a fired stall resets the fetch clock to ``free_at`` with one
-  slot consumed, so ``fetch[k] = max(entry_term[k], max_j(free_at[j] +
-  (k-j)//width))`` — including *non*-fired pops is safe because their
-  terms are dominated — evaluated per fetch phase with
-  ``np.maximum.accumulate``.  Chunks with icache misses use the
-  miss-segmented closed form ``fetch[k] = base + (fd0+k)//width``,
-  valid whenever no pop time exceeds that trajectory (misses and fired
-  stalls coexisting is the one case handed back to the scalar loop).
-- operand readiness: last-writer parent links via a composite-key
-  ``np.maximum.accumulate`` over dest-scatter/source-gather events,
-  then max-plus pointer doubling (``finish[i] = max(base[i],
-  finish[parent[i]]) + latency[i]``) in ``O(log chunk)`` rounds.
-- ``retire``: the recurrence ``R[i] = max(F[i]+1, R[i-1],
-  R[i-width]+1)`` has the exact closed form ``R[i] = max_{j<=i}(F[j] +
-  1 + (i-j)//width)`` (carried retire-window entries enter as virtual
-  ``j < 0`` seeds), evaluated per fetch phase.
-- FU occupancy is solved where bumps are self-contained and verified
-  elsewhere: a rank test over same-cycle issues (plus carried live ring
-  bookings) certifies contention-free kinds outright; a contended kind
-  is replayed exactly through its probe discipline, and bumps on
-  destination-less uops (stores, branches — nothing reads their finish
-  except in-order retirement) commit with their exact delayed starts.
-  Only a bumped *register writer* — whose shifted finish would forward
-  — stops the chunk.
-
-Every closed form is prefix-exact: quantities at row ``i`` depend only
-on rows ``< i`` being certified, so on the first violating row the span
-commits the verified prefix and hands the rest to the scalar loop.  The
-result is bit-identical to the scalar recurrence by construction;
-:mod:`repro.guard`'s ``trace.block_recurrence`` kernel additionally
-replays sampled blocks against the scalar path.
-
-``SPIRE_WAVEFRONT=0`` disables the path (see :mod:`repro.fastpath`);
-``SPIRE_WAVEFRONT_MIN_SPAN`` overrides the minimum certifiable run
-length (the parity tests set it to 1 to force coverage on tiny traces).
+:meth:`TracePipeline._run_block <repro.trace.pipeline.TracePipeline._run_block>`
+records each block it runs here.  ``perfbench`` reads :func:`stats` for
+its ``trace.uops`` count, so the module keeps its name.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-from repro.trace.uops import KINDS
-
-_BRANCH_CODE = KINDS.index("branch")
-
-# Runs shorter than this execute through the scalar loop: below ~a
-# hundred rows the solver's fixed vector-op cost exceeds the loop.
-DEFAULT_MIN_SPAN = 320
-
-# Solver re-entry policy after a partial commit: the scalar loop carries
-# execution RETRY_STRIDE_MIN rows past the uncertifiable row before the
-# solver retries; the stride doubles (up to RETRY_STRIDE_MAX) while
-# retries keep committing fewer than RETRY_COMMIT_GOOD rows, so
-# chronically contended stretches converge to the scalar loop.
-RETRY_STRIDE_MIN = 64
-RETRY_STRIDE_MAX = 4096
-RETRY_COMMIT_GOOD = 256
-
-# Chronic-hostility circuit breaker, held by the pipeline across span
-# regions and blocks: a region whose run_span entries accumulate
-# HOSTILE_REGION_BAD hostile marks counts against the streak; after
-# HOSTILE_BLOCK_OFF consecutive bad regions the pipeline routes spans
-# straight to the scalar loop, re-attempting every HOSTILE_REPROBE-th
-# skipped region in case the contention profile shifts.
-HOSTILE_REGION_BAD = 2
-HOSTILE_BLOCK_OFF = 1
-HOSTILE_REPROBE = 16
-
-# Minimum chunk size worth a band fixed-point solve: each sweep costs a
-# fixed few dozen vector ops, so below ~a thousand rows the solver
-# loses to the scalar loop even when it converges — those chunks
-# surrender instead.
-_SOLVE_MIN = 1024
-
-# Bumped register writers finalized per chunk before the solver commits
-# what it has and lets the retry machinery take over; bounds the
-# re-solve rounds on chronically contended stretches.
-_MAX_REFINE = 8
-
-# Oversized-chunk attempts abandoned (ROB pressure or FU contention
-# detected) before a span pins its chunk size to ``rob_size`` for good.
-_MAX_BAILS = 3
-
-# A refine-capped chunk resumes solving past its cut only when it
-# committed at least this many rows; thinner commits mean chronic
-# contention, where the scalar loop is cheaper than re-solving.
-_RESUME_MIN = 96
-
-# Sweep budget for the whole-span ROB fixed point; backend-bound spans
-# (the only ones whose pops fire) converge in a handful of sweeps
-# because their retire times are set by dependence chains, not fetch.
-_MAX_SWEEPS = 10
-
-# Consecutive chunks needing contention replay before run_span returns:
-# the scalar loop beats the rob_size-granular solver per row in a
-# chronically contended stretch, so hand the span back to the caller's
-# scalar bridging instead of crawling through it chunk by chunk.
-_MAX_HARD_STREAK = 2
-
-# Consecutive thin run_span returns before the span region surrenders to
-# the scalar bridge outright: every re-entry pays chunk setup and
-# contention replay just to commit a sliver, while the caller's stride
-# doubling can eat the rest of the region at scalar cost.
-_MAX_HOSTILE = 2
-
-# Sentinel for "no candidate" in phase maxima; far enough from 0 that
-# adding block-scale offsets cannot make it competitive.
-_NEG = -(1 << 62)
-
-_STATS = {
-    "blocks": 0,
-    "uops": 0,
-    "uops_wavefront": 0,
-    "spans_attempted": 0,
-    "spans_committed": 0,
-    "spans_partial": 0,
-    "spans_rejected": 0,
-}
-
-# Shared iota buffer: chunk solves need the same small ascending ranges
-# thousands of times per block, so hand out read-only views of one
-# growing array instead of re-materializing them.
-_IOTA = np.arange(4096, dtype=np.int64)
-_IOTA.setflags(write=False)
-
-
-def _arange(n: int) -> np.ndarray:
-    global _IOTA
-    if n > len(_IOTA):
-        _IOTA = np.arange(max(n, 2 * len(_IOTA)), dtype=np.int64)
-        _IOTA.setflags(write=False)
-    return _IOTA[:n]
+_STATS = {"blocks": 0, "uops": 0}
 
 
 def reset_stats() -> None:
@@ -166,1084 +16,10 @@ def reset_stats() -> None:
 
 
 def stats() -> dict[str, float]:
-    """Coverage counters since the last :func:`reset_stats`."""
-    out: dict[str, float] = dict(_STATS)
-    out["span_coverage"] = (
-        _STATS["uops_wavefront"] / _STATS["uops"] if _STATS["uops"] else 0.0
-    )
-    return out
+    """Blocks and uops run through the block loop since :func:`reset_stats`."""
+    return dict(_STATS)
 
 
 def record_block(n: int) -> None:
     _STATS["blocks"] += 1
     _STATS["uops"] += n
-
-
-def configured_min_span() -> int:
-    raw = os.environ.get("SPIRE_WAVEFRONT_MIN_SPAN", "").strip()
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_MIN_SPAN
-        if value >= 1:
-            return value
-    return DEFAULT_MIN_SPAN
-
-
-def plan_regions(
-    breaker: np.ndarray, min_span: int
-) -> list[tuple[int, int, bool]]:
-    """Partition ``[0, n)`` into ``(lo, hi, is_span)`` regions.
-
-    Spans are maximal breaker-free runs of at least ``min_span`` rows;
-    everything else (breakers and short runs) coalesces into scalar
-    regions.
-    """
-    n = len(breaker)
-    edges = np.flatnonzero(
-        np.diff(np.concatenate((
-            np.zeros(1, dtype=np.int8),
-            (~breaker).astype(np.int8),
-            np.zeros(1, dtype=np.int8),
-        )))
-    )
-    regions: list[tuple[int, int, bool]] = []
-    cursor = 0
-    for k in range(0, len(edges), 2):
-        lo, hi = int(edges[k]), int(edges[k + 1])
-        if hi - lo >= min_span:
-            if lo > cursor:
-                regions.append((cursor, lo, False))
-            regions.append((lo, hi, True))
-            cursor = hi
-    if cursor < n:
-        regions.append((cursor, n, False))
-    return regions
-
-
-class FuBookings:
-    """Compact mirror of the live FU ring occupancy during a block.
-
-    The scalar loop books FU slots into per-kind ring buffers one probe
-    at a time; the span solver instead needs the live bookings of a kind
-    as sorted ``(cycle, count)`` columns.  This class extracts them from
-    the rings lazily (once per kind per wavefront regime), accumulates
-    committed span bookings off-ring, and writes the merged totals back
-    into the rings before any scalar region runs — only bookings at or
-    after the final dispatch floor, since the probe liveness rule means
-    nothing earlier can ever be observed again.
-    """
-
-    __slots__ = ("_pipeline", "_by_code", "_extracted", "_dirty")
-
-    def __init__(self, pipeline) -> None:
-        self._pipeline = pipeline
-        self._by_code: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._extracted: set[int] = set()
-        self._dirty: set[int] = set()
-
-    def live(self, code: int, floor: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted live ``(cycles, counts)`` for one kind."""
-        if code not in self._extracted:
-            ring = self._pipeline._fu_rings.get(KINDS[code])
-            if ring is None:
-                cycles = np.empty(0, dtype=np.int64)
-                counts = np.empty(0, dtype=np.int64)
-            else:
-                ring_counts, ring_stamps = ring
-                stamps = np.asarray(ring_stamps, dtype=np.int64)
-                alive = stamps >= floor
-                cycles = stamps[alive]
-                counts = np.asarray(ring_counts, dtype=np.int64)[alive]
-                order = np.argsort(cycles)
-                cycles = cycles[order]
-                counts = counts[order]
-            self._by_code[code] = (cycles, counts)
-            self._extracted.add(code)
-        return self._by_code[code]
-
-    def commit(self, code: int, cycles: np.ndarray, floor: int) -> None:
-        """Fold a committed chunk's issue cycles for one kind in.
-
-        ``floor`` is a lower bound on every future probe cycle (the
-        chunk's final fetch clock; probes start at the dispatch-bounded
-        ready time, which never falls below it).  Entries under the
-        floor can never be observed again, so they are dropped here —
-        keeping the mirror sized by the live booking window instead of
-        growing with span length.
-        """
-        fresh_cycles, fresh_counts = np.unique(cycles, return_counts=True)
-        cut = np.searchsorted(fresh_cycles, floor)
-        if cut:
-            fresh_cycles = fresh_cycles[cut:]
-            fresh_counts = fresh_counts[cut:]
-        base_cycles, base_counts = self._by_code[code]
-        if len(base_cycles):
-            cut = np.searchsorted(base_cycles, floor)
-            if cut:
-                base_cycles = base_cycles[cut:]
-                base_counts = base_counts[cut:]
-        if len(base_cycles):
-            merged = np.concatenate((base_cycles, fresh_cycles))
-            weights = np.concatenate(
-                (base_counts, fresh_counts.astype(np.int64))
-            )
-            order = np.argsort(merged, kind="stable")
-            merged = merged[order]
-            weights = weights[order]
-            first = np.empty(len(merged), dtype=np.bool_)
-            first[0] = True
-            first[1:] = merged[1:] != merged[:-1]
-            fresh_cycles = merged[first]
-            fresh_counts = np.add.reduceat(weights, np.flatnonzero(first))
-        self._by_code[code] = (
-            fresh_cycles,
-            fresh_counts.astype(np.int64),
-        )
-        self._dirty.add(code)
-
-    def flush(self, floor: int) -> None:
-        """Write merged bookings back to the rings and drop the mirror.
-
-        Called before any scalar region runs (and at block end) so the
-        probe loop sees exactly the bookings the scalar path would have
-        made itself.  Entries below ``floor`` are pruned: every future
-        probe starts at or after its dispatch cycle, which is bounded
-        below by ``floor``.
-        """
-        pipeline = self._pipeline
-        if self._dirty:
-            pipeline._dispatch_floor = floor
-            for code in sorted(self._dirty):
-                cycles, counts = self._by_code[code]
-                keep = cycles >= floor
-                cycle_list = cycles[keep].tolist()
-                count_list = counts[keep].tolist()
-                name = KINDS[code]
-                ring = pipeline._fu_rings.get(name)
-                if ring is None:
-                    size = pipeline._fu_ring_size
-                    ring = pipeline._fu_rings[name] = (
-                        [0] * size,
-                        [-1] * size,
-                    )
-                index = 0
-                while index < len(cycle_list):
-                    ring_counts, ring_stamps = ring
-                    mask = pipeline._fu_ring_size - 1
-                    cycle = cycle_list[index]
-                    slot = cycle & mask
-                    stamp = ring_stamps[slot]
-                    if stamp == cycle or stamp < floor:
-                        ring_stamps[slot] = cycle
-                        ring_counts[slot] = count_list[index]
-                        index += 1
-                    else:
-                        # A live foreign booking shares the slot: grow
-                        # and retry (already-written entries survive the
-                        # rebuild; rewriting them is idempotent).
-                        pipeline._grow_fu_rings()
-                        ring = pipeline._fu_rings[name]
-        self._by_code.clear()
-        self._extracted.clear()
-        self._dirty.clear()
-
-
-def _parent_links(dest: np.ndarray, src1: np.ndarray, m: int) -> np.ndarray:
-    """Last-writer row for each single-source read, ``-1`` if carried.
-
-    Events — register writes (typ 1) and reads (typ 0) — sort by
-    (register, row, typ) so a read sees the newest *earlier* write of
-    its register; typ 0 < typ 1 makes a same-row read-write pair resolve
-    to the previous writer, exactly like the scalar loop reading sources
-    before scattering its destination.  The composite key folds the row
-    of the newest write into a running max that self-resets across
-    register groups (the register multiplier dominates) without a
-    segmented scan.
-    """
-    parent = np.full(m, -1, dtype=np.int64)
-    writers = np.flatnonzero(dest >= 0)
-    readers = np.flatnonzero(src1 >= 0)
-    if len(readers) and len(writers):
-        ev_reg = np.concatenate(
-            (dest[writers].astype(np.int64), src1[readers])
-        )
-        ev_row = np.concatenate((writers, readers))
-        ev_typ = np.concatenate((
-            np.ones(len(writers), dtype=np.int8),
-            np.zeros(len(readers), dtype=np.int8),
-        ))
-        order = np.lexsort((ev_typ, ev_row, ev_reg))
-        comp = ev_reg[order] * (m + 1) + np.where(
-            ev_typ[order] == 1, ev_row[order] + 1, 0
-        )
-        running = np.maximum.accumulate(comp)
-        is_read = ev_typ[order] == 0
-        read_run = running[is_read]
-        read_reg = ev_reg[order][is_read]
-        read_row = ev_row[order][is_read]
-        linked = (read_run // (m + 1) == read_reg) & (read_run % (m + 1) > 0)
-        parent[read_row[linked]] = read_run[linked] % (m + 1) - 1
-    return parent
-
-
-def _fetch_nostall(miss, fetch_ready, fetched, width, penalty):
-    """Closed-form fetch for a chunk assuming no ROB stall fires.
-
-    Returns ``(fetch, seg_of, seg_starts, fd_init)``; the segment
-    arrays recover the intra-cycle fetch count at any prefix length.
-    """
-    c = len(miss)
-    miss_rows = np.flatnonzero(miss)
-    nseg = len(miss_rows) + 1
-    seg_starts = np.empty(nseg, dtype=np.int64)
-    seg_starts[0] = 0
-    seg_starts[1:] = miss_rows
-    fd_init = np.zeros(nseg, dtype=np.int64)
-    fd_init[0] = fetched
-    seg_of = np.cumsum(miss).astype(np.int64, copy=False)
-    lengths = np.diff(np.append(seg_starts, c))
-    carry = np.where(lengths > 0, (fd_init + lengths - 1) // width, 0)
-    base = np.empty(nseg, dtype=np.int64)
-    base[0] = fetch_ready
-    if nseg > 1:
-        base[1:] = (
-            fetch_ready
-            + penalty * np.arange(1, nseg, dtype=np.int64)
-            + np.cumsum(carry)[:-1]
-        )
-    rows = _arange(c)
-    fetch = (
-        base[seg_of] + (fd_init[seg_of] + rows - seg_starts[seg_of]) // width
-    )
-    return fetch, seg_of, seg_starts, fd_init
-
-
-def _fetch_anchored(anchor, fetch_ready, fetched, width):
-    """Exact fetch/tentative clocks for a miss-free chunk with stalls.
-
-    ``anchor[k]`` is the pop's ``free_at`` at row ``k`` (``_NEG`` where
-    no pop).  A fired stall sets the clock to ``free_at`` with one slot
-    consumed, so its influence on row ``k`` is ``free_at[j] +
-    (k-j)//width``; non-fired pops contribute dominated terms, so the
-    maximum over *all* pops plus the entry trajectory is exact.  The
-    tentative clock excludes each row's own pop — the stall amount the
-    scalar loop counts is ``fetch - tentative``.
-    """
-    c = len(anchor)
-    rows = _arange(c)
-    entry = fetch_ready + (fetched + rows) // width
-    incl = np.full(c, _NEG, dtype=np.int64)
-    excl = np.full(c, _NEG, dtype=np.int64)
-    phase = rows % width
-    for p in range(width):
-        sub = anchor[p::width]
-        if not len(sub):
-            continue
-        g = sub - _arange(len(sub))
-        acc = np.concatenate(
-            (np.full(1, _NEG, dtype=np.int64), np.maximum.accumulate(g))
-        )
-        shift = (rows - p) // width
-        # shift + 1 >= 0 by construction, so only the upper bound needs
-        # clamping; a row in phase p always has shift >= 0 there, so the
-        # exclusive tap cannot go negative either.
-        taps = np.minimum(shift + 1, len(sub))
-        np.maximum(incl, acc[taps] + shift, out=incl)
-        taps_ex = taps - (phase == p)
-        np.maximum(excl, acc[taps_ex] + shift, out=excl)
-    fetch = np.maximum(entry, incl)
-    tentative = np.maximum(entry, excl)
-    return fetch, tentative
-
-
-def _fetch_anchored_seg(anchor, nostall, seg_of, seg_starts, width, penalty):
-    """Exact fetch/tentative clocks for a chunk with stalls AND misses.
-
-    The entry trajectory is the miss-segmented no-stall fetch.  A
-    stall's influence inside its own segment keeps the miss-free form
-    ``free_at[j] + (k-j)//width``; crossing into later segments it
-    becomes ``free_at[j] + (m-1-j)//width + penalty + (N[k] - N[m])``
-    with ``m`` the next miss row — the pending rollover dies at the
-    miss (fetched resets to 0) and from ``m`` on the advance matches
-    the no-stall trajectory exactly.  The per-phase within-segment scan
-    runs globally: its cross-segment terms understate the true
-    influence by at least ``(penalty - 1)`` per crossed miss (each
-    reset loses at most one rollover), so for ``penalty >= 1`` they are
-    dominated by the exact cross-segment maximum and the global scan
-    stays sound.
-    """
-    c = len(anchor)
-    rows = _arange(c)
-    incl = np.full(c, _NEG, dtype=np.int64)
-    excl = np.full(c, _NEG, dtype=np.int64)
-    phase = rows % width
-    for p in range(width):
-        sub = anchor[p::width]
-        if not len(sub):
-            continue
-        g = sub - _arange(len(sub))
-        acc = np.concatenate(
-            (np.full(1, _NEG, dtype=np.int64), np.maximum.accumulate(g))
-        )
-        shift = (rows - p) // width
-        taps = np.minimum(shift + 1, len(sub))
-        np.maximum(incl, acc[taps] + shift, out=incl)
-        taps_ex = taps - (phase == p)
-        np.maximum(excl, acc[taps_ex] + shift, out=excl)
-    if len(seg_starts) > 1:
-        next_miss = np.append(seg_starts[1:], c)
-        m_j = next_miss[seg_of]
-        last_seg = len(seg_starts) - 1
-        g_cross = np.where(
-            seg_of < last_seg,
-            anchor
-            + (np.minimum(m_j, c - 1) - 1 - rows) // width
-            + penalty
-            - nostall[np.minimum(m_j, c - 1)],
-            _NEG,
-        )
-        prefmax = np.maximum.accumulate(g_cross)
-        idx = seg_starts[seg_of] - 1
-        valid = idx >= 0
-        if bool(valid.any()):
-            cross = np.full(c, _NEG, dtype=np.int64)
-            cross[valid] = nostall[valid] + prefmax[idx[valid]]
-            np.maximum(incl, cross, out=incl)
-            np.maximum(excl, cross, out=excl)
-    fetch = np.maximum(nostall, incl)
-    tentative = np.maximum(nostall, excl)
-    return fetch, tentative
-
-
-def _retire_closed_form(finish, carried, width):
-    """Exact in-order retirement times for a chunk.
-
-    ``R[i] = max(F[i]+1, R[i-1], R[i-width]+1)`` closes to
-    ``R[i] = max_{j<=i}(F[j] + 1 + (i-j)//width)`` with the carried
-    retire window entering as virtual ``j < 0`` terms, evaluated per
-    phase ``j mod width`` so each phase is one running max.
-    """
-    c = len(finish)
-    rows = _arange(c)
-    headroom = finish + 1 - rows // width
-    seeds = np.full(width, _NEG, dtype=np.int64)
-    for depth in range(1, len(carried) + 1):
-        virtual = -depth
-        value = carried[-depth] - virtual // width
-        if value > seeds[virtual % width]:
-            seeds[virtual % width] = value
-    retire = np.full(c, _NEG, dtype=np.int64)
-    for p in range(width):
-        sub = headroom[p::width]
-        acc = np.maximum.accumulate(
-            np.concatenate((seeds[p : p + 1], sub))
-        )
-        shift = (rows - p) // width
-        taps = np.minimum(shift + 1, len(sub))
-        np.maximum(retire, acc[taps] + shift, out=retire)
-    return retire
-
-
-def _chain_schedule(parent_local, chunk_lat):
-    """Precompute the pointer-doubling rounds for a chunk's parent DAG.
-
-    The hop/path telescoping depends only on the links and latencies,
-    not on the base times, so the per-round gather indices and path
-    snapshots are computed once and replayed against any base by
-    :func:`_chain_finish` — the stalled fixed point and the floor
-    refinement both re-solve the same chunk with different bases.
-    """
-    hop = parent_local.copy()
-    path = chunk_lat.copy()
-    rounds = []
-    live = np.flatnonzero(hop >= 0)
-    while len(live):
-        up = hop[live]
-        rounds.append((live, up, path[live].copy()))
-        path[live] += path[up]
-        hop_up = hop[up]
-        hop[live] = hop_up
-        live = live[hop_up >= 0]
-    return rounds
-
-
-def _chain_finish(base, chunk_lat, rounds):
-    """Finish times via max-plus pointer doubling over parent links.
-
-    ``finish[i] = max(base[i], finish[parent[i]]) + latency[i]`` for
-    single-parent chains, evaluated by replaying a precomputed
-    :func:`_chain_schedule`; each round halves the remaining chain
-    depth.
-    """
-    best = base + chunk_lat
-    for live, up, path_live in rounds:
-        best[live] = np.maximum(best[live], best[up] + path_live)
-    return best
-
-
-def _kind_contended(cycles_k, live_cycles, live_counts, limit):
-    """True when a kind's issue demand can overflow its FU limit.
-
-    Same-cycle issues of the kind (plus carried live ring bookings at
-    that cycle) must stay under the throughput limit, which certifies
-    every start equals its ready cycle.
-    """
-    order = np.argsort(cycles_k, kind="stable")
-    sorted_cycles = cycles_k[order]
-    first = np.empty(len(sorted_cycles), dtype=np.bool_)
-    first[0] = True
-    first[1:] = sorted_cycles[1:] != sorted_cycles[:-1]
-    positions = _arange(len(sorted_cycles))
-    group_first = np.maximum.accumulate(np.where(first, positions, 0))
-    rank = positions - group_first
-    if len(live_cycles):
-        at = np.searchsorted(live_cycles, sorted_cycles)
-        clipped = np.minimum(at, len(live_cycles) - 1)
-        carried_counts = np.where(
-            live_cycles[clipped] == sorted_cycles,
-            live_counts[clipped],
-            0,
-        )
-    else:
-        carried_counts = 0
-    return bool((rank >= (limit - carried_counts)).any())
-
-
-def _band_starts(cycles, limit):
-    """Exact first-fit FU starts for non-decreasing arrival cycles.
-
-    With arrivals sorted into a ring of per-cycle capacity ``limit``,
-    first-fit probing never revisits a hole below the current arrival,
-    so the booking recurrence closes to the same band form as
-    retirement: ``start[i] = max_{j<=i}(cycles[j] + (i-j)//limit)``,
-    evaluated per phase ``j mod limit``.
-    """
-    n = len(cycles)
-    rows = _arange(n)
-    if limit == 1:
-        return rows + np.maximum.accumulate(cycles - rows)
-    start = np.full(n, _NEG, dtype=np.int64)
-    for p in range(limit):
-        sub = cycles[p::limit]
-        if not len(sub):
-            continue
-        g = sub - _arange(len(sub))
-        acc = np.concatenate(
-            (np.full(1, _NEG, dtype=np.int64), np.maximum.accumulate(g))
-        )
-        shift = (rows - p) // limit
-        taps = np.minimum(shift + 1, len(sub))
-        np.maximum(start, acc[taps] + shift, out=start)
-    return start
-
-
-def _fu_starts(ready_k, live_cycles, live_counts, limit):
-    """FU issue cycles for one kind's rows, in program order.
-
-    Valid when the kind's ready cycles are non-decreasing in program
-    order — then the scalar probe discipline processes the rows in
-    sorted-arrival order and :func:`_band_starts` applies.  Carried
-    live ring bookings enter as virtual arrivals that must book exactly
-    their own cells in the merged band run; a displaced virtual means
-    some real row took a cell that was already booked, which only ever
-    *understates* that real's start (the pinned schedule pushes reals
-    later, never earlier), so mid-iteration displacement is safe for a
-    from-below sweep and only the converged state must have every
-    virtual pinned.  Returns ``(starts, pinned)``, or the kind-local
-    index of the first ready-cycle decrease when the readies are
-    non-monotone (the band form does not apply past that row — the
-    caller cuts the chunk just before it and solves the prefix).
-    """
-    drops = np.flatnonzero(ready_k[1:] < ready_k[:-1])
-    if len(drops):
-        return int(drops[0]) + 1
-    if len(live_cycles):
-        cut = np.searchsorted(live_cycles, ready_k[0])
-        live_cycles = live_cycles[cut:]
-        live_counts = live_counts[cut:]
-    if not len(live_cycles):
-        return _band_starts(ready_k, limit), True
-    virt = np.repeat(live_cycles, live_counts)
-    merged = np.concatenate((virt, ready_k))
-    # Stable sort keeps virtuals ahead of reals at the same cycle (they
-    # were booked by strictly earlier uops) and reals in program order.
-    order = np.argsort(merged, kind="stable")
-    starts_sorted = _band_starts(merged[order], limit)
-    starts = np.empty(len(merged), dtype=np.int64)
-    starts[order] = starts_sorted
-    pinned = not bool((starts[: len(virt)] != virt).any())
-    return starts[len(virt) :], pinned
-
-
-def _solve_stalled(
-    cfg, state, fu, entry_floor, c, slack, known,
-    carried_rows, carried_vals, parent_local, chain_rounds, chunk_lat,
-    present, kind_order, kind_bounds, nostall, seg_of, seg_starts,
-):
-    """Whole-span solve with ROB pops and FU contention, by sweeps.
-
-    Pops past ``rob_size`` rows take their ``free_at`` from retires of
-    this same span, and contended FU kinds delay issues (hence finishes,
-    hence retires) — both couple the closed forms back into the fetch
-    clock.  The system is causal: row ``k``'s fetch reads retires of
-    rows ``k - rob_size``, a retire at ``k`` reads fetch at ``<= k``,
-    and a start at ``k`` reads readies at ``<= k``.  So it has exactly
-    one solution — the scalar execution — and iterating
-    fetch -> finish -> starts -> retire -> pop anchors from below until
-    the pair (fetch, start floors) reproduces itself certifies that
-    solution exactly.  Contended kinds solve through the
-    :func:`_fu_starts` band form (their bumped starts feed back as
-    per-row base floors, which the next sweep's chain pass propagates
-    downstream); kinds whose rank test stays clean issue at their ready
-    cycles.  Returns ``(fetch, tentative, finish, ready, start,
-    retire)`` or ``None`` when the sweeps fail to settle, a contended
-    kind's readies go non-monotone, or a carried booking cannot be
-    pinned (the caller re-solves at ``rob_size`` granularity).
-    """
-    width = cfg.width
-    rob_size = cfg.rob_size
-    anchor = np.full(c, _NEG, dtype=np.int64)
-    if known > slack:
-        anchor[slack:known] = np.asarray(
-            state.rob[: known - slack], dtype=np.int64
-        )
-    floor = None       # floor feeding the NEXT finish pass
-    floor_used = None  # floor the stored finish was computed with
-    pins_ok = True     # carried bookings pinned in the stored sweep
-    fetch = finish = retire = None
-    penalty = cfg.icache_miss_penalty
-    for sweep in range(_MAX_SWEEPS):
-        if len(seg_starts) > 1:
-            new_fetch, new_tent = _fetch_anchored_seg(
-                anchor, nostall, seg_of, seg_starts, width, penalty
-            )
-        else:
-            new_fetch, new_tent = _fetch_anchored(
-                anchor, state.fetch_ready, state.fetched, width
-            )
-        if (
-            fetch is not None
-            and np.array_equal(new_fetch, fetch)
-            and (
-                floor is floor_used
-                or (
-                    floor is not None
-                    and floor_used is not None
-                    and np.array_equal(floor, floor_used)
-                )
-            )
-        ):
-            if not pins_ok:
-                # Stable, but a carried booking was displaced in the
-                # band run: the settled point solves the wrong queue.
-                return None
-            # (fetch, floor) reproduced itself, so the stored finish —
-            # a pure function of the pair — and the retire and anchors
-            # derived from it are all mutually consistent: this is the
-            # unique causal fixed point, i.e. the scalar execution.
-            # True operand readiness excludes the contention floors —
-            # the scalar loop's operand-wait counter reads it, and the
-            # start/ready gap is what it books as FU contention.
-            ready = new_fetch.copy()
-            if len(carried_rows):
-                ready[carried_rows] = np.maximum(
-                    ready[carried_rows], carried_vals
-                )
-            linked = np.flatnonzero(parent_local >= 0)
-            if len(linked):
-                ready[linked] = np.maximum(
-                    ready[linked], finish[parent_local[linked]]
-                )
-            if floor is None:
-                start = ready
-            else:
-                start = np.maximum(ready, floor)
-            return new_fetch, new_tent, finish, ready, start, retire
-        fetch = new_fetch
-        base = fetch.copy()
-        if len(carried_rows):
-            base[carried_rows] = np.maximum(
-                fetch[carried_rows], carried_vals
-            )
-        if floor is not None:
-            np.maximum(base, floor, out=base)
-        floor_used = floor
-        finish = _chain_finish(base, chunk_lat, chain_rounds)
-        fed = finish - chunk_lat
-        new_floor = floor
-        pins_ok = True
-        cut = None
-        for code in present:
-            limit = cfg.throughput[KINDS[code]]
-            rows_k = kind_order[kind_bounds[code] : kind_bounds[code + 1]]
-            cycles_k = fed[rows_k]
-            live_cycles, live_counts = fu.live(code, entry_floor)
-            if not _kind_contended(
-                cycles_k, live_cycles, live_counts, limit
-            ):
-                continue
-            solved_k = _fu_starts(cycles_k, live_cycles, live_counts, limit)
-            if isinstance(solved_k, int):
-                # Non-monotone readies: the prefix before the first
-                # decrease is still band-solvable — report the earliest
-                # offender across kinds so the caller can cut there.
-                row = int(rows_k[solved_k])
-                cut = row if cut is None else min(cut, row)
-                continue
-            starts_k, pinned = solved_k
-            pins_ok = pins_ok and pinned
-            if new_floor is None:
-                new_floor = np.full(c, _NEG, dtype=np.int64)
-            elif new_floor is floor:
-                new_floor = floor.copy()
-            # Monotone ratchet: every band output is bounded by the true
-            # start (the sweep state never exceeds the fixed point), so
-            # accumulating floors upward stays sound and cannot
-            # oscillate with the rank test flipping clean.
-            new_floor[rows_k] = np.maximum(new_floor[rows_k], starts_k)
-        if cut is not None:
-            return cut
-        floor = new_floor
-        retire = _retire_closed_form(finish, state.retire, width)
-        if c > rob_size:
-            anchor[rob_size:] = retire[: c - rob_size]
-    return None
-
-
-def run_span(
-    cfg, state, cols, fu, lo, hi, boundaries, settle, hint=None
-) -> int:
-    """Solve and commit block rows ``[lo, hi)``; returns rows committed.
-
-    ``state`` is the block executor's carried recurrence state, ``cols``
-    the block's column bundle, ``fu`` the :class:`FuBookings` mirror.
-    The span runs in adaptively sized chunks and commits chunk by
-    chunk; the first uncertifiable row stops the span, and the caller
-    resumes the scalar loop from there.  ``hint`` is a mutable per-span
-    dict carrying the adaptive sizing state (``cap``, ``bails``) across
-    re-entries after scalar bridging, so a span that already proved
-    hostile to oversized chunks is not re-probed from scratch.
-    """
-    if hint is not None and hint.get("hostile", 0) >= _MAX_HOSTILE:
-        # The region has repeatedly proven contention-bound; stop
-        # re-probing and let the caller's scalar stride walk it.
-        return 0
-    _STATS["spans_attempted"] += 1
-    m = hi - lo
-    width = cfg.width
-    rob_size = cfg.rob_size
-
-    entry_floor = state.dispatch  # FU mirror extraction floor
-    committed = 0
-    # Chunk sizing is adaptive.  A chunk larger than rob_size has pop
-    # times that depend on its own retires, so oversized chunks are
-    # restricted to regimes verifiable post hoc: hazard-free (the rank
-    # test certifies starts == ready outright, making finish and retire
-    # exact, and the in-chunk pop times check against the no-stall
-    # fetch trajectory) or stalled-but-contention-free (the fixed-point
-    # solve).  Contention abandons the oversized attempt and re-solves
-    # at rob_size granularity, where fired stalls and contention are
-    # handled exactly; repeated bails pin the span small, and a streak
-    # of contended small chunks hands the span back to the scalar loop,
-    # which is cheaper per row in that regime.
-    if hint is None:
-        hint = {}
-    chunk_cap = hint.get("cap") or m
-    bails = hint.get("bails", 0)
-    hard_streak = 0
-    while committed < m:
-        if hard_streak >= _MAX_HARD_STREAK:
-            break
-        # All setup is chunk-local so a re-entry after a partial commit
-        # costs O(chunk), not O(remaining span).  Parent links are
-        # chunk-local too: a reader whose last writer sits in an earlier
-        # chunk resolves through the scoreboard, which every chunk
-        # commit keeps current.
-        a = committed
-        ga = lo + a
-        c = min(chunk_cap, m - a)
-        if c > rob_size and bails >= _MAX_BAILS:
-            c = rob_size
-        gb = ga + c
-        big = c > rob_size
-        chunk_miss = ~cols.hits[ga:gb]
-        # The segmented anchored fetch is exact whenever the miss
-        # penalty is at least one cycle (the global within-segment scan
-        # is dominated across misses); a zero penalty keeps the solver
-        # on miss-free chunks only.
-        solver_ok = cfg.icache_miss_penalty >= 1 or not bool(
-            chunk_miss.any()
-        )
-
-        # Pop times are fully known for the first rob_size rows: the
-        # rob window holds the last min(rob_size, seen) retire times.
-        # Rows beyond that pop retires of earlier rows in this same
-        # chunk and are verified after the solve.
-        slack = rob_size - len(state.rob)
-        known = c if c < rob_size else rob_size
-        anchor = np.full(known, _NEG, dtype=np.int64)
-        if known > slack:
-            anchor[slack:] = np.asarray(
-                state.rob[: known - slack], dtype=np.int64
-            )
-
-        fetch, seg_of, seg_starts, fd_init = _fetch_nostall(
-            chunk_miss, state.fetch_ready, state.fetched,
-            width, cfg.icache_miss_penalty,
-        )
-
-        # Chunk columns, parent links, and the kind partition are shared
-        # by every solve mode below.  Parent links are chunk-local: a
-        # reader whose last writer sits in an earlier chunk resolves
-        # through the scoreboard, which every chunk commit keeps
-        # current.
-        chunk_lat = cols.latency[ga:gb].astype(np.int64)
-        chunk_src1 = cols.src1[ga:gb]
-        chunk_kind = cols.kind[ga:gb]
-        chunk_dest = cols.dest[ga:gb]
-        parent_local = _parent_links(chunk_dest, chunk_src1, c)
-        chain_rounds = _chain_schedule(parent_local, chunk_lat)
-        # Kind partition, computed once per chunk: stable argsort keeps
-        # program order within each code's ascending row list.
-        kind_counts = np.bincount(chunk_kind, minlength=len(KINDS))
-        kind_order = np.argsort(chunk_kind, kind="stable").astype(np.int64)
-        kind_bounds = np.zeros(len(KINDS) + 1, dtype=np.int64)
-        np.cumsum(kind_counts, out=kind_bounds[1:])
-        present = [int(code) for code in np.flatnonzero(kind_counts)]
-        carried_rows = np.flatnonzero(
-            (chunk_src1 >= 0) & (parent_local < 0)
-        )
-        carried_vals = (
-            state.registers[chunk_src1[carried_rows]]
-            if len(carried_rows)
-            else None
-        )
-
-        stall = None
-        fixed = False
-        floors: dict[int, tuple[int, int]] = {}
-        v = c
-        bail_big = False
-        resume_after = False
-        retire_v = None
-        if bool((anchor > fetch[:known]).any()):
-            if big:
-                solved = None
-                if solver_ok and c >= _SOLVE_MIN:
-                    solved = _solve_stalled(
-                        cfg, state, fu, entry_floor, c, slack, known,
-                        carried_rows, carried_vals, parent_local,
-                        chain_rounds, chunk_lat, present, kind_order,
-                        kind_bounds, fetch, seg_of, seg_starts,
-                    )
-                if isinstance(solved, int):
-                    if solved >= _SOLVE_MIN:
-                        chunk_cap = solved
-                    else:
-                        chunk_cap = rob_size
-                        bails += 1
-                    continue
-                if solved is None:
-                    chunk_cap = rob_size
-                    bails += 1
-                    continue
-                fetch, tentative, finish, ready, start, retire_v = solved
-                stall = fetch - tentative
-                fixed = True
-            elif bool(chunk_miss.any()):
-                # Fired stalls interleaved with icache misses: the
-                # segmented anchored fetch composes the two clock
-                # resets exactly; only a zero miss penalty (where the
-                # cross-segment domination argument fails) hands the
-                # rest of the span to the scalar loop.
-                if not solver_ok or c < _SOLVE_MIN:
-                    break
-                solved = _solve_stalled(
-                    cfg, state, fu, entry_floor, c, slack, known,
-                    carried_rows, carried_vals, parent_local,
-                    chain_rounds, chunk_lat, present, kind_order,
-                    kind_bounds, fetch, seg_of, seg_starts,
-                )
-                if solved is None or isinstance(solved, int):
-                    break
-                fetch, tentative, finish, ready, start, retire_v = solved
-                stall = fetch - tentative
-                fixed = True
-            else:
-                fetch, tentative = _fetch_anchored(
-                    anchor, state.fetch_ready, state.fetched, width
-                )
-                stall = fetch - tentative
-
-        # Operand readiness and FU occupancy, refined to a fixed point.
-        # Readiness: within-chunk parents resolve by max-plus pointer
-        # doubling (cross-chunk and carried parents read the scoreboard,
-        # which every chunk commit keeps current).  Occupancy: a rank
-        # test over same-ready-cycle issues (plus carried live ring
-        # bookings) certifies contention-free kinds outright; any
-        # contended kind sends the whole chunk to the band fixed point
-        # below — per-row replay at any granularity never beats the
-        # scalar loop.  (All skipped when the stalled fixed point above
-        # already certified the chunk.)
-        if not fixed:
-            base = fetch.copy()
-            if len(carried_rows):
-                base[carried_rows] = np.maximum(
-                    fetch[carried_rows], carried_vals
-                )
-            finish = _chain_finish(base, chunk_lat, chain_rounds)
-            ready = finish - chunk_lat
-            start = ready
-            for code in present:
-                limit = cfg.throughput[KINDS[code]]
-                rows_k = kind_order[kind_bounds[code] : kind_bounds[code + 1]]
-                cycles_k = ready[rows_k]
-                order = np.argsort(cycles_k, kind="stable")
-                sorted_cycles = cycles_k[order]
-                first = np.empty(len(sorted_cycles), dtype=np.bool_)
-                first[0] = True
-                first[1:] = sorted_cycles[1:] != sorted_cycles[:-1]
-                positions = _arange(len(sorted_cycles))
-                group_first = np.maximum.accumulate(
-                    np.where(first, positions, 0)
-                )
-                rank = positions - group_first
-                live_cycles, live_counts = fu.live(code, entry_floor)
-                if len(live_cycles):
-                    at = np.searchsorted(live_cycles, sorted_cycles)
-                    clipped = np.minimum(at, len(live_cycles) - 1)
-                    carried_counts = np.where(
-                        live_cycles[clipped] == sorted_cycles,
-                        live_counts[clipped],
-                        0,
-                    )
-                else:
-                    carried_counts = 0
-                if not bool((rank >= (limit - carried_counts)).any()):
-                    continue
-                bail_big = True
-                break
-        if bail_big:
-            # Contention: the band fixed point solves the chunk whole
-            # (contended starts feed back as floors); a non-monotone
-            # ready prefix cuts the chunk instead, and an unpinnable
-            # carried booking or a zero miss penalty surrenders —
-            # oversized chunks retry at rob_size granularity, small
-            # ones hand the rest of the span to the scalar loop.
-            solved = None
-            if solver_ok and c >= _SOLVE_MIN:
-                solved = _solve_stalled(
-                    cfg, state, fu, entry_floor, c, slack, known,
-                    carried_rows, carried_vals, parent_local,
-                    chain_rounds, chunk_lat, present, kind_order,
-                    kind_bounds, fetch, seg_of, seg_starts,
-                )
-            if isinstance(solved, int):
-                if solved >= _SOLVE_MIN:
-                    chunk_cap = solved
-                    continue
-                solved = None
-            if solved is None:
-                if big:
-                    chunk_cap = rob_size
-                    bails += 1
-                    continue
-                break
-            fetch, tentative, finish, ready, start, retire_v = solved
-            stall = fetch - tentative
-            fixed = True
-            floors = {}
-            v = c
-            resume_after = False
-        # The accounted ready cycle of a floored writer is its natural
-        # operand-ready time; the difference to its floored start is FU
-        # contention, exactly as the scalar probe counts it.
-        if floors:
-            ready_acc = ready.copy()
-            for row, (_, natural) in floors.items():
-                if row < v:
-                    ready_acc[row] = natural
-        else:
-            ready_acc = ready
-        if v == 0:
-            break
-
-        if big and not fixed:
-            # Deferred ROB verification: rows past rob_size pop retires
-            # of rows in this same chunk.  A pop exceeding the no-stall
-            # fetch trajectory means a stall fires and the whole solve
-            # is invalid (understated issue times may have shuffled FU
-            # occupancy) — retry as a stalled fixed point, and only
-            # fall back to rob_size granularity if that fails too.
-            # Floors only ever raise finish, so this test never misses
-            # a fired stall.
-            deep = v - rob_size
-            if deep > 0:
-                retire_v = _retire_closed_form(
-                    finish[:v], state.retire, width
-                )
-                if bool((retire_v[:deep] > fetch[rob_size:v]).any()):
-                    solved = None
-                    if solver_ok and c >= _SOLVE_MIN:
-                        solved = _solve_stalled(
-                            cfg, state, fu, entry_floor, c, slack, known,
-                            carried_rows, carried_vals, parent_local,
-                            chain_rounds, chunk_lat, present, kind_order,
-                            kind_bounds, fetch, seg_of, seg_starts,
-                        )
-                    if isinstance(solved, int):
-                        if solved >= _SOLVE_MIN:
-                            chunk_cap = solved
-                        else:
-                            chunk_cap = rob_size
-                            bails += 1
-                        continue
-                    if solved is None:
-                        chunk_cap = rob_size
-                        bails += 1
-                        continue
-                    fetch, tentative, finish, ready, start, retire_v = solved
-                    stall = fetch - tentative
-                    ready_acc = ready
-                    floors = {}
-                    v = c
-                    resume_after = False
-
-        # --- commit the verified chunk prefix [a, a+v) ---------------
-        if start is not ready:
-            # Contention bumps delay some starts; finish times follow.
-            # (Floored writers already carry their bumped finish out of
-            # the doubling, so this recompute is a no-op for them.)
-            finish = start + chunk_lat
-        fetch_v = fetch[:v]
-        ready_v = ready_acc[:v]
-        start_v = start[:v]
-        finish_v = finish[:v]
-        dest_v = chunk_dest[:v]
-
-        if retire_v is None:
-            retire_v = _retire_closed_form(finish_v, state.retire, width)
-
-        written = np.flatnonzero(dest_v >= 0)
-        if len(written):
-            # In-order fancy assignment: duplicate destinations resolve
-            # to the last write, matching the scalar scoreboard.
-            state.registers[dest_v[written]] = finish_v[written]
-
-        new_floor = int(fetch_v[-1])
-        for code in present:
-            rows_k = kind_order[kind_bounds[code] : kind_bounds[code + 1]]
-            if v < c:
-                rows_k = rows_k[: np.searchsorted(rows_k, v)]
-                if not len(rows_k):
-                    continue
-            fu.live(code, entry_floor)
-            fu.commit(code, start[rows_k], new_floor)
-
-        retire_list = retire_v.tolist()
-        rob = state.rob + retire_list
-        state.rob = rob[-rob_size:] if len(rob) > rob_size else rob
-        window = state.retire + retire_list
-        state.retire = window[-width:] if len(window) > width else window
-
-        # Intra-cycle fetch count after the last committed row: a fired
-        # stall resets it to 1 at the stall row, otherwise it follows
-        # the miss-segmented trajectory.
-        last_fired = -1
-        if stall is not None:
-            fired = np.flatnonzero(stall[:v] > 0)
-            if len(fired):
-                last_fired = int(fired[-1])
-        if last_fired >= int(seg_starts[int(seg_of[v - 1])]):
-            # The last fired stall sits in the final miss segment, so
-            # its fetched=1 reset is the live one.  A later miss would
-            # have zeroed the count again — the segment formula below
-            # covers that case.
-            state.fetched = (v - 1 - last_fired) % width + 1
-        else:
-            segment = int(seg_of[v - 1])
-            state.fetched = int(
-                (fd_init[segment] + (v - 1) - seg_starts[segment]) % width + 1
-            )
-        state.fetch_ready = new_floor
-        state.dispatch = new_floor
-        branch_rows = kind_order[
-            kind_bounds[_BRANCH_CODE] : kind_bounds[_BRANCH_CODE + 1]
-        ]
-        state.branch_cursor += (
-            int(np.searchsorted(branch_rows, v)) if v < c else len(branch_rows)
-        )
-
-        wait_cum = np.cumsum(ready_v - fetch_v)
-        stall_cum = np.cumsum(stall[:v]) if stall is not None else None
-        cont_cum = (
-            np.cumsum(start_v - ready_v)
-            if (start is not ready or floors)
-            else None
-        )
-        prev_wait = 0
-        prev_stall = 0
-        prev_cont = 0
-        index = state.boundary_idx
-        base_row = lo + a
-        while index < len(boundaries) and boundaries[index] <= base_row + v:
-            local = boundaries[index] - base_row - 1
-            cur_wait = int(wait_cum[local])
-            state.operand_wait += cur_wait - prev_wait
-            prev_wait = cur_wait
-            if stall_cum is not None:
-                cur_stall = int(stall_cum[local])
-                state.rob_stall += cur_stall - prev_stall
-                prev_stall = cur_stall
-            if cont_cum is not None:
-                cur_cont = int(cont_cum[local])
-                state.fu_contention += cur_cont - prev_cont
-                prev_cont = cur_cont
-            state.last_retire = int(retire_v[local])
-            settle(boundaries[index])
-            index += 1
-        state.boundary_idx = index
-        state.operand_wait += int(wait_cum[-1]) - prev_wait
-        if stall_cum is not None:
-            state.rob_stall += int(stall_cum[-1]) - prev_stall
-        if cont_cum is not None:
-            state.fu_contention += int(cont_cum[-1]) - prev_cont
-        state.last_retire = retire_list[-1]
-
-        committed = a + v
-        if floors or v < c:
-            hard_streak += 1
-        else:
-            hard_streak = 0
-        if v < c:
-            if resume_after and v >= _RESUME_MIN:
-                chunk_cap = rob_size
-                continue
-            break
-        if not floors:
-            # Clean full commit — hazard-free, stall-exact, or a
-            # converged fixed point: try a bigger bite next time.  The
-            # next chunk's own certification (rank test, deferred pop
-            # check, fixed-point convergence) guards the larger size;
-            # the cap re-clamps to the remaining span, and a span past
-            # its bail budget stays pinned to rob_size.
-            chunk_cap = chunk_cap * 2
-
-    hint["cap"] = chunk_cap if chunk_cap < m else None
-    hint["bails"] = bails
-    if committed == m:
-        hint["hostile"] = 0
-    elif hard_streak >= _MAX_HARD_STREAK or committed < RETRY_COMMIT_GOOD:
-        # Chronic contention (streak) or a sliver commit: either way
-        # this entry paid full chunk setup for little vectorized gain.
-        hint["hostile"] = hint.get("hostile", 0) + 1
-    _STATS["uops_wavefront"] += committed
-    if committed == m:
-        _STATS["spans_committed"] += 1
-    elif committed:
-        _STATS["spans_partial"] += 1
-    else:
-        _STATS["spans_rejected"] += 1
-    return committed

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.bulkrng import random_draws
 from repro.uarch.activity import WindowActivity
 from repro.uarch.backend import _DIVIDER_EXPOSURE, _VW_EVENT_RATE, port_activity_histogram
 from repro.uarch.frontend import _UOPS_PER_MITE_BURST, _UOPS_PER_MS_FLOW
@@ -102,12 +103,8 @@ def _standard_normals(rng: random.Random, count: int) -> np.ndarray:
 
     Bit-exact replay of CPython's ``random.gauss`` by construction:
 
-    - ``random.random()`` is genrand_res53 over two successive MT19937
-      words ``a, b``: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``.
-      ``rng.getrandbits(32 * k)`` returns the next ``k`` words, least
-      significant first, and advances ``rng`` exactly as ``k / 2``
-      ``random()`` calls would.  The integer part is below 2**53, so its
-      float64 evaluation (and the power-of-two scale) is exact;
+    - the uniforms are :func:`~repro.bulkrng.random_draws`, the exact
+      ``random()`` values, two per Box–Muller pair;
     - each Box–Muller pair is formed with array ``*``, ``-`` and
       ``np.sqrt`` (correctly rounded, like their scalar counterparts),
       while ``log``, ``cos`` and ``sin`` stay on libm via ``math`` —
@@ -118,13 +115,7 @@ def _standard_normals(rng: random.Random, count: int) -> np.ndarray:
     """
     lead = [] if rng.gauss_next is None else [rng.gauss_next]
     pairs = (count - len(lead) + 1) // 2
-    words = np.frombuffer(
-        rng.getrandbits(128 * pairs).to_bytes(16 * pairs, "little"), dtype="<u4"
-    ).reshape(pairs, 2, 2)
-    uniform = (
-        (words[:, :, 0] >> 5).astype(np.float64) * 67108864.0
-        + (words[:, :, 1] >> 6)
-    ) * (1.0 / 9007199254740992.0)
+    uniform = random_draws(rng, 2 * pairs).reshape(pairs, 2)
     angle = (uniform[:, 0] * _TWOPI).tolist()
     log_term = np.fromiter(
         map(math.log, (1.0 - uniform[:, 1]).tolist()), np.float64, pairs

@@ -120,7 +120,7 @@ def test_execute_array_windowed_matches_sliced_windows(
     assert [s.as_dict() for s in got] == [s.as_dict() for s in expected]
     assert fused.counters.as_dict() == sliced.counters.as_dict()
     assert fused._register_ready == sliced._register_ready
-    assert fused._rob == sliced._rob
+    assert fused._retired == sliced._retired
 
 
 def test_collect_trace_samples_fused_matches_per_window_loop():

@@ -11,8 +11,6 @@ Two layers of guarantees:
   hypothesis inputs including mispredict redirects and ROB-full stalls.
 """
 
-import contextlib
-import os
 import random
 from dataclasses import fields
 
@@ -22,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, DegradedDataWarning
+from repro.guard import GuardConfig, reset_guards
 from repro.trace import wavefront
 from repro.trace import (
     KERNELS,
@@ -35,6 +34,7 @@ from repro.trace import (
     make_kernel_trace_array,
 )
 from repro.trace.cache import LEVELS
+from repro.trace.pipeline import _FU_PRUNE_AT
 from repro.trace.trace_array import KIND_CODES, LATENCY_BY_CODE
 from repro.trace.uops import EXEC_LATENCY, KINDS, MicroOp
 from repro.uarch.activity import WindowActivity
@@ -310,8 +310,8 @@ def random_trace_arrays(draw):
 def _assert_pipelines_equal(scalar: TracePipeline, batch: TracePipeline):
     assert batch.counters.as_dict() == scalar.counters.as_dict()
     assert batch._fetch_ready == scalar._fetch_ready
-    assert batch._rob == scalar._rob
-    assert batch._retire_times == scalar._retire_times
+    # One deque holds the ROB; the retire window is its last `width`.
+    assert batch._retired == scalar._retired
     assert batch._register_ready == scalar._register_ready
 
 
@@ -515,39 +515,24 @@ def test_simulate_run_fallback_routes_per_window(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Wavefront-compressed recurrence parity
+# Block-loop parity against the per-uop oracle at small block sizes
+#
+# The ``wavefront`` tests keep the names they had when a closed-form
+# span solver ran inside the block loop; they now pin the block loop
+# alone against ``execute``, and ``repro.trace.wavefront`` holds only
+# the block loop's block/uop counters.
 # ----------------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def _env(**overrides):
-    """Set/unset env vars for one example (hypothesis-safe, unlike the
-    function-scoped monkeypatch fixture)."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    for key, value in overrides.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
 
 
 @st.composite
 def clustered_trace_ops(draw):
-    """Adversarial wavefront inputs.
+    """Adversarial block-loop inputs.
 
-    Same-kind clusters contend for one functional-unit ring; cache-
-    missing loads inject latency spikes into otherwise-uniform spans;
-    dependency chains couple rows across chunk cuts; divs, multi-source
-    rows, and mispredicting branches land span breakers at random
-    offsets so regions straddle every boundary the planner can emit.
+    Same-kind clusters contend for one functional unit; cache-missing
+    loads inject latency spikes; dependency chains couple rows across
+    block cuts; divs, multi-source rows and mispredicting branches land
+    flagged rows at random offsets, so blocks and windows cut between
+    every kind of row the loop distinguishes.
     """
     seed = draw(st.integers(min_value=0, max_value=10_000))
     n = draw(st.integers(min_value=64, max_value=900))
@@ -565,7 +550,7 @@ def clustered_trace_ops(draw):
             sources = ()
             if last_dest is not None and rng.random() < 0.5:
                 sources = (last_dest,)
-                if rng.random() < 0.1:  # multi-source rows break spans
+                if rng.random() < 0.1:  # multi-source rows take the CSR path
                     sources = (last_dest, rng.randint(1, 16))
             if kind in ("load", "store"):
                 address = (
@@ -598,54 +583,75 @@ def clustered_trace_ops(draw):
 @settings(max_examples=25, deadline=None)
 @given(clustered_trace_ops())
 def test_wavefront_parity_on_clustered_traces(ops):
-    # MIN_SPAN=8 forces span planning far below the production
-    # threshold so tiny hypothesis traces reach the wavefront path;
-    # the scalar MicroOp loop is the ground truth.
+    # Small blocks cut clusters and dependence chains; the scalar
+    # MicroOp loop is the ground truth.
     scalar = TracePipeline()
-    wave = TracePipeline()
+    batch = TracePipeline()
     scalar.execute(ops)
-    with _env(SPIRE_WAVEFRONT_MIN_SPAN="8", SPIRE_WAVEFRONT=None):
-        wave.execute_array(TraceArray.from_microops(ops), block_size=256)
-    _assert_pipelines_equal(scalar, wave)
+    batch.execute_array(TraceArray.from_microops(ops), block_size=256)
+    _assert_pipelines_equal(scalar, batch)
 
 
 @settings(max_examples=15, deadline=None)
 @given(clustered_trace_ops())
 def test_wavefront_parity_rob_boundary_straddles(ops):
-    # A tiny ROB makes chunk pop times depend on in-chunk retires, so
-    # every oversized solver chunk straddles the ROB boundary; a small
-    # block size cuts spans at block boundaries on top of that.
+    # A tiny ROB stays full, so nearly every row evicts an occupant
+    # retired a few rows earlier, and every small block starts from a
+    # full ROB of history carried across the cut.
     config = PipelineConfig(width=2, rob_size=8)
     scalar = TracePipeline(config=config)
-    wave = TracePipeline(config=config)
+    batch = TracePipeline(config=config)
     scalar.execute(ops)
-    with _env(SPIRE_WAVEFRONT_MIN_SPAN="8", SPIRE_WAVEFRONT=None):
-        wave.execute_array(TraceArray.from_microops(ops), block_size=96)
-    _assert_pipelines_equal(scalar, wave)
+    batch.execute_array(TraceArray.from_microops(ops), block_size=96)
+    _assert_pipelines_equal(scalar, batch)
+
+
+def test_block_loop_prunes_contended_bookings_across_blocks():
+    # Independent multiplies on one unit book one cycle each, so the
+    # booking dict grows by one cycle per row: a long stream crosses
+    # the pruning threshold in several blocks, and the oracle keeps pace.
+    n = 3 * _FU_PRUNE_AT
+    ops = [MicroOp("mul", dest=1 + i % 8, pc=(i % 64) * 4) for i in range(n)]
+    scalar = TracePipeline()
+    batch = TracePipeline()
+    sizes = []
+    for start in range(0, n, 1_000):
+        scalar.execute(ops[start : start + 1_000])
+        batch.execute_array(
+            TraceArray.from_microops(ops[start : start + 1_000]),
+            block_size=384,
+        )
+        sizes.append(len(batch._fu_books["mul"]))
+        _assert_pipelines_equal(scalar, batch)
+    assert scalar.counters.fu_contention_cycles > 0
+    # Pruned at block ends: the dict shrinks at least once and never
+    # outgrows the threshold by more than one block (one call for the
+    # oracle).
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert max(sizes) <= _FU_PRUNE_AT + 384
+    assert len(scalar._fu_books["mul"]) <= _FU_PRUNE_AT + 1_000
 
 
 @pytest.mark.parametrize("kernel", ("codebloat", "pointer_chase", "stream"))
-def test_wavefront_windowed_snapshots_unchanged(kernel):
-    # Window boundaries settle counters mid-span; the sampled records
-    # must not move when the wavefront path is enabled across them.
+def test_wavefront_windowed_snapshots_unchanged(kernel, monkeypatch):
+    # Window boundaries settle counters between window slices of a
+    # block; the sampled records must match the per-uop oracle's.
     kwargs = dict(
         n_uops=4_000, window_uops=700, intensities=(0.3, 0.9), seed=11
     )
-    with _env(SPIRE_WAVEFRONT="0", SPIRE_WAVEFRONT_MIN_SPAN="8"):
-        off = collect_trace_samples(kernel, **kwargs)
-    with _env(SPIRE_WAVEFRONT=None, SPIRE_WAVEFRONT_MIN_SPAN="8"):
-        on = collect_trace_samples(kernel, **kwargs)
-    assert on.final_counters == off.final_counters
-    assert on.instructions == off.instructions
-    assert on.cycles == off.cycles
-    assert on.samples.to_records() == off.samples.to_records()
+    fast = collect_trace_samples(kernel, **kwargs)
+    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
+    oracle = collect_trace_samples(kernel, **kwargs)
+    assert fast.final_counters == oracle.final_counters
+    assert fast.instructions == oracle.instructions
+    assert fast.cycles == oracle.cycles
+    assert fast.samples.to_records() == oracle.samples.to_records()
 
 
 def test_scalar_fallback_routes_around_wavefront(monkeypatch):
-    # SPIRE_SCALAR_FALLBACK=1 must bypass the wavefront machinery
-    # entirely (zero blocks recorded), not merely match its output.
+    # SPIRE_SCALAR_FALLBACK=1 must bypass the block loop entirely (zero
+    # blocks recorded), not merely match its output.
     monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
-    monkeypatch.setenv("SPIRE_WAVEFRONT_MIN_SPAN", "1")
     wavefront.reset_stats()
     fallback = collect_trace_samples(
         "stream", n_uops=2_000, window_uops=500, seed=3
@@ -654,9 +660,47 @@ def test_scalar_fallback_routes_around_wavefront(monkeypatch):
     assert stats["blocks"] == 0
     assert stats["uops"] == 0
     monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
-    monkeypatch.delenv("SPIRE_WAVEFRONT_MIN_SPAN")
     vectorized = collect_trace_samples(
         "stream", n_uops=2_000, window_uops=500, seed=3
     )
+    assert wavefront.stats()["uops"] >= 5 * 2_000
     assert fallback.final_counters == vectorized.final_counters
     assert fallback.samples.to_records() == vectorized.samples.to_records()
+
+
+@pytest.fixture
+def raising_block_guard(monkeypatch):
+    monkeypatch.setenv("SPIRE_GUARD_POLICY", "raise")
+    monkeypatch.setenv("SPIRE_GUARD_RATE_TRACE_BLOCK_RECURRENCE", "1")
+    registry = reset_guards()
+    yield registry
+    reset_guards()
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_block_guard_at_rate_one_runs_clean(kernel, raising_block_guard):
+    # Every block is replayed through execute and compared; under the
+    # raise policy a single divergence would fail the collection.
+    collect_trace_samples(kernel, n_uops=3_000, window_uops=700, seed=5)
+    health = raising_block_guard.health_report()
+    block = health.kernels["trace.block_recurrence"]
+    assert block.checks == block.calls > 0
+    assert not health.divergences
+
+
+def test_block_guard_injected_divergence_serves_identical_output():
+    kwargs = dict(n_uops=3_000, window_uops=700, seed=5)
+    registry = reset_guards(GuardConfig(check_rate=0))
+    clean = collect_trace_samples("mixed", **kwargs)
+    registry = reset_guards(GuardConfig(check_rate=0))
+    registry.inject_divergence("trace.block_recurrence")
+    with pytest.warns(DegradedDataWarning):
+        faulted = collect_trace_samples("mixed", **kwargs)
+    health = registry.health_report()
+    reset_guards()
+    assert [event.kernel for event in health.divergences] == [
+        "trace.block_recurrence"
+    ]
+    assert health.kernels["trace.block_recurrence"].tripped
+    assert faulted.final_counters == clean.final_counters
+    assert faulted.samples.to_records() == clean.samples.to_records()
