@@ -47,8 +47,7 @@ _DIV_CODE = KINDS.index("div")
 _LOAD_CODE = KINDS.index("load")
 _BRANCH_CODE = KINDS.index("branch")
 
-# Row flags of the block loop.  A row with no flag, or only _MISS, takes
-# the loop's lean path; any other flag sends it down the general path.
+# Row flags of the block loop, one bit per hazard a row may carry.
 _MISS = 1        # icache miss: the front end stalls for the refill
 _MISPREDICT = 2  # mispredicted branch: fetch restarts after it resolves
 _MULTI = 4       # two or more sources: operands read through the CSR
@@ -489,8 +488,8 @@ class TracePipeline:
 
         The recurrence runs on plain lists: one retire history serves the
         ROB and the retire window, the register file has a zero slot and
-        a sink slot, and a flag column sends the rare rows — several
-        sources, a divide, a mispredicted branch — down a general path.
+        a sink slot, and a flag column marks each row's hazards — an
+        icache miss, several sources, a divide, a mispredicted branch.
         Each window slice ends with its counters settled, and with a
         snapshot when it ends at one of ``boundaries``.
         """
@@ -630,90 +629,52 @@ class TracePipeline:
                 latency[start:stop].tolist(),
                 flags[start:stop].tolist(),
             ):
-                if flag > _MISS:
-                    # General path: any mix of the flagged hazards.
-                    if flag & _MISS:
-                        fetch_ready += icache_penalty
-                        fetched = 1
-                    elif fetched < width:
-                        fetched += 1
-                    else:
-                        fetch_ready += 1
-                        fetched = 1
-                    free_at = history[evict]
-                    if free_at > fetch_ready:
-                        rob_stall += free_at - fetch_ready
-                        fetch_ready = free_at
-                        fetched = 1
-                    # Dispatch is the fetch clock from here on.
-                    ready = fetch_ready
-                    if flag & _MULTI:
-                        for j in range(csr_offsets[src], csr_offsets[src + 1]):
-                            t = registers[csr_values[j]]
-                            if t > ready:
-                                ready = t
-                    else:
-                        t = registers[src]
+                if flag & _MISS:
+                    fetch_ready += icache_penalty
+                    fetched = 1
+                elif fetched < width:
+                    fetched += 1
+                else:
+                    fetch_ready += 1
+                    fetched = 1
+                free_at = history[evict]
+                if free_at > fetch_ready:
+                    rob_stall += free_at - fetch_ready
+                    fetch_ready = free_at
+                    fetched = 1
+                # Dispatch is the fetch clock from here on.
+                ready = fetch_ready
+                if flag & _MULTI:
+                    for j in range(csr_offsets[src], csr_offsets[src + 1]):
+                        t = registers[csr_values[j]]
                         if t > ready:
                             ready = t
-                    operand_wait += ready - fetch_ready
-                    if flag & _DIVIDE:
-                        begin = divider_free if divider_free > ready else ready
-                        divider_free = begin + occupancy
-                    else:
-                        book = books[code]
-                        limit = limits[code]
-                        begin = ready
-                        taken = book.get(begin, 0)
-                        while taken >= limit:
-                            begin += 1
-                            taken = book.get(begin, 0)
-                        book[begin] = taken + 1
-                    fu_contention += begin - ready
-                    finish = begin + lat
-                    registers[dst] = finish
-                    if flag & _MISPREDICT:
-                        redirect = finish + redirect_penalty
-                        if redirect > fetch_ready:
-                            redirect_stall += redirect - fetch_ready
-                            fetch_ready = redirect
-                            fetched = 0
                 else:
-                    # Lean path: one source, a pipelined unit, at most an
-                    # icache miss.
-                    if flag:
-                        fetch_ready += icache_penalty
-                        fetched = 1
-                    elif fetched < width:
-                        fetched += 1
-                    else:
-                        fetch_ready += 1
-                        fetched = 1
-                    free_at = history[evict]
-                    if free_at > fetch_ready:
-                        rob_stall += free_at - fetch_ready
-                        fetch_ready = free_at
-                        fetched = 1
-                    ready = registers[src]
-                    if ready > fetch_ready:
-                        operand_wait += ready - fetch_ready
-                    else:
-                        ready = fetch_ready
+                    t = registers[src]
+                    if t > ready:
+                        ready = t
+                operand_wait += ready - fetch_ready
+                if flag & _DIVIDE:
+                    begin = divider_free if divider_free > ready else ready
+                    divider_free = begin + occupancy
+                else:
                     book = books[code]
-                    if ready in book:
-                        taken = book[ready]
-                        begin = ready
-                        limit = limits[code]
-                        while taken >= limit:
-                            begin += 1
-                            taken = book.get(begin, 0)
-                        book[begin] = taken + 1
-                        fu_contention += begin - ready
-                        finish = begin + lat
-                    else:
-                        book[ready] = 1
-                        finish = ready + lat
-                    registers[dst] = finish
+                    limit = limits[code]
+                    begin = ready
+                    taken = book.get(begin, 0)
+                    while taken >= limit:
+                        begin += 1
+                        taken = book.get(begin, 0)
+                    book[begin] = taken + 1
+                fu_contention += begin - ready
+                finish = begin + lat
+                registers[dst] = finish
+                if flag & _MISPREDICT:
+                    redirect = finish + redirect_penalty
+                    if redirect > fetch_ready:
+                        redirect_stall += redirect - fetch_ready
+                        fetch_ready = redirect
+                        fetched = 0
                 retire = finish + 1
                 if retire < last_retire:
                     retire = last_retire
