@@ -2,7 +2,7 @@
 
 The vectorized data plane (``repro.core.columns`` and the array kernels
 behind training and estimation) claims the model-side hot path —
-``SpireModel.train`` plus ``SpireModel.estimate`` at ``jobs=1`` — without
+``SpireModel.train`` plus ``SpireModel.estimate`` — without
 changing a single result.  This bench measures both claims:
 
 - the scalar reference path (``SPIRE_SCALAR_FALLBACK=1``) and the
@@ -121,7 +121,7 @@ def _train_and_estimate(train_records, test_record_sets):
     """
     pooled = SampleSet.from_records(train_records)
     started = time.perf_counter()
-    model = SpireModel.train(pooled, jobs=1)
+    model = SpireModel.train(pooled)
     train_s = time.perf_counter() - started
 
     # Estimate over the full training pool (the model's self-consistency

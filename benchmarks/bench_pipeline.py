@@ -1,26 +1,19 @@
-"""Pipeline throughput bench: fused engine, pool fan-out, experiment cache.
+"""Pipeline throughput bench: fused engine and experiment cache.
 
-The paper's evaluation is embarrassingly parallel (§IV): the 23 training
-and 4 testing workloads are simulated independently.  Since the fused
-mega-batch engine, "parallel" is not "faster" — the fused in-process
-path at ``jobs=1`` beats a process pool — so this bench measures the two
-levers *separately*:
+The paper's evaluation simulates the 23 training and 4 testing workloads
+independently (§IV).  The runner executes them in one process, fused
+into one mega-batch, and this bench measures:
 
 - **fused vs per-workload** simulation of the full task list, with a
   bit-identical-output check (the same equivalence the runner's
   ``fused_experiment`` guard samples in production);
-- **serial vs pool** wall time for the whole experiment, recorded as
-  ``pool_speedup`` — *below* 1.0 on every host measured so far (0.12x on
-  a 1-CPU container; an explicit 2-worker pool on a 2-vCPU Xeon VM took
-  2.3–3.0 s against 0.40–0.51 s in-process), which is why ``jobs="auto"``
-  always runs the fused engine in-process and the pool is reached only
-  through an explicit ``jobs=N`` or ``SPIRE_JOBS``;
+- the whole experiment at ``jobs=1`` and ``jobs="auto"``, which must be
+  bit-identical;
 - cold (simulate + store) vs warm (load) experiment-cache latency.
 
 Results land in ``BENCH_pipeline.json`` to seed the repo's performance
-trajectory.  Pool speedup is hardware-dependent (a 1-core container
-shows < 1x) so only result equality, the fused sim-phase speedup, and
-warm-cache latency are asserted.
+trajectory.  Result equality, the fused sim-phase speedup and warm-cache
+latency are asserted.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from repro.runtime.fused import runs_equal, simulate_tasks_fused
 from repro.runtime.plan import ExecutionPlan
 from repro.uarch import skylake_gold_6126
 
-PARALLEL_JOBS = 4
 BENCH_CACHE = OUT_DIR / "bench-pipeline-cache"
 
 
@@ -97,17 +89,11 @@ def test_pipeline_parallel_and_cache(out_dir):
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    pooled = run_experiment(config, jobs=PARALLEL_JOBS)
-    pool_s = time.perf_counter() - started
-
-    started = time.perf_counter()
     auto = run_experiment(config, jobs="auto")
     auto_s = time.perf_counter() - started
 
-    # Determinism: pool and auto runs must be bit-identical to serial.
-    serial_signature = _analysis_signature(serial)
-    assert serial_signature == _analysis_signature(pooled)
-    assert serial_signature == _analysis_signature(auto)
+    # Determinism: the auto run must be bit-identical to serial.
+    assert _analysis_signature(serial) == _analysis_signature(auto)
 
     shutil.rmtree(BENCH_CACHE, ignore_errors=True)
     started = time.perf_counter()
@@ -137,11 +123,6 @@ def test_pipeline_parallel_and_cache(out_dir):
         },
         "cpu_count": os.cpu_count(),
         "serial_s": round(serial_s, 4),
-        "pool_jobs": PARALLEL_JOBS,
-        "pool_s": round(pool_s, 4),
-        # Below 1.0 when the pool is a net loss — the measurement behind
-        # jobs="auto" always staying on the in-process fused path.
-        "pool_speedup": round(serial_s / pool_s, 3),
         "auto_s": round(auto_s, 4),
         "cache_cold_s": round(cold_s, 4),
         "cache_warm_s": round(warm_s, 4),

@@ -95,7 +95,7 @@ def _stream_pass(records: list[dict]) -> tuple[OnlineSpire, float]:
 def _batch_pass(records: list[dict]) -> tuple[SpireModel, float]:
     pooled = SampleSet.from_records(records)
     started = time.perf_counter()
-    model = SpireModel.train(pooled, options=OPTIONS, jobs=1)
+    model = SpireModel.train(pooled, options=OPTIONS)
     return model, time.perf_counter() - started
 
 

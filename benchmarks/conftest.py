@@ -10,7 +10,6 @@ written to ``benchmarks/out/``.
 
 Environment knobs:
 
-- ``SPIRE_BENCH_JOBS``  — worker processes for the simulation (default 1)
 - ``SPIRE_CACHE_DIR``   — overrides the bench cache directory
 """
 
@@ -30,8 +29,7 @@ CACHE_DIR = Path(os.environ.get("SPIRE_CACHE_DIR") or OUT_DIR / "cache")
 @pytest.fixture(scope="session")
 def experiment():
     """The full reproduction experiment (paper §IV scale, reduced runtime)."""
-    jobs = int(os.environ.get("SPIRE_BENCH_JOBS", "1"))
-    return cached_experiment(ExperimentConfig(), jobs=jobs, cache_dir=CACHE_DIR)
+    return cached_experiment(ExperimentConfig(), cache_dir=CACHE_DIR)
 
 
 @pytest.fixture(scope="session")

@@ -50,18 +50,6 @@ from repro.viz import ascii_roofline, render_roofline_svg
 from repro.workloads import all_workloads
 
 
-def _jobs_arg(raw: str) -> "int | str":
-    """``--jobs`` parser: an integer count or the ``auto`` policy."""
-    if raw.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {raw!r}"
-        ) from None
-
-
 def _cmd_workloads(_: argparse.Namespace) -> int:
     print(f"{'name':<26} {'role':<9} {'expected bottleneck':<17} configuration")
     for workload in all_workloads():
@@ -90,7 +78,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     pooled = SampleSet()
     for path in args.data:
         pooled.extend(load_samples_csv(path))
-    model = SpireModel.train(pooled, jobs=args.jobs)
+    model = SpireModel.train(pooled)
     save_model(model, args.model, include_training=args.full_model)
     print(
         f"trained {len(model)} rooflines from {len(pooled)} samples -> {args.model}"
@@ -212,8 +200,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print("warning: --resume has no effect without a cache directory")
     print(
         f"running the full evaluation: 23 training + 4 testing workloads "
-        f"({config.train_windows}/{config.test_windows} windows, "
-        f"jobs={args.jobs}"
+        f"({config.train_windows}/{config.test_windows} windows"
         + (f", cache={cache_dir}" if cache_dir else ", cache off")
         + (", resume" if args.resume else "")
         + ") ..."
@@ -221,11 +208,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     result, run_report = run_experiment_with_report(
         config,
-        jobs=args.jobs,
         cache=cache_dir,
         resume=args.resume,
         failure_policy=args.failure_policy,
-        task_timeout=args.task_timeout,
         retries=args.retries,
     )
     print(f"experiment ready in {time.perf_counter() - started:.2f}s")
@@ -267,12 +252,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _faultsim_fused_crash(args: argparse.Namespace) -> int:
     """Fused-path crash scenario: checkpoint/resume at segment granularity.
 
-    Phase 1 runs the experiment serially (the fused mega-batch path) with
-    a persistent crash injected into one workload.  The victim is excluded
+    Phase 1 runs the experiment (the fused mega-batch path) with a
+    persistent crash injected into one workload.  The victim is excluded
     from fusion, so every other workload simulates as one fused batch and
     checkpoints segment by segment before the victim fails terminally.
     Phase 2 resumes from those checkpoints: only the victim re-simulates,
-    and the final result must be bit-identical to a fault-free serial run.
+    and the final result must be bit-identical to a fault-free run.
     """
     import tempfile
     import warnings
@@ -298,12 +283,11 @@ def _faultsim_fused_crash(args: argparse.Namespace) -> int:
         f"cache={cache_dir}"
     )
 
-    print("phase 1: fused serial run; the victim crashes terminally ...")
+    print("phase 1: fused run; the victim crashes terminally ...")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedDataWarning)
         _, report = run_experiment_with_report(
             config,
-            jobs=1,
             cache=cache_dir,
             failure_policy="skip",
             retries=0,
@@ -326,7 +310,7 @@ def _faultsim_fused_crash(args: argparse.Namespace) -> int:
 
     print("phase 2: resuming from segment checkpoints, no faults ...")
     result, resumed = run_experiment_with_report(
-        config, jobs=1, cache=cache_dir, resume=True
+        config, cache=cache_dir, resume=True
     )
     if sorted(resumed.checkpoint_hits) != sorted(fused_segments):
         print(
@@ -340,8 +324,8 @@ def _faultsim_fused_crash(args: argparse.Namespace) -> int:
         print(f"FAIL: expected only {victim!r} to re-simulate, got {resimulated}")
         return 1
 
-    print("verifying against a fault-free serial baseline ...")
-    baseline = run_experiment(config, jobs=1)
+    print("verifying against a fault-free baseline ...")
+    baseline = run_experiment(config)
     divergent = []
     for name, run in (result.training_runs | result.testing_runs).items():
         ref = baseline.training_runs.get(name) or baseline.testing_runs.get(name)
@@ -534,30 +518,27 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     for spec in plan.specs:
         print(f"  {spec.kind:<26} -> {spec.workload} (times={spec.times})")
     print(
-        f"running {len(names)} workloads with jobs={args.jobs}, "
-        f"task_timeout={args.task_timeout}s, retries={args.retries}, "
+        f"running {len(names)} workloads with retries={args.retries}, "
         f"failure_policy={args.failure_policy!r} ..."
     )
 
     baseline = None
     if args.verify_baseline or plan.cache_corruptions():
-        # A fault-free serial pass first: it is the bit-identical baseline
+        # A fault-free pass first: it is the bit-identical baseline
         # for --verify-baseline and, when corruption is planned, it warms
         # the cache entry that corrupt-cache-entry then truncates.  The
         # cache is only warmed in that case — an intact warm entry would
         # short-circuit the faulted run before any fault could fire.
-        print("running the fault-free serial baseline first ...")
+        print("running the fault-free baseline first ...")
         warm_cache = args.cache_dir if plan.cache_corruptions() else None
-        baseline = run_experiment(config, jobs=1, cache=warm_cache or None)
+        baseline = run_experiment(config, cache=warm_cache or None)
 
     with warnings.catch_warnings():
         warnings.simplefilter("always", DegradedDataWarning)
         result, report = run_experiment_with_report(
             config,
-            jobs=args.jobs,
             cache=args.cache_dir or None,
             failure_policy=args.failure_policy,
-            task_timeout=args.task_timeout,
             retries=args.retries,
             faults=plan,
         )
@@ -589,7 +570,7 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 
     divergent = []
     if baseline is not None:
-        # Survivors must be bit-identical to the fault-free serial run.
+        # Survivors must be bit-identical to the fault-free run.
         for name, run in (result.training_runs | result.testing_runs).items():
             ref = baseline.training_runs.get(name) or baseline.testing_runs.get(
                 name
@@ -1170,14 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-samples", type=int, default=50)
     p.add_argument("--min-decades", type=float, default=1.0)
     p.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default=1,
-        help="worker processes for per-metric fitting (0 = one per "
-        "available CPU; 'auto' = fit in-process unless SPIRE_JOBS names "
-        "a count)",
-    )
-    p.add_argument(
         "--full-model",
         action="store_true",
         help="persist training points so `spire plot` can show samples",
@@ -1219,15 +1192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--archive", default="", help="directory to archive the run")
     p.add_argument(
-        "--jobs",
-        type=_jobs_arg,
-        default="auto",
-        help="worker processes for the simulations (0 = one per available "
-        "CPU; 'auto', the default, always runs the fused engine in-process, "
-        "about 5x faster than a 2-worker pool at paper scale, unless "
-        "SPIRE_JOBS names a count)",
-    )
-    p.add_argument(
         "--cache-dir",
         default="",
         help="experiment cache directory (default: $SPIRE_CACHE_DIR if set)",
@@ -1244,15 +1208,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--failure-policy",
-        choices=["raise", "skip", "serial_fallback"],
+        choices=["raise", "skip"],
         default="raise",
         help="what to do when a workload fails terminally (default: raise)",
-    )
-    p.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="per-workload deadline in seconds (parallel runs only)",
     )
     p.add_argument(
         "--retries",
@@ -1280,7 +1238,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed for victim selection (same seed = same fault plan)",
     )
-    p.add_argument("--jobs", type=_jobs_arg, default=2)
     p.add_argument("--crashes", type=int, default=1)
     p.add_argument("--hangs", type=int, default=1)
     p.add_argument("--corrupt-samples", type=int, default=1)
@@ -1301,15 +1258,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify-baseline",
         action="store_true",
-        help="run a fault-free serial baseline and require surviving "
+        help="run a fault-free baseline and require surviving "
         "workloads to be bit-identical to it",
     )
     p.add_argument("--hang-seconds", type=float, default=3.0)
-    p.add_argument("--task-timeout", type=float, default=1.0)
     p.add_argument("--retries", type=int, default=2)
     p.add_argument(
         "--failure-policy",
-        choices=["raise", "skip", "serial_fallback"],
+        choices=["raise", "skip"],
         default="skip",
     )
     p.add_argument(

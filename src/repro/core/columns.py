@@ -419,7 +419,7 @@ class SampleArray:
         ]
 
     # ------------------------------------------------------------------
-    # Pickling (drop caches; arrays travel between pool workers)
+    # Pickling (drop caches; only the arrays travel)
     # ------------------------------------------------------------------
 
     def __getstate__(self):

@@ -10,15 +10,12 @@ bottleneck analysis.
 
 from __future__ import annotations
 
-
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.concurrency import resolve_jobs
 from repro.core.analysis import AnalysisReport, MetricEstimate
 from repro.core.columns import SampleArray, time_weighted_mean
 from repro.core.roofline import (
@@ -38,22 +35,6 @@ from repro.guard.guardrails import (
     check_estimates,
     check_sample_columns,
 )
-
-#: Below this many pooled samples the per-metric fits are so cheap that
-#: process startup and sample pickling dominate; training stays serial.
-PARALLEL_FIT_THRESHOLD = 8_192
-
-
-def _fit_metric_group(payload) -> MetricRoofline:
-    """Process-pool worker: fit one metric's sample group (picklable).
-
-    The group is either a list of :class:`Sample` objects (scalar path) or
-    a columnar :class:`~repro.core.columns.SampleArray` slice, which ships
-    between processes as three float arrays instead of thousands of frozen
-    dataclasses.
-    """
-    group, options = payload
-    return fit_metric_roofline(group, options=options)
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +130,6 @@ class SpireModel:
         options: TrainOptions | None = None,
         work_unit: str = "instructions",
         time_unit: str = "cycles",
-        jobs: "int | str" = 1,
-        parallel_threshold: int = PARALLEL_FIT_THRESHOLD,
         quality: QualityReport | None = None,
     ) -> "SpireModel":
         """Train an ensemble from a sample set (Figure 3).
@@ -164,13 +143,8 @@ class SpireModel:
         a report to fill.  Only an input with *no* trainable metric at all
         still raises :class:`FitError`.
 
-        Each metric's roofline is fit independently, so with ``jobs > 1``
-        the per-metric groups are chunk-mapped over a process pool.
-        ``jobs="auto"`` fits in-process unless ``SPIRE_JOBS`` names a count
-        (:func:`repro.concurrency.resolve_jobs`).  Small sample sets (fewer
-        than ``parallel_threshold`` samples in total) always train serially
-        — the fits are cheaper than process startup.  The trained model is
-        identical either way.
+        Each metric's roofline is fit independently, one after another,
+        in the calling process.
         """
         opts = options or TrainOptions()
         if isinstance(samples, (SampleSet, SampleArray)):
@@ -200,10 +174,12 @@ class SpireModel:
                 )
             raise FitError("every training sample was quarantined")
 
-        fallback = not kernel_guard("train").use_fast()
-        if fallback:
+        if not kernel_guard("train").use_fast():
             groups = list(sample_set.grouped().items())
-            array = None
+            fitted = [
+                fit_metric_roofline(group, options=opts.roofline)
+                for _, group in groups
+            ]
         else:
             # Columnar grouping: per-metric row slices of the clean array,
             # never materializing Sample objects.  Group order matches
@@ -213,31 +189,7 @@ class SpireModel:
                 array.time, array.work, array.metric_count, stage="train-input"
             )
             groups = list(array.group_indices().items())
-        n_jobs = resolve_jobs(jobs)
-        if (
-            n_jobs > 1
-            and len(groups) > 1
-            and len(sample_set) >= max(0, parallel_threshold)
-        ):
-            workers = min(n_jobs, len(groups))
-            chunksize = max(1, len(groups) // (workers * 4))
-            if fallback:
-                payloads = [(group, opts.roofline) for _, group in groups]
-            else:
-                payloads = [
-                    (array.select(rows), opts.roofline) for _, rows in groups
-                ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                fitted = list(
-                    pool.map(_fit_metric_group, payloads, chunksize=chunksize)
-                )
-        elif fallback:
-            fitted = [
-                fit_metric_roofline(group, options=opts.roofline)
-                for _, group in groups
-            ]
-        else:
-            # Serial columnar fits slice the pooled intensity/throughput
+            # Columnar fits slice the pooled intensity/throughput
             # columns directly — no per-group SampleArray construction.
             # Each fit dispatches through the "train" kernel guard: sampled
             # calls replay the retained scalar fit on the same group and a

@@ -22,6 +22,7 @@ weight when cycles are not available for the interval.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -65,10 +66,11 @@ def parse_perf_lines(
     first malformed line — the right contract for a finished log.  With
     ``lenient=True`` (the streaming front door) ragged real-world output
     is *salvaged* instead: truncated rows, rows with an empty event name,
-    and ``<not counted>`` / ``<not supported>`` values are quarantined
-    into ``quality`` (a :class:`~repro.core.sanitize.QualityReport`) and
-    parsing continues; an input with no records at all returns an empty
-    list rather than raising.
+    ``<not counted>`` / ``<not supported>`` values and NaN, infinite or
+    negative counts are quarantined into ``quality`` (a
+    :class:`~repro.core.sanitize.QualityReport`) and parsing continues;
+    an input with no records at all returns an empty list rather than
+    raising.
     """
     records: list[PerfRecord] = []
     for line_number, raw in enumerate(lines, start=1):
@@ -111,11 +113,20 @@ def parse_perf_lines(
                 _quarantine_line(quality, "", "empty event name")
                 continue
             raise ParseError(f"line {line_number}: empty event name")
-        if lenient and value is None and parts[cursor].strip() in _NOT_COUNTED:
-            # The row itself is well-formed; the counter just never ran.
-            # Record the loss (the interval logic would silently skip it)
-            # but keep the record so interval grouping stays intact.
-            _quarantine_line(quality, event, "counter not counted")
+        reason = None
+        if lenient:
+            if value is None and parts[cursor].strip() in _NOT_COUNTED:
+                reason = "counter not counted"
+            elif value is not None and not math.isfinite(value):
+                reason, value = "non-finite counter value", None
+            elif value is not None and value < 0:
+                reason, value = "negative counter value", None
+        if reason is not None:
+            # The row itself is well-formed; its count is unusable.
+            # Record the loss (the interval logic would silently skip a
+            # missing value) but keep the record, as not counted, so
+            # interval grouping stays intact.
+            _quarantine_line(quality, event, reason)
         elif quality is not None:
             quality.kept += 1
         run_time = _parse_float(parts[cursor + 3]) if len(parts) > cursor + 3 else None
@@ -216,7 +227,9 @@ def parse_perf_json(
          "event": "instructions", ...}
 
     Single-shot mode omits the ``interval`` field; all such records form
-    one interval.  ``<not counted>`` values are skipped.
+    one interval.  ``<not counted>`` values are skipped.  A line that is
+    not a JSON object, or whose ``interval`` is not a number, raises
+    :class:`~repro.errors.ParseError` naming the line.
     """
     import json
 
@@ -227,16 +240,28 @@ def parse_perf_json(
             continue
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"line {line_number}: invalid JSON ({exc})") from exc
+        if not isinstance(payload, dict):
+            raise ParseError(
+                f"line {line_number}: expected a JSON object, "
+                f"got {type(payload).__name__}"
+            )
         event = str(payload.get("event", "")).strip()
         if not event:
             raise ParseError(f"line {line_number}: missing event name")
         value = _parse_float(str(payload.get("counter-value", "")))
         timestamp = payload.get("interval")
+        if timestamp is not None:
+            try:
+                timestamp = float(timestamp)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    f"line {line_number}: non-numeric interval {timestamp!r}"
+                ) from None
         records.append(
             PerfRecord(
-                timestamp=float(timestamp) if timestamp is not None else None,
+                timestamp=timestamp,
                 value=value,
                 event=event,
                 run_time=_parse_float(str(payload.get("event-runtime", ""))),

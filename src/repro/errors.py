@@ -28,11 +28,11 @@ class ParseError(DataError):
 
 
 class TaskTimeoutError(SpireError):
-    """Raised when a workload task exceeds its per-task deadline."""
+    """Raised when a workload task hangs (an injected hang raises it at once)."""
 
 
 class WorkerCrashError(SpireError):
-    """Raised when a worker process died (or a crash was injected) mid-task."""
+    """Raised when a task's execution died (or a crash was injected) mid-task."""
 
 
 class ServeOverloadError(SpireError):

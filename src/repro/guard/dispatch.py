@@ -77,7 +77,6 @@ GUARDED_KERNELS = (
     "fused_experiment",
     "trace.fused_run",
     "trace.block_recurrence",
-    "shm.transport",
     "stream.update",
     "serve.batch_estimate",
 )
@@ -106,7 +105,6 @@ DEFAULT_RATE_OVERRIDES = {
     # pipeline, about ten fast blocks' worth; rate 512 amortizes that
     # to ~2% while still checking every full-scale run.
     "trace.block_recurrence": 512,
-    "shm.transport": 64,
     # One stream.update call refits one metric from its maintained
     # structures; its oracle is a full batch rebuild of that metric, so
     # rate 64 bounds the amortized oracle cost per refit while still

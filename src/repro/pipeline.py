@@ -13,11 +13,11 @@ does (§IV):
 
 Every benchmark and example builds on these functions.  Results for a
 given parameter set are memoized in-process *and* optionally persisted to
-a content-addressed disk cache (:mod:`repro.runtime.cache`), and the
-per-workload simulations can be fanned out over a process pool
-(:mod:`repro.runtime.runner`) — serial and parallel runs are
-byte-identical because every workload derives its RNG seed from the
-experiment seed plus its own name.
+a content-addressed disk cache (:mod:`repro.runtime.cache`).  The
+per-workload simulations run in one process (:mod:`repro.runtime.runner`),
+fused into one mega-batch; fused and per-workload runs are byte-identical
+because every workload derives its RNG seed from the experiment seed
+plus its own name.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from repro.concurrency import resolve_jobs
 from repro.core import AnalysisReport, SampleSet, SpireModel, TrainOptions
 from repro.core.columns import SampleArray
 from repro.fastpath import scalar_fallback_enabled
@@ -151,18 +152,17 @@ def run_experiment(
     cache: ExperimentCache | str | Path | None = None,
     resume: bool = False,
     failure_policy: str = "raise",
-    task_timeout: float | None = None,
     retries: int = 2,
     runner_options: RunnerOptions | None = None,
     faults: FaultPlan | None = None,
 ) -> ExperimentResult:
     """Run the paper's full evaluation: 23 training + 4 testing workloads.
 
-    ``jobs`` fans the independent workload simulations (and, for large
-    sample sets, the per-metric roofline fits) out over that many worker
-    processes; ``jobs=1`` and ``jobs="auto"`` run in-process on the fused
-    engine (``"auto"`` unless ``SPIRE_JOBS`` names a count) and ``jobs=0``
-    uses every available CPU.  Results are identical for any job count.
+    The workloads simulate in this process on the fused engine, and the
+    per-metric rooflines fit serially.  ``jobs`` accepts only ``1`` and
+    ``"auto"``, which both mean exactly that; any other value raises
+    :class:`~repro.errors.ConfigError`
+    (:func:`repro.concurrency.resolve_jobs`).
 
     ``cache`` (an :class:`~repro.runtime.cache.ExperimentCache` or a cache
     directory) consults and populates the persistent on-disk experiment
@@ -171,22 +171,20 @@ def run_experiment(
     restores those checkpoints so an interrupted run re-simulates only the
     incomplete workloads.
 
-    ``failure_policy``, ``task_timeout`` and ``retries`` configure the
-    fault-tolerance envelope (see
-    :class:`~repro.runtime.runner.RunnerOptions`; ``runner_options``
-    overrides all three); ``faults`` injects a deterministic
-    :class:`~repro.runtime.faults.FaultPlan` for testing the envelope.
-    See ``docs/robustness.md``.
+    ``failure_policy`` and ``retries`` configure the fault-tolerance
+    envelope (see :class:`~repro.runtime.runner.RunnerOptions`;
+    ``runner_options`` overrides both); ``faults`` injects a
+    deterministic :class:`~repro.runtime.faults.FaultPlan` for testing the
+    envelope.  See ``docs/robustness.md``.
     """
+    resolve_jobs(jobs)
     result, _ = run_experiment_with_report(
         config,
         machine,
         train_options,
-        jobs=jobs,
         cache=cache,
         resume=resume,
         failure_policy=failure_policy,
-        task_timeout=task_timeout,
         retries=retries,
         runner_options=runner_options,
         faults=faults,
@@ -199,11 +197,9 @@ def run_experiment_with_report(
     machine: MachineConfig | None = None,
     train_options: TrainOptions | None = None,
     *,
-    jobs: "int | str" = 1,
     cache: ExperimentCache | str | Path | None = None,
     resume: bool = False,
     failure_policy: str = "raise",
-    task_timeout: float | None = None,
     retries: int = 2,
     runner_options: RunnerOptions | None = None,
     faults: FaultPlan | None = None,
@@ -211,7 +207,7 @@ def run_experiment_with_report(
     """:func:`run_experiment` plus the :class:`RunReport` of what happened.
 
     The report records every task attempt (latency, outcome), terminal
-    failures, pool rebuilds, checkpoint hits and checkpoint write errors.
+    failures, checkpoint hits and checkpoint write errors.
     A full-cache hit returns an empty report (nothing was executed).
     """
     cfg = config or ExperimentConfig()
@@ -242,11 +238,9 @@ def run_experiment_with_report(
 
     plan = ExecutionPlan.for_experiment(cfg, mach)
     options = runner_options or RunnerOptions(
-        failure_policy=failure_policy,
-        task_timeout=task_timeout,
-        retries=retries,
+        failure_policy=failure_policy, retries=retries
     )
-    runner = ParallelRunner(jobs=jobs, options=options, faults=faults)
+    runner = ParallelRunner(options=options, faults=faults)
 
     completed: dict[str, WorkloadRun] = {}
     on_result = None
@@ -290,8 +284,7 @@ def run_experiment_with_report(
 
     if report.failures:
         # Only reachable under failure_policy="skip" (the "raise" policy
-        # raised inside the runner; "serial_fallback" either recovered or
-        # raised).  Train on what survived, loudly.
+        # raised inside the runner).  Train on what survived, loudly.
         warnings.warn(
             f"{len(report.failures)} workload(s) failed terminally and were "
             f"skipped: {', '.join(sorted(report.failures))}; training on "
@@ -305,7 +298,7 @@ def run_experiment_with_report(
             f"(failures: {', '.join(sorted(report.failures)) or 'none'})"
         )
 
-    model = SpireModel.train(pooled, options=train_options, jobs=jobs)
+    model = SpireModel.train(pooled, options=train_options)
 
     result = ExperimentResult(
         machine=mach,
@@ -335,7 +328,6 @@ def cached_experiment(
     machine: MachineConfig | None = None,
     train_options: TrainOptions | None = None,
     *,
-    jobs: "int | str" = 1,
     cache_dir: str | Path | None = None,
 ) -> ExperimentResult:
     """Memoized :func:`run_experiment` for benchmarks sharing one pass.
@@ -354,7 +346,6 @@ def cached_experiment(
             cfg,
             machine=mach,
             train_options=train_options,
-            jobs=jobs,
             cache=cache_dir,
         )
         _experiment_memo[key] = result

@@ -1,13 +1,13 @@
-"""Execution runtime: parallel fan-out, fault tolerance, persistent caching.
+"""Execution runtime: fused in-process execution, fault tolerance, caching.
 
 This subsystem makes the evaluation pipeline fast *and* survivable:
 
 - :class:`ExecutionPlan` / :class:`ParallelRunner` decompose an experiment
-  into independently executable workload tasks and fan them out over a
-  process pool (deterministically — serial and parallel runs are
-  byte-identical), with per-task timeouts, bounded retries, broken-pool
-  recovery and a configurable failure policy (:class:`RunnerOptions`);
-  every run yields a :class:`RunReport` of what actually happened;
+  into independently executable workload tasks and run them in one
+  process — unfaulted tasks as one fused mega-batch, the rest through
+  bounded retries and a configurable failure policy
+  (:class:`RunnerOptions`); every run yields a :class:`RunReport` of
+  what actually happened;
 - :class:`ExperimentCache` persists finished experiments on disk,
   content-addressed by a fingerprint of every input, plus per-workload
   checkpoints so an interrupted run resumes instead of restarting;
@@ -45,7 +45,6 @@ from repro.runtime.runner import (
     RunReport,
     RunnerOptions,
     TaskAttempt,
-    resolve_jobs,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "WorkloadTask",
     "experiment_cache_key",
     "experiment_fingerprint",
-    "resolve_jobs",
     "result_from_payload",
     "result_to_payload",
 ]

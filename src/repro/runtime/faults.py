@@ -12,10 +12,10 @@ A :class:`FaultPlan` is a picklable set of :class:`FaultSpec` entries,
 each targeting one workload by name:
 
 ========================  ====================================================
-``crash``                 the worker process executing the task dies
-                          (``os._exit`` in a pool worker; a raised
-                          :class:`~repro.errors.WorkerCrashError` in-process)
-``hang``                  the task stalls past its deadline
+``crash``                 the task's execution dies (a raised
+                          :class:`~repro.errors.WorkerCrashError`)
+``hang``                  the task stalls and times out (a raised
+                          :class:`~repro.errors.TaskTimeoutError`)
 ``corrupt-sample``        one collected sample's fields turn NaN
 ``drop-metric``           one metric's counts vanish from the collection
 ``checkpoint-write-failure``  the per-workload checkpoint write raises OSError
@@ -52,8 +52,6 @@ persistent failure that must be skipped instead.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
@@ -113,9 +111,9 @@ SERVE_KINDS = (
     QUOTA_STORM,
 )
 
-#: Default victims for random ``diverge-kernel`` faults: kernels that run
-#: in the parent process, where the guard registry's trip is visible to
-#: the health report (pool workers keep their own registry).
+#: Default victims for random ``diverge-kernel`` faults: the model-side
+#: kernels every experiment dispatches, so each trip reaches the health
+#: report.
 PARENT_SIDE_KERNELS = ("sanitize", "pareto", "direction", "train", "estimate")
 
 
@@ -126,7 +124,7 @@ class FaultSpec:
     workload: str
     kind: str
     times: int = 1              # number of executions the fault affects
-    hang_seconds: float = 30.0  # sleep length for ``hang``
+    hang_seconds: float = 30.0  # stall length for ``worker-hang``
     metric: str | None = None   # target metric for ``drop-metric``
     sample_index: int = 0       # which emitted sample ``corrupt-sample`` hits
     factor: float = 4.0         # throughput scale for ``drift-inject``
@@ -407,40 +405,27 @@ class FaultPlan:
         return cls(specs=tuple(specs))
 
 
-def trip_runner_fault(
-    spec: FaultSpec | None,
-    execution: int,
-    in_process: bool,
-    deadline: float | None,
-) -> None:
+def trip_runner_fault(spec: FaultSpec | None, execution: int) -> None:
     """Fire a crash/hang fault inside a task execution, if active.
 
-    ``crash`` kills the worker process outright when running in a pool
-    (exercising ``BrokenProcessPool`` recovery) and raises
-    :class:`WorkerCrashError` when in-process, where ``os._exit`` would
-    take the whole interpreter down.  ``hang`` sleeps past the deadline in
-    a pool worker; in-process — where nothing can preempt the sleep — it
-    raises :class:`TaskTimeoutError` directly when a deadline is set, so
-    the timeout accounting stays observable on the serial path.
+    ``crash`` raises :class:`WorkerCrashError`.  ``hang`` raises
+    :class:`TaskTimeoutError` at once: tasks run in-process, where a real
+    stall could not be preempted, so an injected hang stands for one a
+    deadline has already cut short.
     """
     if spec is None or spec.kind not in RUNNER_KINDS:
         return
     if not spec.active(execution):
         return
     if spec.kind == CRASH:
-        if in_process:
-            raise WorkerCrashError(
-                f"injected crash in workload {spec.workload!r} "
-                f"(execution {execution})"
-            )
-        os._exit(87)  # hard death: no atexit, no cleanup — like a SIGKILL
-    # HANG
-    if in_process and deadline is not None:
-        raise TaskTimeoutError(
-            f"injected hang in workload {spec.workload!r} exceeded the "
-            f"{deadline:.3g}s task deadline (execution {execution})"
+        raise WorkerCrashError(
+            f"injected crash in workload {spec.workload!r} "
+            f"(execution {execution})"
         )
-    time.sleep(spec.hang_seconds)
+    raise TaskTimeoutError(
+        f"injected hang in workload {spec.workload!r} timed out "
+        f"(execution {execution})"
+    )
 
 
 __all__ = [

@@ -5,7 +5,7 @@ ordered list of workload simulations (23 training + 4 testing by default)
 with everything each one needs to run independently.  Because the paper's
 evaluation is embarrassingly parallel — workloads never interact and each
 one derives its RNG seed from the experiment seed plus its own name — a
-plan can be executed serially or fanned out over processes and produce
+plan's tasks can run one by one or fused into one mega-batch and produce
 byte-identical results either way (see :mod:`repro.runtime.runner`).
 """
 

@@ -279,12 +279,12 @@ class TestReportArchive:
 
 class TestFaultsim:
     def test_faultsim_serial_crash_passes(self, capsys):
-        # jobs=1 keeps the smoke cheap: the injected crash raises
-        # WorkerCrashError in-process and the retry absorbs it.
+        # The injected crash raises WorkerCrashError and the retry
+        # absorbs it.
         assert (
             main(
                 ["faultsim", "--train-windows", "48", "--test-windows", "24",
-                 "--jobs", "1", "--crashes", "1", "--hangs", "0",
+                 "--crashes", "1", "--hangs", "0",
                  "--corrupt-samples", "1"]
             )
             == 0
@@ -297,7 +297,7 @@ class TestFaultsim:
         assert (
             main(
                 ["faultsim", "--train-windows", "48", "--test-windows", "24",
-                 "--jobs", "1", "--crashes", "0", "--hangs", "0",
+                 "--crashes", "0", "--hangs", "0",
                  "--corrupt-samples", "0"]
             )
             == 0

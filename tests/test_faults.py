@@ -1,9 +1,9 @@
-"""Fault-tolerance tests: retries, timeouts, pool recovery, resume, faults.
+"""Fault-tolerance tests: retries, injected hangs, resume, faults.
 
 These exercise the robustness layer end to end with the deterministic
 fault-injection harness (:mod:`repro.runtime.faults`): injected crashes,
 hangs and data corruption must be absorbed, reported and — crucially —
-leave every unaffected workload bit-identical to a fault-free serial run.
+leave every unaffected workload bit-identical to a fault-free run.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def _fresh_memo():
 
 @pytest.fixture(scope="module")
 def baseline():
-    """A fault-free serial run to compare degraded runs against."""
+    """A fault-free run to compare degraded runs against."""
     return run_experiment(TINY)
 
 
@@ -91,10 +91,6 @@ class TestRunnerOptionsValidation:
         with pytest.raises(ConfigError):
             RunnerOptions(failure_policy="shrug")
 
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ConfigError):
-            RunnerOptions(task_timeout=0)
-
     def test_negative_retries_rejected(self):
         with pytest.raises(ConfigError):
             RunnerOptions(retries=-1)
@@ -139,9 +135,10 @@ class TestSerialResilience:
             assert ipc == base[name]
 
     def test_in_process_hang_times_out_when_deadline_set(self, baseline):
+        # Every injected hang times out at once; no deadline is configured.
         plan = FaultPlan((FaultSpec(workload="graph500", kind="hang", times=1),))
         result, report = run_experiment_with_report(
-            TINY, faults=plan, runner_options=_options(task_timeout=0.5)
+            TINY, faults=plan, runner_options=_options()
         )
         assert report.ok
         outcomes = [a.outcome for a in report.task_attempts("graph500")]
@@ -150,17 +147,7 @@ class TestSerialResilience:
 
 
 class TestPoolResilience:
-    def test_worker_crash_rebuilds_pool(self, baseline):
-        plan = FaultPlan((FaultSpec(workload="graph500", kind="crash", times=1),))
-        result, report = run_experiment_with_report(
-            TINY, jobs=4, faults=plan, runner_options=_options()
-        )
-        assert report.ok
-        assert report.pool_rebuilds >= 1
-        # The whole pool died: siblings record a pool-broken attempt that
-        # does not count against their retry budget.
-        assert any(a.outcome == "pool-broken" for a in report.attempts)
-        assert _ipc_signature(result) == _ipc_signature(baseline)
+    """Whole-experiment fault scenarios, all absorbed in-process."""
 
     def test_hang_hits_task_timeout_then_retry_succeeds(self, baseline):
         plan = FaultPlan(
@@ -168,33 +155,14 @@ class TestPoolResilience:
                        hang_seconds=3.0),)
         )
         result, report = run_experiment_with_report(
-            TINY, jobs=4, faults=plan, runner_options=_options(task_timeout=0.75)
+            TINY, faults=plan, runner_options=_options()
         )
         assert report.ok
         attempts = report.task_attempts("graph500")
         assert [a.outcome for a in attempts] == ["timeout", "ok"]
-        assert attempts[0].duration >= 0.75
+        # The injected hang raises at once: it never sleeps hang_seconds.
+        assert attempts[0].duration < 3.0
         assert _ipc_signature(result) == _ipc_signature(baseline)
-
-    def test_persistent_crash_exhausts_rebuilds_then_serial(self, baseline):
-        # The pool dies max_pool_rebuilds+1 times; the runner falls back to
-        # in-process execution where the crash is attributable, burns the
-        # retry budget and lands in `failures` under the skip policy.
-        plan = FaultPlan((FaultSpec(workload="graph500", kind="crash", times=99),))
-        with pytest.warns(DegradedDataWarning):
-            result, report = run_experiment_with_report(
-                TINY,
-                jobs=4,
-                faults=plan,
-                runner_options=_options(
-                    retries=1, failure_policy="skip", max_pool_rebuilds=1
-                ),
-            )
-        assert report.failures.keys() == {"graph500"}
-        assert report.pool_rebuilds == 2  # max_pool_rebuilds + the give-up
-        base = _ipc_signature(baseline)
-        for name, ipc in _ipc_signature(result).items():
-            assert ipc == base[name]
 
     def test_acceptance_crash_hang_corrupt(self, baseline):
         """ISSUE 2 acceptance: 1 crash + 1 hang + 1 corrupt-sample out of 27,
@@ -213,14 +181,8 @@ class TestPoolResilience:
         with pytest.warns(DegradedDataWarning):
             result, report = run_experiment_with_report(
                 TINY,
-                jobs=4,
                 faults=plan,
-                runner_options=_options(
-                    retries=1,
-                    failure_policy="skip",
-                    task_timeout=0.75,
-                    max_pool_rebuilds=1,
-                ),
+                runner_options=_options(retries=1, failure_policy="skip"),
             )
         # Exactly the two runner-level faults fail terminally...
         assert sorted(report.failures) == ["graph500", "qmcpack"]
@@ -410,14 +372,6 @@ class TestTrainDegradation:
         assert "m" in model
         assert len(quality.quarantined) == 1
         assert quality.quarantined[0].reason == "NaN time"
-
-    def test_train_jobs_minus_one_raises_config_error(self):
-        samples = SampleSet(
-            [Sample("m", time=1.0, work=float(i), metric_count=1.0)
-             for i in range(1, 6)]
-        )
-        with pytest.raises(ConfigError, match="jobs"):
-            SpireModel.train(samples, jobs=-1)
 
     def test_clean_training_emits_no_warning(self):
         samples = SampleSet(

@@ -15,8 +15,7 @@ Three layers of guarantees:
 - :func:`repro.runtime.fused.simulate_tasks_fused` produces
   ``WorkloadRun``s bit-identical to per-workload ``run_workload`` calls
   for randomized workload subsets, window counts and seeds (hypothesis),
-  and across chunk boundaries of the bounded working set, with the
-  shared-memory transport preserving them byte-for-byte.
+  and across chunk boundaries of the bounded working set.
 """
 
 import random
@@ -30,7 +29,6 @@ from repro.pipeline import ExperimentConfig, run_workload
 from repro.runtime import fused
 from repro.runtime.fused import runs_equal, simulate_tasks_fused
 from repro.runtime.plan import TESTING, TRAINING, WorkloadTask
-from repro.runtime.shm import ShmRun, decode_run, encode_run
 from repro.trace import TraceArray, TracePipeline, collect_trace_samples
 from repro.trace.kernels import ARRAY_BUILDERS, array_builder_by_name
 from repro.trace.sampling import _emit_rows
@@ -255,34 +253,3 @@ def test_fused_engine_scalar_fallback_routes_oracle(monkeypatch):
     fast = simulate_tasks_fused(tasks, machine, config)
     for a, b in zip(via_oracle, fast):
         assert runs_equal(a, b)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory transport preserves runs byte-for-byte
-# ----------------------------------------------------------------------
-
-
-def test_shm_transport_round_trip_is_bit_identical():
-    config = ExperimentConfig(windows_per_period=6, seed=4)
-    machine = skylake_gold_6126()
-    workload = all_workloads()[2]
-    run = run_workload(workload, machine, 8, config)
-
-    encoded = encode_run(run)
-    assert isinstance(encoded, ShmRun)
-    # The handle pickles small: the columns live in the segment.
-    assert not len(encoded.run.collection.samples)
-    decoded = decode_run(encoded)
-    assert runs_equal(decoded, run)
-
-
-def test_shm_transport_disabled_passes_through(monkeypatch):
-    monkeypatch.setenv("SPIRE_SHM", "0")
-    from repro.runtime.shm import shm_enabled
-
-    assert not shm_enabled()
-    monkeypatch.setenv("SPIRE_SHM", "1")
-    assert shm_enabled()
-    # decode is a pass-through for plain runs (pickle transport).
-    sentinel = object()
-    assert decode_run(sentinel) is sentinel

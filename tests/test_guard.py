@@ -207,13 +207,12 @@ class TestDispatch:
             GuardConfig(policy="explode")
 
     def test_all_guarded_kernels_named(self):
-        assert len(GUARDED_KERNELS) == 15
-        assert len(set(GUARDED_KERNELS)) == 15
+        assert len(GUARDED_KERNELS) == 14
+        assert len(set(GUARDED_KERNELS)) == 14
         for kernel in (
             "fused_experiment",
             "trace.fused_run",
             "trace.block_recurrence",
-            "shm.transport",
             "stream.update",
             "serve.batch_estimate",
         ):

@@ -1,16 +1,22 @@
 """Unit tests for the perf stat output parser."""
 
 import io
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.sample import SampleSet
+from repro.core.sanitize import QualityReport
 from repro.counters.perf_parser import (
     PerfStatParser,
+    parse_perf_json,
     parse_perf_lines,
     parse_perf_stat,
 )
-from repro.errors import ParseError
+from repro.errors import DataError, ParseError, SpireError
 
 INTERVAL_TEXT = """\
 # started on Mon Jul  6 10:00:00 2026
@@ -113,6 +119,13 @@ class TestSampleBuilding:
         with pytest.raises(ParseError, match="no usable intervals"):
             parse_perf_stat(text)
 
+    @pytest.mark.parametrize("count", ["nan", "inf", "-5"])
+    def test_strict_rejects_unusable_counts(self, count):
+        # Lenient parsing quarantines these rows instead (see the serve
+        # and stream ingest tests).
+        with pytest.raises(DataError, match="metric_count"):
+            parse_perf_stat(SINGLE_SHOT_TEXT.replace("12345", count))
+
     def test_interval_without_cycles_skipped(self):
         text = (
             "1.0,1000,,instructions,1,100\n"
@@ -203,3 +216,67 @@ class TestJsonParser:
 
         with pytest.raises(ParseError):
             parse_perf_json("\n# comment only\n")
+
+    @pytest.mark.parametrize("line", ["5", "null", "[1]", '"x"'])
+    def test_non_object_line_rejected(self, line):
+        with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+            parse_perf_json('{"counter-value": "1.0", "event": "m"}\n' + line)
+
+    @pytest.mark.parametrize("interval", ['"a"', "[1]", "{}"])
+    def test_non_numeric_interval_rejected(self, interval):
+        line = '{"interval": %s, "counter-value": "1", "event": "m"}' % interval
+        with pytest.raises(ParseError, match="line 1: non-numeric interval"):
+            parse_perf_json(line)
+
+
+# Fields a real or damaged ``perf stat -x,`` row can carry.
+_FIELDS = st.sampled_from([
+    "1.0", "2.5", "0", "-3", "100", "nan", "inf", "-inf", "",
+    "<not counted>", "<not supported>", "instructions", "cycles",
+    "cache-misses", "x",
+])
+_CSV_LINES = st.lists(
+    st.lists(_FIELDS, max_size=8).map(",".join), max_size=12
+)
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    _FIELDS,
+    st.lists(st.integers(), max_size=2),
+)
+_JSON_LINES = st.lists(
+    st.one_of(
+        st.dictionaries(
+            st.sampled_from(
+                ["interval", "counter-value", "event", "event-runtime",
+                 "pcnt-running"]
+            ),
+            _JSON_VALUES,
+        ),
+        _JSON_VALUES,
+    ).map(json.dumps),
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_lines=_CSV_LINES, json_lines=_JSON_LINES)
+def test_fuzzed_perf_input_parses_or_raises_spire_error(csv_lines, json_lines):
+    """Ragged rows mixing nan, inf, ``<not counted>`` and empty fields
+    yield a SampleSet or a SpireError, never another exception; lenient
+    CSV parsing never raises and accounts for every row it reads."""
+    text = "\n".join(csv_lines)
+    try:
+        assert isinstance(PerfStatParser().parse(text), SampleSet)
+    except SpireError:
+        pass
+    quality = QualityReport()
+    lenient = PerfStatParser().parse(text, lenient=True, quality=quality)
+    assert isinstance(lenient, SampleSet)
+    assert quality.total == quality.kept + len(quality.quarantined)
+    try:
+        assert isinstance(parse_perf_json("\n".join(json_lines)), SampleSet)
+    except SpireError:
+        pass

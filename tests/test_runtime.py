@@ -1,30 +1,27 @@
-"""Tests for the execution runtime: parallel fan-out + experiment cache."""
+"""Tests for the execution runtime: in-process runner + experiment cache."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing.process
 
 import pytest
 
 from repro import concurrency
-from repro.concurrency import JOBS_ENV
+from repro.concurrency import resolve_jobs
 from repro.core import SpireModel
-from repro.core import ensemble as ensemble_module
 from repro.errors import ConfigError
 from repro.pipeline import (
     ExperimentConfig,
     cached_experiment,
     clear_caches,
     run_experiment,
-    run_experiment_with_report,
 )
-from repro.runtime import runner as runner_module
 from repro.runtime import (
     ExecutionPlan,
     ExperimentCache,
     ParallelRunner,
     experiment_cache_key,
-    resolve_jobs,
 )
 from repro.uarch import skylake_gold_6126
 from repro.uarch.config import MachineConfig, little_inorder_core
@@ -56,41 +53,28 @@ def _fresh_memo():
 
 
 class TestParallelDeterminism:
-    def test_parallel_equals_serial(self):
-        serial = run_experiment(TINY, jobs=1)
-        parallel = run_experiment(TINY, jobs=4)
-        assert _signature(serial) == _signature(parallel)
-
     def test_runner_preserves_plan_order(self):
         plan = ExecutionPlan.for_experiment(TINY, skylake_gold_6126())
-        runs = ParallelRunner(jobs=2).run(plan)
+        runner = ParallelRunner()
+        runs = runner.run(plan)
         assert [r.workload.name for r in runs] == [t.name for t in plan.tasks]
-
-    def test_parallel_metric_fitting_matches_serial(self):
-        pooled = run_experiment(TINY).training_samples
-        serial = SpireModel.train(pooled)
-        # threshold 0 forces the process-pool path even on tiny data
-        parallel = SpireModel.train(pooled, jobs=2, parallel_threshold=0)
-        assert serial.metrics == parallel.metrics
-        for metric in serial.metrics:
-            a, b = serial.roofline(metric), parallel.roofline(metric)
-            assert a.function.to_dict() == b.function.to_dict()
-            assert a.training_points == b.training_points
+        assert runner.jobs == 1
 
     def test_resolve_jobs(self):
-        assert resolve_jobs(3) == 3
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) >= 1
-        with pytest.raises(ConfigError):
-            resolve_jobs(-1)
+        assert resolve_jobs(1) == 1
+        assert resolve_jobs("auto") == 1
+        for jobs in (2, 0, None, -1, "4"):
+            with pytest.raises(ConfigError, match="jobs"):
+                resolve_jobs(jobs)
+
+    @pytest.mark.parametrize("jobs", (2, 0, None, -1))
+    def test_run_experiment_rejects_other_job_counts(self, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(TINY, jobs=jobs)
 
 
 class TestAutoJobs:
     """``jobs="auto"`` stays in-process on every host."""
-
-    @pytest.fixture(autouse=True)
-    def _no_env_override(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
 
     @pytest.mark.parametrize("cpus", (1, 2, 64))
     @pytest.mark.parametrize("tasks", (None, 4, 27))
@@ -98,39 +82,31 @@ class TestAutoJobs:
         monkeypatch.setattr(concurrency, "available_cpus", lambda: cpus)
         assert resolve_jobs("auto", tasks=tasks) == 1
 
-    @pytest.mark.parametrize("raw, expected", (("3", 3), ("auto", 1), ("", 1)))
-    def test_env_override(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(JOBS_ENV, raw)
-        assert resolve_jobs("auto") == expected
-
-    def test_bad_env_override_raises(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "x")
-        with pytest.raises(ConfigError):
-            resolve_jobs("auto")
-
-    @pytest.mark.parametrize("jobs", (None, 0))
-    def test_per_cpu_honours_affinity(self, monkeypatch, jobs):
-        monkeypatch.setattr(concurrency, "available_cpus", lambda: 3)
-        assert resolve_jobs(jobs) == 3
-
     def test_auto_experiment_runs_in_process(self, monkeypatch):
+        serial = run_experiment(TINY, jobs=1)
         monkeypatch.setattr(concurrency, "available_cpus", lambda: 2)
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _no_pool)
-        _, report = run_experiment_with_report(TINY, jobs="auto")
-        assert report.attempts
-        assert all(attempt.in_process for attempt in report.attempts)
-        assert report.pool_rebuilds == 0
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", _no_process
+        )
+        auto = run_experiment(TINY, jobs="auto")
+        assert _signature(auto) == _signature(serial)
 
     def test_auto_training_never_builds_a_pool(self, monkeypatch):
         pooled = run_experiment(TINY).training_samples
+        expected = SpireModel.train(pooled)
         monkeypatch.setattr(concurrency, "available_cpus", lambda: 64)
-        monkeypatch.setattr(ensemble_module, "ProcessPoolExecutor", _no_pool)
-        auto = SpireModel.train(pooled, jobs="auto", parallel_threshold=0)
-        assert auto.metrics == SpireModel.train(pooled).metrics
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess, "start", _no_process
+        )
+        model = SpireModel.train(pooled)
+        assert model.metrics == expected.metrics
+        for metric in model.metrics:
+            a, b = model.roofline(metric), expected.roofline(metric)
+            assert a.function.to_dict() == b.function.to_dict()
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("jobs='auto' must not construct a process pool")
+def _no_process(*args, **kwargs):
+    raise AssertionError("experiments and training must not start a process")
 
 
 class TestExperimentCache:

@@ -512,6 +512,14 @@ class TestServer:
             "2.0,210,,cycles,1,100.0,,\n"
             "2.0,35,,cache-misses,1,100.0,,\n"
         ).encode()
+        bad_rows = (
+            "3.0,100,,instructions,1,100.0,,\n"
+            "3.0,220,,cycles,1,100.0,,\n"
+            "3.0,nan,,cache-misses,1,100.0,,\n"
+            "4.0,100,,instructions,1,100.0,,\n"
+            "4.0,inf,,cycles,1,100.0,,\n"
+            "4.0,-3,,cache-misses,1,100.0,,\n"
+        ).encode()
 
         async def drive():
             await server.start()
@@ -524,6 +532,19 @@ class TestServer:
                 assert status == 200
                 assert payload["model"] == "perf"
                 assert payload["per_metric"]
+                clean_per_metric = payload["per_metric"]
+
+                # NaN, infinite and negative counts are quarantined, not
+                # a reason to ask the client to resend.
+                status, payload, _ = await _http(
+                    host, port, "POST", "/v1/estimate?model=perf",
+                    csv + bad_rows, content_type="text/csv",
+                )
+                assert status == 200
+                assert payload["per_metric"] == clean_per_metric
+                assert "3 quarantined" in payload["quality"]
+                assert "non-finite counter value" in payload["quality"]
+                assert "negative counter value" in payload["quality"]
 
                 status, _, _ = await _http(
                     host, port, "POST", "/v1/estimate", csv,

@@ -94,11 +94,17 @@ class TestPerfChunking:
         ingestor = StreamIngestor(options=StreamOptions(window_samples=1000))
         ingestor.push_perf(PERF_TEXT)
         ingestor.push_perf("garbage-without-fields\n")
+        ingestor.push_perf(
+            "4.000,nan,,longest_lat_cache.miss,499970301,25.00,,\n"
+            "4.000,-7,,br_misp_retired.all_branches,499970301,25.00,,\n"
+        )
         ingestor.flush()
         report = ingestor.report()
         reasons = [q.reason for q in report.quality.quarantined]
         assert "counter not counted" in reasons
         assert "truncated perf record" in reasons
+        assert "non-finite counter value" in reasons
+        assert "negative counter value" in reasons
         assert report.quality.kept > 0
 
 

@@ -98,7 +98,7 @@ def sample_cloud(draw):
 @given(sample_cloud())
 def test_train_and_estimate_parity(samples):
     scalar, vectorized = both_paths(
-        lambda: SpireModel.train(SampleSet(samples), jobs=1)
+        lambda: SpireModel.train(SampleSet(samples))
     )
     assert_model_parity(scalar, vectorized)
 
