@@ -221,6 +221,9 @@ def test_ablation_training_set_size(benchmark, experiment):
     # for microbenchmarks).
     assert violations[23] <= violations[1]
     assert violations[23] <= violations[3]
+    # The 23-application model's held-out violation, as EXPERIMENTS.md
+    # reports it: a model or collection regression moves it.
+    assert round(violations[23], 4) == 0.0024
 
 
 # ---------------------------------------------------------------------------

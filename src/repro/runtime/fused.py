@@ -6,11 +6,11 @@ column setup, formula evaluation and per-window collection loop — this
 module lays the workloads' windows out as concatenated columnar plans (a
 per-workload segment-index column marks the boundaries), runs the
 vectorized core-model formula pass **once** per plan, evaluates every PMU
-event formula **once** per plan as array expressions, and then scatters
-the results back into per-workload
-:class:`~repro.counters.collector.CollectionResult` segments.  A plan
-holds whole tasks up to :data:`CHUNK_WINDOWS` windows, which bounds the
-transient working set.
+event formula **once** per plan as array expressions, and then reduces
+the whole plan to per-workload
+:class:`~repro.counters.collector.CollectionResult` segments with a few
+array passes.  A plan holds whole tasks up to :data:`CHUNK_WINDOWS`
+windows, which bounds the transient working set.
 
 Bit-identity with the per-workload path is load-bearing and holds by
 construction:
@@ -21,14 +21,19 @@ construction:
 - every per-workload rng stream is drawn by its own pre-pass
   (:func:`repro.uarch.batch.draw_run_randomness`) with the same seed
   derivation, in the same order, as :func:`~repro.pipeline.run_workload`;
-- every reduction replays the scalar accumulation order: per-segment
-  running sums use ``np.cumsum`` (sequential left-to-right, bitwise equal
-  to a Python ``+=`` loop at every prefix), and the per-(group, period)
-  sample sums accumulate one rank at a time in window order;
+- every reduction replays the scalar accumulation order: each window
+  carries its task's segment id, its (task, period) cell and, when
+  multiplexing, its round-robin event group, and unbuffered
+  ``np.add.at`` calls add the plan's windows into their accumulators in
+  window order, starting from the value the scalar collector starts
+  from — a sequential left fold, bitwise equal to its ``+=`` loop
+  (``np.sum``/``reduceat`` would not be: they sum pairwise);
 - sample rows are emitted in the exact flush order of
-  :meth:`~repro.counters.collector.SampleCollector.collect`, so metric-id
-  interning, sanitizer screening and period counting all see identical
-  inputs.
+  :meth:`~repro.counters.collector.SampleCollector.collect` (a task's
+  (period, event) grid in row-major order: period, then group, then the
+  group's events), and metric ids are numbered by first appearance, so
+  metric-id interning, sanitizer screening and period counting all see
+  identical inputs.
 
 The engine is dispatched through the ``"fused_experiment"`` kernel guard
 (:mod:`repro.guard.dispatch`): sampled calls replay one deterministically
@@ -41,20 +46,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.core.columns import SampleArray
 from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport, QuarantinedSample, SampleSanitizer
-from repro.counters.collector import CollectionConfig, CollectionResult, SampleCollector
+from repro.counters.collector import CollectionResult, SampleCollector
 from repro.counters.events import EventCatalog, default_catalog
 from repro.counters.pmu import PMU
 from repro.errors import ConfigError
 from repro.tma import TopDownAnalyzer
 from repro.uarch.activity import WindowActivity
-from repro.uarch.backend import port_activity_histogram
+from repro.uarch.backend import port_activity_histogram_columns
 from repro.uarch.batch import (
     apply_jitter,
     draw_run_randomness,
@@ -69,42 +74,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.plan import WorkloadTask
 
 __all__ = [
-    "ActivityColumns",
     "FusedBatchPlan",
     "build_fused_plan",
     "runs_equal",
     "simulate_tasks_fused",
 ]
-
-
-class ActivityColumns:
-    """Column-wise stand-in for :class:`WindowActivity`.
-
-    Exposes every activity field as a float64 array so the scalar PMU
-    event formulas (``lambda a, m: ...`` over elementwise arithmetic)
-    evaluate once per *experiment* instead of once per window.  The
-    derived properties repeat ``WindowActivity``'s left-to-right
-    expressions so their float rounding matches the scalar path.
-    """
-
-    def __init__(self, columns: Mapping[str, np.ndarray]):
-        self.__dict__.update(columns)
-
-    @property
-    def l1_misses(self) -> np.ndarray:
-        return self.l2_served + self.l3_served + self.dram_served
-
-    @property
-    def l2_misses(self) -> np.ndarray:
-        return self.l3_served + self.dram_served
-
-    @property
-    def l3_misses(self) -> np.ndarray:
-        return self.dram_served
-
-    @property
-    def backend_stall_cycles(self) -> np.ndarray:
-        return self.c_mem + self.c_core
 
 
 @dataclass
@@ -125,36 +99,21 @@ class FusedBatchPlan:
     offsets: np.ndarray
 
 
-def _segment_sum(column: np.ndarray) -> float:
-    """Sequential left-to-right sum of one segment's column.
+def _segment_totals(
+    columns: Sequence[np.ndarray],
+    segments: np.ndarray,
+    n_segments: int,
+    start: float,
+) -> list[list[float]]:
+    """Per-segment sums of every column, one row of floats per segment.
 
-    ``np.cumsum`` accumulates exactly like the scalar ``+=`` loop, so the
-    final prefix is bitwise equal to the per-window accumulation the
-    unfused collector performs.
+    ``np.add.at`` is unbuffered and adds in index order, so each total is
+    the scalar left fold ``start + x0 + x1 + ...`` in window order.
     """
-    if len(column) == 0:
-        return 0.0
-    return float(np.cumsum(column)[-1])
-
-
-def _cell_sums(values: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """Per-cell sequential sums for nondecreasing ``cells`` labels.
-
-    Replays the scalar per-period accumulator: each cell starts at 0.0
-    and adds its members in window order.  Ranks within a cell are
-    accumulated one vectorized add at a time, which preserves the exact
-    addition order (``np.sum``/``reduceat`` would not — they use pairwise
-    summation).
-    """
-    acc = np.zeros(n_cells)
-    if len(values) == 0:
-        return acc
-    uniq, first = np.unique(cells, return_index=True)
-    rank = np.arange(len(cells)) - first[np.searchsorted(uniq, cells)]
-    for r in range(int(rank.max()) + 1):
-        mask = rank == r
-        acc[cells[mask]] += values[mask]
-    return acc
+    totals = np.full((len(columns), n_segments), start)
+    for total, column in zip(totals, columns):
+        np.add.at(total, segments, column)
+    return totals.T.tolist()
 
 
 def build_fused_plan(
@@ -212,10 +171,14 @@ def build_fused_plan(
 def _event_columns(
     catalog: EventCatalog,
     machine: MachineConfig,
-    activity: ActivityColumns,
+    activity: WindowActivity,
     n_windows: int,
 ) -> dict[str, np.ndarray]:
-    """Evaluate every PMU event formula once over the fused columns."""
+    """Evaluate every PMU event formula once over the fused columns.
+
+    ``activity``'s fields hold columns, so the formulas and its derived
+    properties evaluate elementwise, with the scalar path's rounding.
+    """
     event_columns: dict[str, np.ndarray] = {}
     for event in catalog:
         value = event.formula(activity, machine)
@@ -295,208 +258,204 @@ def _simulate_plan(
     groups: list[list[str]],
     analyzer: TopDownAnalyzer,
 ) -> list["WorkloadRun"]:
-    """Evaluate one fused plan and scatter it into per-task runs."""
+    """Evaluate one fused plan and reduce it into per-task runs."""
     from repro.pipeline import WorkloadRun
 
-    catalog = collector.catalog
-    out, port_columns = evaluate_run_columns(
+    activity, port_columns = evaluate_run_columns(
         machine, plan.columns, plan.instructions, plan.noise
     )
-
-    # Port-activity histogram: scalar per window (math.exp may differ from
-    # NumPy's in the last ulp), exactly as the batch materializer does.
-    port_count = len(machine.ports)
-    uops_executed = out["uops_executed"].tolist()
-    exec_active = out["exec_active_cycles"].tolist()
-    n_total = len(uops_executed)
-    c1 = np.empty(n_total)
-    c2 = np.empty(n_total)
-    c3 = np.empty(n_total)
-    for index in range(n_total):
-        c1[index], c2[index], c3[index] = port_activity_histogram(
-            uops_executed[index], exec_active[index], port_count
-        )
-    activity_columns = dict(out)
-    activity_columns["exec_cycles_1_port"] = c1
-    activity_columns["exec_cycles_2_ports"] = c2
-    activity_columns["exec_cycles_3_plus_ports"] = c3
-
-    event_columns = _event_columns(
-        catalog, machine, ActivityColumns(activity_columns), n_total
+    (
+        activity["exec_cycles_1_port"],
+        activity["exec_cycles_2_ports"],
+        activity["exec_cycles_3_plus_ports"],
+    ) = port_activity_histogram_columns(
+        activity["uops_executed"], activity["exec_active_cycles"], len(machine.ports)
     )
-
-    runs: list[WorkloadRun] = []
-    for task_index, task in enumerate(plan.tasks):
-        start = int(plan.offsets[task_index])
-        stop = int(plan.offsets[task_index + 1])
-        collection = _scatter_collection(
-            collector,
-            groups,
-            catalog,
-            {name: col[start:stop] for name, col in activity_columns.items()},
-            {name: col[start:stop] for name, col in port_columns.items()},
-            {name: col[start:stop] for name, col in event_columns.items()},
+    events = _event_columns(
+        collector.catalog, machine, WindowActivity(**activity), len(plan.instructions)
+    )
+    collections = _collect_chunk(
+        plan, collector, groups, activity, port_columns, events
+    )
+    return [
+        WorkloadRun(
+            workload=task.workload,
+            collection=collection,
+            tma=analyzer.analyze(collection.full_counts),
         )
-        tma = analyzer.analyze(collection.full_counts)
-        runs.append(WorkloadRun(workload=task.workload, collection=collection, tma=tma))
-    return runs
+        for task, collection in zip(plan.tasks, collections)
+    ]
 
 
-def _scatter_collection(
+def _collect_chunk(
+    plan: FusedBatchPlan,
     collector: SampleCollector,
     groups: list[list[str]],
-    catalog: EventCatalog,
     activity: dict[str, np.ndarray],
     ports: dict[str, np.ndarray],
     events: dict[str, np.ndarray],
-) -> CollectionResult:
-    """Reduce one task's segment of the fused columns to a CollectionResult.
+) -> list[CollectionResult]:
+    """Reduce a chunk's columns to one CollectionResult per task.
 
-    Every reduction replays the scalar collector's accumulation order; see
-    the module docstring for why each step is bitwise exact.
+    Every sum runs over the whole chunk and replays the scalar collector's
+    accumulation order (see the module docstring for why each step is
+    bitwise exact); each task's samples are then cut from its period
+    cells.
     """
     config = collector.config
-    n = len(activity["cycles"])
-    n_groups = len(groups)
+    names = collector.catalog.names
+    n_tasks = len(plan.tasks)
+    segments = plan.segment_ids
 
-    # Full (un-multiplexed) totals, cycle/instruction totals, overhead.
-    full_counts = {
-        name: _segment_sum(events[name]) for name in catalog.names
-    }
-    total_cycles = _segment_sum(activity["cycles"])
-    total_instructions = _segment_sum(activity["instructions"])
-    overhead = (
-        _segment_sum(np.full(n, config.switch_overhead_cycles))
-        if config.multiplex
-        else 0.0
+    # The collector's event totals, cycles, instructions and switch
+    # overhead start at 0.0; its aggregate activity starts at the first
+    # window's record (``merged_with``), which a -0.0 start reproduces:
+    # -0.0 + x is x bitwise, a negative zero included.
+    switch_cost = config.switch_overhead_cycles if config.multiplex else 0.0
+    totals = _segment_totals(
+        [events[name] for name in names]
+        + [activity["cycles"], activity["instructions"]]
+        + [np.full(len(segments), switch_cost)],
+        segments,
+        n_tasks,
+        0.0,
+    )
+    n_fields = len(_ACTIVITY_FIELDS)
+    aggregates = _segment_totals(
+        [activity[name] for name in _ACTIVITY_FIELDS] + list(ports.values()),
+        segments,
+        n_tasks,
+        -0.0,
     )
 
-    # Aggregate activity: per-field sequential sums across the segment.
-    aggregate = WindowActivity()
-    for name in _ACTIVITY_FIELDS:
-        setattr(aggregate, name, _segment_sum(activity[name]))
-    aggregate.port_uops = {name: _segment_sum(col) for name, col in ports.items()}
-
-    # Per-(group, flush-period) T/W/M accumulation.  RoundRobin scheduling
-    # assigns window w to group w % n_groups; periods flush every
-    # windows_per_period windows (plus a final, possibly empty, flush).
-    wpp = config.windows_per_period
-    n_cells = -(-n // wpp)  # ceil: flushes that can actually hold windows
-    window_index = np.arange(n, dtype=np.int64)
-    period_index = window_index // wpp
-    time_column = events[collector.time_event]
-    work_column = events[collector.work_event]
-
-    group_times: list[np.ndarray] = []
-    group_works: list[np.ndarray] = []
-    group_metrics: list[np.ndarray] = []
-    for g, group in enumerate(groups):
-        if config.multiplex:
-            mask = (window_index % n_groups) == g
-            cells = period_index[mask]
-        else:
-            mask = slice(None)
-            cells = period_index
-        group_times.append(_cell_sums(time_column[mask], cells, n_cells))
-        group_works.append(_cell_sums(work_column[mask], cells, n_cells))
-        group_metrics.append(
-            np.stack(
-                [_cell_sums(events[name][mask], cells, n_cells) for name in group]
+    cell_offsets, time, work, counts = _period_cells(plan, collector, groups, events)
+    index_of = {name: i for i, name in enumerate(names)}
+    event_ids = np.array([index_of[name] for group in groups for name in group])
+    group_sizes = [len(group) for group in groups]
+    results: list[CollectionResult] = []
+    for index, (lo, hi) in enumerate(zip(cell_offsets[:-1], cell_offsets[1:])):
+        samples, quality, periods = _emit_samples(
+            names, event_ids, group_sizes, time[lo:hi], work[lo:hi], counts[lo:hi]
+        )
+        *event_totals, total_cycles, total_instructions, overhead = totals[index]
+        row = aggregates[index]
+        aggregate = WindowActivity(
+            **dict(zip(_ACTIVITY_FIELDS, row[:n_fields])),
+            port_uops=dict(zip(ports, row[n_fields:])),
+        )
+        results.append(
+            CollectionResult(
+                samples=samples,
+                full_counts=dict(zip(names, event_totals)),
+                total_cycles=total_cycles,
+                total_instructions=total_instructions,
+                overhead_cycles=overhead,
+                aggregate_activity=aggregate,
+                periods=periods,
+                quality=quality,
             )
         )
-    return _emit_samples(
-        collector,
-        groups,
-        group_times,
-        group_works,
-        group_metrics,
-        n_cells,
-        full_counts,
-        total_cycles,
-        total_instructions,
-        overhead,
-        aggregate,
+    return results
+
+
+def _period_cells(
+    plan: FusedBatchPlan,
+    collector: SampleCollector,
+    groups: list[list[str]],
+    events: dict[str, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sum T, W and every group's events over the chunk's period cells.
+
+    A task's window ``w`` flushes with its period ``w // windows_per_period``
+    and, when multiplexing, goes to group ``w % n_groups``
+    (:class:`~repro.counters.scheduling.RoundRobinScheduler`); an event
+    accumulates only over its own group's windows.  Task ``t`` owns cells
+    ``cell_offsets[t] .. cell_offsets[t + 1]``.  Returns ``cell_offsets``,
+    (cells, groups) grids of T and W, and a (cells, events) grid of
+    counts, with the groups' events in order.
+    """
+    config = collector.config
+    segments = plan.segment_ids
+    n_groups = len(groups)
+    local = np.arange(len(segments)) - plan.offsets[segments]
+    cell_offsets = np.zeros(len(plan.tasks) + 1, dtype=np.int64)
+    np.cumsum(
+        -(-np.diff(plan.offsets) // config.windows_per_period), out=cell_offsets[1:]
     )
+    n_cells = int(cell_offsets[-1])
+    cells = cell_offsets[segments] + local // config.windows_per_period
+    if config.multiplex:
+        window_group = local % n_groups
+        members = [np.flatnonzero(window_group == g) for g in range(n_groups)]
+    else:
+        members = [slice(None)] * n_groups  # every group sees every window
+
+    time = np.zeros((n_cells, n_groups))
+    work = np.zeros((n_cells, n_groups))
+    counts = np.zeros((n_cells, sum(len(group) for group in groups)))
+    columns = iter(counts.T)
+    for g, (group, member) in enumerate(zip(groups, members)):
+        member_cells = cells[member]
+        np.add.at(time[:, g], member_cells, events[collector.time_event][member])
+        np.add.at(work[:, g], member_cells, events[collector.work_event][member])
+        for name in group:
+            np.add.at(next(columns), member_cells, events[name][member])
+    return cell_offsets, time, work, counts
 
 
 def _emit_samples(
-    collector: SampleCollector,
-    groups: list[list[str]],
-    group_times: list[np.ndarray],
-    group_works: list[np.ndarray],
-    group_metrics: list[np.ndarray],
-    n_cells: int,
-    full_counts: dict[str, float],
-    total_cycles: float,
-    total_instructions: float,
-    overhead: float,
-    aggregate: WindowActivity,
-) -> CollectionResult:
-    """Emit sample rows in the scalar collector's exact flush order."""
-    sanitizer = SampleSanitizer()
-    quality = QualityReport()
+    names: list[str],
+    event_ids: np.ndarray,
+    group_sizes: list[int],
+    time: np.ndarray,
+    work: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[SampleSet, QualityReport, int]:
+    """One task's sanitized samples, quality report and period count.
 
-    raw_metrics: list[str] = []
-    raw_time: list[float] = []
-    raw_work: list[float] = []
-    raw_count: list[float] = []
-    raw_period: list[int] = []
-
-    times_list = [t.tolist() for t in group_times]
-    works_list = [w.tolist() for w in group_works]
-    for period in range(n_cells):
-        for g, group in enumerate(groups):
-            t = times_list[g][period]
-            if t <= 0:
-                continue
-            quality.total += len(group)
-            w = works_list[g][period]
-            raw_metrics.extend(group)
-            raw_time.extend([t] * len(group))
-            raw_work.extend([w] * len(group))
-            raw_count.extend(group_metrics[g][:, period].tolist())
-            raw_period.extend([period] * len(group))
+    Repeating each group's T and W once per event gives (period, event)
+    grids whose row-major order — period, then group, then the group's
+    events — is the scalar flush order.  A cell emits unless ``T <= 0``
+    (a NaN T emits, as in the scalar test).
+    """
+    live = np.repeat(~(time <= 0), group_sizes, axis=1)
+    periods, events = np.nonzero(live)
+    t = np.repeat(time, group_sizes, axis=1)[live]
+    w = np.repeat(work, group_sizes, axis=1)[live]
+    m = counts[live]
+    # Metric ids number the catalog indices by first appearance, which is
+    # how SampleArray.from_lists interns the collector's metric names.
+    found, first, inverse = np.unique(
+        event_ids[events], return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    array = SampleArray(rank[inverse], [names[i] for i in found[order]], t, w, m)
 
     # Vectorized sanitize, identical to the collector's columnar path.
-    array = SampleArray.from_lists(raw_metrics, raw_time, raw_work, raw_count)
-    t, w, m = array.time, array.work, array.metric_count
+    sanitizer = SampleSanitizer()
+    quality = QualityReport(total=len(array))
     bad = (
         ~np.isfinite(t) | ~np.isfinite(w) | ~np.isfinite(m)
         | (t <= 0) | (w < 0) | (m < 0)
     )
-    period_ids = np.asarray(raw_period, dtype=np.int64)
     if bad.any():
-        names = array.metric_names
-        ids = array.metric_ids
         for index in np.flatnonzero(bad):
-            ti = float(t[index])
-            wi = float(w[index])
-            mi = float(m[index])
+            ti, wi, mi = float(t[index]), float(w[index]), float(m[index])
             quality.quarantined.append(
                 QuarantinedSample(
-                    metric=names[int(ids[index])],
+                    metric=array.metric_names[int(array.metric_ids[index])],
                     reason=sanitizer.check(ti, wi, mi),
                     time=ti,
                     work=wi,
                     metric_count=mi,
                 )
             )
-        keep = ~bad
-        array = array.select(keep)
-        period_ids = period_ids[keep]
-    periods = int(len(np.unique(period_ids)))
-    samples = SampleSet.from_columns(array)
-    quality.kept = len(samples)
-    return CollectionResult(
-        samples=samples,
-        full_counts=full_counts,
-        total_cycles=total_cycles,
-        total_instructions=total_instructions,
-        overhead_cycles=overhead,
-        aggregate_activity=aggregate,
-        periods=periods,
-        quality=quality,
-    )
+        array = array.select(~bad)
+        periods = periods[~bad]
+    quality.kept = len(array)
+    return SampleSet.from_columns(array), quality, int(len(np.unique(periods)))
 
 
 def _floats_equal(a: float, b: float) -> bool:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+
+import numpy as np
 
 from repro.uarch.config import MachineConfig
 from repro.uarch.spec import WindowSpec
@@ -148,3 +151,31 @@ def port_activity_histogram(
     c2 = active_cycles * p2 / norm
     c3 = max(0.0, active_cycles - c1 - c2)
     return (c1, c2, c3)
+
+
+def port_activity_histogram_columns(
+    uops_executed: np.ndarray, active_cycles: np.ndarray, port_count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`port_activity_histogram` of every row of two columns, bit for bit.
+
+    The same expressions in the same order; ``min``/``max`` keep Python's
+    comparison semantics, and ``math.exp`` and ``** 2`` stay on libm
+    through ``map``: over the 30,000 windows of a paper-scale experiment,
+    ``np.exp`` differs from ``math.exp`` on 1,309 inputs and ``x * x``
+    from libm ``pow(x, 2)`` on 29.  The scalar function stays the oracle.
+    """
+    buckets = np.zeros((3, len(uops_executed)))
+    live = np.flatnonzero(~((active_cycles <= 0) | (uops_executed <= 0)))
+    ratio = uops_executed[live] / active_cycles[live]
+    mean_busy = np.where(ratio < port_count, ratio, float(port_count))
+    p0 = np.fromiter(map(math.exp, (-mean_busy).tolist()), np.float64, len(live))
+    busy = ~(p0 >= 1.0)
+    live, mean_busy, p0 = live[busy], mean_busy[busy], p0[busy]
+    active = active_cycles[live]
+    square = np.fromiter(map(pow, mean_busy.tolist(), repeat(2)), np.float64, len(live))
+    norm = 1.0 - p0
+    c1 = active * (mean_busy * p0) / norm
+    c2 = active * (square / 2.0 * p0) / norm
+    rest = active - c1 - c2
+    buckets[:, live] = c1, c2, np.where(rest > 0.0, rest, 0.0)
+    return buckets[0], buckets[1], buckets[2]

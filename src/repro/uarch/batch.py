@@ -19,8 +19,10 @@ the vectorized data plane:
 - every formula is the same elementwise float64 expression the scalar
   models evaluate, in the same order (elementwise IEEE ops are identical
   between NumPy and Python floats);
-- per-port accumulation, the ``max`` over ports, and the activity
-  histogram keep the scalar iteration order.
+- per-port accumulation and the ``max`` over ports keep the scalar
+  iteration order, and the port-activity histogram is
+  :func:`~repro.uarch.backend.port_activity_histogram_columns`, bit for
+  bit the scalar function per window.
 
 The scalar :meth:`simulate_window` remains the dispatching reference
 oracle behind ``SPIRE_SCALAR_FALLBACK=1``.
@@ -36,7 +38,11 @@ import numpy as np
 
 from repro.bulkrng import random_draws
 from repro.uarch.activity import WindowActivity
-from repro.uarch.backend import _DIVIDER_EXPOSURE, _VW_EVENT_RATE, port_activity_histogram
+from repro.uarch.backend import (
+    _DIVIDER_EXPOSURE,
+    _VW_EVENT_RATE,
+    port_activity_histogram_columns,
+)
 from repro.uarch.frontend import _UOPS_PER_MITE_BURST, _UOPS_PER_MS_FLOW
 from repro.uarch.spec import WindowSpec
 
@@ -208,7 +214,9 @@ def evaluate_run_columns(
     run separately — the property the fused experiment engine
     (:mod:`repro.runtime.fused`) relies on.  Returns the activity columns
     (every scalar :class:`WindowActivity` field except the port-activity
-    histogram) and the per-port uop columns.
+    histogram, which callers add with
+    :func:`~repro.uarch.backend.port_activity_histogram_columns` once this
+    function's intermediates are freed) and the per-port uop columns.
     """
     n_windows = len(instructions)
 
@@ -422,31 +430,26 @@ def materialize_activities(
     port_columns: dict[str, np.ndarray],
 ) -> list[WindowActivity]:
     """Turn activity columns into per-window :class:`WindowActivity` records."""
+    (
+        out["exec_cycles_1_port"],
+        out["exec_cycles_2_ports"],
+        out["exec_cycles_3_plus_ports"],
+    ) = port_activity_histogram_columns(
+        out["uops_executed"], out["exec_active_cycles"], len(machine.ports)
+    )
     lists = {name: column.tolist() for name, column in out.items()}
     port_lists = {
         name: column.tolist() for name, column in port_columns.items()
     }
-    uops_executed_list = lists["uops_executed"]
-    exec_active_list = lists["exec_active_cycles"]
-    port_count = len(machine.ports)
-    n_windows = len(uops_executed_list)
-
-    activities: list[WindowActivity] = []
-    for window in range(n_windows):
-        activity = WindowActivity(
+    return [
+        WindowActivity(
             **{name: values[window] for name, values in lists.items()},
             port_uops={
                 name: values[window] for name, values in port_lists.items()
             },
         )
-        c1, c2, c3 = port_activity_histogram(
-            uops_executed_list[window], exec_active_list[window], port_count
-        )
-        activity.exec_cycles_1_port = c1
-        activity.exec_cycles_2_ports = c2
-        activity.exec_cycles_3_plus_ports = c3
-        activities.append(activity)
-    return activities
+        for window in range(len(out["instructions"]))
+    ]
 
 
 def workload_spec_columns(
@@ -463,8 +466,8 @@ def workload_spec_columns(
       ``threshold <= running`` scan as a ``searchsorted(..., 'left')``
       over the sequential cumulative weights (``np.cumsum`` accumulates
       left-to-right exactly like the scalar loop);
-    - the sinusoidal pressure factor keeps a scalar ``math.sin`` loop —
-      NumPy's transcendental may differ from libm in the last ulp;
+    - the sinusoidal pressure factor keeps ``math.sin`` on libm through
+      ``map`` — NumPy's transcendental may differ in the last ulp;
     - ``scaled_pressure``'s ``min(1, max(0, v * f))`` clamps map to
       ``np.minimum``/``np.maximum`` on the same products.
     """
@@ -493,15 +496,12 @@ def workload_spec_columns(
         for name in _SPEC_COLUMNS
     }
 
-    # Pressure modulation: scalar sin per window, exactly `pressure_at`.
-    amplitude = workload.pressure_amplitude
-    periods = workload.pressure_periods
-    two_pi_periods = 2.0 * math.pi * periods
-    progress_list = progress.tolist()
-    factor = np.array(
-        [1.0 + amplitude * math.sin(two_pi_periods * p) for p in progress_list],
-        dtype=np.float64,
+    # Pressure modulation: exactly `pressure_at`, with sin on libm.
+    two_pi_periods = 2.0 * math.pi * workload.pressure_periods
+    wave = np.fromiter(
+        map(math.sin, (two_pi_periods * progress).tolist()), np.float64, n_windows
     )
+    factor = 1.0 + workload.pressure_amplitude * wave
 
     # scaled_pressure's clamped rate scaling.
     for name in ("branch_mispredict_rate", "l1_miss_per_load", "microcode_fraction"):

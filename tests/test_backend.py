@@ -1,8 +1,15 @@
 """Unit tests for the back-end execution model."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.uarch.backend import BackendModel, port_activity_histogram
+from repro.uarch.backend import (
+    BackendModel,
+    port_activity_histogram,
+    port_activity_histogram_columns,
+)
 from repro.uarch.spec import WindowSpec
 
 
@@ -103,3 +110,56 @@ class TestPortActivityHistogram:
     def test_mean_capped_by_port_count(self):
         c1, c2, c3 = port_activity_histogram(1e9, 10.0, 4)
         assert c1 + c2 + c3 == pytest.approx(10.0)
+
+
+def _floats(low, high):
+    return st.floats(
+        min_value=low, max_value=high, allow_nan=False, allow_infinity=False
+    )
+
+
+# (uops_executed, active_cycles) rows, one strategy per branch of the
+# scalar function.
+_HISTOGRAM_ROWS = st.one_of(
+    # active_cycles <= 0 or uops_executed <= 0: the early (0, 0, 0).
+    st.tuples(_floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, -3.5])),
+    st.tuples(st.sampled_from([0.0, -0.0, -3.5]), _floats(-1e6, 1e6)),
+    # uops / active above any port count: mean_busy capped.
+    st.tuples(_floats(1e3, 1e9), _floats(1e-3, 1.0)),
+    # mean_busy so small that exp(-mean_busy) == 1.0: the second (0, 0, 0).
+    st.tuples(_floats(1e-300, 1e-18), _floats(1.0, 1e6)),
+    # Ordinary windows.
+    st.tuples(_floats(1e-3, 1e6), _floats(1e-3, 1e6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(_HISTOGRAM_ROWS, min_size=1, max_size=40),
+    port_count=st.integers(min_value=1, max_value=12),
+)
+@example(
+    rows=[
+        (5.0, 0.0),
+        (5.0, -0.0),
+        (0.0, 5.0),
+        (1e9, 10.0),
+        (1e-20, 1e3),
+        (1_100.0, 1_000.0),
+        # mean_busy values from paper-scale windows where x * x differs
+        # from libm pow(x, 2).
+        (2.7714175398839798, 1.0),
+        (3.3706748845847754, 1.0),
+    ],
+    port_count=8,
+)
+def test_histogram_columns_match_scalar_bit_for_bit(rows, port_count):
+    uops = np.array([u for u, _ in rows])
+    active = np.array([a for _, a in rows])
+    columns = np.column_stack(
+        port_activity_histogram_columns(uops, active, port_count)
+    )
+    for got, (u, a) in zip(columns, rows):
+        # tobytes, not ==: the sign of a zero bucket must match too.
+        expected = np.array(port_activity_histogram(u, a, port_count))
+        assert got.tobytes() == expected.tobytes(), (u, a)

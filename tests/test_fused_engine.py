@@ -219,6 +219,36 @@ CHUNK_CASES = {
 }
 
 
+# Collection shapes that move the (period, group) cell arithmetic:
+# config knobs, task window counts, and a chunk budget (None keeps the
+# default).  With windows_per_period=100 the 7-window task's only period
+# never fills and the 250-window task ends on a partial one; 17 and 50
+# windows end mid-period and mid-rotation of the event groups.
+SHAPE_CASES = {
+    "unmultiplexed": (dict(multiplex=False, windows_per_period=6), (13, 8), None),
+    "one-window-periods": (dict(windows_per_period=1), (13, 8), None),
+    "unfilled-periods": (dict(windows_per_period=100), (7, 250), None),
+    "ragged-tails": (dict(windows_per_period=6), (17, 50), None),
+    "chunk-split": (dict(windows_per_period=6), (17, 20, 50, 9), 40),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_CASES)
+def test_fused_collection_shapes_match_per_workload(monkeypatch, case):
+    knobs, windows, budget = SHAPE_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(fused, "CHUNK_WINDOWS", budget)
+    config = ExperimentConfig(seed=5, **knobs)
+    machine = skylake_gold_6126()
+    tasks = _subset_tasks((2, 11, 20, 25), windows)
+
+    runs = simulate_tasks_fused(tasks, machine, config)
+    assert len(runs) == len(tasks)
+    for task, fused_run in zip(tasks, runs):
+        oracle = run_workload(task.workload, machine, task.n_windows, config)
+        assert runs_equal(fused_run, oracle), task.name
+
+
 @pytest.mark.parametrize("case", CHUNK_CASES)
 def test_fused_chunk_boundaries_match_per_workload(monkeypatch, case):
     windows, expected_chunks = CHUNK_CASES[case]
