@@ -369,8 +369,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 
     if args.drift:
         return _faultsim_drift(args)
-    if args.serve:
-        return _faultsim_serve(args)
 
     config = ExperimentConfig(
         train_windows=args.train_windows,
@@ -477,81 +475,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _faultsim_serve(args: argparse.Namespace) -> int:
-    """Serve-layer chaos: crash/hang workers, corrupt rollovers, storm quotas.
-
-    Spawns a supervised worker fleet against a throwaway model store, then
-    realizes every serve-kind fault in the plan as a live scenario while
-    client load is in flight.  Exit code 0 means every scenario held its
-    invariants: survivors stayed bit-identical, corrupt artifacts were
-    quarantined and never served, quota rejections were clean 429s, and
-    crashed/wedged workers came back within the restart budget.
-    """
-    import json as _json
-    import shutil
-    import tempfile
-
-    from repro.runtime.faults import FaultPlan
-    from repro.serve.chaos import run_serve_chaos
-
-    plan = FaultPlan.random(
-        [],
-        seed=args.fault_seed,
-        worker_crashes=args.worker_crashes,
-        worker_hangs=args.worker_hangs,
-        rollover_corruptions=args.rollover_corruptions,
-        quota_storms=args.quota_storms,
-        serve_slots=args.serve_workers,
-        serve_models=("alpha", "beta"),
-        hang_seconds=args.hang_seconds,
-    )
-    serve_specs = plan.serve_faults()
-    print(f"serve fault plan ({len(serve_specs)} fault(s), seed {args.fault_seed}):")
-    for spec in serve_specs:
-        print(f"  {spec.kind:<26} -> {spec.workload}")
-    if not serve_specs:
-        print("error: no serve faults requested (all counts are zero)")
-        return 2
-
-    store = args.serve_store_dir or tempfile.mkdtemp(prefix="spire-serve-chaos-")
-    cleanup = not args.serve_store_dir
-    print(
-        f"running {args.serve_workers} worker(s), "
-        f"{args.serve_requests} request(s) per scenario, store {store} ..."
-    )
-    try:
-        report = run_serve_chaos(
-            store,
-            plan,
-            workers=args.serve_workers,
-            requests=args.serve_requests,
-            seed=args.fault_seed,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(store, ignore_errors=True)
-
-    print()
-    for scenario in report["scenarios"]:
-        tag = "PASS" if scenario["ok"] else "FAIL"
-        detail = ", ".join(
-            f"{key}={value}" for key, value in sorted(scenario["metrics"].items())
-        )
-        print(f"  [{tag}] {scenario['name']}: {detail}")
-        for failure in scenario["failures"]:
-            print(f"      - {failure}")
-
-    if args.report:
-        Path(args.report).write_text(_json.dumps(report, indent=1) + "\n")
-        print(f"\nreport written to {args.report}")
-
-    if report["ok"]:
-        print("PASS: fleet survived every serve-layer fault scenario")
-        return 0
-    print("FAIL: at least one serve chaos scenario broke an invariant")
-    return 1
-
-
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Probe a running ``spire serve`` process and render its health.
 
@@ -573,163 +496,6 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     return 0 if not problems else 1
 
 
-def _parse_quota_args(args: argparse.Namespace):
-    """``--quota``/``--default-quota`` flags -> (policies dict, default)."""
-    from repro.serve.quotas import QuotaPolicy
-
-    quotas = {}
-    for spec in args.quota:
-        name, sep, policy = spec.partition("=")
-        if not sep or not name or not policy:
-            raise SpireError(
-                f"--quota expects MODEL=RATE[:BURST], got {spec!r}"
-            )
-        quotas[name] = QuotaPolicy.parse(policy)
-    default = (
-        QuotaPolicy.parse(args.default_quota) if args.default_quota else None
-    )
-    return (quotas or None), default
-
-
-def _serve_install(args: argparse.Namespace) -> int:
-    """``spire serve install``: hot-roll models into a *running* server.
-
-    Each ``--model name=path`` is packed client-side (``.json`` models)
-    or read as-is (``.spm`` artifacts) and POSTed to
-    ``/v1/models/install`` as ``application/octet-stream``.  The server
-    stages, checksum-verifies and canary-checks the artifact before
-    atomically swapping it in; a rejected install (corrupt artifact,
-    failed canary) exits 1 and leaves the old model serving.
-    """
-    import json as _json
-    import os
-    import tempfile
-    from urllib.error import HTTPError, URLError
-    from urllib.parse import quote
-    from urllib.request import Request, urlopen
-
-    from repro.serve.registry import pack_model
-
-    if not args.model:
-        raise SpireError(
-            "serve install needs at least one --model name=path "
-            "(.json trained model or packed .spm artifact)"
-        )
-    base = (args.url or f"http://{args.host}:{args.port}").rstrip("/")
-    if not base.startswith(("http://", "https://")):
-        base = "http://" + base
-
-    for spec in args.model:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            raise SpireError(f"--model expects name=path, got {spec!r}")
-        if path.endswith(".spm"):
-            blob = Path(path).read_bytes()
-        else:
-            # Pack through a temp file so the wire artifact is the exact
-            # packed format the server verifies (header + aligned payload).
-            model = load_model(path)
-            fd, tmp = tempfile.mkstemp(suffix=".spm")
-            os.close(fd)
-            try:
-                pack_model(model, tmp)
-                blob = Path(tmp).read_bytes()
-            finally:
-                os.unlink(tmp)
-        request = Request(
-            f"{base}/v1/models/install?model={quote(name)}",
-            data=blob,
-            headers={"Content-Type": "application/octet-stream"},
-            method="POST",
-        )
-        try:
-            with urlopen(request, timeout=30) as response:  # noqa: S310
-                payload = _json.loads(response.read().decode("utf-8"))
-        except HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
-            try:
-                detail = _json.loads(detail).get("error", detail)
-            except ValueError:
-                pass
-            print(f"install of {name!r} rejected ({exc.code}): {detail}")
-            return 1
-        except (URLError, OSError, TimeoutError) as exc:
-            raise SpireError(f"cannot reach server at {base}: {exc}") from None
-        event = payload.get("event", {})
-        print(
-            f"installed {name!r} ({len(blob)} bytes) in "
-            f"{event.get('duration_ms', 0.0):.1f} ms — "
-            f"checksum {str(event.get('checksum', ''))[:12]}"
-        )
-    return 0
-
-
-def _serve_supervised(args: argparse.Namespace, config) -> int:
-    """Run a supervised multi-worker fleet until SIGTERM/SIGINT.
-
-    The parent never serves traffic: it claims the port, forks workers
-    that share it, restarts crashed or wedged workers with exponential
-    backoff, and on the first SIGTERM/SIGINT drains every worker
-    gracefully (in-flight requests finish, queued ones get 503s).
-    """
-    import signal
-    import threading
-    import time
-
-    from repro.serve.supervisor import ServeSupervisor, SupervisorConfig
-
-    supervisor = ServeSupervisor(
-        config,
-        SupervisorConfig(
-            workers=args.workers,
-            drain_timeout=args.drain_timeout,
-        ),
-    )
-    supervisor.start()
-    supervisor.wait_ready()
-    print(
-        f"supervising {args.workers} worker(s) on "
-        f"http://{config.host}:{supervisor.port} "
-        f"(reuse_port={supervisor.reuse_port})",
-        flush=True,
-    )
-
-    stop = threading.Event()
-
-    def _request_stop(signum: int, _frame) -> None:
-        print(
-            f"signal {signal.Signals(signum).name}: draining fleet ...",
-            flush=True,
-        )
-        stop.set()
-
-    previous = {
-        sig: signal.signal(sig, _request_stop)
-        for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    deadline = (
-        time.monotonic() + args.max_runtime if args.max_runtime > 0 else None
-    )
-    try:
-        while not stop.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            supervisor.step(timeout=0.25)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        supervisor.stop(drain=True)
-        snap = supervisor.snapshot()
-        print(
-            f"fleet stopped: {snap['restart_total']} restart(s), "
-            f"stale slots {snap['stale_slots']}, "
-            f"{snap['totals'].get('requests', 0)} request(s) served"
-        )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the micro-batched asyncio inference server.
 
@@ -737,21 +503,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     artifact store before the server starts; anything already packed
     under ``--store-dir`` is served as well.  The server answers
     ``POST /v1/estimate`` and ``/v1/analyze`` (JSON or raw ``perf stat``
-    CSV bodies), ``POST /v1/models/install`` (hot rollover),
-    ``GET /v1/models`` and ``GET /health``.  With ``--workers N`` a
-    supervisor forks N worker processes sharing the port and restarts
-    the ones that crash or wedge.  ``spire serve install`` instead
-    pushes models into an already-running server.
+    CSV bodies), ``GET /v1/models`` and ``GET /health``.
     """
     import asyncio
     import signal
 
     from repro.serve import ServeConfig, SpireServer
 
-    if args.action == "install":
-        return _serve_install(args)
-
-    quotas, default_quota = _parse_quota_args(args)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -762,31 +520,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         window=args.window_ms / 1000.0,
         queue_limit=args.queue_limit,
         load_shed=args.load_shed,
-        quotas=quotas,
-        default_quota=default_quota,
         drain_timeout=args.drain_timeout,
-        debug_faults=args.debug_faults,
     )
-
-    if args.workers > 0:
-        # Pack --model entries into the shared store up front: every
-        # worker maps models from the store, not from this process.
-        if args.model:
-            from repro.serve.registry import ModelRegistry
-
-            staging = ModelRegistry(config.store_dir)
-            try:
-                for spec in args.model:
-                    name, sep, path = spec.partition("=")
-                    if not sep or not name or not path:
-                        raise SpireError(
-                            f"--model expects name=path.json, got {spec!r}"
-                        )
-                    staging.install(name, load_model(path))
-                    print(f"packed model {name!r} from {path} into store")
-            finally:
-                staging.close()
-        return _serve_supervised(args, config)
 
     server = SpireServer(config)
     for spec in args.model:
@@ -824,8 +559,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 await stop.wait()
         finally:
-            # Graceful drain: pending micro-batch lanes flush (queued
-            # requests answered 503), in-flight handlers finish.
+            # Graceful drain: queued micro-batch requests are evaluated
+            # and answered, in-flight handlers finish.
             await server.stop(drain=True)
 
     asyncio.run(_run())
@@ -1077,12 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads to be bit-identical to it",
     )
     p.add_argument(
-        "--hang-seconds",
-        type=float,
-        default=3.0,
-        help="how long a wedged worker stalls (--serve)",
-    )
-    p.add_argument(
         "--failure-policy",
         choices=["raise", "skip"],
         default="skip",
@@ -1097,59 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="run under cProfile and print the top-20 cumulative hotspots",
-    )
-    p.add_argument(
-        "--serve",
-        action="store_true",
-        help="run serve-layer chaos: crash/hang supervised workers, corrupt "
-        "a hot rollover, storm the admission quotas",
-    )
-    p.add_argument(
-        "--serve-workers",
-        type=int,
-        default=4,
-        help="worker processes in the chaos fleet (default 4)",
-    )
-    p.add_argument(
-        "--serve-requests",
-        type=int,
-        default=48,
-        help="client requests per chaos scenario (default 48)",
-    )
-    p.add_argument(
-        "--worker-crashes",
-        type=int,
-        default=1,
-        help="SIGKILL this many workers mid-load (--serve)",
-    )
-    p.add_argument(
-        "--worker-hangs",
-        type=int,
-        default=1,
-        help="wedge this many workers' event loops mid-load (--serve)",
-    )
-    p.add_argument(
-        "--rollover-corruptions",
-        type=int,
-        default=1,
-        help="push this many corrupt artifacts through hot rollover (--serve)",
-    )
-    p.add_argument(
-        "--quota-storms",
-        type=int,
-        default=1,
-        help="run this many admission-quota storm scenarios (--serve)",
-    )
-    p.add_argument(
-        "--serve-store-dir",
-        default="",
-        help="model store for --serve chaos (default: throwaway temp dir)",
-    )
-    p.add_argument(
-        "--report",
-        default="",
-        metavar="PATH",
-        help="write the --serve chaos scenario report JSON here",
     )
     p.set_defaults(func=_cmd_faultsim)
 
@@ -1169,29 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the micro-batched HTTP inference server",
     )
-    p.add_argument(
-        "action",
-        nargs="?",
-        choices=["run", "install"],
-        default="run",
-        help="run the server (default) or hot-install models into a "
-        "running one via POST /v1/models/install",
-    )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8583)
-    p.add_argument(
-        "--url",
-        default="",
-        help="server base URL for `serve install` "
-        "(default: http://HOST:PORT)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="fork this many supervised worker processes sharing the port "
-        "(0 = single process, default)",
-    )
     p.add_argument(
         "--store-dir",
         default="models",
@@ -1247,29 +902,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop after this many seconds (0 = run forever; smoke tests)",
     )
     p.add_argument(
-        "--quota",
-        action="append",
-        default=[],
-        metavar="MODEL=RATE[:BURST]",
-        help="per-model admission quota in requests/s with optional burst "
-        "(repeatable; per worker in --workers mode)",
-    )
-    p.add_argument(
-        "--default-quota",
-        default="",
-        metavar="RATE[:BURST]",
-        help="admission quota applied to models without an explicit --quota",
-    )
-    p.add_argument(
         "--drain-timeout",
         type=float,
         default=5.0,
         help="seconds to wait for in-flight requests on graceful shutdown",
-    )
-    p.add_argument(
-        "--debug-faults",
-        action="store_true",
-        help="expose /debug/crash and /debug/hang routes (chaos testing)",
     )
     p.set_defaults(func=_cmd_serve)
 

@@ -33,21 +33,15 @@ class ServeOverloadError(SpireError):
     Carries ``retry_after`` (seconds) so the HTTP layer can answer with
     ``429`` + ``Retry-After``; ``shed`` marks a request that was already
     queued and then evicted by the ``oldest`` load-shed policy or failed
-    by a server shutdown (``503``); ``quota`` marks an admission-quota
-    refusal (still ``429``, but counted separately).
+    by a server shutdown (``503``).
     """
 
     def __init__(
-        self,
-        message: str,
-        retry_after: float = 0.05,
-        shed: bool = False,
-        quota: bool = False,
+        self, message: str, retry_after: float = 0.05, shed: bool = False
     ):
         super().__init__(message)
         self.retry_after = retry_after
         self.shed = shed
-        self.quota = quota
 
 
 class GuardDivergenceError(SpireError):

@@ -1,9 +1,8 @@
 """``spire doctor``: probe a running ``spire serve`` process.
 
 The doctor fetches the server's ``/health`` document, renders the
-long-lived state its one-line summary elides (registry, micro-batch
-fill, admission, rollover, drain, fleet and guard state) and lists the
-defects that should fail a health check.
+long-lived state its one-line summary elides (micro-batch fill, drain
+and guard state) and lists the defects that should fail a health check.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def render_server_health(payload: dict) -> str:
 
     Starts from the server's own render and appends the long-lived
     process detail the one-line summary elides: micro-batch fill
-    histogram, quota rejections, and per-kernel guard state.
+    histogram, drain counters, and per-kernel guard state.
     """
     lines = [str(payload.get("render", "")).rstrip()]
     health = payload.get("health", {})
@@ -64,25 +63,6 @@ def render_server_health(payload: dict) -> str:
         )
         lines.append(f"  batch fill histogram: {buckets}")
 
-    quotas = serve.get("quotas") or {}
-    if quotas.get("rejected"):
-        per_model = quotas.get("per_model") or {}
-        detail = "  ".join(
-            f"{name}:{count}" for name, count in sorted(per_model.items())
-        )
-        lines.append(
-            f"  admission: {quotas['rejected']} request(s) quota-rejected"
-            + (f" ({detail})" if detail else "")
-        )
-
-    rollover = serve.get("rollover") or {}
-    if rollover.get("installs") or rollover.get("rejected"):
-        lines.append(
-            f"  rollover: {rollover.get('installs', 0)} install(s), "
-            f"{rollover.get('rejected', 0)} rejected, "
-            f"{rollover.get('adopted', 0)} adoption(s)"
-        )
-
     drain = serve.get("drain") or {}
     if drain.get("count"):
         lines.append(
@@ -90,29 +70,6 @@ def render_server_health(payload: dict) -> str:
             f"{drain.get('last_ms', 0.0):.1f} ms, "
             f"{drain.get('flushed', 0)} queued request(s) flushed"
         )
-
-    fleet = serve.get("fleet") or {}
-    if fleet:
-        worker = serve.get("worker")
-        prefix = f"  fleet (seen from worker {worker}): " if worker is not None else "  fleet: "
-        lines.append(
-            prefix
-            + f"{fleet.get('workers', 0)} slot(s), "
-            f"{fleet.get('restart_total', 0)} restart(s), "
-            f"stale {fleet.get('stale_slots', [])}"
-        )
-        for slot in fleet.get("slots", []):
-            state = (
-                "stale"
-                if slot.get("stale")
-                else ("ready" if slot.get("ready") else "starting")
-            )
-            counters = slot.get("counters") or {}
-            lines.append(
-                f"    slot {slot.get('slot')}: {state}, pid {slot.get('pid')}, "
-                f"{slot.get('restarts', 0)} restart(s), "
-                f"{counters.get('requests', 0)} request(s)"
-            )
 
     for name, kernel in sorted(health.get("kernels", {}).items()):
         state = "tripped" if kernel.get("tripped") else "fast"
@@ -124,14 +81,13 @@ def render_server_health(payload: dict) -> str:
 
 
 def server_health_problems(payload: dict) -> list[str]:
-    """Fleet-level defects in a :func:`probe_server` payload.
+    """Server-level defects in a :func:`probe_server` payload.
 
     Returns one human-readable string per problem; an empty list means
-    the serving fleet looks healthy.  ``spire doctor --serve-url`` exits
-    nonzero when this list is non-empty, so a supervisor with stale
-    (flapping) worker slots or a registry that has quarantined model
-    artifacts fails CI even though the surviving workers still answer
-    ``/health`` with ``ok: true``.
+    the server looks healthy.  ``spire doctor --serve-url`` exits
+    nonzero when this list is non-empty, so a registry that has
+    quarantined a model artifact fails CI even though the server still
+    answers ``/health`` with ``ok: true``.
     """
     problems: list[str] = []
     health = payload.get("health", {})
@@ -139,27 +95,10 @@ def server_health_problems(payload: dict) -> list[str]:
         problems.append("server reports unhealthy guard state")
     serve = health.get("serve_state") or {}
 
-    fleet = serve.get("fleet") or {}
-    stale = fleet.get("stale_slots") or []
-    if stale:
-        problems.append(
-            f"{len(stale)} worker slot(s) stale after repeated crashes: {stale}"
-        )
-    for slot in fleet.get("slots", []):
-        if slot.get("alive") is False and not slot.get("stale"):
-            problems.append(f"worker slot {slot.get('slot')} is down (restarting)")
-
     registry = serve.get("registry") or {}
     if registry.get("verify_failures"):
         problems.append(
             f"{registry['verify_failures']} model artifact(s) failed "
             "verification and were quarantined"
-        )
-
-    rollover = serve.get("rollover") or {}
-    if rollover.get("rejected"):
-        problems.append(
-            f"{rollover['rejected']} rollover install(s) rejected "
-            "(artifacts quarantined in the staging area)"
         )
     return problems

@@ -5,8 +5,8 @@ counter group, a sample arrives corrupted, a metric drifts off its
 fitted bound mid-stream.  This module gives each failure mode a
 first-class, *seed-driven* representation so the layers that must
 absorb it (:mod:`repro.counters.collector`, :mod:`repro.guard`,
-:mod:`repro.stream`, :mod:`repro.serve`) can be exercised
-deterministically in tests and in the ``spire faultsim`` CLI smoke.
+:mod:`repro.stream`) can be exercised deterministically in tests and in
+the ``spire faultsim`` CLI smoke.
 
 A :class:`FaultPlan` is a picklable set of :class:`FaultSpec` entries,
 each targeting one workload by name:
@@ -23,17 +23,6 @@ each targeting one workload by name:
                           ``workload`` field names the metric)
 ``stale-window``          one stream window stalls: it seals empty and its
                           samples arrive late, behind newer timestamps
-``worker-crash``          one supervised serving worker dies (SIGKILL) under
-                          load (the ``workload`` field names the slot, e.g.
-                          ``"1"``, or ``"*"`` for a seed-chosen slot)
-``worker-hang``           one serving worker's event loop wedges: heartbeats
-                          stop and the supervisor must kill + restart it
-``rollover-corrupt-artifact``  a hot model install carries a corrupted packed
-                          artifact; it must be quarantined, never served
-                          (the ``workload`` field names the model)
-``quota-storm``           one model's clients burst far past its admission
-                          quota; the storm must 429 without disturbing
-                          other models (the ``workload`` names the model)
 ========================  ====================================================
 
 A ``diverge-kernel`` fault forces the kernel's next ``times`` sampled
@@ -53,10 +42,6 @@ DROP_METRIC = "drop-metric"
 DIVERGE_KERNEL = "diverge-kernel"
 DRIFT_INJECT = "drift-inject"
 STALE_WINDOW = "stale-window"
-WORKER_CRASH = "worker-crash"
-WORKER_HANG = "worker-hang"
-ROLLOVER_CORRUPT_ARTIFACT = "rollover-corrupt-artifact"
-QUOTA_STORM = "quota-storm"
 
 FAULT_KINDS = (
     CORRUPT_SAMPLE,
@@ -64,10 +49,6 @@ FAULT_KINDS = (
     DIVERGE_KERNEL,
     DRIFT_INJECT,
     STALE_WINDOW,
-    WORKER_CRASH,
-    WORKER_HANG,
-    ROLLOVER_CORRUPT_ARTIFACT,
-    QUOTA_STORM,
 )
 
 #: Fault kinds handled inside the collector (they degrade the data).
@@ -81,15 +62,6 @@ GUARD_KINDS = (DIVERGE_KERNEL,)
 #: samples late (out of timestamp order).  The ``workload`` field names the
 #: target metric (``"*"`` for stale-window, which is metric-agnostic).
 STREAM_KINDS = (DRIFT_INJECT, STALE_WINDOW)
-#: Fault kinds handled by the serving layer's chaos harness
-#: (:mod:`repro.serve.chaos`); ``workload`` names a worker slot or a
-#: model, never an experiment workload.
-SERVE_KINDS = (
-    WORKER_CRASH,
-    WORKER_HANG,
-    ROLLOVER_CORRUPT_ARTIFACT,
-    QUOTA_STORM,
-)
 
 #: Default victims for random ``diverge-kernel`` faults: the model-side
 #: kernels every experiment dispatches, so each trip reaches the health
@@ -104,7 +76,6 @@ class FaultSpec:
     workload: str
     kind: str
     times: int = 1              # checks a ``diverge-kernel`` fault diverts
-    hang_seconds: float = 30.0  # stall length for ``worker-hang``
     metric: str | None = None   # target metric for ``drop-metric``
     sample_index: int = 0       # which emitted sample ``corrupt-sample`` hits
     factor: float = 4.0         # throughput scale for ``drift-inject``
@@ -119,8 +90,6 @@ class FaultSpec:
             raise ConfigError("a fault spec must target a workload by name")
         if self.times < 1:
             raise ConfigError("a fault must fire at least once (times >= 1)")
-        if self.hang_seconds < 0:
-            raise ConfigError("hang_seconds cannot be negative")
         if self.factor <= 0:
             raise ConfigError("drift-inject factor must be positive")
         if self.window < 0:
@@ -152,17 +121,12 @@ class FaultPlan:
     def injected_workloads(self) -> list[str]:
         """Targets of collector faults, in spec order, deduplicated.
 
-        Guard-, stream- and serve-level faults are excluded — their target
-        field names a kernel, a metric, a worker slot or a model, not a
-        workload.
+        Guard- and stream-level faults are excluded — their target field
+        names a kernel or a metric, not a workload.
         """
         seen: dict[str, None] = {}
         for spec in self.specs:
-            if (
-                spec.kind in GUARD_KINDS
-                or spec.kind in STREAM_KINDS
-                or spec.kind in SERVE_KINDS
-            ):
+            if spec.kind in GUARD_KINDS or spec.kind in STREAM_KINDS:
                 continue
             seen.setdefault(spec.workload, None)
         return list(seen)
@@ -175,10 +139,6 @@ class FaultPlan:
         """The streaming replay specs; ``workload`` names a metric."""
         return tuple(s for s in self.specs if s.kind in STREAM_KINDS)
 
-    def serve_faults(self) -> tuple[FaultSpec, ...]:
-        """The serve-layer chaos specs; ``workload`` names a slot or model."""
-        return tuple(s for s in self.specs if s.kind in SERVE_KINDS)
-
     @classmethod
     def random(
         cls,
@@ -187,18 +147,11 @@ class FaultPlan:
         corrupt_samples: int = 0,
         drop_metrics: int = 0,
         times: int = 1,
-        hang_seconds: float = 30.0,
         metrics: Sequence[str] = (),
         diverge_kernels: int = 0,
         kernels: Sequence[str] = (),
         drift_injects: int = 0,
         stale_windows: int = 0,
-        worker_crashes: int = 0,
-        worker_hangs: int = 0,
-        rollover_corruptions: int = 0,
-        quota_storms: int = 0,
-        serve_slots: int = 0,
-        serve_models: Sequence[str] = (),
     ) -> "FaultPlan":
         """A seed-driven plan over victims drawn from ``workloads``.
 
@@ -266,48 +219,6 @@ class FaultPlan:
                     window=rng.randrange(1, 4),
                 )
             )
-
-        # ``serve_slots`` sizes the worker fleet the victims are drawn
-        # from; ``serve_models`` names the served models storms and
-        # corrupt rollovers may target.
-        def slot_victim() -> str:
-            return str(rng.randrange(serve_slots)) if serve_slots else "*"
-
-        model_pool = list(serve_models)
-
-        def model_victim() -> str:
-            return rng.choice(model_pool) if model_pool else "*"
-
-        for _ in range(worker_crashes):
-            specs.append(
-                FaultSpec(workload=slot_victim(), kind=WORKER_CRASH, times=times)
-            )
-        for _ in range(worker_hangs):
-            specs.append(
-                FaultSpec(
-                    workload=slot_victim(),
-                    kind=WORKER_HANG,
-                    times=times,
-                    hang_seconds=hang_seconds,
-                )
-            )
-        for _ in range(rollover_corruptions):
-            specs.append(
-                FaultSpec(
-                    workload=model_victim(),
-                    kind=ROLLOVER_CORRUPT_ARTIFACT,
-                    times=times,
-                )
-            )
-        for _ in range(quota_storms):
-            specs.append(
-                FaultSpec(
-                    workload=model_victim(),
-                    kind=QUOTA_STORM,
-                    times=times,
-                    factor=float(rng.choice((4, 8, 16))),
-                )
-            )
         return cls(specs=tuple(specs))
 
 
@@ -322,11 +233,6 @@ __all__ = [
     "FaultSpec",
     "GUARD_KINDS",
     "PARENT_SIDE_KERNELS",
-    "QUOTA_STORM",
-    "ROLLOVER_CORRUPT_ARTIFACT",
-    "SERVE_KINDS",
     "STALE_WINDOW",
     "STREAM_KINDS",
-    "WORKER_CRASH",
-    "WORKER_HANG",
 ]

@@ -1,7 +1,6 @@
-"""SPIRE model serving: micro-batched, supervised HTTP inference.
+"""SPIRE model serving: micro-batched HTTP inference in one process.
 
-The serving layer (PR 9) turns trained models into a long-running
-endpoint; PR 10 makes that endpoint survivable:
+The serving layer turns trained models into a long-running endpoint:
 
 - :mod:`repro.serve.batching` — the adaptive micro-batcher and the
   ``serve.batch_estimate`` guarded kernel: concurrent requests fuse into
@@ -13,50 +12,26 @@ endpoint; PR 10 makes that endpoint survivable:
 - :mod:`repro.serve.server` — the stdlib-asyncio HTTP/JSON front door
   (``spire serve``), with bounded queues, 429 + ``Retry-After``
   backpressure, graceful drain and a probe-able ``/health``;
-- :mod:`repro.serve.quotas` — deterministic token-bucket admission
-  control, per model, surfaced as clean 429s;
-- :mod:`repro.serve.rollover` — hot model installs: stage, verify,
-  canary, atomic swap; corrupt artifacts are quarantined, never served;
-- :mod:`repro.serve.supervisor` — the multi-worker parent: forks N
-  workers sharing one port, restarts crashed/wedged workers with
-  exponential backoff, marks flapping slots stale;
-- :mod:`repro.serve.chaos` — the serve-layer fault harness behind
-  ``spire faultsim --serve``;
 - :mod:`repro.serve.stats` — long-lived-process counters surfaced
   through :class:`~repro.guard.health.HealthReport.serve_state`.
+
+Models are installed when the server starts (``spire serve --model
+name=path``); anything already packed in the store is served too.
 """
 
 from repro.serve.batching import MicroBatcher, batch_estimate, fused_estimate
-from repro.serve.chaos import ChaosHarness, run_serve_chaos
-from repro.serve.quotas import AdmissionController, QuotaPolicy, TokenBucket
 from repro.serve.registry import ModelRegistry, map_model, pack_model
-from repro.serve.rollover import RolloverEvent, RolloverManager
 from repro.serve.server import ServeConfig, SpireServer
 from repro.serve.stats import ServeStats
-from repro.serve.supervisor import (
-    ServeSupervisor,
-    SupervisorConfig,
-    backoff_delay,
-)
 
 __all__ = [
-    "AdmissionController",
-    "ChaosHarness",
     "MicroBatcher",
     "ModelRegistry",
-    "QuotaPolicy",
-    "RolloverEvent",
-    "RolloverManager",
     "ServeConfig",
     "ServeStats",
-    "ServeSupervisor",
     "SpireServer",
-    "SupervisorConfig",
-    "TokenBucket",
-    "backoff_delay",
     "batch_estimate",
     "fused_estimate",
     "map_model",
     "pack_model",
-    "run_serve_chaos",
 ]

@@ -325,26 +325,6 @@ class ModelRegistry:
             _release(stale.mapping)
         return path
 
-    def replace_resident(
-        self, name: str, model: SpireModel, mapping: mmap.mmap
-    ) -> None:
-        """Atomically swap the resident entry for ``name`` (hot rollover).
-
-        The new ``(model, mapping)`` must already be verified — this is
-        the registry-alias flip at the end of a rollover.  The old
-        mapping's reference is dropped; requests still holding the old
-        model object keep its pages alive until they finish, so their
-        responses stay bit-identical to pre-rollover serving.
-        """
-        with self._lock:
-            stale = self._resident.pop(name, None)
-            self._resident[name] = _Resident(model, mapping)
-            evict = self._evict_over_capacity_locked()
-        if stale is not None:
-            _release(stale.mapping)
-        for resident in evict:
-            _release(resident.mapping)
-
     def names(self) -> "list[str]":
         """Models available: resident plus packed on disk, sorted."""
         with self._lock:

@@ -24,13 +24,14 @@ output with the model named in the query string (``?model=...``).
 Backpressure maps to HTTP: a full queue answers ``429`` with a
 ``Retry-After`` header under the default ``reject`` policy, and sheds
 the *oldest* queued request with ``503`` under ``load_shed=oldest``.
+A body over ``max_body`` is answered ``413`` and closes the connection:
+the unread body must never be parsed as the next request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
@@ -48,9 +49,7 @@ from repro.errors import (
 )
 from repro.guard.dispatch import health_report
 from repro.serve.batching import MicroBatcher
-from repro.serve.quotas import AdmissionController, QuotaPolicy
 from repro.serve.registry import ModelRegistry
-from repro.serve.rollover import RolloverManager
 from repro.serve.stats import ServeStats
 from repro.tma.drilldown import drilldown
 from repro.tma.topdown import TopDownAnalyzer
@@ -79,20 +78,9 @@ class ServeConfig:
     work_event: str = "instructions"
     time_event: str = "cycles"
     separator: str = ","
-    # Per-model admission quotas (None entries / no entry = unlimited).
-    quotas: "dict[str, QuotaPolicy] | None" = None
-    default_quota: "QuotaPolicy | None" = None
-    # Supervised-fleet plumbing: SO_REUSEPORT lets N workers share one
-    # port; ``sock`` carries a pre-bound listening socket (the fallback
-    # when REUSEPORT is unavailable — fork-inherited from the parent).
-    reuse_port: bool = False
-    sock: "object | None" = field(default=None, repr=False, compare=False)
-    worker_slot: "int | None" = None
     # Graceful-shutdown budget: how long stop(drain=True) waits for
     # busy handlers to write their final responses.
     drain_timeout: float = 5.0
-    # Chaos only: expose /debug/crash and /debug/hang fault routes.
-    debug_faults: bool = False
 
     def __post_init__(self) -> None:
         if self.max_body < 1:
@@ -108,6 +96,8 @@ class _Request:
     query: "dict[str, str]"
     headers: "dict[str, str]"
     body: bytes
+    # The declared body exceeds ``max_body`` and was left unread.
+    oversized: bool = False
 
 
 @dataclass
@@ -136,23 +126,11 @@ class SpireServer:
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.stats = ServeStats()
-        self.stats.worker_slot = self.config.worker_slot
         self.registry = ModelRegistry(
             self.config.store_dir,
             capacity=self.config.capacity,
             stats=self.stats,
         )
-        self.admission = AdmissionController(
-            policies=self.config.quotas,
-            default=self.config.default_quota,
-            stats=self.stats,
-        )
-        self.rollover = RolloverManager(
-            self.registry, on_swap=self._notify_rollover
-        )
-        #: Supervised workers point this at their control channel so a
-        #: successful install is broadcast to peer workers.
-        self.on_rollover: "object | None" = None
         self.batcher: MicroBatcher | None = None
         if self.config.micro_batch:
             self.batcher = MicroBatcher(
@@ -176,31 +154,15 @@ class SpireServer:
         self._idle_event = asyncio.Event()
         self._idle_event.set()
 
-    def _notify_rollover(self, name: str) -> None:
-        callback = self.on_rollover
-        if callback is not None:
-            callback(name)
-
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.sock is not None:
-            # Fork-inherited listening socket (the no-REUSEPORT fleet
-            # fallback): the kernel load-balances accepts across workers.
-            self._server = await asyncio.start_server(
-                self._handle_client, sock=self.config.sock, limit=_MAX_HEAD
-            )
-        else:
-            kwargs: dict = {}
-            if self.config.reuse_port:
-                kwargs["reuse_port"] = True
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                host=self.config.host,
-                port=self.config.port,
-                limit=_MAX_HEAD,
-                **kwargs,
-            )
+        self._server = await asyncio.start_server(
+            self._handle_client,
+            host=self.config.host,
+            port=self.config.port,
+            limit=_MAX_HEAD,
+        )
         # Port 0 asks the OS for a free port; report the one we got.
         sockets = self._server.sockets or ()
         if sockets:
@@ -279,11 +241,9 @@ class SpireServer:
                     self.stats.note_request()
                     response = await self._dispatch(request)
                     self.stats.note_response(response.status)
-                    if self.config.worker_slot is not None:
-                        response.headers.setdefault(
-                            "X-Spire-Worker", str(self.config.worker_slot)
-                        )
-                    close = (
+                    # An unread oversized body would be parsed as the
+                    # next request: answer once, then hang up.
+                    close = request.oversized or (
                         request.headers.get("connection", "").lower()
                         == "close"
                     )
@@ -345,8 +305,9 @@ class SpireServer:
         if length < 0:
             return None
         if length > self.config.max_body:
-            # Drain nothing; answer 413 and close the connection.
-            return _Request(method, split.path, query, headers, b"\x00")
+            return _Request(
+                method, split.path, query, headers, b"", oversized=True
+            )
         body = await reader.readexactly(length) if length else b""
         return _Request(method, split.path, query, headers, body)
 
@@ -366,11 +327,7 @@ class SpireServer:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(self, request: _Request) -> _Response:
-        if len(request.body) > self.config.max_body or (
-            request.body == b"\x00"
-            and int(request.headers.get("content-length", 0) or 0)
-            > self.config.max_body
-        ):
+        if request.oversized:
             return _Response(413, {"error": "request body too large"})
         try:
             if request.path == "/health":
@@ -387,14 +344,6 @@ class SpireServer:
                 return await self._estimate_route(
                     request, full=request.path == "/v1/analyze"
                 )
-            if request.path == "/v1/models/install":
-                if request.method != "POST":
-                    return _Response(405, {"error": "use POST"})
-                return self._install_route(request)
-            if self.config.debug_faults and request.path == "/debug/crash":
-                return self._debug_crash()
-            if self.config.debug_faults and request.path == "/debug/hang":
-                return self._debug_hang(request)
             return _Response(404, {"error": f"no route {request.path!r}"})
         except ServeOverloadError as exc:
             status = 503 if exc.shed else 429
@@ -432,8 +381,6 @@ class SpireServer:
                 self.batcher.queue_depths() if self.batcher is not None else {}
             ),
         }
-        serve_state["admission"] = self.admission.snapshot()
-        serve_state["rollover"] = self.rollover.snapshot()
         report.serve_state = serve_state
         return _Response(
             200,
@@ -444,57 +391,12 @@ class SpireServer:
             },
         )
 
-    # -- rollover / chaos routes ---------------------------------------
-
-    def _install_route(self, request: _Request) -> _Response:
-        """Hot-install a packed model artifact (stage/verify/canary/swap)."""
-        content_type = request.headers.get("content-type", "").split(";")[0]
-        if content_type != "application/octet-stream":
-            raise _BadRequest(
-                "install expects a packed .spm artifact as "
-                "Content-Type: application/octet-stream"
-            )
-        name = request.query.get("model", "")
-        if not name:
-            raise _BadRequest(
-                "install names the model in the query string (?model=...)"
-            )
-        try:
-            event = self.rollover.install_packed(name, request.body)
-        except DataError as exc:
-            # A rejected artifact is a client-payload problem (422), not
-            # a serving failure: the old model keeps serving untouched.
-            return _Response(
-                422,
-                {"error": str(exc), "rollover": self.rollover.snapshot()},
-            )
-        return _Response(200, {"installed": name, "event": event.to_dict()})
-
-    def _debug_crash(self) -> _Response:
-        """Chaos route: hard-kill this worker shortly after responding."""
-        loop = asyncio.get_running_loop()
-        loop.call_later(0.05, os._exit, 70)
-        return _Response(200, {"crashing": True})
-
-    def _debug_hang(self, request: _Request) -> _Response:
-        """Chaos route: wedge the event loop (heartbeats stop beating)."""
-        try:
-            seconds = float(request.query.get("seconds", "30") or 30.0)
-        except ValueError:
-            raise _BadRequest("'seconds' must be a number") from None
-        seconds = min(max(seconds, 0.0), 120.0)
-        time.sleep(seconds)  # deliberately synchronous: a real wedge
-        return _Response(200, {"hung_for": seconds})
-
     # -- estimation routes ---------------------------------------------
 
     async def _estimate_route(
         self, request: _Request, full: bool
     ) -> _Response:
         name, array, quality, counts = self._decode_body(request)
-        # Admission quotas come before any disk or lane work: a storm on
-        # one model burns its own budget, not the server's.
-        self.admission.admit(name)
         if not self.registry.has(name):
             return _Response(404, {"error": f"unknown model {name!r}"})
         estimate = await self._evaluate(name, array)

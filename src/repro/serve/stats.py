@@ -36,19 +36,12 @@ class ServeStats:
         self.shed = 0
         self.queue_high_water = 0
         self._fill_histogram = [0] * (len(FILL_BUCKETS) + 1)
-        # Admission quotas (repro.serve.quotas).
-        self.quota_rejected = 0
-        self._quota_by_model: "dict[str, int]" = {}
         # Registry lock contention (single-flight cold loads).
         self.lock_contention = 0
         # Graceful-drain accounting (SpireServer.stop(drain=True)).
         self.drains = 0
         self.last_drain_ms = 0.0
         self.drain_flushed = 0
-        # Supervised-fleet snapshot pushed over the heartbeat pipe; None
-        # for a standalone (unsupervised) server.
-        self.worker_slot: "int | None" = None
-        self._fleet: "dict | None" = None
 
     # -- HTTP layer ----------------------------------------------------
 
@@ -90,15 +83,6 @@ class ServeStats:
         with self._lock:
             self.shed += 1
 
-    # -- admission quotas ----------------------------------------------
-
-    def note_quota_rejected(self, model: str) -> None:
-        with self._lock:
-            self.quota_rejected += 1
-            self._quota_by_model[model] = (
-                self._quota_by_model.get(model, 0) + 1
-            )
-
     # -- registry single-flight ----------------------------------------
 
     def note_lock_contention(self) -> None:
@@ -113,24 +97,6 @@ class ServeStats:
             self.drains += 1
             self.last_drain_ms = duration_ms
             self.drain_flushed += flushed
-
-    # -- supervised fleet ----------------------------------------------
-
-    def set_fleet(self, snapshot: "dict | None") -> None:
-        """Adopt the supervisor's latest fleet snapshot (worker side)."""
-        with self._lock:
-            self._fleet = snapshot
-
-    def beat_payload(self) -> dict:
-        """The light per-worker counters a heartbeat carries upstream."""
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "errors": self.errors,
-                "quota_rejected": self.quota_rejected,
-                "rejected": self.rejected,
-                "shed": self.shed,
-            }
 
     # -- reporting -----------------------------------------------------
 
@@ -147,7 +113,7 @@ class ServeStats:
             mean_fill = (
                 self.batched_requests / self.batches if self.batches else 0.0
             )
-            payload = {
+            return {
                 "requests": self.requests,
                 "responses": self.responses,
                 "errors": self.errors,
@@ -162,10 +128,6 @@ class ServeStats:
                     "shed": self.shed,
                     "queue_high_water": self.queue_high_water,
                 },
-                "quotas": {
-                    "rejected": self.quota_rejected,
-                    "per_model": dict(self._quota_by_model),
-                },
                 "lock_contention": self.lock_contention,
                 "drain": {
                     "count": self.drains,
@@ -174,8 +136,3 @@ class ServeStats:
                 },
                 "registry": dict(registry_snapshot or {}),
             }
-            if self.worker_slot is not None:
-                payload["worker"] = self.worker_slot
-            if self._fleet is not None:
-                payload["fleet"] = dict(self._fleet)
-            return payload

@@ -8,8 +8,9 @@ arbitrary request mixes (covered/uncovered metrics, zero counts that
 produce infinite intensity, empty requests) through arbitrary batch
 splits and asserts exact equality.  The rest covers the registry's
 packed-artifact path (zero-copy mmap, LRU eviction, corrupt-on-reload
-quarantine), the backpressure policies, guard degradation, and the HTTP
-front door end to end over real sockets.
+quarantine, single-flight loads), the backpressure policies, batcher
+drain, guard degradation, and the HTTP front door end to end over real
+sockets: request framing, shutdown and drain, quarantine under traffic.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import asyncio
 import json
 import os
 import random
+import threading
 import time
 
 import numpy as np
@@ -391,6 +393,96 @@ class TestMicroBatcher:
         _run(drive())
 
 
+_ROWS = [("m.0", 1.0, 2.0, 1.0), ("m.1", 2.0, 6.0, 1.5)]
+
+
+class TestBatcherDrain:
+    def test_drain_flushes_parked_lanes(self, model):
+        reset_guards(GuardConfig(check_rate=0))
+        array = _array_from_rows(_ROWS)
+        want = model.estimate(array.to_sample_set())
+
+        async def drive():
+            # A huge window: without drain these would sit parked.
+            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            futures = [
+                asyncio.ensure_future(batcher.submit("m", array))
+                for _ in range(3)
+            ]
+            await asyncio.sleep(0.05)
+            flushed = await batcher.drain()
+            results = await asyncio.gather(*futures)
+            return flushed, results
+
+        flushed, results = _run(drive())
+        assert flushed == 3
+        for got in results:
+            assert got.per_metric == want.per_metric
+
+    def test_submit_after_drain_sheds(self, model):
+        array = _array_from_rows(_ROWS)
+
+        async def drive():
+            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            await batcher.drain()
+            with pytest.raises(ServeOverloadError) as excinfo:
+                await batcher.submit("m", array)
+            return excinfo.value
+
+        assert _run(drive()).shed
+
+    def test_close_fails_queued_as_shed(self, model):
+        array = _array_from_rows(_ROWS)
+
+        async def drive():
+            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            future = asyncio.ensure_future(batcher.submit("m", array))
+            await asyncio.sleep(0.05)
+            await batcher.close()
+            with pytest.raises(ServeOverloadError) as excinfo:
+                await future
+            return excinfo.value
+
+        assert _run(drive()).shed  # maps to 503, not 429
+
+
+class TestSingleFlight:
+    def test_concurrent_get_loads_once(self, model, tmp_path, monkeypatch):
+        import repro.serve.registry as registry_module
+
+        registry = ModelRegistry(tmp_path / "store", capacity=4)
+        registry.install("demo", model)
+        registry.evict("demo")
+
+        real_map = registry_module.map_model
+
+        def slow_map(path):
+            time.sleep(0.2)  # hold the load long enough for waiters to pile up
+            return real_map(path)
+
+        monkeypatch.setattr(registry_module, "map_model", slow_map)
+        results, errors = [], []
+
+        def hit():
+            try:
+                results.append(registry.get("demo"))
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hit) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        registry.close()
+
+        assert not errors
+        assert len(results) == 4
+        snap = registry.snapshot()
+        assert snap["loads"] == 1  # one map_model for four callers
+        assert snap["single_flight_waits"] >= 1
+
+
 # ---------------------------------------------------------------------------
 # HTTP front door
 # ---------------------------------------------------------------------------
@@ -431,6 +523,29 @@ def _serve_config(tmp_path, **kwargs) -> ServeConfig:
     kwargs.setdefault("port", 0)
     kwargs.setdefault("store_dir", str(tmp_path / "store"))
     return ServeConfig(**kwargs)
+
+
+def _demo_server(tmp_path, model, **kwargs) -> SpireServer:
+    server = SpireServer(_serve_config(tmp_path, **kwargs))
+    server.registry.install("demo", model)
+    return server
+
+
+def _estimate_body() -> bytes:
+    return json.dumps(
+        {
+            "model": "demo",
+            "samples": [
+                {"metric": m, "time": t, "work": w, "metric_count": c}
+                for m, t, w, c in _ROWS
+            ],
+        }
+    ).encode()
+
+
+def _want_per_metric(model: SpireModel) -> dict:
+    estimate = model.estimate(_array_from_rows(_ROWS).to_sample_set())
+    return json.loads(json.dumps(estimate.per_metric))
 
 
 class TestServer:
@@ -621,6 +736,168 @@ class TestServer:
                 assert payload["ok"]
                 text = render_server_health(payload)
                 assert "serve registry" in text
+            finally:
+                await server.stop()
+
+        _run(drive())
+
+    def test_oversized_body_closes_the_connection(self, model, tmp_path):
+        """A 413 leaves the body unread, so it must end the connection:
+        a body that looks like a request is never answered as one."""
+        server = _demo_server(tmp_path, model, max_body=64)
+        smuggled = b"GET /v1/models HTTP/1.1\r\nX-Pad: " + b"a" * 80 + b"\r\n\r\n"
+        assert len(smuggled) == 116
+        head = (
+            "POST /v1/estimate HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(smuggled)}\r\n"
+            "Connection: keep-alive\r\n\r\n"
+        ).encode()
+
+        async def drive():
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.config.host, server.port
+            )
+            try:
+                writer.write(head + smuggled)
+                await writer.drain()
+                header = await reader.readuntil(b"\r\n\r\n")
+                lines = header.decode("latin-1").split("\r\n")
+                headers = {
+                    key.strip().lower(): value.strip()
+                    for key, _, value in (
+                        line.partition(":") for line in lines[1:] if line
+                    )
+                }
+                payload = await reader.readexactly(
+                    int(headers["content-length"])
+                )
+                # EOF reads b""; a second response fails the assert and
+                # a connection left open times out.
+                rest = await asyncio.wait_for(reader.read(65536), 5.0)
+                return lines[0], headers, payload, rest
+            finally:
+                writer.close()
+                await server.stop()
+
+        status_line, headers, payload, rest = _run(drive())
+        assert status_line.split(" ")[1] == "413"
+        assert headers["connection"] == "close"
+        assert "too large" in json.loads(payload)["error"]
+        assert rest == b""
+
+
+class TestServerRobustness:
+    def test_stop_answers_queued_requests_with_503(self, model, tmp_path):
+        """Shutdown with parked lanes: queued requests get 503, not a hang."""
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model, window=30.0, max_batch=8)
+
+        async def drive():
+            await server.start()
+            request = asyncio.ensure_future(
+                _http(
+                    server.config.host, server.port, "POST", "/v1/estimate",
+                    _estimate_body(),
+                )
+            )
+            await asyncio.sleep(0.3)  # parked in the 30 s batch window
+            started = time.perf_counter()
+            await server.stop()
+            elapsed = time.perf_counter() - started
+            status, payload, _ = await request
+            return elapsed, status, payload
+
+        elapsed, status, payload = _run(drive())
+        assert elapsed < 10.0  # far below the 30 s window: lanes flushed
+        assert status == 503
+        assert "error" in payload
+
+    def test_graceful_drain_completes_queued_requests(self, model, tmp_path):
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model, window=30.0, max_batch=8)
+
+        async def drive():
+            await server.start()
+            request = asyncio.ensure_future(
+                _http(
+                    server.config.host, server.port, "POST", "/v1/estimate",
+                    _estimate_body(),
+                )
+            )
+            await asyncio.sleep(0.3)
+            await server.stop(drain=True)
+            status, payload, _ = await request
+            return status, payload, server.stats.snapshot()
+
+        status, payload, stats = _run(drive())
+        assert status == 200
+        assert payload["per_metric"] == _want_per_metric(model)
+        assert stats["drain"]["count"] == 1
+        assert stats["drain"]["flushed"] >= 1
+
+    def test_quarantine_under_traffic(self, model, tmp_path, capsys):
+        """Corrupting the artifact mid-service yields a clean 503 +
+        quarantine that the doctor reports, and a good reinstall
+        recovers — never a 500."""
+        from repro.cli import main
+        from repro.guard.doctor import probe_server, server_health_problems
+
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model, window=0.001)
+        body = _estimate_body()
+        want = _want_per_metric(model)
+        artifact = tmp_path / "store" / "demo.spm"
+
+        async def drive():
+            await server.start()
+            host, port = server.config.host, server.port
+            url = f"http://{host}:{port}"
+            try:
+                status, payload, _ = await _http(
+                    host, port, "POST", "/v1/estimate", body
+                )
+                assert status == 200
+                assert payload["per_metric"] == want
+
+                # Corrupt the packed artifact on disk, then force the
+                # next request to remap it from the store.
+                blob = artifact.read_bytes()
+                artifact.write_bytes(blob[: len(blob) // 2])
+                server.registry.evict("demo")
+
+                status, payload, headers = await _http(
+                    host, port, "POST", "/v1/estimate", body
+                )
+                assert status == 503  # model unavailable, not a 500
+                assert "retry-after" in headers
+                assert "demo" in payload["error"]
+                quarantine = tmp_path / "store" / ".quarantine"
+                assert any(quarantine.iterdir())
+                assert server.registry.snapshot()["verify_failures"] == 1
+
+                # The doctor reports the quarantine and fails the probe.
+                health = await asyncio.to_thread(probe_server, url)
+                assert any(
+                    "failed verification" in problem
+                    for problem in server_health_problems(health)
+                )
+                capsys.readouterr()
+                code = await asyncio.to_thread(
+                    main, ["doctor", "--serve-url", url]
+                )
+                assert code == 1
+                assert "PROBLEM" in capsys.readouterr().out
+
+                # A good reinstall recovers, bit-identically.
+                server.registry.install("demo", model)
+                status, payload, _ = await _http(
+                    host, port, "POST", "/v1/estimate", body
+                )
+                assert status == 200
+                assert payload["per_metric"] == want
             finally:
                 await server.stop()
 
