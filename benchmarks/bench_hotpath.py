@@ -16,12 +16,6 @@ Results land in ``BENCH_hotpath.json``.  Speedups are recorded, not
 asserted — wall-clock gates flake across hosts (see ``bench_pipeline``);
 the CI smoke job runs the small scale purely for the equivalence check.
 
-The guarded dispatch layer (``repro.guard``) samples oracle checks on
-the vectorized path at ``SPIRE_GUARD_RATE`` (default 256).  Each scale
-also times the vectorized path with guards disabled (rate 0) and records
-``guard_overhead_pct`` — the wall-clock cost of the default sampling
-rate, budgeted at <= 5%.
-
 Environment knobs:
 
 - ``SPIRE_BENCH_HOTPATH_FULL=0`` — skip the full-scale measurement (CI).
@@ -37,7 +31,7 @@ from contextlib import contextmanager
 from conftest import write_artifact
 
 from repro.core import SampleSet, SpireModel
-from repro.guard.dispatch import health_report, reset_guards
+from repro.guard.dispatch import reset_guards
 
 TOLERANCE = 1e-9
 
@@ -80,34 +74,6 @@ def guard_rate(rate: int | None):
         else:
             os.environ["SPIRE_GUARD_RATE"] = previous
         reset_guards()
-
-
-def measure_guard_overhead(run_pass, repeats: int = 3) -> dict:
-    """Vectorized wall clock with default-rate guards vs guards off.
-
-    ``run_pass`` runs one vectorized pass and returns its wall-clock
-    seconds; best-of-N on both sides keeps the comparison noise-bounded.
-    """
-    timings = {}
-    checks = 0
-    for label, rate in (("unguarded", 0), ("guarded", None)):
-        with guard_rate(rate):
-            best = min(run_pass() for _ in range(repeats))
-            if label == "guarded":
-                checks = health_report().checks_run
-        timings[f"{label}_s"] = round(best, 4)
-    overhead = 0.0
-    if timings["unguarded_s"] > 0:
-        overhead = (
-            (timings["guarded_s"] - timings["unguarded_s"])
-            / timings["unguarded_s"]
-            * 100.0
-        )
-    return {
-        **timings,
-        "oracle_checks": checks,
-        "guard_overhead_pct": round(overhead, 2),
-    }
 
 
 def _train_and_estimate(train_records, test_record_sets):
@@ -198,18 +164,7 @@ def _measure(train_records, test_record_sets, repeats: int = 3) -> dict:
             2,
         ),
         "speedup_total": round(scalar_total / vector_total, 2),
-        "guard": measure_guard_overhead(
-            lambda: _total_pass_seconds(train_records, test_record_sets),
-            repeats=repeats,
-        ),
     }
-
-
-def _total_pass_seconds(train_records, test_record_sets) -> float:
-    _, _, train_s, estimate_s = _train_and_estimate(
-        train_records, test_record_sets
-    )
-    return train_s + estimate_s
 
 
 def test_hotpath_scalar_vs_vectorized(experiment, out_dir):

@@ -5,8 +5,7 @@ independently (§IV).  The runner executes them in one process, fused
 into one mega-batch, and this bench measures:
 
 - **fused vs per-workload** simulation of the full task list, with a
-  bit-identical-output check (the same equivalence the runner's
-  ``fused_experiment`` guard samples in production);
+  bit-identical-output check against the scalar per-workload oracle;
 - the whole experiment at ``jobs=1`` and ``jobs="auto"``, which must be
   bit-identical.
 

@@ -1,25 +1,19 @@
 """Simulation-substrate bench: scalar per-uop loop vs columnar kernels.
 
-The vectorized simulation substrate (``repro.trace.trace_array`` plus the
-array kernels behind ``TracePipeline.execute_array`` and the batched
-``CoreModel.simulate_run``) claims cold trace simulation without changing
-a single counter.  This bench measures both claims:
+The vectorized trace substrate (``repro.trace.trace_array`` plus the
+array kernels behind ``TracePipeline.execute_array``) claims faster cold
+trace simulation without changing a single counter.  This bench measures
+both claims:
 
 - the scalar reference path (``SPIRE_SCALAR_FALLBACK=1``) and the
   vectorized default run ``collect_trace_samples`` cold (fresh pipeline,
   fresh trace) over every kernel, small scale and full paper scale;
 - both paths must agree **bit-exactly**: identical final counters and
-  identical sample records for every kernel, plus identical
-  ``simulate_run`` activities from the statistical substrate.
+  identical sample records for every kernel.
 
 Results land in ``BENCH_sim.json``.  Speedups are recorded, not asserted
 — wall-clock gates flake across hosts (see ``bench_pipeline``); the CI
 sim-bench job runs the small scale purely for the equivalence check.
-
-The guarded dispatch layer (``repro.guard``) samples oracle checks on
-the vectorized substrate at ``SPIRE_GUARD_RATE`` (default 256); each
-scale records ``guard_overhead_pct`` against a guards-off (rate 0) pass,
-budgeted at <= 5%.
 
 Environment knobs:
 
@@ -30,23 +24,15 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
-from dataclasses import fields
 
 from conftest import write_artifact
 
 from repro.trace import phases
 from repro.trace.kernels import KERNELS
 from repro.trace.sampling import collect_trace_samples
-from repro.uarch.activity import WindowActivity
-from repro.uarch.config import skylake_gold_6126
-from repro.uarch.core import CoreModel
-from repro.workloads import all_workloads
 
-from bench_hotpath import measure_guard_overhead, scalar_fallback
-
-_ACTIVITY_FIELDS = tuple(spec.name for spec in fields(WindowActivity))
+from bench_hotpath import scalar_fallback
 
 
 def _run_kernels(n_uops: int, window_uops: int):
@@ -98,31 +84,8 @@ def _assert_trace_equivalent(scalar_runs, vector_runs) -> None:
         assert scalar_records == vector_records, kernel
 
 
-def _run_uarch(repeats: int):
-    """Batched ``simulate_run`` over every suite workload's phase specs."""
-    core = CoreModel(skylake_gold_6126())
-    specs = [
-        phase.spec if hasattr(phase, "spec") else phase
-        for workload in all_workloads()
-        for phase in workload.phases
-    ] * repeats
-    rng = random.Random(17)
-    started = time.perf_counter()
-    activities = core.simulate_run(specs, rng)
-    elapsed = time.perf_counter() - started
-    return activities, elapsed
-
-
-def _assert_uarch_equivalent(scalar_acts, vector_acts) -> None:
-    assert len(scalar_acts) == len(vector_acts)
-    for scalar_act, vector_act in zip(scalar_acts, vector_acts):
-        for name in _ACTIVITY_FIELDS:
-            assert getattr(scalar_act, name) == getattr(vector_act, name), name
-
-
-def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
+def _measure(n_uops: int, window_uops: int) -> dict:
     runs = {}
-    activities = {}
     timings = {}
     phase_split = {}
     for label, enabled in (("scalar", True), ("vectorized", False)):
@@ -130,16 +93,10 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
             kernel_runs, trace_s, phase_totals = _run_kernels(
                 n_uops, window_uops
             )
-            acts, uarch_s = _run_uarch(uarch_repeats)
         runs[label] = kernel_runs
-        activities[label] = acts
-        timings[label] = {
-            "trace_s": round(trace_s, 4),
-            "uarch_s": round(uarch_s, 4),
-        }
+        timings[label] = {"trace_s": round(trace_s, 4)}
         phase_split[label] = _phase_summary(phase_totals)
     _assert_trace_equivalent(runs["scalar"], runs["vectorized"])
-    _assert_uarch_equivalent(activities["scalar"], activities["vectorized"])
 
     # Both sides of speedup_pipeline time the same work, the pipeline
     # over every uop: the scalar label spends it in the per-MicroOp
@@ -152,7 +109,6 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
         "kernels": len(KERNELS),
         "n_uops": n_uops,
         "window_uops": window_uops,
-        "uarch_windows": len(activities["vectorized"]),
         **timings,
         "phases": phase_split,
         "speedup_trace": round(
@@ -161,35 +117,20 @@ def _measure(n_uops: int, window_uops: int, uarch_repeats: int) -> dict:
         "speedup_pipeline": round(scalar_execute / vector_blocks, 2)
         if vector_blocks
         else None,
-        "speedup_uarch": round(
-            timings["scalar"]["uarch_s"] / timings["vectorized"]["uarch_s"], 2
-        ),
-        "guard": measure_guard_overhead(
-            lambda: _vector_pass_seconds(n_uops, window_uops, uarch_repeats),
-            repeats=2,
-        ),
     }
-
-
-def _vector_pass_seconds(n_uops: int, window_uops: int, uarch_repeats: int):
-    _, trace_s, _ = _run_kernels(n_uops, window_uops)
-    _, uarch_s = _run_uarch(uarch_repeats)
-    return trace_s + uarch_s
 
 
 def test_sim_scalar_vs_vectorized(out_dir):
     # Small scale: always runs (this is what the CI sim-bench job
     # executes for the equivalence gate).
-    small = _measure(n_uops=8_000, window_uops=1_000, uarch_repeats=5)
+    small = _measure(n_uops=8_000, window_uops=1_000)
 
     payload = {"cpu_count": os.cpu_count(), "small": small}
 
     # Full paper scale: the default collect_trace_samples geometry
     # (60k uops x 5 intensities, 4k-uop windows) on every kernel.
     if os.environ.get("SPIRE_BENCH_SIM_FULL", "1") != "0":
-        payload["full"] = _measure(
-            n_uops=60_000, window_uops=4_000, uarch_repeats=40
-        )
+        payload["full"] = _measure(n_uops=60_000, window_uops=4_000)
 
     text = json.dumps(payload, indent=2)
     print()

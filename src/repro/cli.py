@@ -357,14 +357,14 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
     """Fault-injection smoke: inject failures, prove the pipeline survives.
 
     Exit code 0 means the experiment completed under injection AND every
-    injected fault left its trace: a quarantined sample, a dropped
-    metric, a tripped kernel.
+    injected fault left its trace: a quarantined sample or a dropped
+    metric.
     """
     import warnings
 
     from repro.errors import DegradedDataWarning
     from repro.pipeline import run_experiment, run_experiment_with_report
-    from repro.runtime.faults import CORRUPT_SAMPLE, DROP_METRIC, FaultPlan
+    from repro.runtime.faults import CORRUPT_SAMPLE, FaultPlan
     from repro.workloads import all_workloads
 
     if args.drift:
@@ -381,7 +381,6 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
         seed=args.fault_seed,
         corrupt_samples=args.corrupt_samples,
         drop_metrics=args.drop_metrics,
-        diverge_kernels=args.diverge_kernels,
     )
     print(f"fault plan ({len(plan)} fault(s), seed {args.fault_seed}):")
     for spec in plan.specs:
@@ -407,12 +406,12 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 
     # Verification: every injected fault must have left a trace.  A
     # collector fault degrades its victim's quality report (unless the
-    # victim itself was skipped); a divergence trips its kernel.
+    # victim itself was skipped).
     runs = result.training_runs | result.testing_runs
     missing = []
     for spec in plan.specs:
         run = runs.get(spec.workload)
-        if run is None or spec.kind not in (CORRUPT_SAMPLE, DROP_METRIC):
+        if run is None:
             continue
         quality = run.collection.quality
         if spec.kind == CORRUPT_SAMPLE:
@@ -421,20 +420,16 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
             traced = quality is not None and quality.dropped_metrics
         if not traced:
             missing.append(f"{spec.kind} on {spec.workload}")
-    health = report.health
-    for spec in plan.diverge_kernels():
-        tripped = health is not None and spec.workload in health.tripped_kernels
-        if not tripped:
-            missing.append(f"{spec.kind} on {spec.workload}")
-
     divergent = []
     if baseline is not None:
-        # Survivors must be bit-identical to the fault-free run.
+        # Survivors no fault targeted must be bit-identical to the
+        # fault-free run.
+        victims = set(plan.injected_workloads())
         for name, run in runs.items():
             ref = baseline.training_runs.get(name) or baseline.testing_runs.get(
                 name
             )
-            if ref is None:
+            if ref is None or name in victims:
                 continue
             same = (
                 run.measured_ipc == ref.measured_ipc
@@ -786,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "faultsim",
-        help="inject corruption and divergences and prove the pipeline survives",
+        help="inject corruption and prove the pipeline survives",
     )
     p.add_argument("--train-windows", type=int, default=48)
     p.add_argument("--test-windows", type=int, default=24)
@@ -800,16 +795,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-samples", type=int, default=1)
     p.add_argument("--drop-metrics", type=int, default=0)
     p.add_argument(
-        "--diverge-kernels",
-        type=int,
-        default=0,
-        help="inject oracle divergences into this many guarded kernels",
-    )
-    p.add_argument(
         "--verify-baseline",
         action="store_true",
-        help="run a fault-free baseline and require surviving "
-        "workloads to be bit-identical to it",
+        help="run a fault-free baseline and require every surviving "
+        "workload no fault targeted to be bit-identical to it",
     )
     p.add_argument(
         "--failure-policy",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.guard.dispatch import guarded_call
+from repro.fastpath import scalar_fallback_enabled
 
 NEGATIVE_METRIC = "negative"   # throughput increases with I_x (e.g. stalls)
 POSITIVE_METRIC = "positive"   # throughput decreases with I_x (e.g. DSB hits)
@@ -130,20 +130,16 @@ def detect_direction(
     :data:`MIXED`.  ``threshold`` is the absolute Spearman correlation
     required to commit to a monotone direction.
 
-    Dispatches through the ``"direction"`` kernel guard (see
-    :mod:`repro.guard.dispatch`): sampled calls are replayed through the
-    scalar reference and a divergence trips this kernel to scalar.
+    Takes the vectorized path unless ``SPIRE_SCALAR_FALLBACK`` forces
+    the scalar reference.
     """
     pts = list(points)
-    return guarded_call(
-        "direction",
-        fast=lambda: detect_direction_arrays(
-            np.asarray([p[0] for p in pts], dtype=np.float64),
-            np.asarray([p[1] for p in pts], dtype=np.float64),
-            threshold=threshold,
-        ),
-        oracle=lambda: _detect_direction_scalar(pts, threshold),
-        compare=lambda a, b: a == b,
+    if scalar_fallback_enabled():
+        return _detect_direction_scalar(pts, threshold)
+    return detect_direction_arrays(
+        np.asarray([p[0] for p in pts], dtype=np.float64),
+        np.asarray([p[1] for p in pts], dtype=np.float64),
+        threshold=threshold,
     )
 
 

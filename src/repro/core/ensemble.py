@@ -23,13 +23,11 @@ from repro.core.roofline import (
     RooflineFitOptions,
     fit_metric_roofline,
     fit_metric_roofline_arrays,
-    fit_metric_roofline_scalar,
-    rooflines_equivalent,
 )
 from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import QualityReport, SampleSanitizer
 from repro.errors import DegradedDataWarning, EstimationError, FitError
-from repro.guard.dispatch import guarded_call, kernel_guard
+from repro.fastpath import scalar_fallback_enabled
 from repro.guard.guardrails import (
     check_bound_violation,
     check_estimates,
@@ -174,7 +172,7 @@ class SpireModel:
                 )
             raise FitError("every training sample was quarantined")
 
-        if not kernel_guard("train").use_fast():
+        if scalar_fallback_enabled():
             groups = list(sample_set.grouped().items())
             fitted = [
                 fit_metric_roofline(group, options=opts.roofline)
@@ -191,24 +189,11 @@ class SpireModel:
             groups = list(array.group_indices().items())
             # Columnar fits slice the pooled intensity/throughput
             # columns directly — no per-group SampleArray construction.
-            # Each fit dispatches through the "train" kernel guard: sampled
-            # calls replay the retained scalar fit on the same group and a
-            # divergence trips training to scalar for the process.
             intensity, throughput = array.intensity, array.throughput
             fitted = [
-                guarded_call(
-                    "train",
-                    fast=lambda metric=metric, rows=rows: fit_metric_roofline_arrays(
-                        metric,
-                        intensity[rows],
-                        throughput[rows],
-                        options=opts.roofline,
-                    ),
-                    oracle=lambda rows=rows: fit_metric_roofline_scalar(
-                        list(array.select(rows).iter_samples()), opts.roofline
-                    ),
-                    compare=rooflines_equivalent,
-                    detail=f"metric {metric!r}",
+                fit_metric_roofline_arrays(
+                    metric, intensity[rows], throughput[rows],
+                    options=opts.roofline,
                 )
                 for metric, rows in groups
             ]
@@ -257,16 +242,17 @@ class SpireModel:
 
         Samples of metrics absent from the ensemble are skipped (collected
         in ``skipped_metrics``) unless ``strict`` is set, in which case
-        they raise :class:`EstimationError`.
+        they raise :class:`EstimationError`.  Takes the columnar path
+        unless ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference.
         """
         sample_set = _as_sample_set(samples)
         if not sample_set:
             raise EstimationError("cannot estimate from an empty sample set")
 
-        per_metric, counts, skipped = guarded_call(
-            "estimate",
-            fast=lambda: self._estimate_columnar(sample_set, strict),
-            oracle=lambda: self._estimate_scalar(sample_set, strict),
+        per_metric, counts, skipped = (
+            self._estimate_scalar(sample_set, strict)
+            if scalar_fallback_enabled()
+            else self._estimate_columnar(sample_set, strict)
         )
         if not per_metric:
             raise EstimationError(
@@ -394,13 +380,13 @@ def mean_absolute_bound_violation(
 
     Zero for training data (the fit is an upper bound by construction);
     positive values on held-out data quantify how often reality beat the
-    learned bound.  Used by the ablation benchmarks.
+    learned bound.  Used by the ablation benchmarks.  Takes the columnar
+    path unless ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference.
     """
-    result = guarded_call(
-        "estimate",
-        fast=lambda: _bound_violation_columnar(model, samples),
-        oracle=lambda: _bound_violation_scalar(model, samples),
-        detail="bound violation",
+    result = (
+        _bound_violation_scalar(model, samples)
+        if scalar_fallback_enabled()
+        else _bound_violation_columnar(model, samples)
     )
     check_bound_violation(result)
     return result

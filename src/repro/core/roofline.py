@@ -32,7 +32,7 @@ from repro.core.right_fit import (
 )
 from repro.core.sample import Sample, time_weighted_average
 from repro.errors import FitError
-from repro.guard.dispatch import approx_equal, guarded_call
+from repro.fastpath import scalar_fallback_enabled
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
 
 
@@ -195,23 +195,6 @@ class MetricRoofline:
         )
 
 
-def rooflines_equivalent(
-    a: MetricRoofline, b: MetricRoofline, rel: float = 1e-9
-) -> bool:
-    """Oracle comparison for guarded fits: same shape within tolerance."""
-    return (
-        a.metric == b.metric
-        and a.direction == b.direction
-        and a.sample_count == b.sample_count
-        and a.infinite_sample_count == b.infinite_sample_count
-        and approx_equal(
-            a.to_dict(include_training=True),
-            b.to_dict(include_training=True),
-            rel,
-        )
-    )
-
-
 def fit_metric_roofline(
     samples: Iterable[Sample],
     options: RooflineFitOptions | None = None,
@@ -219,11 +202,9 @@ def fit_metric_roofline(
     """Train one metric roofline from its group of samples (Figure 3).
 
     Accepts an iterable of :class:`Sample` objects or a columnar
-    :class:`~repro.core.columns.SampleArray`.  Dispatches through the
-    ``"train"`` kernel guard (:mod:`repro.guard.dispatch`): the vectorized
-    kernels run unless the guard has tripped or ``SPIRE_SCALAR_FALLBACK``
-    forces the scalar reference path, and sampled calls are replayed
-    through :func:`fit_metric_roofline_scalar` and compared to tolerance.
+    :class:`~repro.core.columns.SampleArray`.  The vectorized kernels run
+    unless ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference,
+    :func:`fit_metric_roofline_scalar`.
 
     Raises :class:`FitError` when the group is empty or the samples belong
     to more than one metric.
@@ -242,18 +223,13 @@ def fit_metric_roofline(
                 f"mixed metrics in one roofline group: "
                 f"{samples.metric_names[first]!r} and {other!r}"
             )
-        array = samples
-        metric = array.metric_names[first]
-        return guarded_call(
-            "train",
-            fast=lambda: fit_metric_roofline_arrays(
-                metric, array.intensity, array.throughput, options=opts
-            ),
-            oracle=lambda: fit_metric_roofline_scalar(
-                list(array.iter_samples()), opts
-            ),
-            compare=rooflines_equivalent,
-            detail=f"metric {metric!r}",
+        if scalar_fallback_enabled():
+            return fit_metric_roofline_scalar(list(samples.iter_samples()), opts)
+        return fit_metric_roofline_arrays(
+            samples.metric_names[first],
+            samples.intensity,
+            samples.throughput,
+            options=opts,
         )
     sample_list = list(samples)
     if not sample_list:
@@ -265,17 +241,13 @@ def fit_metric_roofline(
                 f"mixed metrics in one roofline group: {metric!r} and "
                 f"{sample.metric!r}"
             )
-    return guarded_call(
-        "train",
-        fast=lambda: fit_metric_roofline_arrays(
-            metric,
-            np.asarray([s.intensity for s in sample_list], dtype=np.float64),
-            np.asarray([s.throughput for s in sample_list], dtype=np.float64),
-            options=opts,
-        ),
-        oracle=lambda: fit_metric_roofline_scalar(sample_list, opts),
-        compare=rooflines_equivalent,
-        detail=f"metric {metric!r}",
+    if scalar_fallback_enabled():
+        return fit_metric_roofline_scalar(sample_list, opts)
+    return fit_metric_roofline_arrays(
+        metric,
+        np.asarray([s.intensity for s in sample_list], dtype=np.float64),
+        np.asarray([s.throughput for s in sample_list], dtype=np.float64),
+        options=opts,
     )
 
 
@@ -283,7 +255,7 @@ def fit_metric_roofline_scalar(
     sample_list: list[Sample],
     opts: RooflineFitOptions,
 ) -> MetricRoofline:
-    """The retained scalar reference fit (the guard's oracle).
+    """The retained scalar reference fit (the fallback path's oracle).
 
     ``sample_list`` must be non-empty and single-metric — the dispatcher
     validates before routing here.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.core.columns import SampleArray
 from repro.core.sample import Sample, SampleSet
-from repro.guard.dispatch import guarded_call
+from repro.fastpath import scalar_fallback_enabled
 
 __all__ = [
     "QualityReport",
@@ -182,39 +182,6 @@ def _check_values(time: float, work: float, metric_count: float) -> str | None:
     return None
 
 
-def _same_quarantine(a: QuarantinedSample, b: QuarantinedSample) -> bool:
-    """Field-wise equality where NaN values (the common case) match."""
-
-    def same(x: float, y: float) -> bool:
-        return x == y or (math.isnan(x) and math.isnan(y))
-
-    return (
-        a.metric == b.metric
-        and a.reason == b.reason
-        and same(a.time, b.time)
-        and same(a.work, b.work)
-        and same(a.metric_count, b.metric_count)
-    )
-
-
-def _same_sanitize_result(a, b) -> bool:
-    """Oracle comparison for guarded sanitize: sets and reports identical."""
-    set_a, report_a = a
-    set_b, report_b = b
-    if set_a.to_records() != set_b.to_records():
-        return False
-    return (
-        report_a.total == report_b.total
-        and report_a.kept == report_b.kept
-        and report_a.dropped_metrics == report_b.dropped_metrics
-        and len(report_a.quarantined) == len(report_b.quarantined)
-        and all(
-            _same_quarantine(qa, qb)
-            for qa, qb in zip(report_a.quarantined, report_b.quarantined)
-        )
-    )
-
-
 class SampleSanitizer:
     """Screens raw measurements into a clean sample set plus a report.
 
@@ -249,30 +216,20 @@ class SampleSanitizer:
         strict constructor's ``DataError``.
 
         Columnar input (:class:`~repro.core.columns.SampleArray`, or a
-        :class:`SampleSet` whose columns are available) dispatches through
-        the ``"sanitize"`` kernel guard: the vectorized path runs unless
-        the guard has tripped or ``SPIRE_SCALAR_FALLBACK`` forces the
-        scalar reference loop, and sampled calls are replayed through the
-        scalar loop and compared — identical clean sets and reports.
+        :class:`SampleSet` whose columns are available) takes the
+        vectorized path unless ``SPIRE_SCALAR_FALLBACK`` forces the
+        retained scalar reference loop.
         """
         if isinstance(samples, SampleArray):
-            array = samples
-            return guarded_call(
-                "sanitize",
-                fast=lambda: self._sanitize_columnar(array),
+            if scalar_fallback_enabled():
                 # Dirty rows must quarantine, not raise, so feed the scalar
                 # loop mapping records rather than strict Sample objects.
-                oracle=lambda: self._sanitize_scalar(array.to_records()),
-                compare=_same_sanitize_result,
-            )
+                return self._sanitize_scalar(samples.to_records())
+            return self._sanitize_columnar(samples)
         if isinstance(samples, SampleSet):
-            sample_set = samples
-            return guarded_call(
-                "sanitize",
-                fast=lambda: self._sanitize_columnar(sample_set.columns()),
-                oracle=lambda: self._sanitize_scalar(sample_set),
-                compare=_same_sanitize_result,
-            )
+            if scalar_fallback_enabled():
+                return self._sanitize_scalar(samples)
+            return self._sanitize_columnar(samples.columns())
         return self._sanitize_scalar(samples)
 
     def _sanitize_columnar(

@@ -9,9 +9,14 @@ benchmark and by anyone bisecting a numerical discrepancy.  The flag is
 read at call time so a single process can compare both paths.
 
 :func:`force_scalar` is the in-process equivalent, scoped to the current
-thread: the guarded-dispatch layer (:mod:`repro.guard`) wraps its oracle
-replays in it so that *every* nested dispatch point — not just the kernel
-under check — takes the scalar reference path while the oracle runs.
+thread: ``serve.batch_estimate``'s runtime guard (:mod:`repro.guard`)
+wraps its oracle replay in it so that *every* nested dispatch point takes
+the scalar reference path while the oracle runs, and tests use it to
+compare both paths.
+
+Each vectorized kernel picks its path on this one switch; only the two
+kernels whose inputs arrive at run time (``serve.batch_estimate`` and
+``stream.update``) also sample oracle checks at run time.
 """
 
 from __future__ import annotations

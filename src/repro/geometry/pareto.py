@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.guard.dispatch import guarded_call
+from repro.fastpath import scalar_fallback_enabled
 from repro.guard.guardrails import check_pareto_front
 
 
@@ -61,18 +61,14 @@ def pareto_front(
 
     Duplicate points are collapsed to a single representative.
 
-    Dispatches through the ``"pareto"`` kernel guard: sampled calls are
-    replayed through the scalar reference and compared exactly; a
-    divergence trips this kernel to the scalar path for the rest of the
-    process.  The returned front is also screened by the monotonicity
-    guardrail.
+    Takes the vectorized path unless ``SPIRE_SCALAR_FALLBACK`` forces
+    the scalar reference.  The returned front is screened by the
+    monotonicity guardrail.
     """
     pts = list(points)
-    front = guarded_call(
-        "pareto",
-        fast=lambda: _pareto_front_fast(pts),
-        oracle=lambda: _pareto_front_scalar(pts),
-        compare=lambda a, b: a == b,
+    front = (
+        _pareto_front_scalar(pts) if scalar_fallback_enabled()
+        else _pareto_front_fast(pts)
     )
     check_pareto_front(front)
     return front

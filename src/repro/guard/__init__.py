@@ -1,11 +1,12 @@
 """Runtime self-verification and graceful degradation (``repro.guard``).
 
 Five pieces, built for the property production serving stacks have —
-every optimized path is checked in production and degrades per-component,
-not globally:
+every kernel that sees run-time inputs is checked in production and
+degrades per-component, not globally:
 
-- :mod:`repro.guard.dispatch` — per-kernel guarded dispatch: sampled
-  scalar-oracle checks with a circuit breaker per vectorized kernel;
+- :mod:`repro.guard.dispatch` — guarded dispatch for the two kernels
+  whose inputs arrive at run time (``serve.batch_estimate`` and
+  ``stream.update``): sampled oracle checks with a circuit breaker each;
 - :mod:`repro.guard.guardrails` — cheap stage-boundary numeric invariant
   checks;
 - :mod:`repro.guard.artifact` — integrity headers, checksum verification
@@ -25,7 +26,6 @@ from repro.guard.dispatch import (
     GuardConfig,
     KernelGuard,
     approx_equal,
-    guarded_call,
     health_report,
     inject_divergence,
     kernel_guard,
@@ -51,7 +51,6 @@ __all__ = [
     "KernelGuard",
     "KernelHealth",
     "approx_equal",
-    "guarded_call",
     "health_report",
     "inject_divergence",
     "kernel_guard",

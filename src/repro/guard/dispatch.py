@@ -1,31 +1,29 @@
-"""Per-kernel guarded dispatch with sampled oracle checks.
+"""Guarded dispatch with sampled oracle checks, for run-time inputs.
 
-PRs 3–4 left every vectorized kernel with its scalar reference
-implementation intact, but the only dispatch control was the global
-``SPIRE_SCALAR_FALLBACK`` switch — all-or-nothing, and never *checked* at
-runtime.  This module makes the oracle discipline the benches apply
-offline into a runtime layer:
+Two vectorized kernels see inputs that arrive at run time rather than
+from a seeded generator: ``serve.batch_estimate`` (fused micro-batch
+estimation over HTTP request bodies) and ``stream.update`` (incremental
+refits over pushed counter chunks).  Each dispatches through a named
+:class:`KernelGuard` from a process-wide registry:
 
-- every vectorized kernel dispatches through a named :class:`KernelGuard`
-  from a process-wide registry;
 - a deterministic sample of calls (every ``check_rate``-th, with a
   seed-driven per-kernel offset) replays the same inputs through the
-  retained scalar oracle under :func:`repro.fastpath.force_scalar` and
-  compares the results to tolerance;
+  kernel's oracle and compares the results;
 - on divergence the guard records a
   :class:`~repro.guard.health.DivergenceEvent` and trips that kernel's
-  breaker: the kernel runs its scalar path for the rest of the process
-  while every other kernel stays fast.  (``SPIRE_GUARD_POLICY=raise``
-  raises :class:`~repro.errors.GuardDivergenceError` instead.)
+  breaker: the kernel runs its oracle path for the rest of the process
+  while the other stays fast.  (``SPIRE_GUARD_POLICY=raise`` raises
+  :class:`~repro.errors.GuardDivergenceError` instead.)
 
-Configuration is environment-driven so worker processes inherit it:
-``SPIRE_GUARD_RATE`` (default 256; ``1`` checks every call, ``0`` never
-checks), ``SPIRE_GUARD_RATE_<KERNEL>`` per-kernel overrides (kernel name
-upper-cased, dots to underscores), ``SPIRE_GUARD_SEED``,
+Every other vectorized kernel keeps its scalar oracle as a test-time
+reference, reached through ``SPIRE_SCALAR_FALLBACK=1``
+(:mod:`repro.fastpath`) rather than sampled at run time.
+
+Configuration is environment-driven: ``SPIRE_GUARD_RATE`` (default 64;
+``1`` checks every call, ``0`` never checks), ``SPIRE_GUARD_SEED``,
 ``SPIRE_GUARD_POLICY`` and ``SPIRE_GUARDRAIL_POLICY``.
-``SPIRE_GUARD_INJECT`` (comma-separated kernel names) forces a divergence
-on each named kernel's next checked call — the hook behind the
-``diverge-kernel`` fault (:mod:`repro.runtime.faults`).
+:func:`inject_divergence` forces a divergence on a kernel's next checked
+call, to exercise the degradation machinery in tests.
 """
 
 from __future__ import annotations
@@ -36,10 +34,10 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.errors import ConfigError, DegradedDataWarning, GuardDivergenceError
-from repro.fastpath import force_scalar, scalar_fallback_enabled
+from repro.fastpath import scalar_fallback_enabled
 from repro.guard.health import (
     DivergenceEvent,
     DriftEvent,
@@ -50,12 +48,10 @@ from repro.guard.health import (
 
 __all__ = [
     "DEFAULT_CHECK_RATE",
-    "DEFAULT_RATE_OVERRIDES",
     "GUARDED_KERNELS",
     "GuardConfig",
     "KernelGuard",
     "approx_equal",
-    "guarded_call",
     "health_report",
     "inject_divergence",
     "kernel_guard",
@@ -63,73 +59,22 @@ __all__ = [
     "reset_guards",
 ]
 
-#: Every kernel registered with a guarded dispatch point.
-GUARDED_KERNELS = (
-    "sanitize",
-    "pareto",
-    "direction",
-    "train",
-    "estimate",
-    "predictor.update_batch",
-    "cache.access_batch",
-    "pipeline.execute_array",
-    "simulate_run",
-    "fused_experiment",
-    "trace.fused_run",
-    "trace.block_recurrence",
-    "stream.update",
-    "serve.batch_estimate",
-)
+#: The kernels whose inputs arrive at run time, each with a guard.  One
+#: check replays a whole micro-batch through per-request estimation, or a
+#: whole metric through a batch refit, so the default rate of 64 keeps the
+#: amortized oracle cost small while still checking a busy server or a
+#: long-lived stream many times over.
+GUARDED_KERNELS = ("stream.update", "serve.batch_estimate")
 
-DEFAULT_CHECK_RATE = 256
-
-#: Default per-kernel rate overrides.  The simulation-substrate kernels
-#: replay a whole micro-op batch through the scalar path (plus a state
-#: snapshot) per check — a far costlier oracle, relative to one fast
-#: call, than the model-side kernels' — so they sample sparser to keep
-#: guarded overhead inside the <=5% bench budget.  Explicit
-#: ``SPIRE_GUARD_RATE`` / ``SPIRE_GUARD_RATE_<KERNEL>`` settings win.
-DEFAULT_RATE_OVERRIDES = {
-    "predictor.update_batch": 2048,
-    "cache.access_batch": 2048,
-    "pipeline.execute_array": 2048,
-    "simulate_run": 2048,
-    # One fused-experiment call covers a whole experiment, so its oracle
-    # (replaying one deterministically chosen segment through the
-    # per-workload path) costs about one task per checked experiment —
-    # rate 8 keeps the amortized overhead well inside the 5% budget.
-    "fused_experiment": 8,
-    "trace.fused_run": 64,
-    # One block_recurrence check replays a whole block (up to 16k uops)
-    # uop by uop through TracePipeline.execute on a deep-copied
-    # pipeline, about ten fast blocks' worth; rate 512 amortizes that
-    # to ~2% while still checking every full-scale run.
-    "trace.block_recurrence": 512,
-    # One stream.update call refits one metric from its maintained
-    # structures; its oracle is a full batch rebuild of that metric, so
-    # rate 64 bounds the amortized oracle cost per refit while still
-    # checking every long-lived stream many times over.
-    "stream.update": 64,
-    # One serve.batch_estimate call evaluates a whole fused micro-batch;
-    # its oracle replays every request in the batch through the scalar
-    # per-request path, so a check costs roughly max_batch fast calls.
-    # Rate 64 keeps the amortized overhead per served request small
-    # while still checking a busy server many times a minute.
-    "serve.batch_estimate": 64,
-}
+DEFAULT_CHECK_RATE = 64
 
 RATE_ENV = "SPIRE_GUARD_RATE"
 SEED_ENV = "SPIRE_GUARD_SEED"
 POLICY_ENV = "SPIRE_GUARD_POLICY"
 GUARDRAIL_POLICY_ENV = "SPIRE_GUARDRAIL_POLICY"
-INJECT_ENV = "SPIRE_GUARD_INJECT"
 
 GUARD_POLICIES = ("degrade", "raise")
 GUARDRAIL_POLICIES = ("record", "raise", "off")
-
-
-def _env_rate_name(kernel: str) -> str:
-    return f"{RATE_ENV}_{kernel.upper().replace('.', '_').replace('-', '_')}"
 
 
 @dataclass(frozen=True)
@@ -140,6 +85,8 @@ class GuardConfig:
     seed: int = 0
     policy: str = "degrade"
     guardrail_policy: str = "record"
+    # Per-kernel rates; the environment sets none, so every kernel runs
+    # at ``check_rate`` unless a caller passes an override.
     rate_overrides: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -172,20 +119,6 @@ class GuardConfig:
             except ValueError:
                 return default
 
-        # A globally-set rate is an explicit request: it applies to every
-        # kernel.  Otherwise the substrate kernels keep their sparser
-        # defaults, and per-kernel env settings win either way.
-        overrides = (
-            {} if os.environ.get(RATE_ENV, "").strip()
-            else dict(DEFAULT_RATE_OVERRIDES)
-        )
-        for kernel in GUARDED_KERNELS:
-            raw = os.environ.get(_env_rate_name(kernel), "").strip()
-            if raw:
-                try:
-                    overrides[kernel] = int(raw)
-                except ValueError:
-                    pass
         policy = os.environ.get(POLICY_ENV, "").strip().lower() or "degrade"
         guardrail = (
             os.environ.get(GUARDRAIL_POLICY_ENV, "").strip().lower() or "record"
@@ -197,7 +130,6 @@ class GuardConfig:
             guardrail_policy=(
                 guardrail if guardrail in GUARDRAIL_POLICIES else "record"
             ),
-            rate_overrides=overrides,
         )
 
     def rate_for(self, kernel: str) -> int:
@@ -281,11 +213,6 @@ class GuardRegistry:
         self._quarantined: list[str] = []
         self._drift_events: list[DriftEvent] = []
         self._lock = threading.Lock()
-        raw = os.environ.get(INJECT_ENV, "")
-        for name in raw.split(","):
-            name = name.strip()
-            if name:
-                self._injections[name] = self._injections.get(name, 0) + 1
 
     def guard(self, name: str) -> KernelGuard:
         guard = self._guards.get(name)
@@ -302,7 +229,7 @@ class GuardRegistry:
                     self._guards[name] = guard
         return guard
 
-    # -- injected divergence (the diverge-kernel fault) -----------------
+    # -- injected divergence ---------------------------------------------
 
     def inject_divergence(self, name: str, times: int = 1) -> None:
         with self._lock:
@@ -449,38 +376,3 @@ def approx_equal(a, b, rel: float = 1e-9) -> bool:
             return fa == fb
         return abs(fa - fb) <= rel * max(1.0, abs(fa), abs(fb))
     return a == b
-
-
-def guarded_call(
-    name: str,
-    fast: Callable[[], object],
-    oracle: Callable[[], object],
-    compare: Callable[[object, object], bool] | None = None,
-    detail: str = "",
-):
-    """Dispatch one *pure* kernel call through its guard.
-
-    Runs ``fast()`` normally; on a scheduled check also replays
-    ``oracle()`` under :func:`~repro.fastpath.force_scalar` and compares.
-    When the breaker is tripped (or scalar fallback is forced) only the
-    oracle runs.  Stateful kernels (predictor, cache, pipeline,
-    ``simulate_run``) cannot use this helper — they snapshot their state
-    and drive the guard primitives directly.
-    """
-    guard = registry().guard(name)
-    if not guard.use_fast():
-        return oracle()
-    if not guard.should_check():
-        return fast()
-    result = fast()
-    with force_scalar():
-        expected = oracle()
-    cmp = compare or approx_equal
-    try:
-        ok = bool(cmp(result, expected))
-    except Exception as exc:  # a comparison crash is itself a divergence
-        ok = False
-        detail = detail or f"comparison failed: {exc!r}"
-    if guard.resolve(ok, detail=detail):
-        return result
-    return expected

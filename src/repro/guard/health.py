@@ -29,7 +29,7 @@ class DivergenceEvent:
     kernel: str
     call_index: int      # 0-based call counter of the kernel at divergence
     detail: str = ""
-    injected: bool = False   # a diverge-kernel fault, not a real mismatch
+    injected: bool = False   # inject_divergence(), not a real mismatch
 
 
 @dataclass(frozen=True, slots=True)

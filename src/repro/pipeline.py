@@ -33,7 +33,7 @@ from repro.fastpath import scalar_fallback_enabled
 from repro.counters import CollectionConfig, CollectionResult, SampleCollector
 from repro.counters.events import default_catalog
 from repro.errors import DegradedDataWarning, SpireError
-from repro.guard.dispatch import health_report, inject_divergence
+from repro.guard.dispatch import health_report
 from repro.runtime.faults import FaultPlan
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.runner import ParallelRunner, RunReport
@@ -189,13 +189,6 @@ def run_experiment_with_report(
     """
     cfg = config or ExperimentConfig()
     mach = machine or skylake_gold_6126()
-
-    # Guard-level faults fire before any dispatch: a diverge-kernel spec
-    # arms the target kernel's guard to report a divergence on its next
-    # sampled check.
-    if faults is not None:
-        for spec in faults.diverge_kernels():
-            inject_divergence(spec.workload, times=spec.times)
 
     plan = ExecutionPlan.for_experiment(cfg, mach)
     runner = ParallelRunner(failure_policy=failure_policy, faults=faults)

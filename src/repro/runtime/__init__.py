@@ -7,19 +7,13 @@
   under a failure policy (``"raise"`` or ``"skip"``); every run yields a
   :class:`RunReport` of what actually happened;
 - :class:`FaultPlan` injects deterministic faults (corrupt sample,
-  dropped metric, diverging kernel, stream and serve faults) to prove
-  the layers that must absorb them do — see ``spire faultsim``.
+  dropped metric, stream faults) to prove the layers that must absorb
+  them do — see ``spire faultsim``.
 
 See ``docs/performance.md`` and ``docs/robustness.md`` for the full story.
 """
 
-from repro.runtime.faults import (
-    DIVERGE_KERNEL,
-    FAULT_KINDS,
-    GUARD_KINDS,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.runtime.faults import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.runtime.plan import ExecutionPlan, WorkloadTask
 from repro.runtime.runner import (
     FAILURE_POLICIES,
@@ -29,10 +23,8 @@ from repro.runtime.runner import (
 )
 
 __all__ = [
-    "DIVERGE_KERNEL",
     "FAILURE_POLICIES",
     "FAULT_KINDS",
-    "GUARD_KINDS",
     "ExecutionPlan",
     "FaultPlan",
     "FaultSpec",

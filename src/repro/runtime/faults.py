@@ -4,7 +4,7 @@ Real counter campaigns fail in recurring ways: multiplexing drops a
 counter group, a sample arrives corrupted, a metric drifts off its
 fitted bound mid-stream.  This module gives each failure mode a
 first-class, *seed-driven* representation so the layers that must
-absorb it (:mod:`repro.counters.collector`, :mod:`repro.guard`,
+absorb it (:mod:`repro.counters.collector`, :mod:`repro.core.sanitize`,
 :mod:`repro.stream`) can be exercised deterministically in tests and in
 the ``spire faultsim`` CLI smoke.
 
@@ -14,9 +14,6 @@ each targeting one workload by name:
 ========================  ====================================================
 ``corrupt-sample``        one collected sample's fields turn NaN
 ``drop-metric``           one metric's counts vanish from the collection
-``diverge-kernel``        one guarded vectorized kernel is forced to report
-                          an oracle divergence and trip to scalar (the
-                          ``workload`` field names the kernel)
 ``drift-inject``          one metric's streamed samples shift off the fitted
                           roofline bound from window ``window`` onward —
                           work and metric count scale by ``factor`` (the
@@ -25,8 +22,7 @@ each targeting one workload by name:
                           samples arrive late, behind newer timestamps
 ========================  ====================================================
 
-A ``diverge-kernel`` fault forces the kernel's next ``times`` sampled
-checks to diverge; the other kinds fire once per run of their target.
+Every kind fires once per run of its target.
 """
 
 from __future__ import annotations
@@ -39,34 +35,24 @@ from repro.errors import ConfigError
 
 CORRUPT_SAMPLE = "corrupt-sample"
 DROP_METRIC = "drop-metric"
-DIVERGE_KERNEL = "diverge-kernel"
 DRIFT_INJECT = "drift-inject"
 STALE_WINDOW = "stale-window"
 
 FAULT_KINDS = (
     CORRUPT_SAMPLE,
     DROP_METRIC,
-    DIVERGE_KERNEL,
     DRIFT_INJECT,
     STALE_WINDOW,
 )
 
 #: Fault kinds handled inside the collector (they degrade the data).
 COLLECTOR_KINDS = (CORRUPT_SAMPLE, DROP_METRIC)
-#: Fault kinds handled by the guard layer's dispatch sentinels; their
-#: ``workload`` field names a kernel, not a workload.
-GUARD_KINDS = (DIVERGE_KERNEL,)
 #: Fault kinds handled by the streaming replay (:mod:`repro.stream.replay`);
 #: ``drift-inject`` shifts one metric's samples off its fitted bound from a
 #: given window onward, ``stale-window`` stalls one window and delivers its
 #: samples late (out of timestamp order).  The ``workload`` field names the
 #: target metric (``"*"`` for stale-window, which is metric-agnostic).
 STREAM_KINDS = (DRIFT_INJECT, STALE_WINDOW)
-
-#: Default victims for random ``diverge-kernel`` faults: the model-side
-#: kernels every experiment dispatches, so each trip reaches the health
-#: report.
-PARENT_SIDE_KERNELS = ("sanitize", "pareto", "direction", "train", "estimate")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +61,7 @@ class FaultSpec:
 
     workload: str
     kind: str
-    times: int = 1              # checks a ``diverge-kernel`` fault diverts
+    times: int = 1              # repeat count; every kind fires once today
     metric: str | None = None   # target metric for ``drop-metric``
     sample_index: int = 0       # which emitted sample ``corrupt-sample`` hits
     factor: float = 4.0         # throughput scale for ``drift-inject``
@@ -121,19 +107,15 @@ class FaultPlan:
     def injected_workloads(self) -> list[str]:
         """Targets of collector faults, in spec order, deduplicated.
 
-        Guard- and stream-level faults are excluded — their target field
-        names a kernel or a metric, not a workload.
+        Stream-level faults are excluded — their target field names a
+        metric, not a workload.
         """
         seen: dict[str, None] = {}
         for spec in self.specs:
-            if spec.kind in GUARD_KINDS or spec.kind in STREAM_KINDS:
+            if spec.kind in STREAM_KINDS:
                 continue
             seen.setdefault(spec.workload, None)
         return list(seen)
-
-    def diverge_kernels(self) -> tuple[FaultSpec, ...]:
-        """The ``diverge-kernel`` specs; each ``workload`` names a kernel."""
-        return tuple(s for s in self.specs if s.kind == DIVERGE_KERNEL)
 
     def stream_faults(self) -> tuple[FaultSpec, ...]:
         """The streaming replay specs; ``workload`` names a metric."""
@@ -148,8 +130,6 @@ class FaultPlan:
         drop_metrics: int = 0,
         times: int = 1,
         metrics: Sequence[str] = (),
-        diverge_kernels: int = 0,
-        kernels: Sequence[str] = (),
         drift_injects: int = 0,
         stale_windows: int = 0,
     ) -> "FaultPlan":
@@ -157,12 +137,9 @@ class FaultPlan:
 
         The same ``(workloads, seed, counts)`` always yields the same plan,
         so a fault simulation is reproducible down to the victim names.
-        Collector faults may share victims.
-
-        ``diverge_kernels`` draws victims from ``kernels`` (defaulting to
-        :data:`PARENT_SIDE_KERNELS`).  Each kind draws from the rng after
-        every kind listed before it, so adding a kind at the end leaves
-        existing plans unchanged for a given seed.
+        Collector faults may share victims.  Each kind draws from the rng
+        after every kind listed before it, so adding a kind at the end
+        leaves existing plans unchanged for a given seed.
         """
         names = list(workloads)
         rng = Random(seed)
@@ -185,16 +162,6 @@ class FaultPlan:
             specs.append(
                 FaultSpec(
                     workload=victim, kind=DROP_METRIC, times=times, metric=metric
-                )
-            )
-
-        kernel_pool = list(kernels) or list(PARENT_SIDE_KERNELS)
-        for _ in range(diverge_kernels):
-            specs.append(
-                FaultSpec(
-                    workload=rng.choice(kernel_pool),
-                    kind=DIVERGE_KERNEL,
-                    times=times,
                 )
             )
 
@@ -225,14 +192,11 @@ class FaultPlan:
 __all__ = [
     "COLLECTOR_KINDS",
     "CORRUPT_SAMPLE",
-    "DIVERGE_KERNEL",
     "DRIFT_INJECT",
     "DROP_METRIC",
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "GUARD_KINDS",
-    "PARENT_SIDE_KERNELS",
     "STALE_WINDOW",
     "STREAM_KINDS",
 ]

@@ -35,10 +35,11 @@ construction:
   metric-id interning, sanitizer screening and period counting all see
   identical inputs.
 
-The engine is dispatched through the ``"fused_experiment"`` kernel guard
-(:mod:`repro.guard.dispatch`): sampled calls replay one deterministically
-chosen segment through the per-workload oracle and compare bit-for-bit,
-and a divergence trips the breaker back to the unfused path.
+Its oracle is the per-workload path, :func:`~repro.pipeline.run_workload`,
+which simulates every window through the scalar
+:meth:`~repro.uarch.core.CoreModel.simulate_window`; tests compare the two
+with :func:`runs_equal`, and ``SPIRE_SCALAR_FALLBACK=1`` makes the runner
+take the per-workload path for every task.
 """
 
 from __future__ import annotations
@@ -229,9 +230,9 @@ def simulate_tasks_fused(
 
     Returns one :class:`~repro.pipeline.WorkloadRun` per task, in order,
     bit-identical to calling :func:`~repro.pipeline.run_workload` on each
-    task separately (asserted by the ``fused_experiment`` guard's sampled
-    parity checks and the equivalence tests/CI gate).  The tasks are
-    evaluated in chunks of at most :data:`CHUNK_WINDOWS` windows.
+    task separately (asserted by the equivalence tests and the CI gate).
+    The tasks are evaluated in chunks of at most :data:`CHUNK_WINDOWS`
+    windows.
     """
     collection_config = config.collection()
     catalog = default_catalog()

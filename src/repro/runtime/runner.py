@@ -4,8 +4,8 @@ The runner executes an :class:`~repro.runtime.plan.ExecutionPlan` in the
 calling process and returns results in plan order:
 
 - every task without a collector fault simulates in one fused
-  mega-batch (:mod:`repro.runtime.fused`), dispatched through the
-  ``fused_experiment`` guard;
+  mega-batch (:mod:`repro.runtime.fused`), unless
+  ``SPIRE_SCALAR_FALLBACK`` sends every task down the per-task path;
 - the other tasks run once each through
   :func:`~repro.pipeline.run_workload`, and a **failure policy** decides
   what a task that raises :class:`~repro.errors.SpireError` does to the
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, SpireError
+from repro.fastpath import scalar_fallback_enabled
 from repro.runtime.faults import FaultPlan
 from repro.runtime.plan import ExecutionPlan
 
@@ -162,23 +163,17 @@ class ParallelRunner:
         Returns the indices left for the per-task path.  Tasks with
         collector faults always stay there: those faults are defined per
         workload run.  Everything else simulates as one concatenated
-        columnar plan, dispatched through the ``fused_experiment`` guard:
-        sampled calls replay one deterministically chosen segment
-        through the per-workload oracle and compare bit-for-bit, and a
-        divergence trips the breaker back to the unfused path.
+        columnar plan.  ``SPIRE_SCALAR_FALLBACK`` sends every task down
+        the per-task path, whose scalar :func:`~repro.pipeline.run_workload`
+        is the fused engine's oracle.
         """
-        from repro.guard.dispatch import kernel_guard
-        from repro.pipeline import run_workload
-        from repro.runtime.fused import runs_equal, simulate_tasks_fused
+        from repro.runtime.fused import simulate_tasks_fused
 
         every = list(range(len(plan.tasks)))
         eligible = [
             i for i in every if not self._collector_faults(plan.tasks[i].name)
         ]
-        if len(eligible) < 2:
-            return every
-        guard = kernel_guard("fused_experiment")
-        if not guard.use_fast():
+        if len(eligible) < 2 or scalar_fallback_enabled():
             return every
         started = time.monotonic()
         try:
@@ -189,15 +184,6 @@ class ParallelRunner:
             # Let the per-task path raise with its own accounting; the
             # scalar error surface stays unchanged.
             return every
-        if guard.should_check():
-            probe = (guard.calls - 1) % len(eligible)
-            task = plan.tasks[eligible[probe]]
-            oracle = run_workload(
-                task.workload, plan.machine, task.n_windows, plan.config
-            )
-            ok = runs_equal(runs[probe], oracle)
-            if not guard.resolve(ok, detail=f"segment {task.name!r}"):
-                return every  # breaker tripped: recompute everything unfused
         for index, run in zip(eligible, runs):
             self._settle(index, plan, run, started, results, report)
         fused = set(eligible)

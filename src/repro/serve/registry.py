@@ -149,6 +149,11 @@ def pack_model(model: SpireModel, path: "str | Path") -> Path:
     return atomic_write_bytes(path, blob)
 
 
+#: What converting an untrusted head field can raise: a missing key, a
+#: wrong type, an unparseable string, or an infinite float cast to int.
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _reject(path: Path, reason: str) -> "DataError":
     destination = quarantine_file(path, reason)
     suffix = f" (quarantined to {destination})" if destination else ""
@@ -176,7 +181,7 @@ def map_model(path: "str | Path") -> "tuple[SpireModel, mmap.mmap]":
             raise _reject(path, "missing packed-model head line")
         try:
             head = json.loads(mapping[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):
             raise _reject(path, "unparseable packed-model head") from None
         if not isinstance(head, dict):
             raise _reject(path, "packed-model head is not an object")
@@ -198,13 +203,17 @@ def map_model(path: "str | Path") -> "tuple[SpireModel, mmap.mmap]":
                 path, "checksum mismatch (truncated or corrupted content)"
             )
 
+        # The checksum covers only the payload, so every head field is
+        # untrusted: each conversion stays inside a guarded block.
         try:
             meta = head["model"]
             count = int(head["payload_float64"])
             work_unit = str(meta["work_unit"])
             time_unit = str(meta["time_unit"])
             entries = meta["metrics"]
-        except (KeyError, TypeError, ValueError):
+            if not isinstance(entries, list):
+                raise TypeError("metrics is not a list")
+        except _MALFORMED:
             raise _reject(path, "malformed packed-model metadata") from None
         if count * 8 != len(payload):
             raise _reject(
@@ -220,7 +229,13 @@ def map_model(path: "str | Path") -> "tuple[SpireModel, mmap.mmap]":
                 offset = int(entry["offset"])
                 points = int(entry["points"])
                 apex_x, apex_y = entry["apex"]
-            except (KeyError, TypeError, ValueError):
+                apex = Breakpoint(float(apex_x), float(apex_y))
+                sample_count = int(entry.get("sample_count", 0))
+                infinite_sample_count = int(
+                    entry.get("infinite_sample_count", 0)
+                )
+                direction = str(entry.get("direction", "mixed"))
+            except _MALFORMED:
                 raise _reject(path, "malformed packed-metric entry") from None
             if points < 1:
                 raise _reject(path, f"metric {metric!r} has no breakpoints")
@@ -245,16 +260,11 @@ def map_model(path: "str | Path") -> "tuple[SpireModel, mmap.mmap]":
             rooflines[metric] = MetricRoofline(
                 metric=metric,
                 function=MappedPiecewiseLinear(bx, by),
-                apex=Breakpoint(float(apex_x), float(apex_y)),
-                sample_count=int(entry.get("sample_count", 0)),
-                infinite_sample_count=int(
-                    entry.get("infinite_sample_count", 0)
-                ),
-                direction=str(entry.get("direction", "mixed")),
+                apex=apex,
+                sample_count=sample_count,
+                infinite_sample_count=infinite_sample_count,
+                direction=direction,
             )
-    except DataError:
-        _release(mapping)
-        raise
     except BaseException:
         _release(mapping)
         raise

@@ -57,7 +57,7 @@ from repro.guard.dispatch import kernel_guard
 __all__ = ["MetricStreamState", "OnlineSpire"]
 
 #: Relative margin under the fitted left chain below which a candidate is
-#: pruned.  Matches the tolerance grid used elsewhere (``rooflines_equivalent``,
+#: pruned.  Matches the tolerance grid used elsewhere (``approx_equal``,
 #: ``RightFitOptions.validity_tolerance``).
 _CHAIN_MARGIN = 1e-9
 
@@ -321,10 +321,9 @@ class OnlineSpire:
         return refitted
 
     def _refit_guarded(self, state: MetricStreamState) -> MetricRoofline:
-        # Not guarded_call: its oracle runs under forced-scalar, but this
-        # kernel's oracle is the *batch rebuild of the same arrays* in the
-        # same ambient mode — the check is incremental-vs-batch, not
-        # vectorized-vs-scalar.
+        # The oracle is the *batch rebuild of the same arrays* in the same
+        # ambient mode — the check is incremental-vs-batch, not
+        # vectorized-vs-scalar, so it runs without force_scalar.
         guard = kernel_guard("stream.update")
         if not guard.use_fast():
             return self._refit_batch(state)

@@ -17,13 +17,10 @@ updates.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fastpath import force_scalar
-from repro.guard.dispatch import kernel_guard
+from repro.fastpath import scalar_fallback_enabled
 
 
 class GsharePredictor:
@@ -83,39 +80,16 @@ class GsharePredictor:
         closed-form update while per-branch predictions are recovered
         from the run's starting counter and the offset within the run.
 
-        Dispatches through the ``"predictor.update_batch"`` kernel guard:
-        sampled calls snapshot the predictor, replay the batch through
-        scalar :meth:`update` calls, and compare flags, table, history and
-        counters bit-for-bit.  A real divergence adopts the scalar state
-        and trips this kernel for the rest of the process.
+        ``SPIRE_SCALAR_FALLBACK`` routes the batch through the retained
+        scalar :meth:`update` loop instead.
         """
         pcs = np.asarray(pcs, dtype=np.int64)
         taken = np.asarray(taken, dtype=np.bool_)
-        n = len(pcs)
-        if n == 0:
+        if len(pcs) == 0:
             return np.zeros(0, dtype=np.bool_)
-        guard = kernel_guard("predictor.update_batch")
-        if not guard.use_fast():
+        if scalar_fallback_enabled():
             return self._update_scalar(pcs, taken)
-        if not guard.should_check():
-            return self._update_batch_fast(pcs, taken)
-        reference = copy.deepcopy(self)
-        result = self._update_batch_fast(pcs, taken)
-        with force_scalar():
-            expected = reference._update_scalar(pcs, taken)
-        ok = (
-            np.array_equal(result, expected)
-            and self._table == reference._table
-            and self._history == reference._history
-            and self.predictions == reference.predictions
-            and self.mispredictions == reference.mispredictions
-        )
-        if guard.resolve(ok):
-            return result
-        # Real divergence: trust the scalar reference — adopt its state.
-        self.__dict__.clear()
-        self.__dict__.update(reference.__dict__)
-        return expected
+        return self._update_batch_fast(pcs, taken)
 
     def _update_scalar(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         """The retained scalar reference loop behind :meth:`update_batch`."""

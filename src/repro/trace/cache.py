@@ -16,15 +16,13 @@ mixing the two paths stays bit-exact.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fastpath import force_scalar
-from repro.guard.dispatch import kernel_guard
+from repro.fastpath import scalar_fallback_enabled
 
 #: Hierarchy level names in batch level-code order (0..3).
 LEVELS = ("l1", "l2", "l3", "dram")
@@ -111,38 +109,15 @@ class SetAssociativeCache:
         are then replayed round-by-round, one run per set per round, on
         the dense tag matrix.
 
-        Dispatches through the ``"cache.access_batch"`` kernel guard:
-        sampled calls snapshot the cache, replay the batch through scalar
-        :meth:`access` calls, and compare hit flags, LRU state and
-        counters exactly.  A real divergence adopts the scalar state and
-        trips this kernel for the rest of the process.
+        ``SPIRE_SCALAR_FALLBACK`` routes the column through the retained
+        scalar :meth:`access` loop instead.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        n = len(addresses)
-        if n == 0:
+        if len(addresses) == 0:
             return np.zeros(0, dtype=np.bool_)
-        guard = kernel_guard("cache.access_batch")
-        if not guard.use_fast():
+        if scalar_fallback_enabled():
             return self._access_scalar(addresses)
-        if not guard.should_check():
-            return self._access_batch_fast(addresses)
-        reference = copy.deepcopy(self)
-        result = self._access_batch_fast(addresses)
-        with force_scalar():
-            expected = reference._access_scalar(addresses)
-        self._sync_from_dense()
-        ok = (
-            np.array_equal(result, expected)
-            and self._sets == reference._sets
-            and self.hits == reference.hits
-            and self.misses == reference.misses
-        )
-        if guard.resolve(ok):
-            return result
-        # Real divergence: trust the scalar reference — adopt its state.
-        self.__dict__.clear()
-        self.__dict__.update(reference.__dict__)
-        return expected
+        return self._access_batch_fast(addresses)
 
     def _access_scalar(self, addresses: np.ndarray) -> np.ndarray:
         """The retained scalar reference loop behind :meth:`access_batch`."""

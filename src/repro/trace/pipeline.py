@@ -23,7 +23,6 @@ from :mod:`repro.uarch`.
 
 from __future__ import annotations
 
-import copy
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable
@@ -33,8 +32,7 @@ import numpy as np
 from time import perf_counter
 
 from repro.errors import ConfigError
-from repro.fastpath import force_scalar
-from repro.guard.dispatch import kernel_guard
+from repro.fastpath import scalar_fallback_enabled
 from repro.trace import phases, wavefront
 from repro.trace.branch import GsharePredictor
 from repro.trace.cache import CacheHierarchy
@@ -322,31 +320,16 @@ class TracePipeline:
 
         State persists across calls and is shared with :meth:`execute`,
         so scalar and columnar windows can be mixed freely.  With
-        ``SPIRE_SCALAR_FALLBACK=1`` (or after this kernel's guard trips)
-        the trace is bridged to ``MicroOp`` objects and replayed through
-        the scalar oracle instead.
-
-        Dispatches through the ``"pipeline.execute_array"`` kernel guard:
-        sampled calls snapshot the whole pipeline, replay the fragment
-        through the scalar :meth:`execute` oracle, and compare the
-        resulting counters exactly.  A real divergence adopts the scalar
-        state and trips this kernel for the rest of the process.
+        ``SPIRE_SCALAR_FALLBACK=1`` each block is bridged to ``MicroOp``
+        objects and replayed through the scalar oracle instead (see
+        :meth:`_execute_block`).
         """
-        guard = kernel_guard("pipeline.execute_array")
-        if not guard.use_fast():
-            return self.execute(trace.to_microops())
-        if not guard.should_check():
-            return self._execute_array_fast(trace, block_size)
-        reference = copy.deepcopy(self)
-        result = self._execute_array_fast(trace, block_size)
-        with force_scalar():
-            expected = reference.execute(trace.to_microops())
-        if guard.resolve(result.as_dict() == expected.as_dict()):
-            return result
-        # Real divergence: trust the scalar reference — adopt its state.
-        self.__dict__.clear()
-        self.__dict__.update(reference.__dict__)
-        return expected
+        n = len(trace)
+        for start in range(0, n, block_size):
+            stop = min(start + block_size, n)
+            block = trace if (start == 0 and stop == n) else trace.slice(start, stop)
+            self._execute_block(block)
+        return self.counters
 
     def execute_array_windowed(
         self, trace: "TraceArray", window_uops: int, block_size: int = 16384
@@ -361,43 +344,14 @@ class TracePipeline:
         whole ``block_size`` blocks and enters the sequential recurrence
         once per block instead of once per window; the block loop walks
         the block one window slice at a time and snapshots between them.
-
-        Dispatches through the ``"trace.fused_run"`` kernel guard:
-        sampled calls snapshot the pipeline and replay the per-window
-        sliced path (the fusion oracle), comparing every snapshot
-        exactly.  A divergence adopts the oracle's state and trips the
-        fused pass back to per-window execution for the process.
+        ``SPIRE_SCALAR_FALLBACK=1`` replays each window slice through
+        :meth:`execute` instead (see :meth:`_execute_block`).
         """
         if window_uops < 1:
             raise ConfigError("need window_uops >= 1")
         n = len(trace)
         boundaries = list(range(window_uops, n, window_uops)) + ([n] if n else [])
-        guard = kernel_guard("trace.fused_run")
-        if not guard.use_fast():
-            return self._execute_windowed_reference(trace, boundaries)
-        if not guard.should_check():
-            return self._execute_windowed_fast(trace, boundaries, block_size)
-        reference = copy.deepcopy(self)
-        result = self._execute_windowed_fast(trace, boundaries, block_size)
-        expected = reference._execute_windowed_reference(trace, boundaries)
-        ok = [s.as_dict() for s in result] == [s.as_dict() for s in expected]
-        if guard.resolve(ok):
-            return result
-        self.__dict__.clear()
-        self.__dict__.update(reference.__dict__)
-        return expected
-
-    def _execute_windowed_reference(
-        self, trace: "TraceArray", boundaries: list[int]
-    ) -> list[PipelineCounters]:
-        """The fusion oracle: per-window slices through execute_array."""
-        snapshots: list[PipelineCounters] = []
-        start = 0
-        for stop in boundaries:
-            self.execute_array(trace.slice(start, stop))
-            snapshots.append(self.snapshot())
-            start = stop
-        return snapshots
+        return self._execute_windowed_fast(trace, boundaries, block_size)
 
     def _execute_windowed_fast(
         self, trace: "TraceArray", boundaries: list[int], block_size: int
@@ -411,56 +365,25 @@ class TracePipeline:
             self._execute_block(block, boundaries=relative, snapshots=snapshots)
         return snapshots
 
-    def _execute_array_fast(
-        self, trace: "TraceArray", block_size: int
-    ) -> PipelineCounters:
-        n = len(trace)
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            block = trace if (start == 0 and stop == n) else trace.slice(start, stop)
-            self._execute_block(block)
-        return self.counters
-
     def _execute_block(
         self,
         block: "TraceArray",
         boundaries: "list[int] | None" = None,
         snapshots: "list[PipelineCounters] | None" = None,
     ) -> None:
-        """One block through the recurrence, checked against ``execute``.
+        """One block through the recurrence, or through ``execute``.
 
         ``boundaries`` are block-relative window ends; a counter snapshot
-        is appended to ``snapshots`` at each.  Dispatches through the
-        ``"trace.block_recurrence"`` kernel guard: sampled calls deep-copy
-        the pipeline, replay the block uop by uop through :meth:`execute`
-        (snapshotting at the same boundaries) and compare counters and
-        snapshots exactly.  A divergence adopts the replayed state and
-        trips the block loop for the process.
+        is appended to ``snapshots`` at each.  The block loop
+        (:meth:`_run_block`) runs unless ``SPIRE_SCALAR_FALLBACK`` forces
+        the scalar oracle, which replays the block uop by uop through
+        :meth:`execute` (:meth:`_replay_block`).
         """
         if len(block) == 0:
             return
-        boundaries = boundaries or []
-        out: list[PipelineCounters] = []
-        guard = kernel_guard("trace.block_recurrence")
-        if not guard.use_fast():
-            self._replay_block(block, boundaries, out)
-        elif not guard.should_check():
-            self._run_block(block, boundaries, out)
-        else:
-            reference = copy.deepcopy(self)
-            self._run_block(block, boundaries, out)
-            expected: list[PipelineCounters] = []
-            with force_scalar():
-                reference._replay_block(block, boundaries, expected)
-            ok = [s.as_dict() for s in [*out, self.counters]] == [
-                s.as_dict() for s in [*expected, reference.counters]
-            ]
-            if not guard.resolve(ok):
-                self.__dict__.clear()
-                self.__dict__.update(reference.__dict__)
-                out = expected
-        if snapshots is not None:
-            snapshots.extend(out)
+        out: list[PipelineCounters] = [] if snapshots is None else snapshots
+        run = self._replay_block if scalar_fallback_enabled() else self._run_block
+        run(block, boundaries or [], out)
 
     def _replay_block(
         self,

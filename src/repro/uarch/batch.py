@@ -1,11 +1,11 @@
-"""Batched evaluation of :meth:`CoreModel.simulate_run` window specs.
+"""Column kernels of the fused experiment engine.
 
 The analytic core model is a pile of elementwise arithmetic per window:
 jitter the spec's rates, evaluate the frontend/memory/backend formulas,
 scale by measurement noise.  None of it couples windows together (the rng
-stream is the only sequential part), so a whole run's specs can be laid
-out as float64 columns and every formula applied once per *run* instead
-of once per *window*.
+stream is the only sequential part), so the fused engine
+(:mod:`repro.runtime.fused`) lays whole runs out as float64 columns and
+applies every formula once per *plan* instead of once per *window*.
 
 Bit-exactness with the scalar path is load-bearing, as everywhere else in
 the vectorized data plane:
@@ -20,31 +20,23 @@ the vectorized data plane:
   models evaluate, in the same order (elementwise IEEE ops are identical
   between NumPy and Python floats);
 - per-port accumulation and the ``max`` over ports keep the scalar
-  iteration order, and the port-activity histogram is
-  :func:`~repro.uarch.backend.port_activity_histogram_columns`, bit for
-  bit the scalar function per window.
+  iteration order.
 
-The scalar :meth:`simulate_window` remains the dispatching reference
-oracle behind ``SPIRE_SCALAR_FALLBACK=1``.
+The scalar :meth:`CoreModel.simulate_window
+<repro.uarch.core.CoreModel.simulate_window>` loop, which
+:func:`repro.pipeline.run_workload` runs, is the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
 
 import numpy as np
 
 from repro.bulkrng import random_draws
-from repro.uarch.activity import WindowActivity
-from repro.uarch.backend import (
-    _DIVIDER_EXPOSURE,
-    _VW_EVENT_RATE,
-    port_activity_histogram_columns,
-)
+from repro.uarch.backend import _DIVIDER_EXPOSURE, _VW_EVENT_RATE
 from repro.uarch.frontend import _UOPS_PER_MITE_BURST, _UOPS_PER_MS_FLOW
-from repro.uarch.spec import WindowSpec
 
 _TWOPI = 2.0 * math.pi
 
@@ -88,20 +80,6 @@ _SPEC_COLUMNS = (
     "ilp",
     "vector_width_mix",
 )
-
-
-def spec_columns(
-    specs: Sequence[WindowSpec],
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Lay a run's specs out as float64 columns plus the instruction column."""
-    columns = {
-        name: np.array([getattr(spec, name) for spec in specs], dtype=np.float64)
-        for name in _SPEC_COLUMNS
-    }
-    instructions = np.array(
-        [float(spec.instructions) for spec in specs], dtype=np.float64
-    )
-    return columns, instructions
 
 
 def _standard_normals(rng: random.Random, count: int) -> np.ndarray:
@@ -187,18 +165,6 @@ def apply_jitter(
             columns[name] = np.maximum(low, jittered)
         else:
             columns[name] = np.minimum(high, np.maximum(low, jittered))
-
-
-def simulate_run_batch(
-    core, specs: Sequence[WindowSpec], rng: random.Random | None
-) -> list[WindowActivity]:
-    """Column-evaluate a run of windows; bit-exact vs the scalar loop."""
-    machine = core.machine
-    columns, instructions = spec_columns(specs)
-    factors, noise = draw_run_randomness(core, len(specs), rng)
-    apply_jitter(columns, factors)
-    out, port_columns = evaluate_run_columns(machine, columns, instructions, noise)
-    return materialize_activities(machine, out, port_columns)
 
 
 def evaluate_run_columns(
@@ -366,9 +332,6 @@ def evaluate_run_columns(
         np.maximum(1.0, c_base_n + port_stalls + 0.3 * c_mem_n),
     )
 
-    # Materialize per-window activities from the columns.  .tolist() hands
-    # back exact Python floats, so the records carry the same scalar types
-    # the reference path produces.
     out = {
         "instructions": instructions,
         "cycles": cycles,
@@ -424,42 +387,14 @@ def evaluate_run_columns(
     return out, port_columns
 
 
-def materialize_activities(
-    machine,
-    out: dict[str, np.ndarray],
-    port_columns: dict[str, np.ndarray],
-) -> list[WindowActivity]:
-    """Turn activity columns into per-window :class:`WindowActivity` records."""
-    (
-        out["exec_cycles_1_port"],
-        out["exec_cycles_2_ports"],
-        out["exec_cycles_3_plus_ports"],
-    ) = port_activity_histogram_columns(
-        out["uops_executed"], out["exec_active_cycles"], len(machine.ports)
-    )
-    lists = {name: column.tolist() for name, column in out.items()}
-    port_lists = {
-        name: column.tolist() for name, column in port_columns.items()
-    }
-    return [
-        WindowActivity(
-            **{name: values[window] for name, values in lists.items()},
-            port_uops={
-                name: values[window] for name, values in port_lists.items()
-            },
-        )
-        for window in range(len(out["instructions"]))
-    ]
-
-
 def workload_spec_columns(
     workload, n_windows: int, window_instructions: int
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Vectorized :meth:`repro.workloads.base.Workload.specs`.
 
-    Builds the same columns :func:`spec_columns` would extract from the
-    materialized spec list, without constructing a ``WindowSpec`` per
-    window.  Bit-exactness notes:
+    Builds the spec fields the core-model formulas read as float64
+    columns, without constructing a ``WindowSpec`` per window.
+    Bit-exactness notes:
 
     - progress is the same ``index / max(1, n - 1)`` float;
     - phase selection replays ``phase_at``'s first-phase-with-

@@ -21,8 +21,6 @@ import random
 from dataclasses import replace
 from typing import Iterable
 
-from repro.fastpath import force_scalar
-from repro.guard.dispatch import kernel_guard
 from repro.uarch.activity import WindowActivity
 from repro.uarch.backend import BackendModel, port_activity_histogram
 from repro.uarch.config import MachineConfig
@@ -208,38 +206,5 @@ class CoreModel:
     def simulate_run(
         self, specs: Iterable[WindowSpec], rng: random.Random | None = None
     ) -> list[WindowActivity]:
-        """Simulate a sequence of windows.
-
-        The default path evaluates the whole run as float64 columns
-        (:func:`repro.uarch.batch.simulate_run_batch`);
-        ``SPIRE_SCALAR_FALLBACK=1`` routes through the per-window
-        :meth:`simulate_window` oracle.  Both produce bit-identical
-        activities and consume the rng stream identically.
-        """
-        specs = list(specs)
-        guard = kernel_guard("simulate_run")
-        if not guard.use_fast() or not specs:
-            return [self.simulate_window(spec, rng) for spec in specs]
-        from repro.uarch.batch import simulate_run_batch
-
-        if not guard.should_check():
-            return simulate_run_batch(self, specs, rng)
-
-        # Sampled oracle check: snapshot the rng stream, run the batch
-        # path, then replay per-window from the snapshot and compare the
-        # activities and where each path left the rng stream (including a
-        # cached ``gauss_next``) bit-for-bit.
-        replay_rng: random.Random | None = None
-        if rng is not None:
-            replay_rng = random.Random()
-            replay_rng.setstate(rng.getstate())
-        result = simulate_run_batch(self, specs, rng)
-        with force_scalar():
-            expected = [self.simulate_window(spec, replay_rng) for spec in specs]
-        same_stream = rng is None or rng.getstate() == replay_rng.getstate()
-        if guard.resolve(result == expected and same_stream):
-            return result
-        # Real divergence: trust the scalar replay, stream position included.
-        if rng is not None:
-            rng.setstate(replay_rng.getstate())
-        return expected
+        """Simulate a sequence of windows, one :meth:`simulate_window` each."""
+        return [self.simulate_window(spec, rng) for spec in specs]

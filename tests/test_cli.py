@@ -294,6 +294,19 @@ class TestFaultsim:
         assert "1 quarantined sample(s)" in out
         assert "PASS" in out
 
+    def test_faultsim_verify_baseline_skips_victims(self, capsys):
+        # Victims differ from the baseline by design; every bystander
+        # must match it bit for bit.
+        assert (
+            main(
+                ["faultsim", "--train-windows", "48", "--test-windows", "24",
+                 "--corrupt-samples", "1", "--drop-metrics", "1",
+                 "--verify-baseline"]
+            )
+            == 0
+        )
+        assert "all surviving workloads bit-identical" in capsys.readouterr().out
+
     def test_faultsim_no_faults_passes(self, capsys):
         assert (
             main(

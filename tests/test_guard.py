@@ -1,10 +1,10 @@
 """Tests for the guarded-dispatch layer (repro.guard).
 
 Covers the sampled oracle checks and per-kernel circuit breakers
-(:mod:`repro.guard.dispatch`), the stage-boundary numeric guardrails
-(:mod:`repro.guard.guardrails`), artifact integrity headers, atomic
-writes and quarantine (:mod:`repro.guard.artifact`), and the end-to-end
-``diverge-kernel`` fault through ``run_experiment_with_report``.
+(:mod:`repro.guard.dispatch`), driven through ``batch_estimate``, the
+stage-boundary numeric guardrails (:mod:`repro.guard.guardrails`), and
+artifact integrity headers, atomic writes and quarantine
+(:mod:`repro.guard.artifact`).
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import warnings
 
 import pytest
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro import __version__
+from repro.core.columns import SampleArray
+from repro.core.ensemble import SpireModel
+from repro.core.roofline import fit_metric_roofline
+from repro.core.sample import Sample
 from repro.errors import (
     ConfigError,
     DataError,
@@ -36,13 +37,12 @@ from repro.guard.artifact import (
     verify_payload,
 )
 from repro.guard.dispatch import (
+    DEFAULT_CHECK_RATE,
     GUARDED_KERNELS,
     GuardConfig,
-    guarded_call,
     health_report,
     inject_divergence,
     kernel_guard,
-    registry,
     reset_guards,
 )
 from repro.guard.guardrails import (
@@ -51,6 +51,8 @@ from repro.guard.guardrails import (
     check_pareto_front,
     guardrail_hit,
 )
+from repro.serve import batching
+from repro.serve.batching import KERNEL, batch_estimate
 
 GUARD_ENV_PREFIXES = ("SPIRE_GUARD", "SPIRE_GUARDRAIL", "SPIRE_SCALAR_FALLBACK")
 
@@ -71,43 +73,81 @@ def checked_config(**kwargs) -> GuardConfig:
     return GuardConfig(**kwargs)
 
 
+@pytest.fixture(scope="module")
+def model() -> SpireModel:
+    samples = [
+        Sample("m", time=1.0, work=work, metric_count=count)
+        for work, count in ((2.0, 1.0), (4.0, 1.0), (8.0, 4.0), (6.0, 3.0))
+    ]
+    return SpireModel({"m": fit_metric_roofline(samples)})
+
+
+def request() -> SampleArray:
+    return SampleArray.from_lists(["m", "m"], [1.0, 2.0], [2.0, 3.0], [1.0, 1.5])
+
+
+def served(results) -> list[dict]:
+    return [result.per_metric for result in results]
+
+
+def reference(model: SpireModel) -> list[dict]:
+    return [model.estimate(request().to_sample_set()).per_metric]
+
+
+@pytest.fixture
+def wrong_fast(monkeypatch):
+    """A fused kernel whose every estimate is off by a factor of two."""
+    original = batching.fused_estimate
+
+    def doubled(model, arrays):
+        return [
+            ({k: 2.0 * v for k, v in per_metric.items()}, counts, skipped)
+            for per_metric, counts, skipped in original(model, arrays)
+        ]
+
+    monkeypatch.setattr(batching, "fused_estimate", doubled)
+
+
 # ---------------------------------------------------------------------------
-# dispatch: schedule, parity, breakers
+# dispatch: schedule, parity, breakers (on serve.batch_estimate)
 # ---------------------------------------------------------------------------
 
 
 class TestDispatch:
-    def test_rate_one_checks_every_call(self):
+    def test_rate_one_checks_every_call(self, model, monkeypatch):
         reset_guards(checked_config())
         calls = {"fast": 0, "oracle": 0}
+        fast, oracle = batching.fused_estimate, SpireModel._estimate_scalar
 
-        def fast():
+        def counted_fast(*args):
             calls["fast"] += 1
-            return 2.0
+            return fast(*args)
 
-        def oracle():
+        def counted_oracle(*args):
             calls["oracle"] += 1
-            return 2.0
+            return oracle(*args)
 
+        monkeypatch.setattr(batching, "fused_estimate", counted_fast)
+        monkeypatch.setattr(SpireModel, "_estimate_scalar", counted_oracle)
         for _ in range(5):
-            assert guarded_call("pareto", fast, oracle) == 2.0
+            assert served(batch_estimate(model, [request()])) == reference(model)
         assert calls == {"fast": 5, "oracle": 5}
         health = health_report()
-        assert health.kernels["pareto"].checks == 5
+        assert health.kernels[KERNEL].checks == 5
         assert health.ok
 
-    def test_rate_zero_never_checks(self):
+    def test_rate_zero_never_checks(self, model, monkeypatch):
         reset_guards(GuardConfig(check_rate=0))
-        result = guarded_call(
-            "pareto", fast=lambda: 1.0, oracle=lambda: pytest.fail("oracle ran")
+        monkeypatch.setattr(
+            SpireModel, "_estimate_scalar", lambda *a: pytest.fail("oracle ran")
         )
-        assert result == 1.0
+        assert served(batch_estimate(model, [request()])) == reference(model)
         assert health_report().checks_run == 0
 
     def test_schedule_is_deterministic(self):
         def schedule(runs: int = 64) -> list[int]:
             reset_guards(GuardConfig(check_rate=8, seed=7))
-            guard = kernel_guard("train")
+            guard = kernel_guard(KERNEL)
             return [i for i in range(runs) if guard.should_check()]
 
         first, second = schedule(), schedule()
@@ -115,72 +155,82 @@ class TestDispatch:
         assert len(first) == 8  # every 8th call out of 64
         # A different seed shifts the phase for at least one kernel.
         reset_guards(GuardConfig(check_rate=8, seed=8))
-        shifted = [i for i in range(64) if kernel_guard("train").should_check()]
+        shifted = [i for i in range(64) if kernel_guard(KERNEL).should_check()]
         assert len(shifted) == 8
 
-    def test_real_divergence_serves_oracle_and_trips(self):
+    def test_real_divergence_serves_oracle_and_trips(
+        self, model, wrong_fast, monkeypatch
+    ):
         reset_guards(checked_config())
         with pytest.warns(DegradedDataWarning, match="diverged"):
-            result = guarded_call("pareto", fast=lambda: 1.0, oracle=lambda: 2.0)
-        assert result == 2.0  # the oracle's answer is the trusted one
+            results = batch_estimate(model, [request()])
+        assert served(results) == reference(model)  # the oracle's answer
         health = health_report()
-        assert health.tripped_kernels == ["pareto"]
+        assert health.tripped_kernels == [KERNEL]
         assert not health.divergences[0].injected
-        # The breaker is tripped: only the oracle runs from now on.
-        result = guarded_call(
-            "pareto", fast=lambda: pytest.fail("fast ran"), oracle=lambda: 3.0
+        # The breaker is tripped: only the per-request path runs from now on.
+        monkeypatch.setattr(
+            batching, "fused_estimate", lambda *a: pytest.fail("fast ran")
         )
-        assert result == 3.0
+        assert served(batch_estimate(model, [request()])) == reference(model)
 
-    def test_trip_is_per_kernel(self):
+    def test_trip_is_per_kernel(self, model, wrong_fast):
         reset_guards(checked_config())
         with pytest.warns(DegradedDataWarning):
-            guarded_call("pareto", fast=lambda: 1.0, oracle=lambda: 2.0)
-        # Other kernels keep their fast path.
-        assert guarded_call("train", fast=lambda: 10.0, oracle=lambda: 10.0) == 10.0
+            batch_estimate(model, [request()])
+        # The other kernel keeps its fast path.
+        assert kernel_guard("stream.update").use_fast()
         health = health_report()
-        assert health.tripped_kernels == ["pareto"]
-        assert not health.kernels["train"].tripped
+        assert health.tripped_kernels == [KERNEL]
+        assert not health.kernels["stream.update"].tripped
 
-    def test_injected_divergence_serves_fast_result(self):
+    def test_injected_divergence_serves_fast_result(self, model, monkeypatch):
         reset_guards(checked_config())
-        inject_divergence("train")
+        want = reference(model)
+        # The oracle disagrees but the comparison passes: only the
+        # injection makes this check diverge, and the fast result survives.
+        oracle = SpireModel._estimate_scalar
+
+        def shifted(*args):
+            per_metric, counts, skipped = oracle(*args)
+            return {k: v + 1.0 for k, v in per_metric.items()}, counts, skipped
+
+        monkeypatch.setattr(SpireModel, "_estimate_scalar", shifted)
+        monkeypatch.setattr(batching, "approx_equal", lambda a, b: True)
+        inject_divergence(KERNEL)
         with pytest.warns(DegradedDataWarning, match="injected"):
-            result = guarded_call("train", fast=lambda: 1.0, oracle=lambda: 1.0)
-        assert result == 1.0  # fast result survives: bit-identical output
+            results = batch_estimate(model, [request()])
+        assert served(results) == want
         health = health_report()
-        assert health.tripped_kernels == ["train"]
+        assert health.tripped_kernels == [KERNEL]
         assert health.divergences[0].injected
 
-    def test_raise_policy(self):
+    def test_raise_policy(self, model, wrong_fast):
         reset_guards(checked_config(policy="raise"))
-        with pytest.raises(GuardDivergenceError, match="pareto"):
-            guarded_call("pareto", fast=lambda: 1.0, oracle=lambda: 2.0)
+        with pytest.raises(GuardDivergenceError, match=KERNEL):
+            batch_estimate(model, [request()])
 
-    def test_comparison_crash_counts_as_divergence(self):
+    def test_comparison_crash_counts_as_divergence(self, model, monkeypatch):
         reset_guards(checked_config())
 
         def bad_compare(a, b):
             raise RuntimeError("boom")
 
+        monkeypatch.setattr(batching, "approx_equal", bad_compare)
         with pytest.warns(DegradedDataWarning):
-            result = guarded_call(
-                "pareto", fast=lambda: 1.0, oracle=lambda: 1.0, compare=bad_compare
-            )
-        assert result == 1.0
-        assert health_report().tripped_kernels == ["pareto"]
+            results = batch_estimate(model, [request()])
+        assert served(results) == reference(model)
+        assert health_report().tripped_kernels == [KERNEL]
 
-    def test_trip_determinism(self):
+    def test_trip_determinism(self, model, wrong_fast):
         """Same config and call sequence -> divergence at the same index."""
 
         def run() -> int:
             reset_guards(GuardConfig(check_rate=4, seed=3))
-            for i in range(32):
+            for _ in range(32):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegradedDataWarning)
-                    guarded_call(
-                        "estimate", fast=lambda i=i: i, oracle=lambda i=i: -i
-                    )
+                    batch_estimate(model, [request()])
             events = health_report().divergences
             assert events
             return events[0].call_index
@@ -188,89 +238,29 @@ class TestDispatch:
         assert run() == run()
 
     def test_env_config(self, monkeypatch):
+        assert GuardConfig.from_env().check_rate == DEFAULT_CHECK_RATE == 64
         monkeypatch.setenv("SPIRE_GUARD_RATE", "16")
-        monkeypatch.setenv("SPIRE_GUARD_RATE_CACHE_ACCESS_BATCH", "2")
         monkeypatch.setenv("SPIRE_GUARD_POLICY", "raise")
+        # Per-kernel rates and injection are not read from the environment.
+        monkeypatch.setenv("SPIRE_GUARD_RATE_SERVE_BATCH_ESTIMATE", "2")
+        monkeypatch.setenv("SPIRE_GUARD_INJECT", KERNEL)
         config = GuardConfig.from_env()
         assert config.check_rate == 16
-        assert config.rate_for("cache.access_batch") == 2
-        assert config.rate_for("train") == 16
+        assert config.rate_overrides == {}
+        assert config.rate_for(KERNEL) == 16
         assert config.policy == "raise"
+        assert not reset_guards().injection_pending(KERNEL)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             GuardConfig(check_rate=-1)
         with pytest.raises(ConfigError):
             GuardConfig(policy="explode")
+        with pytest.raises(ConfigError):
+            GuardConfig(rate_overrides={KERNEL: -1})
 
     def test_all_guarded_kernels_named(self):
-        assert len(GUARDED_KERNELS) == 14
-        assert len(set(GUARDED_KERNELS)) == 14
-        for kernel in (
-            "fused_experiment",
-            "trace.fused_run",
-            "trace.block_recurrence",
-            "stream.update",
-            "serve.batch_estimate",
-        ):
-            assert kernel in GUARDED_KERNELS
-
-
-# ---------------------------------------------------------------------------
-# dispatch: always-checked parity on real kernels (hypothesis)
-# ---------------------------------------------------------------------------
-
-
-points = st.lists(
-    st.tuples(
-        st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-        st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-class TestAlwaysCheckedParity:
-    @settings(max_examples=40, deadline=None)
-    @given(points)
-    def test_pareto_checked_equals_scalar(self, pts):
-        from repro.geometry.pareto import pareto_front
-
-        reset_guards(GuardConfig(check_rate=0))
-        unchecked = pareto_front(pts)
-        reset_guards(checked_config())
-        checked = pareto_front(pts)
-        assert checked == unchecked
-        health = health_report()
-        assert health.kernels["pareto"].checks >= 1
-        assert health.ok, "fast and scalar pareto must agree on every cloud"
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=2**14), min_size=1,
-                    max_size=64),
-           st.lists(st.booleans(), min_size=64, max_size=64))
-    def test_predictor_checked_equals_scalar(self, pcs, taken):
-        import numpy as np
-
-        from repro.trace.branch import GsharePredictor
-
-        taken = taken[: len(pcs)]
-        pcs_arr = np.asarray(pcs, dtype=np.int64)
-        taken_arr = np.asarray(taken, dtype=bool)
-
-        reset_guards(GuardConfig(check_rate=0))
-        unchecked = GsharePredictor()
-        fast = unchecked.update_batch(pcs_arr, taken_arr)
-
-        reset_guards(checked_config())
-        checked = GsharePredictor()
-        guarded = checked.update_batch(pcs_arr, taken_arr)
-
-        assert np.array_equal(fast, guarded)
-        assert unchecked.predictions == checked.predictions
-        assert unchecked.mispredictions == checked.mispredictions
-        assert health_report().ok
+        assert GUARDED_KERNELS == ("stream.update", "serve.batch_estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -447,52 +437,3 @@ class TestDatasetIntegrity:
         path2.write_text(json.dumps({"rooflines": [1, 2]}))
         with pytest.raises(DataError, match="must be an object"):
             load_model(path2)
-
-
-# ---------------------------------------------------------------------------
-# end-to-end: guard faults through the experiment pipeline
-# ---------------------------------------------------------------------------
-
-
-class TestGuardFaultsEndToEnd:
-    def test_diverge_kernel_trips_only_its_kernel(self):
-        from repro.pipeline import ExperimentConfig, run_experiment_with_report
-        from repro.runtime.faults import DIVERGE_KERNEL, FaultPlan, FaultSpec
-
-        config = ExperimentConfig(train_windows=24, test_windows=12)
-        baseline, _ = run_experiment_with_report(config)
-
-        reset_guards()
-        faults = FaultPlan(specs=(FaultSpec(workload="train", kind=DIVERGE_KERNEL),))
-        with pytest.warns(DegradedDataWarning):
-            result, report = run_experiment_with_report(config, faults=faults)
-
-        assert report.health is not None
-        assert report.health.tripped_kernels == ["train"]
-        assert all(e.injected for e in report.health.divergences)
-        # The injected divergence must not change any numbers.
-        for name, run in (result.training_runs | result.testing_runs).items():
-            ref = baseline.training_runs.get(name) or baseline.testing_runs[name]
-            assert run.measured_ipc == ref.measured_ipc
-            assert (
-                run.collection.samples.to_records()
-                == ref.collection.samples.to_records()
-            )
-        assert result.model.to_dict() == baseline.model.to_dict()
-
-    def test_random_plan_draws_guard_faults_deterministically(self):
-        from repro.runtime.faults import FaultPlan
-
-        names = [f"w{i}" for i in range(8)]
-        plan_a = FaultPlan.random(names, seed=11, diverge_kernels=2)
-        plan_b = FaultPlan.random(names, seed=11, diverge_kernels=2)
-        assert plan_a == plan_b
-        assert len(plan_a.diverge_kernels()) == 2
-        # Older fault kinds keep their victims when new kinds are added.
-        old = FaultPlan.random(names, seed=11, corrupt_samples=1, drop_metrics=1)
-        new = FaultPlan.random(
-            names, seed=11, corrupt_samples=1, drop_metrics=1, diverge_kernels=1
-        )
-        assert new.specs[: len(old.specs)] == old.specs
-        # Guard faults never count as workload injections.
-        assert plan_a.injected_workloads() == []

@@ -214,6 +214,50 @@ class TestBatchEstimateParity:
 # ---------------------------------------------------------------------------
 
 
+# (head field, value).  ``metrics`` replaces the model's metric list;
+# the other fields belong to its first metric entry.
+MALFORMED_HEADS = [
+    pytest.param("metrics", 5, id="metrics-int"),
+    pytest.param("sample_count", "x", id="sample_count-str"),
+    pytest.param("sample_count", None, id="sample_count-null"),
+    pytest.param("infinite_sample_count", [1], id="infinite_sample_count-list"),
+    pytest.param("apex", "ab", id="apex-str"),
+    pytest.param("apex", [None, 1], id="apex-null"),
+]
+
+#: Every head field, by the name ``_rewrite_head`` resolves: top-level
+#: keys, the model's keys, the first metric ``entry`` and its keys.
+HEAD_FIELDS = [
+    "header", "payload_float64", "model", "work_unit", "time_unit",
+    "metrics", "entry", "metric", "offset", "points", "apex",
+    "sample_count", "infinite_sample_count", "direction",
+]
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _rewrite_head(path, field, value) -> None:
+    """Replace one field of a packed model's head, keeping its payload."""
+    blob = path.read_bytes()
+    newline = blob.index(b"\n")
+    head = json.loads(blob[:newline])
+    meta = head["model"]
+    if field in ("header", "payload_float64", "model"):
+        head[field] = value
+    elif field in ("work_unit", "time_unit", "metrics"):
+        meta[field] = value
+    elif field == "entry":
+        meta["metrics"][0] = value
+    else:
+        meta["metrics"][0][field] = value
+    path.write_bytes(json.dumps(head).encode() + b"\n" + blob[newline + 1:])
+
+
 class TestRegistry:
     def test_pack_map_roundtrip_is_zero_copy(self, model, tmp_path):
         path = pack_model(model, tmp_path / "m.spm")
@@ -268,6 +312,49 @@ class TestRegistry:
         quarantined = list((tmp_path / ".quarantine").iterdir())
         assert len(quarantined) == 1
         assert health_report().artifacts_quarantined
+
+    @pytest.mark.parametrize("field, value", MALFORMED_HEADS)
+    def test_malformed_head_field_is_quarantined(
+        self, model, tmp_path, field, value
+    ):
+        # The checksum covers only the payload, so these head edits pass
+        # it; each must still surface as a typed DataError.
+        path = pack_model(model, tmp_path / "m.spm")
+        _rewrite_head(path, field, value)
+        with pytest.raises(DataError, match="malformed"):
+            map_model(path)
+        assert not path.exists()
+        assert len(list((tmp_path / ".quarantine").iterdir())) == 1
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"[" * 100_000, b'{"payload_float64": ' + b"9" * 5_000 + b"}"],
+        ids=["deep-nesting", "huge-int"],
+    )
+    def test_unparseable_head_is_quarantined(self, tmp_path, head):
+        path = tmp_path / "m.spm"
+        path.write_bytes(head + b"\n")
+        with pytest.raises(DataError, match="unparseable"):
+            map_model(path)
+        assert not path.exists()
+
+    @given(field=st.sampled_from(HEAD_FIELDS), value=_json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_head_field_maps_or_raises_data_error(
+        self, model, tmp_path_factory, field, value
+    ):
+        path = pack_model(model, tmp_path_factory.mktemp("spm") / "m.spm")
+        _rewrite_head(path, field, value)
+        try:
+            mapped, mapping = map_model(path)
+        except DataError:
+            return
+        assert isinstance(mapped, SpireModel)
+        del mapped
+        try:
+            mapping.close()
+        except BufferError:
+            pass
 
     def test_model_names_are_sandboxed(self, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -837,6 +924,40 @@ class TestServerRobustness:
         assert payload["per_metric"] == _want_per_metric(model)
         assert stats["drain"]["count"] == 1
         assert stats["drain"]["flushed"] >= 1
+
+    def test_malformed_head_answers_503_promptly(self, model, tmp_path):
+        """An artifact whose head fails conversion is quarantined and
+        answered 503, never left hanging on the batching lane."""
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model, window=0.001)
+        body = _estimate_body()
+
+        async def drive():
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                server.registry.evict("demo")
+                _rewrite_head(
+                    tmp_path / "store" / "demo.spm", "sample_count", "x"
+                )
+                status, payload, headers = await asyncio.wait_for(
+                    _http(host, port, "POST", "/v1/estimate", body), 5.0
+                )
+                assert status == 503
+                assert "retry-after" in headers
+                assert "demo" in payload["error"]
+                assert server.registry.snapshot()["verify_failures"] == 1
+                # The next request is answered promptly too: the
+                # quarantined artifact has left the store, so 404.
+                status, payload, _ = await asyncio.wait_for(
+                    _http(host, port, "POST", "/v1/estimate", body), 5.0
+                )
+                assert status == 404
+                assert "demo" in payload["error"]
+            finally:
+                await server.stop()
+
+        _run(drive())
 
     def test_quarantine_under_traffic(self, model, tmp_path, capsys):
         """Corrupting the artifact mid-service yields a clean 503 +

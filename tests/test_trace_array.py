@@ -6,21 +6,19 @@ Two layers of guarantees:
   (round-trip, slicing, concatenation, validation);
 - every vectorized simulation kernel — gshare ``update_batch``, cache
   ``access_batch``, ``TracePipeline.execute_array``, the columnar kernel
-  builders, vectorized sampling, and the batched uarch ``simulate_run``
-  — is **bit-exact** against its scalar reference, pinned on randomized
+  builders, vectorized sampling, and the uarch bulk rng pre-pass — is
+  **bit-exact** against its scalar reference, pinned on randomized
   hypothesis inputs including mispredict redirects and ROB-full stalls.
 """
 
 import random
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, DegradedDataWarning
-from repro.guard import GuardConfig, reset_guards
+from repro.errors import ConfigError
 from repro.trace import wavefront
 from repro.trace import (
     KERNELS,
@@ -37,7 +35,6 @@ from repro.trace.cache import LEVELS
 from repro.trace.pipeline import _FU_PRUNE_AT
 from repro.trace.trace_array import KIND_CODES, LATENCY_BY_CODE
 from repro.trace.uops import EXEC_LATENCY, KINDS, MicroOp
-from repro.uarch.activity import WindowActivity
 from repro.uarch.config import skylake_gold_6126
 from repro.uarch.core import CoreModel
 from repro.workloads import all_workloads
@@ -396,65 +393,6 @@ def _rng_pair(seed, cached_gauss=False):
     return pair
 
 
-# (core keyword arguments, seed, gauss_next cached on entry).  jitter=0
-# draws 1 normal per window and measurement_noise=0 draws 11, so in both
-# a Box–Muller pair straddles a window boundary.
-SIMULATE_RUN_CASES = {
-    "None": ({}, None, False),
-    "7": ({}, 7, False),
-    "jitter0": ({"jitter": 0}, 7, False),
-    "noise0": ({"measurement_noise": 0}, 7, False),
-    "cached-gauss": ({}, 7, True),
-}
-
-
-@pytest.mark.parametrize("case", SIMULATE_RUN_CASES)
-def test_simulate_run_batch_matches_simulate_window(case):
-    core_kwargs, seed, cached_gauss = SIMULATE_RUN_CASES[case]
-    core = CoreModel(skylake_gold_6126(), **core_kwargs)
-    specs = _suite_specs()
-    rng_a, rng_b = _rng_pair(seed, cached_gauss)
-    scalar = [core.simulate_window(spec, rng_a) for spec in specs]
-    batch = core.simulate_run(specs, rng_b)
-    names = [spec.name for spec in fields(WindowActivity)]
-    for scalar_act, batch_act in zip(scalar, batch, strict=True):
-        for name in names:
-            assert getattr(batch_act, name) == getattr(scalar_act, name), name
-    if seed is not None:  # the rng streams stayed in lockstep
-        assert rng_b.getstate() == rng_a.getstate()
-
-
-def test_simulate_run_guard_checks_the_rng_stream(monkeypatch):
-    """Matching activities are not enough: a batch path that leaves the
-    rng elsewhere is a divergence, and the caller's rng continues the
-    scalar stream."""
-    from repro.guard.dispatch import GuardConfig, health_report, reset_guards
-    from repro.uarch import batch
-
-    original = batch.simulate_run_batch
-
-    def stray_draw(core, specs, rng):
-        result = original(core, specs, rng)
-        rng.random()
-        return result
-
-    monkeypatch.setattr(batch, "simulate_run_batch", stray_draw)
-    core = CoreModel(skylake_gold_6126())
-    specs = _suite_specs()
-    rng_a, rng_b = _rng_pair(3)
-    scalar = [core.simulate_window(spec, rng_a) for spec in specs]
-    reset_guards(GuardConfig(check_rate=1))
-    try:
-        with pytest.warns(DegradedDataWarning, match="simulate_run"):
-            assert core.simulate_run(specs, rng_b) == scalar
-        assert rng_b.getstate() == rng_a.getstate()
-        health = health_report()
-        assert [event.kernel for event in health.divergences] == ["simulate_run"]
-        assert health.kernels["simulate_run"].tripped
-    finally:
-        reset_guards()
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.one_of(
@@ -666,41 +604,3 @@ def test_scalar_fallback_routes_around_wavefront(monkeypatch):
     assert wavefront.stats()["uops"] >= 5 * 2_000
     assert fallback.final_counters == vectorized.final_counters
     assert fallback.samples.to_records() == vectorized.samples.to_records()
-
-
-@pytest.fixture
-def raising_block_guard(monkeypatch):
-    monkeypatch.setenv("SPIRE_GUARD_POLICY", "raise")
-    monkeypatch.setenv("SPIRE_GUARD_RATE_TRACE_BLOCK_RECURRENCE", "1")
-    registry = reset_guards()
-    yield registry
-    reset_guards()
-
-
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_block_guard_at_rate_one_runs_clean(kernel, raising_block_guard):
-    # Every block is replayed through execute and compared; under the
-    # raise policy a single divergence would fail the collection.
-    collect_trace_samples(kernel, n_uops=3_000, window_uops=700, seed=5)
-    health = raising_block_guard.health_report()
-    block = health.kernels["trace.block_recurrence"]
-    assert block.checks == block.calls > 0
-    assert not health.divergences
-
-
-def test_block_guard_injected_divergence_serves_identical_output():
-    kwargs = dict(n_uops=3_000, window_uops=700, seed=5)
-    registry = reset_guards(GuardConfig(check_rate=0))
-    clean = collect_trace_samples("mixed", **kwargs)
-    registry = reset_guards(GuardConfig(check_rate=0))
-    registry.inject_divergence("trace.block_recurrence")
-    with pytest.warns(DegradedDataWarning):
-        faulted = collect_trace_samples("mixed", **kwargs)
-    health = registry.health_report()
-    reset_guards()
-    assert [event.kernel for event in health.divergences] == [
-        "trace.block_recurrence"
-    ]
-    assert health.kernels["trace.block_recurrence"].tripped
-    assert faulted.final_counters == clean.final_counters
-    assert faulted.samples.to_records() == clean.samples.to_records()
