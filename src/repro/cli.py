@@ -512,7 +512,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         micro_batch=not args.no_batch,
         max_batch=args.max_batch,
-        window=args.window_ms / 1000.0,
         queue_limit=args.queue_limit,
         load_shed=args.load_shed,
         drain_timeout=args.drain_timeout,
@@ -530,10 +529,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
-        mode = "off" if args.no_batch else (
-            f"on (max {config.max_batch}, window "
-            f"{config.window * 1000:g} ms)"
-        )
+        mode = "off" if args.no_batch else f"on (max {config.max_batch})"
         print(
             f"serving {len(server.registry.names())} model(s) on "
             f"http://{config.host}:{server.port} — micro-batch {mode}",
@@ -860,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="most requests fused into one evaluation (default 64)",
-    )
-    p.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch coalescing deadline in ms (default 2)",
     )
     p.add_argument(
         "--queue-limit",

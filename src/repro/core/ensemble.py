@@ -28,6 +28,7 @@ from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import QualityReport, SampleSanitizer
 from repro.errors import DegradedDataWarning, EstimationError, FitError
 from repro.fastpath import scalar_fallback_enabled
+from repro.geometry.piecewise import PackedPiecewise
 from repro.guard.guardrails import (
     check_bound_violation,
     check_estimates,
@@ -116,6 +117,7 @@ class SpireModel:
         self._rooflines = dict(rooflines)
         self.work_unit = work_unit
         self.time_unit = time_unit
+        self._packed: "tuple[dict[str, int], PackedPiecewise] | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -228,6 +230,21 @@ class SpireModel:
             return self._rooflines[metric]
         except KeyError:
             raise EstimationError(f"model has no roofline for metric {metric!r}") from None
+
+    def packed_rooflines(self) -> "tuple[dict[str, int], PackedPiecewise]":
+        """Every roofline in one :class:`PackedPiecewise`, built once.
+
+        Returns ``(index, table)``, where ``index[metric]`` is the
+        metric's function number in ``table``.  Caching is safe because
+        ``_rooflines`` is copied at construction and never written.
+        """
+        if self._packed is None:
+            index = {metric: k for k, metric in enumerate(self._rooflines)}
+            table = PackedPiecewise(
+                [roofline.function for roofline in self._rooflines.values()]
+            )
+            self._packed = (index, table)
+        return self._packed
 
     # ------------------------------------------------------------------
     # Estimation and analysis

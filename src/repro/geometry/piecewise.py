@@ -234,6 +234,68 @@ class PiecewiseLinear:
         return cls(tuple(bp) for bp in payload["breakpoints"])
 
 
+class PackedPiecewise:
+    """Many piecewise functions, evaluated together in one vectorized pass.
+
+    Every function's ``_evaluation_arrays()`` are concatenated into flat
+    ``bx``/``by``/``run_min_y`` arrays with per-function ``first`` and
+    ``last`` offsets.  ``values`` holds the sorted unique ``x`` of all
+    breakpoints, and breakpoint ``j`` of function ``k`` gets the integer
+    key ``k * stride + searchsorted(values, bx[j])`` — sorted by
+    construction, so one ``searchsorted`` over ``keys`` finds a query's
+    position inside its own function.  Breakpoints must be finite.
+    """
+
+    def __init__(self, functions: Sequence[PiecewiseLinear]):
+        arrays = [function._evaluation_arrays() for function in functions]
+        lengths = np.asarray([len(bx) for bx, _, _ in arrays], dtype=np.int64)
+        self.bx, self.by, self.run_min_y = [
+            np.concatenate(column) for column in zip(*arrays)
+        ] or [np.empty(0)] * 3
+        self.last = np.cumsum(lengths) - 1
+        self.first = self.last - lengths + 1
+        self.values = np.unique(self.bx)
+        self.stride = len(self.values) + 1
+        owner = np.repeat(np.arange(len(arrays), dtype=np.int64), lengths)
+        self.keys = owner * self.stride + np.searchsorted(self.values, self.bx)
+
+    def evaluate(self, k, xs) -> np.ndarray:
+        """``functions[k[i]].evaluate_array(xs[i])`` for every row at once.
+
+        The same rules and the same elementwise float expressions as
+        :meth:`PiecewiseLinear.evaluate_array`, so every row is bit for
+        bit what its own function would return.  ``inf`` takes the high
+        clamp, the last breakpoint's ``y``.
+        """
+        x = np.asarray(xs, dtype=np.float64)
+        if np.isnan(x).any():
+            raise ValueError("cannot evaluate a piecewise function at NaN")
+        k = np.asarray(k, dtype=np.int64)
+        bx, by = self.bx, self.by
+        first, last = self.first[k], self.last[k]
+        # The low clamp, then the high clamp, which wins where both hold.
+        result = np.where(x >= bx[last], by[last], by[first])
+        interior = np.flatnonzero((x > bx[first]) & (x < bx[last]))
+        if len(interior):
+            xi = x[interior]
+            base = k[interior] * self.stride
+            # Each function's x values are a subset of ``values``, so
+            # these are first[k] + searchsorted(bx_k, x, side) exactly.
+            lo = np.searchsorted(
+                self.keys, base + np.searchsorted(self.values, xi, "left")
+            )
+            hi = np.searchsorted(
+                self.keys, base + np.searchsorted(self.values, xi, "right")
+            )
+            left_x = bx[lo - 1]
+            left_y = by[lo - 1]
+            frac = (xi - left_x) / (bx[lo] - left_x)
+            result[interior] = np.where(
+                lo != hi, self.run_min_y[lo], left_y + frac * (by[lo] - left_y)
+            )
+        return result
+
+
 def merge_min(functions: Sequence[PiecewiseLinear], xs: Iterable[float]) -> list[float]:
     """Pointwise minimum of several piecewise functions sampled at ``xs``.
 

@@ -2,9 +2,9 @@
 
 The serving layer turns trained models into a long-running endpoint:
 
-- :mod:`repro.serve.batching` — the adaptive micro-batcher and the
+- :mod:`repro.serve.batching` — the micro-batcher and the
   ``serve.batch_estimate`` guarded kernel: concurrent requests fuse into
-  one columnar evaluation, scattered back bit-identically to the
+  one packed roofline evaluation, scattered back bit-identically to the
   per-request path;
 - :mod:`repro.serve.registry` — packed ``.spm`` artifacts with integrity
   headers, mmap zero-copy reloads, per-model LRU residency and

@@ -1,13 +1,17 @@
-"""Adaptive micro-batching: fuse concurrent requests into one evaluation.
+"""Micro-batching: fuse concurrent requests into one evaluation.
 
 A SPIRE server spends most of a small request's budget on fixed per-call
-overhead: one ``group_indices`` argsort plus one ``estimate_batch`` and
-one ``time_weighted_mean`` *per metric* — dozens of tiny NumPy calls for
-a typical 60-metric request.  :func:`batch_estimate` amortizes that
-across concurrent requests by concatenating their :class:`SampleArray`
-columns, sorting the fused rows once by ``(metric, request)``, running
-one ``estimate_batch`` per *metric* over all requests' rows at once, and
-reducing each ``(request, metric)`` segment with a positional wavefront.
+overhead: the per-request path runs one ``group_indices`` argsort plus
+one ``estimate_batch`` and one ``time_weighted_mean`` *per metric* —
+dozens of tiny NumPy calls for a typical 60-metric request.
+:func:`batch_estimate` pays a fixed number of NumPy calls per *batch*
+instead: it concatenates the requests' :class:`SampleArray` columns,
+sorts the fused rows once by ``(metric, request)``, evaluates every row
+against the model's packed rooflines
+(:meth:`SpireModel.packed_rooflines
+<repro.core.ensemble.SpireModel.packed_rooflines>`) in one vectorized
+pass, and reduces each ``(request, metric)`` segment with a positional
+wavefront.
 
 Bit-identity contract
 ---------------------
@@ -15,8 +19,10 @@ The scattered per-request results are bit-identical to what each request
 would get from :meth:`SpireModel.estimate
 <repro.core.ensemble.SpireModel.estimate>` alone:
 
-- roofline evaluation is elementwise, so batching rows across requests
-  cannot change any row's estimate;
+- roofline evaluation is elementwise, and the packed table applies the
+  same rules and float expressions as ``PiecewiseLinear.evaluate_array``,
+  so batching rows across requests and metrics cannot change any row's
+  estimate;
 - the stable ``(metric, request)`` lexsort preserves original row order
   inside every segment, matching ``group_indices``'s ascending rows;
 - Eq. 1's sums accumulate **left to right** (``np.cumsum``, not
@@ -118,23 +124,18 @@ def fused_estimate(
     # request those positions order its metrics first-seen.
     seg_first_pos = order[seg_starts]
 
-    # Metric runs are contiguous (primary sort key): one estimate_batch
-    # per covered metric over every request's rows for it at once.
+    # One packed roofline evaluation over every covered row at once.
     names = fused.metric_names
+    index, table = model.packed_rooflines()
+    function = np.asarray(
+        [index.get(name, -1) for name in names], dtype=np.int64
+    )
+    covered = function >= 0
+    rows = covered[sorted_metric]
     estimates = np.zeros(n, dtype=np.float64)
-    covered = np.zeros(len(names), dtype=bool)
-    metric_changed = np.flatnonzero(np.diff(sorted_metric) != 0) + 1
-    run_starts = np.concatenate(([0], metric_changed))
-    run_ends = np.append(metric_changed, n)
-    for start, end in zip(run_starts, run_ends):
-        ident = int(sorted_metric[start])
-        name = names[ident]
-        if name not in model:
-            continue
-        covered[ident] = True
-        estimates[start:end] = model.roofline(name).estimate_batch(
-            intensity[start:end], validated=True
-        )
+    estimates[rows] = table.evaluate(
+        function[sorted_metric[rows]], intensity[rows]
+    )
 
     seg_covered = covered[seg_metric]
     live_starts = seg_starts[seg_covered]
@@ -248,14 +249,19 @@ def batch_estimate(
 
 
 class MicroBatcher:
-    """Deadline- and size-triggered request coalescing, one lane per model.
+    """Request coalescing that dispatches whenever its lane is idle.
 
     A request enqueues its :class:`SampleArray` on its model's lane and
-    awaits a future.  The lane's runner coroutine drains up to
-    ``max_batch`` requests per pass, waiting at most ``window`` seconds
-    after the first pending request before evaluating — under load the
-    size trigger fires first and batches run full; when idle the
-    deadline keeps added latency bounded at one window.
+    awaits a future.  The lane's runner coroutine evaluates whatever is
+    queued, up to ``max_batch`` requests, as soon as it runs — there is
+    no deadline to wait out.  Evaluation runs on the event loop, so the
+    requests that arrive while one batch is evaluated form the next.
+    A batch costs a fixed number of NumPy calls however many metrics
+    its requests cover, so it needs no company to be cheap.
+
+    A batch whose evaluation raises (a guardrail violation under the
+    ``raise`` policy, or a bug) fails each of its requests with that
+    exception; the lane keeps serving.
 
     Backpressure: a lane whose queue holds ``queue_limit`` requests
     either rejects the newcomer (``load_shed="reject"``, the HTTP 429
@@ -267,7 +273,6 @@ class MicroBatcher:
         self,
         resolve: "Callable[[str], SpireModel]",
         max_batch: int = 64,
-        window: float = 0.002,
         queue_limit: int = 256,
         load_shed: str = "reject",
         retry_after: float = 0.05,
@@ -283,7 +288,6 @@ class MicroBatcher:
             )
         self._resolve = resolve
         self.max_batch = max_batch
-        self.window = window
         self.queue_limit = queue_limit
         self.load_shed = load_shed
         self.retry_after = retry_after
@@ -335,9 +339,8 @@ class MicroBatcher:
                 )
             if self.stats is not None:
                 self.stats.note_shed()
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        lane.queue.append(_Pending(array, future, loop.time()))
+        future = asyncio.get_running_loop().create_future()
+        lane.queue.append(_Pending(array, future))
         if self.stats is not None:
             self.stats.note_queue_depth(len(lane.queue))
         lane.event.set()
@@ -346,7 +349,6 @@ class MicroBatcher:
     # -- lane runner ---------------------------------------------------
 
     async def _run_lane(self, lane: "_Lane") -> None:
-        loop = asyncio.get_running_loop()
         while True:
             if not lane.queue:
                 if self._closed:
@@ -356,21 +358,6 @@ class MicroBatcher:
                     continue
                 await lane.event.wait()
                 continue
-            if not self._closed:
-                # Normal operation: wait out the batching window unless
-                # the size trigger (or a drain) fires first.  A draining
-                # batcher skips the wait entirely and flushes the queue
-                # in full-batch passes.
-                deadline = lane.queue[0].enqueued + self.window
-                while len(lane.queue) < self.max_batch and not self._closed:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    lane.event.clear()
-                    try:
-                        await asyncio.wait_for(lane.event.wait(), remaining)
-                    except asyncio.TimeoutError:
-                        break
             batch = [
                 lane.queue.popleft()
                 for _ in range(min(self.max_batch, len(lane.queue)))
@@ -379,12 +366,9 @@ class MicroBatcher:
                 self.stats.note_batch(len(batch))
             try:
                 model = self._resolve(lane.name)
-            except SpireError as exc:
-                for pending in batch:
-                    if not pending.future.done():
-                        pending.future.set_exception(exc)
-                continue
-            results = batch_estimate(model, [p.array for p in batch])
+                results = batch_estimate(model, [p.array for p in batch])
+            except Exception as exc:
+                results = [exc] * len(batch)
             for pending, result in zip(batch, results):
                 if pending.future.done():
                     continue  # the client went away mid-batch
@@ -398,9 +382,8 @@ class MicroBatcher:
 
         The graceful half of shutdown: new submissions are refused
         (``503``) immediately, but everything already queued is
-        evaluated — lane runners skip the batching window and burn down
-        their queues in full-batch passes.  Returns the number of
-        requests flushed this way.
+        evaluated — lane runners burn down their queues in full-batch
+        passes.  Returns the number of requests flushed this way.
         """
         self._closed = True
         flushed = sum(len(lane.queue) for lane in self._lanes.values())
@@ -447,12 +430,11 @@ class MicroBatcher:
 
 
 class _Pending:
-    __slots__ = ("array", "future", "enqueued")
+    __slots__ = ("array", "future")
 
-    def __init__(self, array, future, enqueued):
+    def __init__(self, array, future):
         self.array = array
         self.future = future
-        self.enqueued = enqueued
 
 
 class _Lane:

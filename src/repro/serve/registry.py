@@ -58,12 +58,13 @@ PACKED_MODEL_SUFFIX = ".spm"
 class MappedPiecewiseLinear(PiecewiseLinear):
     """A piecewise function whose evaluation arrays view a shared buffer.
 
-    The batch evaluator only ever reads ``_evaluation_arrays()``; this
+    The batch evaluators only ever read ``_evaluation_arrays()``; this
     subclass seeds that cache directly from zero-copy payload views and
     skips the breakpoint-object construction entirely.  The object
     representation (``_points``/``_xs``) materializes lazily on first
-    scalar evaluation or ``breakpoints`` access — the serving hot path
-    never gets there except through a roofline's flat infinite tail.
+    scalar evaluation or ``breakpoints`` access — the packed serving
+    path never gets there, and per-request estimation only through a
+    roofline's flat infinite tail.
     """
 
     def __init__(self, bx: np.ndarray, by: np.ndarray):
@@ -253,6 +254,12 @@ def map_model(path: "str | Path") -> "tuple[SpireModel, mmap.mmap]":
                 mapping, dtype="<f8", count=points,
                 offset=payload_offset + 8 * (offset + points),
             )
+            # NaN passes the sort check below and the payload checksum;
+            # packed evaluation needs sorted, finite breakpoints.
+            if not (np.isfinite(bx).all() and np.isfinite(by).all()):
+                raise _reject(
+                    path, f"metric {metric!r} has non-finite breakpoints"
+                )
             if points > 1 and bool((np.diff(bx) < 0).any()):
                 raise _reject(
                     path, f"metric {metric!r} breakpoints are not sorted"

@@ -4,9 +4,9 @@
 that accepts counter-sample batches (JSON records or columnar JSON) or
 raw ``perf stat -x,`` CSV and answers with bottleneck rankings and
 optional TMA drilldowns.  Concurrent requests are coalesced by the
-adaptive micro-batcher (:mod:`repro.serve.batching`) into one fused
-evaluation per model; responses are bit-identical to what each request
-would get evaluated alone.
+micro-batcher (:mod:`repro.serve.batching`) into one fused evaluation
+per model; responses are bit-identical to what each request would get
+evaluated alone.
 
 Routes
 ------
@@ -25,13 +25,15 @@ Backpressure maps to HTTP: a full queue answers ``429`` with a
 ``Retry-After`` header under the default ``reject`` policy, and sheds
 the *oldest* queued request with ``503`` under ``load_shed=oldest``.
 A body over ``max_body`` is answered ``413`` and closes the connection:
-the unread body must never be parsed as the next request.
+the unread body must never be parsed as the next request.  Any other
+exception while answering a request is a ``500`` with a JSON body.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
@@ -59,6 +61,8 @@ __all__ = ["ServeConfig", "SpireServer"]
 
 _MAX_HEAD = 32 * 1024
 
+_log = logging.getLogger(__name__)
+
 
 @dataclass
 class ServeConfig:
@@ -70,7 +74,6 @@ class ServeConfig:
     capacity: int = 4
     micro_batch: bool = True
     max_batch: int = 64
-    window: float = 0.002       # seconds the batcher waits for batch-mates
     queue_limit: int = 256
     load_shed: str = "reject"   # or "oldest"
     retry_after: float = 0.05
@@ -136,7 +139,6 @@ class SpireServer:
             self.batcher = MicroBatcher(
                 resolve=self.registry.get,
                 max_batch=self.config.max_batch,
-                window=self.config.window,
                 queue_limit=self.config.queue_limit,
                 load_shed=self.config.load_shed,
                 retry_after=self.config.retry_after,
@@ -366,6 +368,16 @@ class SpireServer:
                 {"error": str(exc)},
                 headers={"Retry-After": f"{self.config.retry_after:.3f}"},
             )
+        except Exception as exc:
+            # Anything untyped is a server fault (a guardrail violation
+            # under the raise policy, or a bug): answer it, never drop
+            # the connection.
+            _log.exception(
+                "internal error on %s %s", request.method, request.path
+            )
+            return _Response(
+                500, {"error": f"internal error: {type(exc).__name__}: {exc}"}
+            )
 
     def _health(self) -> _Response:
         report = health_report()
@@ -374,7 +386,6 @@ class SpireServer:
         serve_state["batcher"] = {
             "enabled": self.batcher is not None,
             "max_batch": self.config.max_batch,
-            "window_ms": self.config.window * 1000.0,
             "queue_limit": self.config.queue_limit,
             "load_shed": self.config.load_shed,
             "queues": (

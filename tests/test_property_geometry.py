@@ -146,3 +146,41 @@ def test_dijkstra_agrees_with_networkx_on_random_graphs(seed):
     distance, path = dijkstra(graph, source, target)
     assert distance == pytest.approx(expected)
     assert path[0] == source and path[-1] == target
+
+
+#: Breakpoint x values come from a small grid so that step runs, shared
+#: x across functions and exact query hits are common.
+_grid_x = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5, 8.0])
+_function_points = st.lists(
+    st.tuples(_grid_x, st.floats(min_value=0.0, max_value=20.0)),
+    min_size=1,
+    max_size=9,
+).map(lambda points: sorted(points, key=lambda p: p[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    functions=st.lists(_function_points, min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_packed_evaluation_is_bit_identical_to_each_function(functions, data):
+    from repro.geometry.piecewise import PackedPiecewise
+
+    pieces = [PiecewiseLinear(points) for points in functions]
+    table = PackedPiecewise(pieces)
+    query = st.one_of(
+        _grid_x,
+        st.floats(min_value=0.0, max_value=10.0),
+        st.just(float("inf")),
+    )
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pieces) - 1), query), max_size=40
+        )
+    )
+    k = np.asarray([row[0] for row in rows], dtype=np.int64)
+    xs = np.asarray([row[1] for row in rows], dtype=np.float64)
+    got = table.evaluate(k, xs)
+    for index, (function, x) in enumerate(rows):
+        want = pieces[function].evaluate_array(np.asarray([x]))
+        assert got[index : index + 1].tobytes() == want.tobytes()

@@ -16,6 +16,7 @@ sockets: request framing, shutdown and drain, quarantine under traffic.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import random
@@ -29,12 +30,14 @@ from hypothesis import strategies as st
 
 from repro.core import SpireModel, TrainOptions
 from repro.core.columns import SampleArray
+from repro.core.roofline import MetricRoofline
 from repro.errors import (
     DataError,
     DegradedDataWarning,
     EstimationError,
     ServeOverloadError,
 )
+from repro.geometry.piecewise import PiecewiseLinear
 from repro.guard.dispatch import (
     GUARDED_KERNELS,
     GuardConfig,
@@ -209,6 +212,120 @@ class TestBatchEstimateParity:
                 _assert_identical(got, _reference(model, array))
 
 
+#: Hand-made rooflines the packed table must get right: step
+#: discontinuities (one whose minimum sits mid-run, one at each end, where
+#: the boundary clamp beats the run minimum) and a single breakpoint.
+STEPPED_SHAPES = {
+    "step.down": [(0.5, 1.0), (2.0, 4.0), (2.0, 3.0), (5.0, 3.0), (9.0, 6.0)],
+    "step.mid": [(1.0, 2.0), (3.0, 5.0), (3.0, 1.5), (3.0, 2.5), (6.0, 2.5)],
+    "step.edges": [(2.0, 3.0), (2.0, 1.0), (4.0, 5.0), (4.0, 2.0)],
+    "single": [(3.0, 2.5)],
+}
+
+
+def _stepped_model() -> SpireModel:
+    trained = _train_model()
+    rooflines = {metric: trained.roofline(metric) for metric in trained.metrics}
+    for metric, points in STEPPED_SHAPES.items():
+        function = PiecewiseLinear(points)
+        rooflines[metric] = MetricRoofline(
+            metric=metric,
+            function=function,
+            apex=function.breakpoints[0],
+            sample_count=1,
+        )
+    return SpireModel(rooflines)
+
+
+@pytest.fixture(scope="module")
+def stepped_models(tmp_path_factory):
+    """The stepped model in process and mapped from its ``.spm``."""
+    model = _stepped_model()
+    path = pack_model(model, tmp_path_factory.mktemp("stepped") / "m.spm")
+    mapped, mapping = map_model(path)
+    yield {"in-process": model, "mapped": mapped}
+    del mapped
+    try:
+        mapping.close()
+    except BufferError:
+        pass
+
+
+def _breakpoint_xs(model: SpireModel, metric: str) -> "list[float]":
+    return [p.x for p in model.roofline(metric).function.breakpoints]
+
+
+@st.composite
+def _breakpoint_row(draw, model: SpireModel, union: "list[float]"):
+    """One row whose intensity lands on, between or beyond breakpoints.
+
+    ``work = x`` over ``metric_count = 1`` makes the intensity exactly
+    ``x``; a zero count makes it ``inf``.
+    """
+    metric = draw(st.sampled_from(model.metrics + ["uncovered.a"]))
+    own = _breakpoint_xs(model, metric) if metric in model else union
+    distinct = sorted(set(own))
+    midpoints = [(a + b) / 2 for a, b in zip(distinct, distinct[1:])]
+    time = draw(_finite)
+    kind = draw(st.sampled_from(["own", "union", "mid", "outside", "inf"]))
+    if kind == "inf":
+        return (metric, time, draw(_finite), 0.0)
+    if kind == "own":
+        x = draw(st.sampled_from(own))
+    elif kind == "union":  # another metric's x: a hit in values, not in own
+        x = draw(st.sampled_from(union))
+    elif kind == "mid" and midpoints:
+        x = draw(st.sampled_from(midpoints))
+    else:
+        x = draw(st.sampled_from([distinct[0] / 2, distinct[-1] * 2]))
+    return (metric, time, x, 1.0)
+
+
+class TestPackedParity:
+    """The packed roofline table against per-request ``estimate``, on
+    intensities that hit breakpoints exactly, which the continuous draws
+    of ``test_fused_matches_per_request`` practically never do."""
+
+    @pytest.mark.parametrize("kind", ["in-process", "mapped"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_breakpoint_intensities_match_per_request(
+        self, stepped_models, kind, data
+    ):
+        model = stepped_models[kind]
+        reset_guards(GuardConfig(check_rate=0))  # pure fast path
+        union = sorted(
+            {x for metric in model.metrics for x in _breakpoint_xs(model, metric)}
+        )
+        row = _breakpoint_row(model, union)
+        requests = data.draw(
+            st.lists(st.lists(row, max_size=12), min_size=1, max_size=6)
+        )
+        arrays = [_array_from_rows(rows) for rows in requests]
+        results = batch_estimate(model, arrays)
+        assert len(results) == len(arrays)
+        for got, array in zip(results, arrays):
+            _assert_identical(got, _reference(model, array))
+
+    def test_every_breakpoint_of_every_metric(self, stepped_models):
+        """Deterministic sweep: each breakpoint x, midpoint and outside
+        point of each metric, all in one batch."""
+        reset_guards(GuardConfig(check_rate=0))
+        for model in stepped_models.values():
+            arrays = []
+            for metric in model.metrics:
+                xs = sorted(set(_breakpoint_xs(model, metric)))
+                probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+                probes += [xs[0] / 2, xs[-1] * 2]
+                arrays.extend(
+                    _array_from_rows([(metric, 1.0, x, 1.0)]) for x in probes
+                )
+                arrays.append(_array_from_rows([(metric, 1.0, 1.0, 0.0)]))
+            results = batch_estimate(model, arrays)
+            for got, array in zip(results, arrays):
+                _assert_identical(got, _reference(model, array))
+
+
 # ---------------------------------------------------------------------------
 # registry: packed artifacts, mmap, LRU
 # ---------------------------------------------------------------------------
@@ -256,6 +373,36 @@ def _rewrite_head(path, field, value) -> None:
     else:
         meta["metrics"][0][field] = value
     path.write_bytes(json.dumps(head).encode() + b"\n" + blob[newline + 1:])
+
+
+def _rewrite_payload(path, column, rows, value) -> None:
+    """Overwrite breakpoints of a packed model's first metric.
+
+    ``column`` is ``"x"`` or ``"y"`` and ``rows`` a slice of its points.
+    The payload checksum is recomputed (same length, so the head keeps
+    its padding): only a check of the values themselves can catch it.
+    """
+    blob = path.read_bytes()
+    newline = blob.index(b"\n")
+    head = json.loads(blob[:newline])
+    entry = head["model"]["metrics"][0]
+    payload = np.frombuffer(blob[newline + 1:], dtype="<f8").copy()
+    start = entry["offset"] + (entry["points"] if column == "y" else 0)
+    payload[start:start + entry["points"]][rows] = value
+    old = head["header"]["checksum"]
+    new = "sha256:" + hashlib.sha256(payload.tobytes()).hexdigest()
+    path.write_bytes(
+        blob[:newline].replace(old.encode(), new.encode())
+        + b"\n"
+        + payload.tobytes()
+    )
+
+
+NON_FINITE_PAYLOADS = [
+    pytest.param("y", slice(None), np.nan, id="nan-y"),
+    pytest.param("x", slice(-1, None), np.nan, id="nan-last-x"),
+    pytest.param("y", slice(0, 1), np.inf, id="inf-y"),
+]
 
 
 class TestRegistry:
@@ -322,6 +469,18 @@ class TestRegistry:
         path = pack_model(model, tmp_path / "m.spm")
         _rewrite_head(path, field, value)
         with pytest.raises(DataError, match="malformed"):
+            map_model(path)
+        assert not path.exists()
+        assert len(list((tmp_path / ".quarantine").iterdir())) == 1
+
+    @pytest.mark.parametrize("column, rows, value", NON_FINITE_PAYLOADS)
+    def test_non_finite_breakpoints_are_quarantined(
+        self, model, tmp_path, column, rows, value
+    ):
+        # The checksum verifies, and NaN passes the sort check.
+        path = pack_model(model, tmp_path / "m.spm")
+        _rewrite_payload(path, column, rows, value)
+        with pytest.raises(DataError, match="non-finite breakpoints"):
             map_model(path)
         assert not path.exists()
         assert len(list((tmp_path / ".quarantine").iterdir())) == 1
@@ -394,9 +553,7 @@ class TestMicroBatcher:
             plan.append((name, _array_from_rows(rows)))
 
         async def drive():
-            batcher = MicroBatcher(
-                lambda name: models[name], max_batch=8, window=0.01
-            )
+            batcher = MicroBatcher(lambda name: models[name], max_batch=8)
             try:
 
                 async def one(name, array, delay):
@@ -426,15 +583,15 @@ class TestMicroBatcher:
             def resolve(name):
                 return model
 
-            batcher = MicroBatcher(
-                resolve, max_batch=64, window=30.0, queue_limit=2
-            )
+            batcher = MicroBatcher(resolve, max_batch=64, queue_limit=2)
             array = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
+            # All three enqueue in one loop iteration, before the lane
+            # first runs: the third finds the queue full.
             first = asyncio.ensure_future(batcher.submit("m", array))
             second = asyncio.ensure_future(batcher.submit("m", array))
-            await asyncio.sleep(0.05)  # both sit waiting out the window
+            third = asyncio.ensure_future(batcher.submit("m", array))
             with pytest.raises(ServeOverloadError) as excinfo:
-                await batcher.submit("m", array)
+                await third
             assert excinfo.value.retry_after > 0
             assert not excinfo.value.shed
             for future in (first, second):
@@ -451,13 +608,13 @@ class TestMicroBatcher:
             batcher = MicroBatcher(
                 lambda name: model,
                 max_batch=64,
-                window=0.2,
                 queue_limit=1,
                 load_shed="oldest",
             )
             array = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
+            # Both enqueue before the lane first runs: the second evicts
+            # the first.
             first = asyncio.ensure_future(batcher.submit("m", array))
-            await asyncio.sleep(0.01)
             second = asyncio.ensure_future(batcher.submit("m", array))
             with pytest.raises(ServeOverloadError) as excinfo:
                 await first
@@ -490,14 +647,15 @@ class TestBatcherDrain:
         want = model.estimate(array.to_sample_set())
 
         async def drive():
-            # A huge window: without drain these would sit parked.
-            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            batcher = MicroBatcher(lambda _: model, max_batch=8)
+            # The three requests and the drain all start before the lane
+            # first runs, so the drain finds them parked.
             futures = [
                 asyncio.ensure_future(batcher.submit("m", array))
                 for _ in range(3)
             ]
-            await asyncio.sleep(0.05)
-            flushed = await batcher.drain()
+            drain = asyncio.ensure_future(batcher.drain())
+            flushed = await drain
             results = await asyncio.gather(*futures)
             return flushed, results
 
@@ -510,7 +668,7 @@ class TestBatcherDrain:
         array = _array_from_rows(_ROWS)
 
         async def drive():
-            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            batcher = MicroBatcher(lambda _: model, max_batch=8)
             await batcher.drain()
             with pytest.raises(ServeOverloadError) as excinfo:
                 await batcher.submit("m", array)
@@ -522,10 +680,11 @@ class TestBatcherDrain:
         array = _array_from_rows(_ROWS)
 
         async def drive():
-            batcher = MicroBatcher(lambda _: model, max_batch=8, window=30.0)
+            batcher = MicroBatcher(lambda _: model, max_batch=8)
+            # Closed before the lane first runs: the request is queued.
             future = asyncio.ensure_future(batcher.submit("m", array))
-            await asyncio.sleep(0.05)
-            await batcher.close()
+            close = asyncio.ensure_future(batcher.close())
+            await close
             with pytest.raises(ServeOverloadError) as excinfo:
                 await future
             return excinfo.value
@@ -633,6 +792,33 @@ def _estimate_body() -> bytes:
 def _want_per_metric(model: SpireModel) -> dict:
     estimate = model.estimate(_array_from_rows(_ROWS).to_sample_set())
     return json.loads(json.dumps(estimate.per_metric))
+
+
+@pytest.fixture
+def held_lane(monkeypatch) -> asyncio.Event:
+    """Park every batching lane until the returned event is set.
+
+    Lanes dispatch as soon as they run, so a test that needs queued
+    requests holds the lane runner before its first pass.
+    """
+    release = asyncio.Event()
+    run_lane = MicroBatcher._run_lane
+
+    async def held(self, lane):
+        await release.wait()
+        await run_lane(self, lane)
+
+    monkeypatch.setattr(MicroBatcher, "_run_lane", held)
+    return release
+
+
+async def _until_queued(server: SpireServer, count: int) -> None:
+    """Wait until ``count`` requests sit in the demo model's lane."""
+    for _ in range(1000):
+        if server.batcher.queue_depths().get("demo", 0) >= count:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"{count} request(s) never reached the queue")
 
 
 class TestServer:
@@ -766,11 +952,9 @@ class TestServer:
 
         _run(drive())
 
-    def test_backpressure_maps_to_429(self, model, tmp_path):
+    def test_backpressure_maps_to_429(self, model, tmp_path, held_lane):
         reset_guards(GuardConfig(check_rate=0))
-        config = _serve_config(
-            tmp_path, queue_limit=1, window=0.5, max_batch=64
-        )
+        config = _serve_config(tmp_path, queue_limit=1, max_batch=64)
         server = SpireServer(config)
         server.registry.install("demo", model)
         body = json.dumps(
@@ -790,13 +974,14 @@ class TestServer:
                 first = asyncio.ensure_future(
                     _http(host, port, "POST", "/v1/estimate", body)
                 )
-                await asyncio.sleep(0.1)  # parked in the batch window
+                await _until_queued(server, 1)  # parked on the held lane
                 status, payload, headers = await _http(
                     host, port, "POST", "/v1/estimate", body
                 )
                 assert status == 429
                 assert float(headers["retry-after"]) > 0
                 assert server.stats.snapshot()["backpressure"]["rejected"] == 1
+                held_lane.set()
                 status, _, _ = await first
                 assert status == 200
             finally:
@@ -877,10 +1062,12 @@ class TestServer:
 
 
 class TestServerRobustness:
-    def test_stop_answers_queued_requests_with_503(self, model, tmp_path):
+    def test_stop_answers_queued_requests_with_503(
+        self, model, tmp_path, held_lane
+    ):
         """Shutdown with parked lanes: queued requests get 503, not a hang."""
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, window=30.0, max_batch=8)
+        server = _demo_server(tmp_path, model, max_batch=8)
 
         async def drive():
             await server.start()
@@ -890,7 +1077,7 @@ class TestServerRobustness:
                     _estimate_body(),
                 )
             )
-            await asyncio.sleep(0.3)  # parked in the 30 s batch window
+            await _until_queued(server, 1)  # parked on the held lane
             started = time.perf_counter()
             await server.stop()
             elapsed = time.perf_counter() - started
@@ -898,13 +1085,15 @@ class TestServerRobustness:
             return elapsed, status, payload
 
         elapsed, status, payload = _run(drive())
-        assert elapsed < 10.0  # far below the 30 s window: lanes flushed
+        assert elapsed < 10.0  # the held lane never ran: the queue was failed
         assert status == 503
         assert "error" in payload
 
-    def test_graceful_drain_completes_queued_requests(self, model, tmp_path):
+    def test_graceful_drain_completes_queued_requests(
+        self, model, tmp_path, held_lane
+    ):
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, window=30.0, max_batch=8)
+        server = _demo_server(tmp_path, model, max_batch=8)
 
         async def drive():
             await server.start()
@@ -914,8 +1103,12 @@ class TestServerRobustness:
                     _estimate_body(),
                 )
             )
-            await asyncio.sleep(0.3)
-            await server.stop(drain=True)
+            await _until_queued(server, 1)  # parked on the held lane
+            stop = asyncio.ensure_future(server.stop(drain=True))
+            while not server.batcher._closed:  # the drain has counted it
+                await asyncio.sleep(0.005)
+            held_lane.set()
+            await stop
             status, payload, _ = await request
             return status, payload, server.stats.snapshot()
 
@@ -929,7 +1122,7 @@ class TestServerRobustness:
         """An artifact whose head fails conversion is quarantined and
         answered 503, never left hanging on the batching lane."""
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, window=0.001)
+        server = _demo_server(tmp_path, model)
         body = _estimate_body()
 
         async def drive():
@@ -959,6 +1152,82 @@ class TestServerRobustness:
 
         _run(drive())
 
+    def test_non_finite_payload_answers_503_promptly(self, model, tmp_path):
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model)
+        body = _estimate_body()
+
+        async def drive():
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                server.registry.evict("demo")
+                _rewrite_payload(
+                    tmp_path / "store" / "demo.spm", "y", slice(None), np.nan
+                )
+                status, payload, headers = await asyncio.wait_for(
+                    _http(host, port, "POST", "/v1/estimate", body), 5.0
+                )
+                assert status == 503
+                assert "retry-after" in headers
+                assert "non-finite" in payload["error"]
+                assert server.registry.snapshot()["verify_failures"] == 1
+            finally:
+                await server.stop()
+
+        _run(drive())
+
+    def test_evaluation_error_answers_500_and_lane_survives(
+        self, model, tmp_path, monkeypatch
+    ):
+        """A batch whose evaluation raises fails its requests with a 500;
+        the lane stays alive and answers the next request."""
+        import repro.serve.batching as batching_module
+
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model)
+        body = _estimate_body()
+        want = model.estimate(_array_from_rows(_ROWS).to_sample_set())
+        fused = batching_module.fused_estimate
+        calls = []
+
+        def fails_once(model, arrays):
+            calls.append(len(arrays))
+            if len(calls) == 1:
+                raise RuntimeError("injected evaluation failure")
+            return fused(model, arrays)
+
+        monkeypatch.setattr(batching_module, "fused_estimate", fails_once)
+
+        async def drive():
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                first = await asyncio.wait_for(
+                    _http(host, port, "POST", "/v1/estimate", body), 5.0
+                )
+                second = await asyncio.wait_for(
+                    _http(host, port, "POST", "/v1/estimate", body), 5.0
+                )
+                return first, second
+            finally:
+                await server.stop()
+
+        (status, payload, _), (status2, payload2, _) = _run(drive())
+        assert status == 500
+        assert "injected evaluation failure" in payload["error"]
+        assert status2 == 200
+        expected = json.loads(json.dumps({
+            "throughput": want.throughput,
+            "limiting_metric": want.limiting_metric,
+            "per_metric": want.per_metric,
+            "sample_counts": want.sample_counts,
+            "skipped_metrics": want.skipped_metrics,
+        }))
+        for field, value in expected.items():
+            assert payload2[field] == value
+        assert server.stats.snapshot()["errors"] >= 1
+
     def test_quarantine_under_traffic(self, model, tmp_path, capsys):
         """Corrupting the artifact mid-service yields a clean 503 +
         quarantine that the doctor reports, and a good reinstall
@@ -967,7 +1236,7 @@ class TestServerRobustness:
         from repro.guard.doctor import probe_server, server_health_problems
 
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, window=0.001)
+        server = _demo_server(tmp_path, model)
         body = _estimate_body()
         want = _want_per_metric(model)
         artifact = tmp_path / "store" / "demo.spm"
