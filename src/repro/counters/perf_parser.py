@@ -17,6 +17,13 @@ Fields: [timestamp,] value, unit, event, run-time, enabled-percent, ...
 Values are already multiplex-scaled by perf; the run-time column is the
 time (ns) the event was actually counted, which we use as each sample's
 weight when cycles are not available for the interval.
+
+:func:`parse_perf_lines` and :func:`_samples_from_records` read one line
+at a time and are the reference for every shape of input.  A text body
+whose lines are all clean interval records of one width (what ``perf
+stat -x, -I`` writes) takes a columnar pass instead, straight to a
+:class:`~repro.core.columns.SampleArray`, with bit-identical samples and
+the same quality accounting.
 """
 
 from __future__ import annotations
@@ -26,9 +33,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
+import numpy as np
+
+from repro.core.columns import SampleArray
 from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import QualityReport, QuarantinedSample
 from repro.errors import ParseError
+from repro.fastpath import scalar_fallback_enabled
 
 _NOT_COUNTED = {"<not counted>", "<not supported>"}
 
@@ -190,8 +201,28 @@ class PerfStatParser:
         skipped.  With ``lenient=True`` malformed lines are quarantined
         into ``quality`` instead of raising, and an input with no usable
         intervals yields an empty sample set.
+
+        Text takes one columnar pass when every line it keeps is a clean
+        interval record and all have the same number of fields: the
+        samples go straight into a lazy :class:`SampleSet` over a
+        :class:`~repro.core.columns.SampleArray`.  Everything else takes
+        the per-line path (:func:`parse_perf_lines`, then
+        :func:`_samples_from_records`): file objects, ragged rows,
+        ``<not counted>``, non-finite or negative values, bodies with no
+        usable interval, and all input under ``SPIRE_SCALAR_FALLBACK=1``.
+        Both give bit-identical columns and the same ``quality``.
         """
         if isinstance(source, str):
+            parsed = (
+                None if scalar_fallback_enabled()
+                else self._parse_columns(source)
+            )
+            if parsed is not None:
+                array, lines = parsed
+                if quality is not None:
+                    quality.total += lines
+                    quality.kept += lines
+                return SampleSet.from_columns(array)
             source = io.StringIO(source)
         records = parse_perf_lines(
             source, self.separator, lenient=lenient, quality=quality
@@ -199,6 +230,91 @@ class PerfStatParser:
         return _samples_from_records(
             records, self.work_event, self.time_event, lenient=lenient
         )
+
+    def _parse_columns(self, text: str) -> tuple[SampleArray, int] | None:
+        """The columnar pass: the samples and the count of lines read.
+
+        Returns ``None`` unless :func:`parse_perf_lines` would read every
+        line as a clean interval record (so it counts each as kept and
+        quarantines none) and at least one sample results.  The per-line
+        path then owns every error, quarantine entry and empty result.
+        """
+        separator = self.separator
+        # Split on "\n" only, as iterating an io.StringIO does, and skip
+        # lines by parse_perf_lines' own tests.
+        lines = list(filter(str.strip, text.split("\n")))
+        if "#" in text:
+            lines = [
+                line for line in lines if not line.lstrip().startswith("#")
+            ]
+        if not lines or len(separator) != 1:
+            return None
+        # One split of the whole body.  A one-character separator cannot
+        # straddle a join, and no line holds "\n", so the "\n" fields are
+        # exactly the line ends: with ``width`` fields on every line,
+        # every ``step``-th field is one and each column is one slice.
+        width = lines[0].count(separator) + 1
+        step = width + 1
+        fields = (separator + "\n" + separator).join(lines).split(separator)
+        if (
+            width < 5
+            or len(fields) != len(lines) * step - 1
+            or fields[width::step].count("\n") != len(lines) - 1
+        ):
+            return None
+        try:
+            # Where float() accepts a field, _parse_float returns the same
+            # value: float() rejects thousands commas, empty fields,
+            # "<not counted>" and the \x1c-\x1f that str.strip() drops.
+            stamps = np.array(list(map(float, fields[0::step])))
+            values = np.array(list(map(float, fields[1::step])))
+        except ValueError:
+            return None
+        events = [event.strip() for event in fields[3::step]]
+        # Lenient parsing quarantines non-finite and negative counts, and
+        # NaN stamps never share a dict key: all for the per-line path.
+        if (
+            np.isnan(stamps).any()
+            or not np.isfinite(values).all()
+            or values.min() < 0
+            or not all(events)
+        ):
+            return None
+
+        # Rows in sorted(intervals) order, input order kept inside each
+        # interval; -0.0 and 0.0 share an interval as they share a key.
+        order = np.argsort(stamps, kind="stable")
+        stamps = stamps[order]
+        values = values[order]
+        names = np.array(events, dtype=object)[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = stamps[1:] != stamps[:-1]
+        interval = np.cumsum(starts) - 1
+        count = int(interval[-1]) + 1
+        is_work = names == self.work_event
+        is_time = names == self.time_event
+        work = _first_per_interval(interval, is_work, values, count)
+        time = _first_per_interval(interval, is_time, values, count)
+        usable = ~np.isnan(work) & (time > 0)
+        keep = usable[interval] & ~is_work & ~is_time
+        if not keep.any():
+            return None
+        at = interval[keep]
+        array = SampleArray.from_lists(
+            names[keep].tolist(), time[at], work[at], values[keep]
+        )
+        return array, len(lines)
+
+
+def _first_per_interval(
+    interval: np.ndarray, mask: np.ndarray, values: np.ndarray, count: int
+) -> np.ndarray:
+    """Each interval's value on its first ``mask`` row; NaN where none."""
+    rows = np.flatnonzero(mask)
+    present, first = np.unique(interval[rows], return_index=True)
+    out = np.full(count, np.nan)
+    out[present] = values[rows[first]]
+    return out
 
 
 def parse_perf_stat(

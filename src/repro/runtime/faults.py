@@ -61,7 +61,6 @@ class FaultSpec:
 
     workload: str
     kind: str
-    times: int = 1              # repeat count; every kind fires once today
     metric: str | None = None   # target metric for ``drop-metric``
     sample_index: int = 0       # which emitted sample ``corrupt-sample`` hits
     factor: float = 4.0         # throughput scale for ``drift-inject``
@@ -74,8 +73,6 @@ class FaultSpec:
             )
         if not self.workload:
             raise ConfigError("a fault spec must target a workload by name")
-        if self.times < 1:
-            raise ConfigError("a fault must fire at least once (times >= 1)")
         if self.factor <= 0:
             raise ConfigError("drift-inject factor must be positive")
         if self.window < 0:
@@ -128,7 +125,6 @@ class FaultPlan:
         seed: int = 0,
         corrupt_samples: int = 0,
         drop_metrics: int = 0,
-        times: int = 1,
         metrics: Sequence[str] = (),
         drift_injects: int = 0,
         stale_windows: int = 0,
@@ -153,16 +149,13 @@ class FaultPlan:
                 FaultSpec(
                     workload=victim,
                     kind=CORRUPT_SAMPLE,
-                    times=times,
                     sample_index=rng.randrange(0, 8),
                 )
             )
         for victim in data_victims(drop_metrics):
             metric = rng.choice(list(metrics)) if metrics else None
             specs.append(
-                FaultSpec(
-                    workload=victim, kind=DROP_METRIC, times=times, metric=metric
-                )
+                FaultSpec(workload=victim, kind=DROP_METRIC, metric=metric)
             )
 
         metric_pool = list(metrics)
@@ -172,7 +165,6 @@ class FaultPlan:
                 FaultSpec(
                     workload=victim,
                     kind=DRIFT_INJECT,
-                    times=times,
                     factor=rng.choice((0.25, 2.0, 4.0)),
                     window=rng.randrange(1, 4),
                 )
@@ -182,7 +174,6 @@ class FaultPlan:
                 FaultSpec(
                     workload="*",
                     kind=STALE_WINDOW,
-                    times=times,
                     window=rng.randrange(1, 4),
                 )
             )

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
@@ -411,6 +412,12 @@ class SpireServer:
         if not self.registry.has(name):
             return _Response(404, {"error": f"unknown model {name!r}"})
         estimate = await self._evaluate(name, array)
+        values = (estimate.throughput, *estimate.per_metric.values())
+        if not all(map(math.isfinite, values)):
+            # Every sample is finite, but their sums overflow float64.
+            raise EstimationError(
+                "the samples' totals overflow: no finite estimate"
+            )
         payload = {
             "model": name,
             "throughput": estimate.throughput,
@@ -431,9 +438,14 @@ class SpireServer:
                 for entry in estimate.ranked()
             ]
             try:
-                payload["measured_throughput"] = array.measured_throughput()
+                measured = array.measured_throughput()
             except DataError:
-                payload["measured_throughput"] = None
+                measured = math.nan
+            # None when there is no finite number: no samples, or sums
+            # that overflow float64.
+            payload["measured_throughput"] = (
+                measured if math.isfinite(measured) else None
+            )
             if counts is not None:
                 payload["tma"] = self._tma(counts)
         if quality is not None and not quality.ok:
@@ -451,7 +463,17 @@ class SpireServer:
         return model.estimate(array.to_sample_set())
 
     def _tma(self, counts: "dict[str, float]") -> dict:
-        result = TopDownAnalyzer(skylake_gold_6126()).analyze(counts)
+        try:
+            result = TopDownAnalyzer(skylake_gold_6126()).analyze(counts)
+        except DataError as exc:
+            # The counts are client input (a missing event, no cycles):
+            # a bad request, not an artifact the server failed to load.
+            raise _BadRequest(f"'counts': {exc}") from None
+        headline = (result.ipc, *result.fractions.values())
+        if not all(map(math.isfinite, headline)):
+            raise _BadRequest(
+                "'counts' totals overflow the Top-Down arithmetic"
+            )
         walk = drilldown(result)
         return {
             "ipc": result.ipc,
@@ -481,7 +503,10 @@ class SpireServer:
             return self._decode_csv(request)
         try:
             payload = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad UTF-8, bad JSON and integer literals
+            # past the interpreter's digit limit; RecursionError, nesting
+            # deeper than the decoder's stack.
             raise _BadRequest(f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
@@ -489,8 +514,8 @@ class SpireServer:
         if not isinstance(name, str) or not name:
             raise _BadRequest("missing required field 'model'")
         counts = payload.get("counts")
-        if counts is not None and not isinstance(counts, dict):
-            raise _BadRequest("'counts' must map event names to totals")
+        if counts is not None:
+            _check_counts(counts)
         try:
             if "columns" in payload:
                 array = self._decode_columns(payload["columns"])
@@ -500,15 +525,18 @@ class SpireServer:
                 raise _BadRequest(
                     "body needs 'samples' (record list) or 'columns'"
                 )
-            if payload.get("screen"):
-                array, quality = self._screen_records(records)
-                return name, array, quality, counts
-            return (
-                name,
-                SampleArray.from_records(records, validate=True),
-                None,
-                counts,
-            )
+            if not all(isinstance(record, dict) for record in records):
+                raise _BadRequest("'samples' records must be objects")
+            try:
+                if payload.get("screen"):
+                    array, quality = self._screen_records(records)
+                    return name, array, quality, counts
+                array = SampleArray.from_records(records, validate=True)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise _BadRequest(
+                    f"'samples' values must be numbers: {exc}"
+                ) from None
+            return name, array, None, counts
         except DataError as exc:
             raise _BadRequest(str(exc)) from None
 
@@ -525,13 +553,25 @@ class SpireServer:
             raise _BadRequest(
                 f"'columns' is missing field {missing}"
             ) from None
+        if not all(
+            isinstance(column, list)
+            for column in (metrics, time, work, metric_count)
+        ):
+            raise _BadRequest("'columns' fields must be arrays")
         if not (
             len(metrics) == len(time) == len(work) == len(metric_count)
         ):
             raise _BadRequest("'columns' arrays must share one length")
-        array = SampleArray.from_lists(
-            [str(m) for m in metrics], time, work, metric_count
-        )
+        try:
+            array = SampleArray.from_lists(
+                [str(m) for m in metrics], time, work, metric_count
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _BadRequest(
+                f"'columns' values must be numbers: {exc}"
+            ) from None
+        if max(array.time.ndim, array.work.ndim, array.metric_count.ndim) > 1:
+            raise _BadRequest("'columns' values must be numbers, not arrays")
         array.validate()
         return array
 
@@ -578,3 +618,20 @@ class SpireServer:
 
 class _BadRequest(SpireError):
     """A malformed request body or missing required field (HTTP 400)."""
+
+
+def _check_counts(counts) -> None:
+    """Require event totals that are finite, non-negative numbers."""
+    if not isinstance(counts, dict):
+        raise _BadRequest("'counts' must map event names to totals")
+    for event, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _BadRequest(f"'counts' total for {event!r} is not a number")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not 0 <= value < math.inf:
+            raise _BadRequest(
+                f"'counts' total for {event!r} must be finite and non-negative"
+            )

@@ -17,6 +17,7 @@ from repro.counters.perf_parser import (
     parse_perf_stat,
 )
 from repro.errors import DataError, ParseError, SpireError
+from repro.fastpath import force_scalar
 
 INTERVAL_TEXT = """\
 # started on Mon Jul  6 10:00:00 2026
@@ -280,3 +281,118 @@ def test_fuzzed_perf_input_parses_or_raises_spire_error(csv_lines, json_lines):
         assert isinstance(parse_perf_json("\n".join(json_lines)), SampleSet)
     except SpireError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# The columnar pass against the per-line reference
+# ---------------------------------------------------------------------------
+
+# \x0b and \x0c are whitespace to str.strip() and float(), but line
+# breaks to str.splitlines().
+_PAD = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", " \x0b", "\x0c\t"])
+_STAMP = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]), st.floats(allow_nan=False)
+)
+_VALUE = st.one_of(
+    st.sampled_from(["0", "0.0", "-0.0"]),
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(0, 10**15).map(str),
+)
+_EVENT = st.sampled_from(["instructions", "cycles", "m.a", "m.b", "m.c"])
+_FILLER = st.sampled_from(["", "1000000", "100.00", "x", "<not counted>"])
+_IRREGULAR = ["<not counted>", "nan", "-3", "1,234", "\x1c5", "short row"]
+
+
+@st.composite
+def _perf_bodies(draw, perturbed=False):
+    """(separator, ``perf stat -x -I`` text) with one field count per line.
+
+    Intervals interleave and repeat, repeat their work and time events,
+    or lack either one or have zero cycles; fields are padded with
+    whitespace, comment and blank lines are mixed in, and lines end in
+    ``\\n`` or ``\\r\\n``.  Most bodies carry one interval that
+    surely yields a sample.  ``perturbed`` spoils one row in a way the
+    columnar pass must hand to the per-line path.
+    """
+    kind = draw(st.sampled_from(_IRREGULAR)) if perturbed else None
+    separator = ";" if kind == "1,234" else draw(st.sampled_from([",", ";"]))
+    width = draw(st.integers(5, 8))
+    stamps = st.sampled_from(draw(st.lists(_STAMP, min_size=1, max_size=3)))
+    rows = [
+        [repr(stamp), value, draw(_FILLER), event]
+        for stamp, event, value in draw(
+            st.lists(st.tuples(stamps, _EVENT, _VALUE), max_size=12)
+        )
+    ]
+    if draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(rows)))
+        stamp = repr(draw(stamps))
+        rows[at:at] = [
+            [stamp, "100", "", "instructions"],
+            [stamp, "300", "", "cycles"],
+            [stamp, "5", "", "m.a"],
+        ]
+    for row in rows:
+        row += [draw(_FILLER)] * (width - len(row))
+        for index in (0, 1, 3):  # the fields the columnar pass reads
+            row[index] = draw(_PAD) + row[index] + draw(_PAD)
+    if kind is not None and rows:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "short row":
+            del row[4:]
+        else:
+            row[1] = kind
+    lines = [separator.join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["# started on", "", "  ", "\t# x"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return separator, ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def _parse(parser: PerfStatParser, text: str, lenient: bool):
+    """The parse's columns, or the exception it raised, and its report."""
+    quality = QualityReport()
+    try:
+        samples = parser.parse(text, lenient=lenient, quality=quality)
+    except Exception as exc:  # compared with the reference's exception
+        return exc, quality
+    return samples.columns(), quality
+
+
+def _assert_same_parse(parser: PerfStatParser, text: str, lenient: bool):
+    with force_scalar():
+        want, want_quality = _parse(parser, text, lenient)
+    got, got_quality = _parse(parser, text, lenient)
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got.metric_names == want.metric_names
+        for col in ("metric_ids", "time", "work", "metric_count"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+    assert got_quality.total == want_quality.total
+    assert got_quality.kept == want_quality.kept
+    assert got_quality.quarantined == want_quality.quarantined
+    assert got_quality.dropped_metrics == want_quality.dropped_metrics
+    return want
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=_perf_bodies(), lenient=st.booleans())
+def test_columnar_pass_is_bit_identical_to_per_line_path(body, lenient):
+    """Same columns, report and errors as the per-line path, and the
+    pass itself runs on every regular body that yields a sample."""
+    separator, text = body
+    parser = PerfStatParser(separator=separator)
+    want = _assert_same_parse(parser, text, lenient)
+    yields = not isinstance(want, Exception) and len(want) > 0
+    assert (parser._parse_columns(text) is not None) == yields
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=_perf_bodies(perturbed=True), lenient=st.booleans())
+def test_irregular_bodies_take_the_per_line_path(body, lenient):
+    separator, text = body
+    parser = PerfStatParser(separator=separator)
+    _assert_same_parse(parser, text, lenient)
+    assert parser._parse_columns(text) is None

@@ -11,6 +11,8 @@ packed-artifact path (zero-copy mmap, LRU eviction, corrupt-on-reload
 quarantine, single-flight loads), the backpressure policies, batcher
 drain, guard degradation, and the HTTP front door end to end over real
 sockets: request framing, shutdown and drain, quarantine under traffic.
+Malformed and fuzzed JSON bodies must be answered with a 4xx, never a
+500, and every 200 must be valid JSON.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -1292,6 +1295,197 @@ class TestServerRobustness:
                 await server.stop()
 
         _run(drive())
+
+
+# ---------------------------------------------------------------------------
+# request bodies: a malformed body is a 4xx, never a 500
+# ---------------------------------------------------------------------------
+
+_TMA_COUNTS = {
+    "cpu_clk_unhalted.thread": 1000.0,
+    "inst_retired.any": 800.0,
+    "uops_issued.any": 1000.0,
+    "uops_retired.retire_slots": 900.0,
+    "idq_uops_not_delivered.core": 400.0,
+    "int_misc.recovery_cycles": 20.0,
+}
+_COLUMNS = {
+    "metrics": ["m.0", "m.1"],
+    "time": [1.0, 2.0],
+    "work": [2.0, 6.0],
+    "metric_count": [1.0, 1.5],
+}
+_RECORD = {"metric": "m.0", "time": 1.0, "work": 2.0, "metric_count": 1.0}
+_HUGE = int("9" * 401)  # a JSON integer past the float range
+
+# Any JSON value a client might put in place of a field: NaN and
+# Infinity (which Python's json reads), strings, null, nested arrays and
+# objects, integers past the float range and numeric strings.
+_json_any = _json_values | st.sampled_from([_HUGE, -_HUGE, "nan", "1.5"])
+# Valid but unbounded: sums of these can overflow float64.
+_positive = st.floats(min_value=1e-3, max_value=1e308)
+
+
+def _slots(value) -> "list[tuple[object, object]]":
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    return [(value, key) for key, _ in items] + [
+        slot for _, child in items for slot in _slots(child)
+    ]
+
+
+@st.composite
+def _fuzz_bodies(draw):
+    """A well-formed body with up to three fields replaced or deleted.
+
+    A replacement is any JSON value, so a column can become a scalar, an
+    object, a string, ``null``, a huge integer, ``NaN`` or a nested
+    array, and so can any record field, count or element.
+    """
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(METRICS), _positive, _positive, _positive),
+        max_size=3,
+    ))
+    body = {"model": draw(st.sampled_from(["demo", "ghost"]))}
+    if draw(st.booleans()):
+        body["columns"] = {
+            field: [row[index] for row in rows]
+            for index, field in enumerate(
+                ("metrics", "time", "work", "metric_count")
+            )
+        }
+    else:
+        body["samples"] = [
+            {"metric": m, "time": t, "work": w, "metric_count": c}
+            for m, t, w, c in rows
+        ]
+        body["screen"] = draw(st.booleans())
+    if draw(st.booleans()):
+        body["counts"] = {
+            event: draw(st.floats(min_value=1.0, max_value=1e308))
+            for event in _TMA_COUNTS
+        }
+    for _ in range(draw(st.integers(0, 3))):
+        slots = _slots(body)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(_json_any)
+    return body
+
+
+@pytest.fixture(scope="module")
+def dispatch(model, tmp_path_factory):
+    """POST a JSON body through ``SpireServer._dispatch`` (batching on)."""
+    from repro.serve.server import _Request
+
+    server = _demo_server(tmp_path_factory.mktemp("bodies"), model)
+    loop = asyncio.new_event_loop()
+
+    def post(path, body):
+        if not isinstance(body, bytes):
+            body = json.dumps({"model": "demo", **body}).encode()
+        request = _Request(
+            "POST", path, {}, {"content-type": "application/json"}, body
+        )
+        return loop.run_until_complete(server._dispatch(request))
+
+    yield post
+    loop.run_until_complete(server.batcher.close())
+    server.registry.close()
+    loop.close()
+
+
+class TestRequestBodies:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"columns": {**_COLUMNS, "metrics": 5}},
+            {"columns": {**_COLUMNS, "metrics": {"m.0": 1, "m.1": 2}}},
+            {"columns": {**_COLUMNS, "time": ["x", 2.0]}},
+            {"columns": {**_COLUMNS, "time": [_HUGE, 2.0]}},
+            {"columns": {**_COLUMNS, "time": [[1.0], [2.0]]}},
+            {"samples": [1, 2]},
+            {"samples": [1, 2], "screen": True},
+            {"samples": [{**_RECORD, "time": "x"}]},
+            {"samples": [{**_RECORD, "time": _HUGE}]},
+            {"samples": [{**_RECORD, "time": _HUGE}], "screen": True},
+            b"[" * 100_000,
+            b'{"model": "demo", "samples": [{"time": ' + b"1" * 5000 + b"}]}",
+        ],
+        ids=[
+            "columns-scalar", "columns-object", "columns-non-numeric",
+            "columns-huge-int", "columns-nested", "samples-not-objects",
+            "samples-not-objects-screened", "record-non-numeric",
+            "record-huge-int", "record-huge-int-screened", "json-too-deep",
+            "json-int-past-digit-limit",
+        ],
+    )
+    def test_malformed_body_answers_400(self, dispatch, body):
+        response = dispatch("/v1/estimate", body)
+        assert response.status == 400, response.payload
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {k: v for k, v in _TMA_COUNTS.items() if k != "inst_retired.any"},
+            {**_TMA_COUNTS, "cpu_clk_unhalted.thread": 0.0},
+            {**_TMA_COUNTS, "cpu_clk_unhalted.thread": "1000"},
+            {k: math.nan for k in _TMA_COUNTS},
+            {**_TMA_COUNTS, "int_misc.recovery_cycles": 1e308},
+        ],
+        ids=[
+            "missing-event", "zero-cycles", "string-cycles", "all-nan",
+            "overflowing",
+        ],
+    )
+    def test_bad_counts_answer_400(self, dispatch, counts):
+        response = dispatch(
+            "/v1/analyze", {"columns": _COLUMNS, "counts": counts}
+        )
+        assert response.status == 400, response.payload
+
+    @pytest.mark.parametrize("path", ["/v1/estimate", "/v1/analyze"])
+    def test_samples_whose_sums_overflow_answer_422(self, dispatch, path):
+        columns = {**_COLUMNS, "time": [1e308, 1e308], "work": [1e308, 1e308]}
+        response = dispatch(path, {"columns": columns})
+        assert response.status == 422, response.payload
+
+    def test_overflowing_measured_throughput_is_null(self, dispatch):
+        columns = {
+            "metrics": ["m.0"], "time": [1e-308], "work": [1e308],
+            "metric_count": [1e-300],
+        }
+        response = dispatch("/v1/analyze", {"columns": columns})
+        assert response.status == 200, response.payload
+        assert response.payload["measured_throughput"] is None
+        json.dumps(response.payload, allow_nan=False)
+
+    def test_valid_counts_get_a_drilldown(self, dispatch):
+        response = dispatch(
+            "/v1/analyze", {"columns": _COLUMNS, "counts": _TMA_COUNTS}
+        )
+        assert response.status == 200, response.payload
+        assert response.payload["tma"]["main_bottleneck"]
+
+    @given(path=st.sampled_from(["/v1/estimate", "/v1/analyze"]),
+           body=_fuzz_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_json_body_answers_4xx_or_valid_json(
+        self, dispatch, path, body
+    ):
+        response = dispatch(path, json.dumps(body).encode())
+        assert response.status in (200, 400, 404, 422), response.payload
+        if response.status == 200:
+            json.dumps(response.payload, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
