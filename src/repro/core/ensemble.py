@@ -6,13 +6,17 @@ samples, merges per-sample estimates with a time-weighted average (Eq. 1),
 and reports the minimum per-metric average as the ensemble-wide maximum
 throughput.  Ranking the per-metric averages from lowest upward is SPIRE's
 bottleneck analysis.
+
+:func:`fused_estimate` computes the same per-metric averages for many
+sample sets in one pass over the model's packed roofline table; the
+serving micro-batcher and the stream's window estimates use it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -379,6 +383,152 @@ class SpireModel:
             work_unit=payload.get("work_unit", "instructions"),
             time_unit=payload.get("time_unit", "cycles"),
         )
+
+
+_NO_COVERAGE = "none of the sample metrics are covered by this model"
+
+
+def _segment_ordered_sums(
+    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Left-to-right sum of each contiguous segment (positional wavefront).
+
+    Iteration ``k`` folds every segment's ``k``-th element into its
+    accumulator: vectorized across segments, sequential within each, so
+    the result is bit-identical to ``np.cumsum(segment)[-1]`` per
+    segment.  Cost is O(longest segment) vectorized adds instead of one
+    Python-level reduction per segment.
+    """
+    totals = np.zeros(len(starts), dtype=np.float64)
+    if not len(starts):
+        return totals
+    totals[:] = values[starts]  # k = 0: every segment has at least one row
+    for k in range(1, int(lengths.max())):
+        live = np.flatnonzero(lengths > k)
+        if not len(live):  # pragma: no cover - max() guarantees live rows
+            break
+        totals[live] += values[starts[live] + k]
+    return totals
+
+
+def fused_estimate(
+    model: SpireModel, arrays: Sequence[SampleArray]
+) -> list[tuple]:
+    """Eq. 1 for many sample arrays in one pass over the packed table.
+
+    Returns one ``(per_metric, sample_counts, skipped_metrics)`` tuple
+    per array, bit for bit what :meth:`SpireModel.estimate` computes
+    for it alone, with dict/list entries in the array's own first-seen
+    metric order.  An all-uncovered array yields an empty
+    ``per_metric``; the caller maps that to the per-array error.
+
+    - roofline evaluation is elementwise, and the packed table applies
+      the same rules and float expressions as
+      ``PiecewiseLinear.evaluate_array``, so batching rows across arrays
+      and metrics cannot change any row's estimate;
+    - the stable ``(metric, array)`` lexsort preserves original row
+      order inside every segment, matching ``group_indices``'s
+      ascending rows;
+    - Eq. 1's sums accumulate **left to right** (``np.cumsum``, not
+      ``np.sum``'s pairwise tree), and ``np.add.reduceat`` does *not*
+      reproduce that order; :func:`_segment_ordered_sums` does.
+    """
+    lengths = [len(a) for a in arrays]
+    fused = SampleArray.concat(list(arrays))
+    request = np.repeat(np.arange(len(arrays)), lengths)
+
+    # Stable sort by (metric, request): rows of one (request, metric)
+    # pair stay in original ascending order — exactly the rows (and row
+    # order) group_indices() hands the per-request path.
+    order = np.lexsort((request, fused.metric_ids))
+    sorted_metric = fused.metric_ids[order]
+    sorted_request = request[order]
+    intensity = fused.intensity[order]
+    times = fused.time[order]
+
+    n = len(order)
+    changed = np.flatnonzero(
+        (np.diff(sorted_metric) != 0) | (np.diff(sorted_request) != 0)
+    ) + 1
+    seg_starts = np.concatenate(([0], changed))
+    seg_lengths = np.diff(np.append(seg_starts, n))
+    seg_metric = sorted_metric[seg_starts]
+    seg_request = sorted_request[seg_starts]
+    # Original fused position of each segment's first row: within one
+    # request those positions order its metrics first-seen.
+    seg_first_pos = order[seg_starts]
+
+    # One packed roofline evaluation over every covered row at once.
+    names = fused.metric_names
+    index, table = model.packed_rooflines()
+    function = np.asarray(
+        [index.get(name, -1) for name in names], dtype=np.int64
+    )
+    covered = function >= 0
+    rows = covered[sorted_metric]
+    estimates = np.zeros(n, dtype=np.float64)
+    estimates[rows] = table.evaluate(
+        function[sorted_metric[rows]], intensity[rows]
+    )
+
+    seg_covered = covered[seg_metric]
+    live_starts = seg_starts[seg_covered]
+    live_lengths = seg_lengths[seg_covered]
+    numerators = _segment_ordered_sums(estimates * times, live_starts, live_lengths)
+    denominators = _segment_ordered_sums(times, live_starts, live_lengths)
+    seg_value = np.zeros(len(seg_starts), dtype=np.float64)
+    seg_value[seg_covered] = numerators / denominators
+
+    # Scatter: per request, walk its segments in first-seen metric order.
+    scatter = np.lexsort((seg_first_pos, seg_request))
+    results: list[tuple] = [({}, {}, []) for _ in range(len(arrays))]
+    values = seg_value.tolist()
+    counts_list = seg_lengths.tolist()
+    covered_list = seg_covered.tolist()
+    for seg in scatter.tolist():
+        per_metric, counts, skipped = results[int(seg_request[seg])]
+        name = names[int(seg_metric[seg])]
+        if covered_list[seg]:
+            per_metric[name] = values[seg]
+            counts[name] = counts_list[seg]
+        else:
+            skipped.append(name)
+    return results
+
+
+def finish_estimate(
+    per_metric: dict[str, float],
+    sample_counts: dict[str, int],
+    skipped_metrics: list[str],
+) -> EnsembleEstimate:
+    """:class:`EnsembleEstimate` from :func:`fused_estimate`'s parts.
+
+    Raises and guards exactly as :meth:`SpireModel.estimate` does once
+    its per-metric values are in.
+    """
+    if not per_metric:
+        raise EstimationError(_NO_COVERAGE)
+    check_estimates(per_metric)
+    return EnsembleEstimate(
+        per_metric=per_metric,
+        sample_counts=sample_counts,
+        skipped_metrics=skipped_metrics,
+    )
+
+
+def packed_estimate(model: SpireModel, samples: SampleSet) -> EnsembleEstimate:
+    """:meth:`SpireModel.estimate` of one sample set on the packed table.
+
+    The same estimate, bit for bit, with the same errors and guardrail,
+    from a fixed number of NumPy calls however many metrics the model
+    covers.  ``SPIRE_SCALAR_FALLBACK`` makes it ``SpireModel.estimate``.
+    """
+    if scalar_fallback_enabled():
+        return model.estimate(samples)
+    if not samples:
+        raise EstimationError("cannot estimate from an empty sample set")
+    (parts,) = fused_estimate(model, [samples.columns()])
+    return finish_estimate(*parts)
 
 
 def _as_sample_set(samples) -> SampleSet:

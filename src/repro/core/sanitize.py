@@ -143,25 +143,44 @@ class TimestampScreen:
             except (TypeError, ValueError):
                 stamp = float("nan")
             metric = str(record.get("metric", "") or "")
-            if math.isnan(stamp):
-                out.quarantined.append(
-                    QuarantinedSample(metric=metric, reason="non-numeric timestamp")
-                )
-                continue
-            last = self._last.get(metric)
-            if last is not None and stamp < last:
-                out.quarantined.append(
-                    QuarantinedSample(
-                        metric=metric,
-                        reason="out-of-order timestamp",
-                        time=stamp,
-                    )
-                )
-                continue
-            self._last[metric] = stamp
-            out.kept += 1
-            kept.append(record)
+            if self._in_order(metric, stamp, out):
+                kept.append(record)
         return kept, out
+
+    def screen_interval(
+        self,
+        samples: Iterable[Sample],
+        stamp: float | None,
+        report: QualityReport,
+    ) -> list[Sample]:
+        """:meth:`screen` for samples sharing one timestamp (a perf
+        interval), with the same report entries and counts, and no
+        mapping record built per sample."""
+        samples = list(samples)
+        report.total += len(samples)
+        if stamp is None:
+            report.kept += len(samples)
+            return samples
+        return [s for s in samples if self._in_order(s.metric, stamp, report)]
+
+    def _in_order(self, metric: str, stamp: float, report: QualityReport) -> bool:
+        """Admit one stamped arrival, or quarantine it into ``report``."""
+        if math.isnan(stamp):
+            report.quarantined.append(
+                QuarantinedSample(metric=metric, reason="non-numeric timestamp")
+            )
+            return False
+        last = self._last.get(metric)
+        if last is not None and stamp < last:
+            report.quarantined.append(
+                QuarantinedSample(
+                    metric=metric, reason="out-of-order timestamp", time=stamp
+                )
+            )
+            return False
+        self._last[metric] = stamp
+        report.kept += 1
+        return True
 
 
 def _check_values(time: float, work: float, metric_count: float) -> str | None:

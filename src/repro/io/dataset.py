@@ -21,6 +21,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
 from repro import __version__
@@ -183,8 +184,9 @@ def load_model(path: str | Path) -> SpireModel:
 
     Integrity metadata is verified when present; the payload shape is
     then validated (a ``rooflines`` mapping is required) before
-    deserialization, so a wrong or hand-mangled file raises a clear
-    :class:`~repro.errors.DataError` instead of an arbitrary traceback.
+    deserialization, and every breakpoint must be finite, so a wrong or
+    hand-mangled file raises a clear :class:`~repro.errors.DataError`
+    instead of an arbitrary traceback or a model that estimates NaN.
     """
     path = Path(path)
     if not path.exists():
@@ -204,6 +206,19 @@ def load_model(path: str | Path) -> SpireModel:
         raise DataError(f"{path}: 'rooflines' must be an object, not "
                         f"{type(payload['rooflines']).__name__}")
     try:
-        return SpireModel.from_dict(payload)
+        model = SpireModel.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed model payload ({exc})") from exc
+    # json.loads accepts NaN and Infinity; a bound built on them is never
+    # exceeded and estimates NaN, and the packed table needs finite
+    # breakpoints.
+    for metric in model.metrics:
+        function = model.roofline(metric).function
+        if not all(
+            math.isfinite(point.x) and math.isfinite(point.y)
+            for point in function.breakpoints
+        ):
+            raise DataError(
+                f"{path}: metric {metric!r} has non-finite breakpoints"
+            )
+    return model

@@ -5,32 +5,13 @@ overhead: the per-request path runs one ``group_indices`` argsort plus
 one ``estimate_batch`` and one ``time_weighted_mean`` *per metric* —
 dozens of tiny NumPy calls for a typical 60-metric request.
 :func:`batch_estimate` pays a fixed number of NumPy calls per *batch*
-instead: it concatenates the requests' :class:`SampleArray` columns,
-sorts the fused rows once by ``(metric, request)``, evaluates every row
-against the model's packed rooflines
-(:meth:`SpireModel.packed_rooflines
-<repro.core.ensemble.SpireModel.packed_rooflines>`) in one vectorized
-pass, and reduces each ``(request, metric)`` segment with a positional
-wavefront.
-
-Bit-identity contract
----------------------
-The scattered per-request results are bit-identical to what each request
-would get from :meth:`SpireModel.estimate
-<repro.core.ensemble.SpireModel.estimate>` alone:
-
-- roofline evaluation is elementwise, and the packed table applies the
-  same rules and float expressions as ``PiecewiseLinear.evaluate_array``,
-  so batching rows across requests and metrics cannot change any row's
-  estimate;
-- the stable ``(metric, request)`` lexsort preserves original row order
-  inside every segment, matching ``group_indices``'s ascending rows;
-- Eq. 1's sums accumulate **left to right** (``np.cumsum``, not
-  ``np.sum``'s pairwise tree), and ``np.add.reduceat`` does *not*
-  reproduce that order.  The positional wavefront does: iteration ``k``
-  adds every segment's ``k``-th row into its accumulator, vectorized
-  across segments but strictly sequential within each, so every segment
-  reduces exactly as its own ``np.cumsum`` would.
+instead: :func:`~repro.core.ensemble.fused_estimate` concatenates the
+requests' :class:`SampleArray` columns, evaluates every row against the
+model's packed rooflines in one vectorized pass and reduces each
+``(request, metric)`` segment left to right, so every request's result
+is bit-identical to what :meth:`SpireModel.estimate
+<repro.core.ensemble.SpireModel.estimate>` gives it alone
+(``fused_estimate`` spells out why).
 
 Dispatch runs through the ``serve.batch_estimate`` kernel guard: sampled
 calls replay every request in the batch through the retained scalar
@@ -42,130 +23,28 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Awaitable, Callable, Sequence
-
-import numpy as np
+from typing import Callable, Sequence
 
 from repro.core.columns import SampleArray
-from repro.core.ensemble import EnsembleEstimate, SpireModel
+from repro.core.ensemble import (
+    EnsembleEstimate,
+    SpireModel,
+    finish_estimate,
+    fused_estimate,
+)
 from repro.errors import EstimationError, ServeOverloadError, SpireError
 from repro.fastpath import force_scalar
 from repro.guard.dispatch import approx_equal, kernel_guard
-from repro.guard.guardrails import check_estimates
 
 __all__ = ["KERNEL", "MicroBatcher", "batch_estimate", "fused_estimate"]
 
 KERNEL = "serve.batch_estimate"
 
-#: The tuple shape shared with the per-request estimator internals:
-#: ``(per_metric, sample_counts, skipped_metrics)``.
-_EstimateTuple = tuple
-
-_NO_COVERAGE = "none of the sample metrics are covered by this model"
 _EMPTY = "cannot estimate from an empty sample set"
 
 
-def _segment_ordered_sums(
-    values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """Left-to-right sum of each contiguous segment (positional wavefront).
-
-    Iteration ``k`` folds every segment's ``k``-th element into its
-    accumulator: vectorized across segments, sequential within each, so
-    the result is bit-identical to ``np.cumsum(segment)[-1]`` per
-    segment.  Cost is O(longest segment) vectorized adds instead of one
-    Python-level reduction per segment.
-    """
-    totals = np.zeros(len(starts), dtype=np.float64)
-    if not len(starts):
-        return totals
-    totals[:] = values[starts]  # k = 0: every segment has at least one row
-    for k in range(1, int(lengths.max())):
-        live = np.flatnonzero(lengths > k)
-        if not len(live):  # pragma: no cover - max() guarantees live rows
-            break
-        totals[live] += values[starts[live] + k]
-    return totals
-
-
-def fused_estimate(
-    model: SpireModel, arrays: Sequence[SampleArray]
-) -> "list[_EstimateTuple]":
-    """One fused evaluation of many requests (the fast kernel).
-
-    Returns one ``(per_metric, sample_counts, skipped_metrics)`` tuple
-    per request — the same shape the per-request estimator internals
-    produce, with dict/list entries in the request's own first-seen
-    metric order.  An all-uncovered request yields an empty
-    ``per_metric``; the caller maps that to the per-request error.
-    """
-    lengths = [len(a) for a in arrays]
-    fused = SampleArray.concat(list(arrays))
-    request = np.repeat(np.arange(len(arrays)), lengths)
-
-    # Stable sort by (metric, request): rows of one (request, metric)
-    # pair stay in original ascending order — exactly the rows (and row
-    # order) group_indices() hands the per-request path.
-    order = np.lexsort((request, fused.metric_ids))
-    sorted_metric = fused.metric_ids[order]
-    sorted_request = request[order]
-    intensity = fused.intensity[order]
-    times = fused.time[order]
-
-    n = len(order)
-    changed = np.flatnonzero(
-        (np.diff(sorted_metric) != 0) | (np.diff(sorted_request) != 0)
-    ) + 1
-    seg_starts = np.concatenate(([0], changed))
-    seg_lengths = np.diff(np.append(seg_starts, n))
-    seg_metric = sorted_metric[seg_starts]
-    seg_request = sorted_request[seg_starts]
-    # Original fused position of each segment's first row: within one
-    # request those positions order its metrics first-seen.
-    seg_first_pos = order[seg_starts]
-
-    # One packed roofline evaluation over every covered row at once.
-    names = fused.metric_names
-    index, table = model.packed_rooflines()
-    function = np.asarray(
-        [index.get(name, -1) for name in names], dtype=np.int64
-    )
-    covered = function >= 0
-    rows = covered[sorted_metric]
-    estimates = np.zeros(n, dtype=np.float64)
-    estimates[rows] = table.evaluate(
-        function[sorted_metric[rows]], intensity[rows]
-    )
-
-    seg_covered = covered[seg_metric]
-    live_starts = seg_starts[seg_covered]
-    live_lengths = seg_lengths[seg_covered]
-    numerators = _segment_ordered_sums(estimates * times, live_starts, live_lengths)
-    denominators = _segment_ordered_sums(times, live_starts, live_lengths)
-    seg_value = np.zeros(len(seg_starts), dtype=np.float64)
-    seg_value[seg_covered] = numerators / denominators
-
-    # Scatter: per request, walk its segments in first-seen metric order.
-    scatter = np.lexsort((seg_first_pos, seg_request))
-    results: "list[_EstimateTuple]" = [
-        ({}, {}, []) for _ in range(len(arrays))
-    ]
-    values = seg_value.tolist()
-    counts_list = seg_lengths.tolist()
-    covered_list = seg_covered.tolist()
-    for seg in scatter.tolist():
-        per_metric, counts, skipped = results[int(seg_request[seg])]
-        name = names[int(seg_metric[seg])]
-        if covered_list[seg]:
-            per_metric[name] = values[seg]
-            counts[name] = counts_list[seg]
-        else:
-            skipped.append(name)
-    return results
-
-
 def _finalize(
-    tuples: "list[_EstimateTuple | EstimationError]",
+    tuples: "list[tuple | EstimationError]",
 ) -> "list[EnsembleEstimate | EstimationError]":
     """Per-request guardrails and EnsembleEstimate construction."""
     out: "list[EnsembleEstimate | EstimationError]" = []
@@ -173,18 +52,10 @@ def _finalize(
         if isinstance(item, EstimationError):
             out.append(item)
             continue
-        per_metric, counts, skipped = item
-        if not per_metric:
-            out.append(EstimationError(_NO_COVERAGE))
-            continue
-        check_estimates(per_metric)
-        out.append(
-            EnsembleEstimate(
-                per_metric=per_metric,
-                sample_counts=counts,
-                skipped_metrics=skipped,
-            )
-        )
+        try:
+            out.append(finish_estimate(*item))
+        except EstimationError as exc:
+            out.append(exc)
     return out
 
 
@@ -219,8 +90,8 @@ def batch_estimate(
     empty = [index for index, array in enumerate(arrays) if not len(array)]
     dense = [array for array in arrays if len(array)]
 
-    def assemble(tuples: "list[_EstimateTuple]"):
-        merged: "list[_EstimateTuple | EstimationError]" = []
+    def assemble(tuples: "list[tuple]"):
+        merged: "list[tuple | EstimationError]" = []
         cursor = iter(tuples)
         for index in range(len(arrays)):
             if index in empty_set:

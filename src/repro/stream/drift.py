@@ -24,15 +24,16 @@ surface on the run-level :class:`~repro.guard.health.HealthReport`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.ensemble import SpireModel
 from repro.core.phases import PhaseProfile
-from repro.core.roofline import MetricRoofline
+from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport
 from repro.errors import ConfigError
+from repro.fastpath import scalar_fallback_enabled
 from repro.guard.health import DriftEvent
 
 __all__ = ["DriftAssessment", "DriftMonitor", "DriftPolicy", "DriftReport"]
@@ -97,23 +98,68 @@ class DriftMonitor:
         return dict(self._refits)
 
     def assess(
-        self,
-        roofline: MetricRoofline,
-        intensity: np.ndarray,
-        throughput: np.ndarray,
-    ) -> DriftAssessment:
-        """Score one window of a metric's samples against its bound."""
-        samples = len(intensity)
-        if not samples:
-            return DriftAssessment(CLEAN, 0, 0, 0.0)
-        bound = roofline.estimate_batch(intensity, validated=True)
+        self, model: SpireModel, window: SampleSet
+    ) -> dict[str, DriftAssessment]:
+        """Score one sealed window against the serving model.
+
+        Returns one verdict per window metric the model covers.  Every
+        row is bounded in one :meth:`PackedPiecewise.evaluate
+        <repro.geometry.piecewise.PackedPiecewise.evaluate>` over the
+        model's packed table; per-metric counts and worst excesses are
+        order-free reductions, so each verdict is what that metric's
+        rows alone would give.  ``SPIRE_SCALAR_FALLBACK`` bounds each
+        sample with :meth:`MetricRoofline.estimate` instead.
+        """
+        if scalar_fallback_enabled():
+            return self._assess_scalar(model, window)
+        array = window.columns()
+        names = array.metric_names
+        index, table = model.packed_rooflines()
+        function = np.asarray(
+            [index.get(name, -1) for name in names], dtype=np.int64
+        )
+        covered = function[array.metric_ids] >= 0
+        ids = array.metric_ids[covered]
+        bound = table.evaluate(function[ids], array.intensity[covered])
         slack = self.policy.tolerance * np.maximum(1.0, np.abs(bound))
-        excess = throughput - bound
+        excess = array.throughput[covered] - bound
         violating = excess > slack
-        violations = int(violating.sum())
+        samples = np.bincount(ids, minlength=len(names))
+        violations = np.bincount(ids[violating], minlength=len(names))
+        worst = np.zeros(len(names), dtype=np.float64)
+        np.maximum.at(worst, ids[violating], excess[violating])
+        return {
+            names[ident]: self._verdict(
+                int(samples[ident]), int(violations[ident]),
+                float(worst[ident]),
+            )
+            for ident in np.flatnonzero(samples).tolist()
+        }
+
+    def _assess_scalar(
+        self, model: SpireModel, window: SampleSet
+    ) -> dict[str, DriftAssessment]:
+        """The retained scalar reference behind :meth:`assess`."""
+        tallies: dict[str, list] = {}
+        for sample in window:
+            if sample.metric not in model:
+                continue
+            bound = model.roofline(sample.metric).estimate(sample.intensity)
+            excess = sample.throughput - bound
+            tally = tallies.setdefault(sample.metric, [0, 0, 0.0])
+            tally[0] += 1
+            if excess > self.policy.tolerance * max(1.0, abs(bound)):
+                tally[1] += 1
+                tally[2] = max(tally[2], excess)
+        return {
+            metric: self._verdict(*tally) for metric, tally in tallies.items()
+        }
+
+    def _verdict(
+        self, samples: int, violations: int, worst: float
+    ) -> DriftAssessment:
         if not violations:
             return DriftAssessment(CLEAN, 0, samples, 0.0)
-        worst = float(excess[violating].max())
         refuted = (
             violations >= self.policy.min_violations
             and violations >= self.policy.refute_fraction * samples
@@ -232,14 +278,3 @@ class DriftReport:
                 )
         return "\n".join(lines)
 
-
-def worst_violation(
-    roofline: MetricRoofline,
-    intensity: np.ndarray,
-    throughput: np.ndarray,
-) -> float:
-    """Largest overshoot of ``throughput`` past the roofline bound."""
-    if not len(intensity):
-        return -math.inf
-    bound = roofline.estimate_batch(intensity, validated=True)
-    return float((throughput - bound).max())

@@ -4,11 +4,13 @@
 accepts counter samples incrementally — mapping records, constructed
 sample sets, or raw ``perf stat -x`` CSV chunks (split anywhere, even
 mid-line) — screens them (timestamp monotonicity via
-:class:`~repro.core.sanitize.TimestampScreen`, values via
-:class:`~repro.core.sanitize.SampleSanitizer`), buffers them into fixed
-size windows, and on each sealed window walks the drift ladder
-(:mod:`repro.stream.drift`) for every metric before folding the window
-into the incremental ensemble (:mod:`repro.stream.incremental`).
+:class:`~repro.core.sanitize.TimestampScreen`; mapping records also
+values via :class:`~repro.core.sanitize.SampleSanitizer`, which the
+strict :class:`~repro.core.sample.Sample` constructor already did for
+perf intervals), buffers them into fixed size windows, and on each
+sealed window walks the drift ladder (:mod:`repro.stream.drift`) for
+every metric, in one packed pass over the serving model, before folding
+the window into the incremental ensemble (:mod:`repro.stream.incremental`).
 
 Ownership model
 ---------------
@@ -33,7 +35,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.core.columns import SampleArray
-from repro.core.ensemble import SpireModel, TrainOptions
+from repro.core.ensemble import SpireModel, TrainOptions, packed_estimate
 from repro.core.phases import PhaseEstimate, PhaseTracker
 from repro.core.roofline import MetricRoofline
 from repro.core.sample import Sample, SampleSet
@@ -99,6 +101,9 @@ class StreamIngestor:
         self._reference: dict[str, MetricRoofline] = {}
         if model is not None:
             self._reference = {m: model.roofline(m) for m in model.metrics}
+        # Rebuilt once per sealed window: drift checks and phase
+        # estimates run on its packed rooflines, and model() serves it.
+        self._serving = self._build_serving()
         self._monitor = DriftMonitor(self.options.policy)
         self._screen = TimestampScreen()
         self._sanitizer = SampleSanitizer(min_samples_per_metric=1)
@@ -158,15 +163,7 @@ class StreamIngestor:
         # only what the value sanitizer rejected on top of that.
         self._report.quality.kept -= len(window_report.quarantined)
         self._report.quality.quarantined.extend(window_report.quarantined)
-        dropped = len(self._report.quality.quarantined) - before
-        if dropped:
-            warnings.warn(
-                DegradedDataWarning(
-                    f"stream quarantined {dropped} record(s): "
-                    + self._report.quality.summary()
-                ),
-                stacklevel=2,
-            )
+        self._warn_dropped(before)
         self._admit(clean)
 
     def push_samples(
@@ -223,24 +220,32 @@ class StreamIngestor:
             self._close_perf_interval()
 
     def _close_perf_interval(self) -> None:
+        # The strict Sample constructor has validated every value, so
+        # the interval only needs the timestamp screen.
         group, self._perf_interval = self._perf_interval, []
-        stamp = group[0].timestamp
         samples = _samples_from_records(
             group, self._parser.work_event, self._parser.time_event,
             lenient=True,
         )
-        records = []
-        for sample in samples:
-            record = {
-                "metric": sample.metric,
-                "time": sample.time,
-                "work": sample.work,
-                "metric_count": sample.metric_count,
-            }
-            if stamp is not None:
-                record["timestamp"] = stamp
-            records.append(record)
-        self.push_records(records)
+        if not samples:
+            return
+        before = len(self._report.quality.quarantined)
+        kept = self._screen.screen_interval(
+            samples, group[0].timestamp, self._report.quality
+        )
+        self._warn_dropped(before)
+        self._admit(kept)
+
+    def _warn_dropped(self, before: int) -> None:
+        dropped = len(self._report.quality.quarantined) - before
+        if dropped:
+            warnings.warn(
+                DegradedDataWarning(
+                    f"stream quarantined {dropped} record(s): "
+                    + self._report.quality.summary()
+                ),
+                stacklevel=3,
+            )
 
     def _admit(self, clean: Iterable[Sample]) -> None:
         self._pending.extend(clean)
@@ -280,20 +285,21 @@ class StreamIngestor:
 
         window_set = SampleSet(batch)
         array = window_set.columns()
-        groups = array.group_indices()
         checking = bool(self._reference) or index >= self.options.warmup_windows
+        # Repairs only touch the refuted metric, so every verdict can be
+        # taken up front against the model served when the window opened.
+        verdicts = (
+            self._monitor.assess(self._serving, window_set)
+            if checking and self._serving is not None
+            else {}
+        )
 
         refuted: list[str] = []
-        checked = 0
-        for metric, rows in groups.items():
-            intensity = array.intensity[rows]
-            throughput = array.throughput[rows]
-            serving = self._serving_roofline(metric)
-            if serving is None or not checking:
+        for metric, rows in array.group_indices().items():
+            verdict = verdicts.get(metric)
+            if verdict is None:
                 self._insert_if_stream_owned(metric, array, rows)
                 continue
-            checked += 1
-            verdict = self._monitor.assess(serving, intensity, throughput)
             if verdict.verdict == REFUTED:
                 refuted.append(metric)
                 events.extend(
@@ -313,6 +319,7 @@ class StreamIngestor:
                 )
             self._insert_if_stream_owned(metric, array, rows)
 
+        checked = len(verdicts)
         if self._monitor.window_stale(checked, len(refuted)) and not self.stale:
             reason = (
                 f"{len(refuted)}/{checked} checked metric(s) refuted in "
@@ -330,15 +337,10 @@ class StreamIngestor:
         for metric in list(self._quarantined):
             if self._online.roofline(metric) is not None:
                 self._quarantined.discard(metric)
+        self._serving = self._build_serving()
         self._observe_phase(index, window_set)
         self._record(events)
         return events
-
-    def _serving_roofline(self, metric: str) -> MetricRoofline | None:
-        roofline = self._reference.get(metric)
-        if roofline is not None:
-            return roofline
-        return self._online.roofline(metric)
 
     def _insert_if_stream_owned(
         self, metric: str, array: SampleArray, rows
@@ -427,9 +429,10 @@ class StreamIngestor:
         self._report.stale_reason = reason
 
     def _observe_phase(self, index: int, window_set: SampleSet) -> None:
+        if self._serving is None:
+            return
         try:
-            model = self.model()
-            estimate = model.estimate(window_set)
+            estimate = packed_estimate(self._serving, window_set)
         except (FitError, EstimationError):
             return
         self._tracker.observe(
@@ -450,13 +453,18 @@ class StreamIngestor:
     # -- Serving -------------------------------------------------------
 
     def model(self) -> SpireModel:
-        """The current serving ensemble.
+        """The current serving ensemble, as of the last sealed window.
 
         Reference-owned rooflines serve verbatim; stream-owned metrics
         serve their latest incremental fit once past the sample floor.
         Quarantined metrics are withheld.  Raises :class:`FitError` when
         nothing is servable yet (e.g. mid-warmup).
         """
+        if self._serving is None:
+            raise FitError("the stream has no servable metric yet")
+        return self._serving
+
+    def _build_serving(self) -> SpireModel | None:
         rooflines = dict(self._reference)
         for metric in self._online.metrics:
             if metric in self._quarantined:
@@ -465,7 +473,7 @@ class StreamIngestor:
             if roofline is not None:
                 rooflines[metric] = roofline
         if not rooflines:
-            raise FitError("the stream has no servable metric yet")
+            return None
         return SpireModel(
             rooflines,
             work_unit=self._online.work_unit,

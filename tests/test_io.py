@@ -1,5 +1,7 @@
 """Unit tests for dataset and model persistence."""
 
+import json
+
 import pytest
 
 from repro.core.ensemble import SpireModel
@@ -104,4 +106,19 @@ class TestModel:
         path = tmp_path / "bad.json"
         path.write_text('{"rooflines": {"m": {"bogus": 1}}}')
         with pytest.raises(DataError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_breakpoint_rejected(self, model, tmp_path, value, axis):
+        """json.loads accepts NaN and Infinity; a model built on them
+        estimates NaN and is never refuted, so loading must fail."""
+        payload = model.to_dict()
+        metric = sorted(payload["rooflines"])[-1]
+        breakpoints = payload["rooflines"][metric]["function"]["breakpoints"]
+        # At an end where even an infinite x keeps the breakpoints sorted.
+        breakpoints[0 if value.startswith("-") else -1][axis] = f"@{value}@"
+        path = tmp_path / "headerless.json"
+        path.write_text(json.dumps(payload).replace(f'"@{value}@"', value))
+        with pytest.raises(DataError, match=f"metric {metric!r} has non-finite"):
             load_model(path)

@@ -11,14 +11,22 @@ fault-free baseline is clean by construction (every roofline is an upper
 bound of its training data).
 """
 
+import math
+import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ensemble import SpireModel, TrainOptions
+from repro.core.roofline import MetricRoofline
 from repro.core.sample import Sample, SampleSet
 from repro.errors import ConfigError
+from repro.fastpath import force_scalar
+from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
 from repro.guard.dispatch import registry, reset_guards
 from repro.runtime.faults import (
     DRIFT_INJECT,
@@ -229,38 +237,147 @@ class TestNoModelStream:
         assert "out-of-order timestamp" in reasons
 
 
+#: Power-of-two coordinates, so a window row can sit exactly on them.
+_SHAPES = {
+    # A step: two breakpoints share x = 4, which evaluates to the lower.
+    "steps": [(0.5, 0.25), (4.0, 2.0), (4.0, 1.5), (16.0, 1.5)],
+    "flat": [(0.0, 3.0)],
+    "ramp": [(1.0, 0.5), (2.0, 1.0), (8.0, 2.0)],
+    "one.row": [(2.0, 0.75), (32.0, 4.0)],
+}
+
+
+def _packed_model() -> SpireModel:
+    return SpireModel(
+        {
+            metric: MetricRoofline(
+                metric=metric,
+                function=PiecewiseLinear(points),
+                apex=Breakpoint(*max(points, key=lambda p: p[1])),
+                sample_count=len(points),
+            )
+            for metric, points in _SHAPES.items()
+        }
+    )
+
+
+#: (metric, intensity choice, throughput factor, time) of one window row.
+_WINDOW_ROWS = st.tuples(
+    st.sampled_from(sorted(_SHAPES) + ["absent"]),
+    st.one_of(
+        st.integers(0, 3),                     # the metric's k-th breakpoint x
+        st.just(math.inf),                     # the metric never fired
+        st.floats(0.01, 64.0, allow_nan=False),
+    ),
+    st.one_of(
+        st.sampled_from([1.0, 1.0 + 5e-7, 1.0 + 2e-6, 0.5, 1.06]),
+        st.floats(0.0, 3.0, allow_nan=False),
+    ),
+    st.sampled_from([0.5, 1.0, 4.0]),
+)
+
+
+def _window_sample(model, metric, choice, factor, time) -> Sample:
+    """A sample at the chosen intensity, ``factor`` times its bound."""
+    points = _SHAPES.get(metric, [(2.0, 1.0)])
+    if isinstance(choice, int):
+        # x = 0 would need an infinite count; take x = 1 there instead.
+        x = points[choice % len(points)][0] or 1.0
+    else:
+        x = choice
+    bound = (
+        model.roofline(metric).estimate(x) if metric in model else 1.0
+    )
+    work = bound * factor * time  # exact: time is a power of two
+    count = 0.0 if math.isinf(x) else work / x
+    return Sample(metric, time=time, work=work, metric_count=count)
+
+
+def _packed_assess(monitor, model, window):
+    """``assess`` on the packed path, whatever the ambient setting."""
+    with mock.patch.dict(os.environ, {"SPIRE_SCALAR_FALLBACK": "0"}):
+        return monitor.assess(model, window)
+
+
 class TestDriftMonitorUnit:
-    def _roofline(self):
+    def _model(self):
         samples = SampleSet(
             [
                 Sample("m", time=1.0, work=min(x, 8.0), metric_count=min(x, 8.0) / x)
                 for x in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
             ]
         )
-        return SpireModel.train(samples).roofline("m")
+        return SpireModel.train(samples)
+
+    @staticmethod
+    def _window(xs, ys, metric="m"):
+        """Samples at intensity ``x`` and throughput ``y`` exactly."""
+        return SampleSet(
+            Sample(metric, time=1.0, work=y, metric_count=y / x)
+            for x, y in zip(xs, ys)
+        )
 
     def test_clean_absorbed_refuted_ladder(self):
         monitor = DriftMonitor(DriftPolicy(min_violations=3))
-        roofline = self._roofline()
-        xs = np.asarray([1.0, 2.0, 4.0, 16.0])
-        clean = monitor.assess(roofline, xs, np.asarray([0.5, 1.0, 2.0, 4.0]))
-        assert clean.verdict == "clean"
+        model = self._model()
+        xs = [1.0, 2.0, 4.0, 16.0]
+        clean = monitor.assess(model, self._window(xs, [0.5, 1.0, 2.0, 4.0]))
+        assert clean["m"].verdict == "clean"
         absorbed = monitor.assess(
-            roofline, xs, np.asarray([5.0, 1.0, 2.0, 4.0])
-        )
+            model, self._window(xs, [5.0, 1.0, 2.0, 4.0])
+        )["m"]
         assert absorbed.verdict == "absorbed"
         assert absorbed.violations == 1
-        refuted = monitor.assess(roofline, xs, np.asarray([5.0, 9.0, 9.0, 9.0]))
+        refuted = monitor.assess(
+            model, self._window(xs, [5.0, 9.0, 9.0, 9.0])
+        )["m"]
         assert refuted.verdict == "refuted"
         assert refuted.worst_excess > 0
 
     def test_empty_window_is_clean(self):
         monitor = DriftMonitor()
-        verdict = monitor.assess(
-            self._roofline(), np.asarray([]), np.asarray([])
+        model = self._model()
+        assert monitor.assess(model, SampleSet()) == {}
+        # Nor is there anything to check in rows the model has no bound for.
+        assert monitor.assess(model, self._window([2.0], [9.0], "x")) == {}
+
+    def test_verdicts_match_scalar_oracle(self):
+        """The packed pass gives each metric the verdict of its own rows."""
+        monitor = DriftMonitor(DriftPolicy(min_violations=1))
+        model = _packed_model()
+        window = SampleSet(
+            Sample(metric, time=1.0, work=y, metric_count=y / x)
+            for metric, x, y in [
+                ("steps", 4.0, 1.6), ("steps", 4.0, 2.0), ("flat", 8.0, 9.0),
+                ("ramp", 2.0, 0.5), ("absent", 2.0, 7.0), ("steps", 0.5, 0.25),
+            ]
         )
-        assert verdict.verdict == "clean"
-        assert verdict.samples == 0
+        packed = _packed_assess(monitor, model, window)
+        with force_scalar():
+            assert monitor.assess(model, window) == packed
+        assert set(packed) == {"steps", "flat", "ramp"}
+        # At the step's x the tighter of its two values (1.5) bounds.
+        assert packed["steps"].violations == 2
+        assert packed["flat"].verdict == "refuted"
+        assert packed["ramp"].verdict == "clean"
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(_WINDOW_ROWS, max_size=40),
+           tolerance=st.sampled_from([0.0, 1e-6, 0.05]),
+           min_violations=st.integers(1, 4))
+    def test_packed_verdicts_equal_scalar_on_random_windows(
+        self, rows, tolerance, min_violations
+    ):
+        monitor = DriftMonitor(
+            DriftPolicy(tolerance=tolerance, min_violations=min_violations)
+        )
+        model = _packed_model()
+        window = SampleSet(_window_sample(model, *row) for row in rows)
+        packed = _packed_assess(monitor, model, window)
+        with force_scalar():
+            scalar = monitor.assess(model, window)
+        assert packed == scalar
+        assert set(packed) == set(window.metrics()) - {"absent"}
 
     def test_note_refit_counts_to_stale(self):
         monitor = DriftMonitor(DriftPolicy(max_refits=2))

@@ -9,9 +9,12 @@ stream`` / ``spire faultsim --drift`` entry points.
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.errors import ConfigError, DegradedDataWarning
+from repro.counters.perf_parser import _samples_from_records
+from repro.errors import ConfigError, DegradedDataWarning, FitError
 from repro.guard.dispatch import reset_guards
 from repro.runtime.faults import (
     DRIFT_INJECT,
@@ -106,6 +109,118 @@ class TestPerfChunking:
         assert "non-finite counter value" in reasons
         assert "negative counter value" in reasons
         assert report.quality.kept > 0
+
+
+class _Recording(StreamIngestor):
+    """Keeps every sealed window's samples."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.windows = []
+
+    def _seal(self, batch):
+        self.windows.append(
+            [(x.metric, x.time, x.work, x.metric_count) for x in batch]
+        )
+        return super()._seal(batch)
+
+
+class _ViaRecords(_Recording):
+    """Each closed perf interval pushed as timestamped records, through
+    the timestamp screen and the value sanitizer, as push_perf once did."""
+
+    def _close_perf_interval(self):
+        group, self._perf_interval = self._perf_interval, []
+        stamp = group[0].timestamp
+        samples = _samples_from_records(
+            group, "instructions", "cycles", lenient=True
+        )
+        records = []
+        for sample in samples:
+            record = sample.to_dict()
+            if stamp is not None:
+                record["timestamp"] = stamp
+            records.append(record)
+        self.push_records(records)
+
+
+_METRICS = ("l1d.miss", "llc.miss", "br.misp")
+
+#: One interval: (stamp step, cycles present, rows of (metric, value)).
+_INTERVALS = st.tuples(
+    st.sampled_from([1.0, 1.0, 1.0, 0.0, -2.5, "nan"]),
+    st.sampled_from([True, True, True, False]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_METRICS),
+            st.sampled_from(
+                ["<not counted>", "-40", "inf", "0", "1200", "35", "9000"]
+            ),
+        ),
+        max_size=4,
+    ),
+)
+
+
+def _perf_text(intervals) -> str:
+    lines, stamp = [], 10.0
+    for step, has_cycles, rows in intervals:
+        if step == "nan":
+            prefix = "nan"
+        else:
+            stamp += step
+            prefix = f"{stamp:.3f}"
+        lines.append(f"{prefix},24000,,instructions,1000,100.00,,")
+        if has_cycles:
+            lines.append(f"{prefix},16000,,cycles,1000,100.00,,")
+        for metric, value in rows:
+            lines.append(f"{prefix},{value},,{metric},1000,25.00,,")
+    return "\n".join(lines) + "\n"
+
+
+class TestPerfIntervalsSkipTheValueSanitizer:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        intervals=st.lists(_INTERVALS, max_size=30),
+        cuts=st.lists(st.integers(1, 90), max_size=40),
+    )
+    def test_push_perf_matches_pushing_the_records(self, intervals, cuts):
+        """Perf samples pass the strict constructor, so the timestamp
+        screen alone leaves windows, events, quality and warnings as
+        pushing each interval's records through push_records did."""
+        text = _perf_text(intervals)
+        chunks, cursor = [], 0
+        for size in cuts:
+            chunks.append(text[cursor:cursor + size])
+            cursor += size
+        chunks.append(text[cursor:])
+        options = StreamOptions(window_samples=5, warmup_windows=1)
+        outputs = []
+        for kind in (_Recording, _ViaRecords):
+            ingestor = kind(options=options)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for chunk in chunks:
+                    ingestor.push_perf(chunk)
+                ingestor.flush()
+                ingestor.seal_window()
+            report = ingestor.report()
+            try:
+                served = ingestor.model().to_dict(include_training=True)
+            except FitError:
+                served = None
+            outputs.append(
+                (
+                    ingestor.windows,
+                    ingestor.events,
+                    report.to_dict(),
+                    (report.quality.total, report.quality.kept),
+                    report.quality.quarantined,
+                    [(w.category, str(w.message)) for w in caught],
+                    served,
+                )
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestScreening:
