@@ -28,7 +28,7 @@ from repro.core.roofline import (
     fit_metric_roofline,
     fit_metric_roofline_arrays,
 )
-from repro.core.sample import Sample, SampleSet
+from repro.core.sample import Sample, SampleSet, left_sum
 from repro.core.sanitize import QualityReport, SampleSanitizer
 from repro.errors import DegradedDataWarning, EstimationError, FitError
 from repro.fastpath import scalar_fallback_enabled
@@ -590,4 +590,4 @@ def _bound_violation_scalar(model: SpireModel, samples: SampleSet) -> float:
             violations.append(max(0.0, sample.throughput - bound))
     if not violations:
         raise EstimationError("no overlapping metrics between model and samples")
-    return float(sum(violations) / len(violations))
+    return float(left_sum(violations) / len(violations))

@@ -42,6 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.sample import left_sum
 from repro.errors import FitError
 from repro.fastpath import scalar_fallback_enabled
 from repro.geometry.pareto import pareto_front, pareto_front_arrays
@@ -217,8 +218,8 @@ def _flat_tail_error(
 ) -> float:
     """Squared error of a flat tail at ``front[entry]``'s height."""
     level = front[entry][1]
-    error = sum((level - front[k][1]) ** 2 for k in range(entry))
-    error += sum((level - p) ** 2 for p in inf_levels)
+    error = left_sum((level - front[k][1]) ** 2 for k in range(entry))
+    error += left_sum((level - p) ** 2 for p in inf_levels)
     return error
 
 

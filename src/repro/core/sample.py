@@ -19,8 +19,10 @@ paper's special sample ``S`` used by the right fitting algorithm.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import DataError
@@ -246,7 +248,7 @@ class SampleSet:
         if self._lazy is not None:
             return self._lazy.total_time(metric)
         samples = self._samples if metric is None else self._by_metric.get(metric, ())
-        return sum(s.time for s in samples)
+        return left_sum(s.time for s in samples)
 
     def measured_throughput(self, metric: str | None = None) -> float:
         """Aggregate observed throughput ``sum(W) / sum(T)``.
@@ -259,10 +261,10 @@ class SampleSet:
         if self._lazy is not None:
             return self._lazy.measured_throughput(metric)
         samples = self._samples if metric is None else self._by_metric.get(metric, ())
-        total_time = sum(s.time for s in samples)
+        total_time = left_sum(s.time for s in samples)
         if total_time == 0:
             raise DataError("cannot compute measured throughput of an empty sample set")
-        return sum(s.work for s in samples) / total_time
+        return left_sum(s.work for s in samples) / total_time
 
     def to_records(self) -> list[dict]:
         if self._lazy is not None:
@@ -301,6 +303,16 @@ class SampleSet:
                 self._by_metric[sample.metric].append(sample)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` added strictly left to right, starting from ``0``.
+
+    CPython 3.12 made ``sum()`` of floats compensated (Neumaier), so its
+    result depends on the interpreter.  This is 3.11's plain fold, which
+    the ``np.cumsum`` twins of the scalar references match bit for bit.
+    """
+    return reduce(operator.add, values, 0)
+
+
 def time_weighted_average(values: Sequence[float], times: Sequence[float]) -> float:
     """Eq. (1): merge per-sample estimates with a time-weighted average.
 
@@ -312,7 +324,7 @@ def time_weighted_average(values: Sequence[float], times: Sequence[float]) -> fl
         )
     if not values:
         raise DataError("cannot average an empty sequence")
-    total_time = float(sum(times))
+    total_time = float(left_sum(times))
     if total_time <= 0:
         raise DataError("total sample time must be positive")
-    return float(sum(v * t for v, t in zip(values, times))) / total_time
+    return float(left_sum(v * t for v, t in zip(values, times))) / total_time

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -149,19 +149,18 @@ class TimestampScreen:
 
     def screen_interval(
         self,
-        samples: Iterable[Sample],
+        metrics: Sequence[str],
         stamp: float | None,
         report: QualityReport,
-    ) -> list[Sample]:
-        """:meth:`screen` for samples sharing one timestamp (a perf
-        interval), with the same report entries and counts, and no
-        mapping record built per sample."""
-        samples = list(samples)
-        report.total += len(samples)
+    ) -> list[bool]:
+        """:meth:`screen` for the rows of one perf interval, which share
+        ``stamp``: one keep flag per row of ``metrics``, with the same
+        report entries and counts, and no mapping record built per row."""
+        report.total += len(metrics)
         if stamp is None:
-            report.kept += len(samples)
-            return samples
-        return [s for s in samples if self._in_order(s.metric, stamp, report)]
+            report.kept += len(metrics)
+            return [True] * len(metrics)
+        return [self._in_order(metric, stamp, report) for metric in metrics]
 
     def _in_order(self, metric: str, stamp: float, report: QualityReport) -> bool:
         """Admit one stamped arrival, or quarantine it into ``report``."""

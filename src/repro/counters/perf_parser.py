@@ -24,6 +24,14 @@ whose lines are all clean interval records of one width (what ``perf
 stat -x, -I`` writes) takes a columnar pass instead, straight to a
 :class:`~repro.core.columns.SampleArray`, with bit-identical samples and
 the same quality accounting.
+
+:func:`parse_perf_lines` strips each line once and parses each field
+once: :func:`_parse_float` tries ``float()`` before its full rule, and
+the value reuses the parse that told an interval record from a
+single-shot one.  The stream ingestor (:mod:`repro.stream.ingest`)
+reads its records chunk by chunk and pairs each interval's W and T by
+:func:`_samples_from_records`' first-match rule, with no ``Sample``
+built per row.
 """
 
 from __future__ import annotations
@@ -56,6 +64,16 @@ class PerfRecord:
 
 
 def _parse_float(text: str) -> float | None:
+    """A field's number: thousands commas dropped, ``None`` when empty,
+    ``<not counted>``/``<not supported>`` or not a number."""
+    # Where float() accepts the text, the full rule below returns the
+    # same value: float() rejects commas, empty text and "<not counted>",
+    # strips the whitespace str.strip() does, and rejects the \x1c-\x1f
+    # that str.strip() drops (those reach the full rule).
+    try:
+        return float(text)
+    except ValueError:
+        pass
     text = text.strip()
     if not text or text in _NOT_COUNTED:
         return None
@@ -84,9 +102,11 @@ def parse_perf_lines(
     raising.
     """
     records: list[PerfRecord] = []
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+    for line_number, line in enumerate(lines, start=1):
+        # One strip per line: a line end left on the last field changes
+        # nothing, as every field is stripped or parsed by float().
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
         if quality is not None:
             quality.total += 1
@@ -100,16 +120,15 @@ def parse_perf_lines(
             )
         # Interval mode prepends a timestamp column.  Distinguish by
         # checking whether the first field parses as a float AND the second
-        # field looks like a value or <not counted>.
+        # field looks like a value or <not counted>.  Either way the value
+        # field's parse is one already taken here.
         timestamp: float | None = None
         cursor = 0
-        first = _parse_float(parts[0])
-        second = parts[1].strip() if len(parts) > 1 else ""
-        if first is not None and (
-            _parse_float(second) is not None or second in _NOT_COUNTED
-        ):
-            timestamp = first
-            cursor = 1
+        value = _parse_float(parts[0])
+        if value is not None:
+            second = _parse_float(parts[1])
+            if second is not None or parts[1].strip() in _NOT_COUNTED:
+                timestamp, value, cursor = value, second, 1
         if len(parts) < cursor + 4:
             if lenient:
                 _quarantine_line(quality, "", "truncated perf record")
@@ -117,7 +136,6 @@ def parse_perf_lines(
             raise ParseError(
                 f"line {line_number}: too few fields for a perf stat record"
             )
-        value = _parse_float(parts[cursor])
         event = parts[cursor + 2].strip()
         if not event:
             if lenient:
@@ -140,17 +158,10 @@ def parse_perf_lines(
             _quarantine_line(quality, event, reason)
         elif quality is not None:
             quality.kept += 1
-        run_time = _parse_float(parts[cursor + 3]) if len(parts) > cursor + 3 else None
+        run_time = _parse_float(parts[cursor + 3])
         enabled = _parse_float(parts[cursor + 4]) if len(parts) > cursor + 4 else None
-        records.append(
-            PerfRecord(
-                timestamp=timestamp,
-                value=value,
-                event=event,
-                run_time=run_time,
-                enabled_percent=enabled,
-            )
-        )
+        # Positional: a frozen dataclass's keyword call costs more.
+        records.append(PerfRecord(timestamp, value, event, run_time, enabled))
     if not records and not lenient:
         raise ParseError("no perf stat records found in input")
     return records

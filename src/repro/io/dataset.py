@@ -13,6 +13,9 @@ version): JSON payloads embed a ``header`` object, CSV files end with a
 metadata when present — a mismatch quarantines the file into a sibling
 ``.quarantine/`` directory (never deletes it) and raises ``DataError``.
 Files written by older versions or by hand, without metadata, still load.
+Whatever the bytes of a file, a loader returns or raises a ``DataError``
+naming the file: not UTF-8, JSON nested past the decoder's depth and
+values of the wrong JSON type included.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 from repro import __version__
 from repro.core.ensemble import SpireModel
 from repro.core.sample import Sample, SampleSet
-from repro.errors import DataError
+from repro.errors import DataError, FitError
 from repro.guard.artifact import (
     attach_header,
     atomic_write_text,
@@ -57,6 +60,28 @@ def _reject(path: Path, reason: str) -> None:
     destination = quarantine_file(path, reason)
     where = f" (quarantined to {destination})" if destination else ""
     raise DataError(f"{path}: {reason}{where}")
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _load_json(path: Path, schema: str):
+    """The file's JSON payload, integrity-checked when it has a header."""
+    text = _read_text(path)
+    try:
+        # RecursionError: nested past the decoder's (or the checksum
+        # encoder's) depth.
+        payload = json.loads(text)
+        reason = verify_payload(payload, schema, require_header=False)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from None
+    if reason is not None:
+        _reject(path, reason)
+    return payload
 
 
 def save_samples_csv(samples: SampleSet, path: str | Path) -> Path:
@@ -96,14 +121,16 @@ def load_samples_csv(path: str | Path) -> SampleSet:
     path = Path(path)
     if not path.exists():
         raise DataError(f"sample file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path)
     trailer_at = text.rfind(_CSV_TRAILER_PREFIX)
     if trailer_at != -1:
         body = text[:trailer_at]
         trailer_line = text[trailer_at + len(_CSV_TRAILER_PREFIX) :]
         try:
             trailer = json.loads(trailer_line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            trailer = None
+        if not isinstance(trailer, dict):
             _reject(path, "unparseable integrity trailer")
         if trailer.get("format") != SAMPLES_CSV_FORMAT:
             _reject(
@@ -115,12 +142,15 @@ def load_samples_csv(path: str | Path) -> SampleSet:
             _reject(path, "checksum mismatch (truncated or corrupted content)")
         text = body
     reader = csv.DictReader(io.StringIO(text))
-    missing = set(_CSV_FIELDS) - set(reader.fieldnames or ())
+    try:
+        missing = set(_CSV_FIELDS) - set(reader.fieldnames or ())
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
     if missing:
         raise DataError(f"{path}: missing CSV columns {sorted(missing)}")
     samples = SampleSet()
-    for row_number, row in enumerate(reader, start=2):
-        try:
+    try:
+        for row in reader:
             samples.add(
                 Sample(
                     metric=row["metric"],
@@ -129,8 +159,8 @@ def load_samples_csv(path: str | Path) -> SampleSet:
                     metric_count=float(row["metric_count"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}:{row_number}: {exc}") from exc
+    except (TypeError, ValueError, csv.Error, DataError) as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     if not samples:
         raise DataError(f"{path}: no samples")
     return samples
@@ -149,16 +179,20 @@ def load_samples_json(path: str | Path) -> SampleSet:
     path = Path(path)
     if not path.exists():
         raise DataError(f"sample file {path} does not exist")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    reason = verify_payload(payload, SAMPLES_FORMAT, require_header=False)
-    if reason is not None:
-        _reject(path, reason)
+    payload = _load_json(path, SAMPLES_FORMAT)
     if not isinstance(payload, dict) or "samples" not in payload:
         raise DataError(f"{path}: missing 'samples' key")
-    return SampleSet.from_records(payload["samples"])
+    records = payload["samples"]
+    if not isinstance(records, list) or not all(
+        isinstance(record, dict) for record in records
+    ):
+        raise DataError(f"{path}: 'samples' must be a list of objects")
+    try:
+        return SampleSet.from_records(records)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise DataError(f"{path}: malformed sample record ({exc})") from None
 
 
 def save_model(
@@ -191,13 +225,7 @@ def load_model(path: str | Path) -> SpireModel:
     path = Path(path)
     if not path.exists():
         raise DataError(f"model file {path} does not exist")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
-    reason = verify_payload(payload, MODEL_FORMAT, require_header=False)
-    if reason is not None:
-        _reject(path, reason)
+    payload = _load_json(path, MODEL_FORMAT)
     if not isinstance(payload, dict):
         raise DataError(f"{path}: model payload must be a JSON object")
     if "rooflines" not in payload:
@@ -207,8 +235,11 @@ def load_model(path: str | Path) -> SpireModel:
                         f"{type(payload['rooflines']).__name__}")
     try:
         model = SpireModel.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed model payload ({exc})") from exc
+    except (
+        LookupError, TypeError, ValueError, OverflowError, RecursionError,
+        FitError,
+    ) as exc:
+        raise DataError(f"{path}: malformed model payload ({exc})") from None
     # json.loads accepts NaN and Infinity; a bound built on them is never
     # exceeded and estimates NaN, and the packed table needs finite
     # breakpoints.

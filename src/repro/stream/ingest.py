@@ -3,14 +3,27 @@
 :class:`StreamIngestor` is the live front door of a SPIRE deployment.  It
 accepts counter samples incrementally — mapping records, constructed
 sample sets, or raw ``perf stat -x`` CSV chunks (split anywhere, even
-mid-line) — screens them (timestamp monotonicity via
-:class:`~repro.core.sanitize.TimestampScreen`; mapping records also
-values via :class:`~repro.core.sanitize.SampleSanitizer`, which the
-strict :class:`~repro.core.sample.Sample` constructor already did for
-perf intervals), buffers them into fixed size windows, and on each
-sealed window walks the drift ladder (:mod:`repro.stream.drift`) for
-every metric, in one packed pass over the serving model, before folding
-the window into the incremental ensemble (:mod:`repro.stream.incremental`).
+mid-line) — screens them for timestamp monotonicity
+(:class:`~repro.core.sanitize.TimestampScreen`; mapping records also for
+values, via :class:`~repro.core.sanitize.SampleSanitizer`), buffers them
+into fixed size windows, and on each sealed window walks the drift
+ladder (:mod:`repro.stream.drift`) for every metric, in one packed pass
+over the serving model, before folding the window into the incremental
+ensemble (:mod:`repro.stream.incremental`).
+
+Perf intervals stay in columns from the parse to the sealed window.  A
+closed interval pairs its first ``instructions`` and ``cycles`` rows as
+W and T, as :func:`~repro.counters.perf_parser._samples_from_records`
+does, and appends each screened row's (metric, T, W, M_x) to the open
+window's column lists; a full window is one
+:class:`~repro.core.columns.SampleArray`.  No ``Sample`` is built per
+row and no value pass runs: the lenient parser has already marked every
+NaN, infinite or negative count as not counted.  Under
+``SPIRE_SCALAR_FALLBACK=1`` each interval goes through
+``_samples_from_records`` and the strict
+:class:`~repro.core.sample.Sample` constructor instead, before the same
+screen and columns.  Lines stamped ``nan`` form one interval, whose
+rows the screen quarantines as "non-numeric timestamp".
 
 Ownership model
 ---------------
@@ -29,12 +42,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.columns import SampleArray
+from repro.core.columns import SampleArray, as_sample_array
 from repro.core.ensemble import SpireModel, TrainOptions, packed_estimate
 from repro.core.phases import PhaseEstimate, PhaseTracker
 from repro.core.roofline import MetricRoofline
@@ -52,6 +65,7 @@ from repro.errors import (
     EstimationError,
     FitError,
 )
+from repro.fastpath import scalar_fallback_enabled
 from repro.guard.dispatch import registry
 from repro.guard.health import DriftEvent
 from repro.stream.drift import (
@@ -109,7 +123,8 @@ class StreamIngestor:
         self._sanitizer = SampleSanitizer(min_samples_per_metric=1)
         self._tracker = PhaseTracker()
         self._report = DriftReport()
-        self._pending: list[Sample] = []
+        # The open window's rows as column lists: metric, T, W, M_x.
+        self._pending: tuple[list, list, list, list] = ([], [], [], [])
         self._recent: deque[SampleArray] = deque(
             maxlen=self.options.policy.refit_history
         )
@@ -128,7 +143,7 @@ class StreamIngestor:
 
     @property
     def pending_samples(self) -> int:
-        return len(self._pending)
+        return len(self._pending[0])
 
     @property
     def stale(self) -> bool:
@@ -164,18 +179,24 @@ class StreamIngestor:
         self._report.quality.kept -= len(window_report.quarantined)
         self._report.quality.quarantined.extend(window_report.quarantined)
         self._warn_dropped(before)
-        self._admit(clean)
+        self._admit_array(clean.columns())
 
     def push_samples(
         self, samples: SampleSet | SampleArray | Iterable[Sample]
     ) -> None:
-        """Push already-validated samples (no screening needed)."""
+        """Push already-validated samples (no screening needed).
+
+        A :class:`SampleArray` must hold what the strict :class:`Sample`
+        constructor accepts; any other row raises its ``DataError``.
+        """
         if isinstance(samples, SampleArray):
-            samples = samples.to_sample_set()
-        items = list(samples)
-        self._report.quality.total += len(items)
-        self._report.quality.kept += len(items)
-        self._admit(items)
+            samples.validate()
+        elif not isinstance(samples, SampleSet):
+            samples = SampleSet(samples)  # rejects non-Sample items
+        array = as_sample_array(samples)
+        self._report.quality.total += len(array)
+        self._report.quality.kept += len(array)
+        self._admit_array(array)
 
     def push_perf(self, chunk: str) -> None:
         """Push a chunk of ``perf stat -x`` CSV output.
@@ -205,36 +226,107 @@ class StreamIngestor:
             lenient=True,
             quality=self._report.quality,
         )
+        scalar = scalar_fallback_enabled()
+        group = self._perf_interval
         for record in parsed:
-            if self._perf_interval and (
-                record.timestamp != self._perf_interval[-1].timestamp
-            ):
-                self._close_perf_interval()
-            self._perf_interval.append(record)
+            stamp = record.timestamp
+            if group:
+                last = group[-1].timestamp
+                # A new stamp closes the interval; NaN stamps run on as
+                # one interval, which the screen quarantines.
+                if stamp != last and (stamp == stamp or last == last):
+                    self._close_perf_interval(group, scalar)
+                    group = []
+            group.append(record)
+        self._perf_interval = group
 
     def flush(self) -> None:
         """Convert any buffered partial CSV state into pending samples."""
         if self._tail_parts:
             self.push_perf("\n")
         if self._perf_interval:
-            self._close_perf_interval()
+            group, self._perf_interval = self._perf_interval, []
+            self._close_perf_interval(group, scalar_fallback_enabled())
 
-    def _close_perf_interval(self) -> None:
-        # The strict Sample constructor has validated every value, so
-        # the interval only needs the timestamp screen.
-        group, self._perf_interval = self._perf_interval, []
+    def _close_perf_interval(
+        self, group: list[PerfRecord], scalar: bool
+    ) -> None:
+        """Screen one closed interval's rows and append the kept ones to
+        the open window's columns (``scalar``: through the reference)."""
+        rows = (
+            self._interval_samples(group) if scalar
+            else self._interval_rows(group)
+        )
+        if rows is None:
+            return
+        metrics, time, work, counts = rows
+        quality = self._report.quality
+        before = len(quality.quarantined)
+        keep = self._screen.screen_interval(
+            metrics, group[0].timestamp, quality
+        )
+        self._warn_dropped(before)
+        if not all(keep):
+            metrics = [m for m, kept in zip(metrics, keep) if kept]
+            counts = [c for c, kept in zip(counts, keep) if kept]
+        self._admit(metrics, [time] * len(metrics), [work] * len(metrics),
+                    counts)
+
+    def _interval_rows(
+        self, group: list[PerfRecord]
+    ) -> tuple[list[str], float, float, list[float]] | None:
+        """One interval's (metrics, T, W, counts), or ``None`` if it has
+        none: :func:`_samples_from_records` on the interval, as columns.
+
+        W and T are the values of the first ``work_event`` and
+        ``time_event`` rows; the interval yields nothing unless both are
+        counted and T is positive.  Every other counted row is a sample.
+        """
+        work_event, time_event = self._parser.work_event, self._parser.time_event
+        events = [record.event for record in group]
+        try:
+            work = group[events.index(work_event)].value
+            time = group[events.index(time_event)].value
+        except ValueError:  # no W or no T row
+            return None
+        if work is None or time is None or time <= 0:
+            return None
+        metrics: list[str] = []
+        counts: list[float] = []
+        for record in group:
+            if (
+                record.value is not None
+                and record.event != work_event
+                and record.event != time_event
+            ):
+                metrics.append(record.event)
+                counts.append(record.value)
+        if not metrics:
+            return None
+        return metrics, time, work, counts
+
+    def _interval_samples(
+        self, group: list[PerfRecord]
+    ) -> tuple[list[str], float, float, list[float]] | None:
+        """The scalar reference behind :meth:`_interval_rows`: the
+        interval through :func:`_samples_from_records` and the strict
+        ``Sample`` constructor."""
+        if group[0].timestamp != group[0].timestamp:
+            # No two NaN stamps share a dict key; this is one interval.
+            group = [replace(record, timestamp=None) for record in group]
         samples = _samples_from_records(
             group, self._parser.work_event, self._parser.time_event,
             lenient=True,
         )
         if not samples:
-            return
-        before = len(self._report.quality.quarantined)
-        kept = self._screen.screen_interval(
-            samples, group[0].timestamp, self._report.quality
+            return None
+        first = next(iter(samples))
+        return (
+            [sample.metric for sample in samples],
+            first.time,
+            first.work,
+            [sample.metric_count for sample in samples],
         )
-        self._warn_dropped(before)
-        self._admit(kept)
 
     def _warn_dropped(self, before: int) -> None:
         dropped = len(self._report.quality.quarantined) - before
@@ -247,12 +339,37 @@ class StreamIngestor:
                 stacklevel=3,
             )
 
-    def _admit(self, clean: Iterable[Sample]) -> None:
-        self._pending.extend(clean)
-        while len(self._pending) >= self.options.window_samples:
-            batch = self._pending[: self.options.window_samples]
-            self._pending = self._pending[self.options.window_samples:]
-            self._seal(batch)
+    def _admit_array(self, array: SampleArray) -> None:
+        names = array.metric_names
+        self._admit(
+            [names[ident] for ident in array.metric_ids.tolist()],
+            array.time.tolist(),
+            array.work.tolist(),
+            array.metric_count.tolist(),
+        )
+
+    def _admit(
+        self,
+        metrics: list[str],
+        time: list[float],
+        work: list[float],
+        counts: list[float],
+    ) -> None:
+        """Append clean rows to the open window; seal each full one."""
+        for column, rows in zip(self._pending, (metrics, time, work, counts)):
+            column.extend(rows)
+        size = self.options.window_samples
+        while len(self._pending[0]) >= size:
+            self._seal(self._take(size))
+
+    def _take(self, rows: int) -> SampleArray:
+        """Cut the open window's first ``rows`` rows into an array."""
+        array = SampleArray.from_lists(
+            *(column[:rows] for column in self._pending)
+        )
+        for column in self._pending:
+            del column[:rows]
+        return array
 
     # -- Window sealing and the drift ladder ---------------------------
 
@@ -263,15 +380,14 @@ class StreamIngestor:
         live ingestion normally relies on ``window_samples`` auto-sealing.
         Returns the drift events the window produced.
         """
-        batch, self._pending = self._pending, []
-        return self._seal(batch)
+        return self._seal(self._take(len(self._pending[0])))
 
-    def _seal(self, batch: list[Sample]) -> list[DriftEvent]:
+    def _seal(self, array: SampleArray) -> list[DriftEvent]:
         index = self._report.windows
         self._report.windows += 1
         events: list[DriftEvent] = []
 
-        if not batch:
+        if not len(array):
             events.append(
                 DriftEvent(
                     metric="*",
@@ -283,8 +399,7 @@ class StreamIngestor:
             self._record(events)
             return events
 
-        window_set = SampleSet(batch)
-        array = window_set.columns()
+        window_set = SampleSet.from_columns(array)
         checking = bool(self._reference) or index >= self.options.warmup_windows
         # Repairs only touch the refuted metric, so every verdict can be
         # taken up front against the model served when the window opened.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport
+from repro.counters import perf_parser
 from repro.counters.perf_parser import (
     PerfStatParser,
     parse_perf_json,
@@ -396,3 +397,38 @@ def test_irregular_bodies_take_the_per_line_path(body, lenient):
     parser = PerfStatParser(separator=separator)
     _assert_same_parse(parser, text, lenient)
     assert parser._parse_columns(text) is None
+
+
+def _parse_float_reference(text: str):
+    """The field rule before float() was tried first: strip, give up on
+    empty and "<not counted>" text, drop thousands commas."""
+    text = text.strip()
+    if not text or text in ("<not counted>", "<not supported>"):
+        return None
+    try:
+        return float(text.replace(",", ""))
+    except ValueError:
+        return None
+
+
+_FIELD_PIECES = st.sampled_from(
+    ["", " ", ",", ".", "-", "+", "_", "e", "E", "1", "0", "9", "12",
+     "1,234", "1_000", "nan", "NaN", "inf", "-inf", "Infinity", "1e400",
+     "<not counted>", "<not supported>", "\x1c", "\x1d", "\x1e", "\x1f",
+     "\u2000", "\u3000", "\x85", "\t", "\n", "\u0661\u0662", "\uff13",
+     "0x10", "#"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.lists(_FIELD_PIECES, max_size=5).map("".join)
+    | st.floats().map(repr)
+    | st.text(max_size=8)
+)
+def test_parse_float_matches_the_full_rule(text):
+    got = perf_parser._parse_float(text)
+    want = _parse_float_reference(text)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.hex() == want.hex()

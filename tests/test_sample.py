@@ -1,10 +1,15 @@
 """Unit tests for Sample / SampleSet / time-weighted averaging."""
 
+import builtins
+import functools
 import math
+import operator
 
 import pytest
 
+from repro.core.columns import SampleArray, time_weighted_mean
 from repro.core.sample import Sample, SampleSet, time_weighted_average
+from repro.fastpath import force_scalar
 from repro.errors import DataError
 
 
@@ -142,3 +147,102 @@ class TestTimeWeightedAverage:
     def test_zero_total_time(self):
         with pytest.raises(DataError):
             time_weighted_average([1.0], [0.0])
+
+
+def _compensated_sum(iterable, /, start=0):
+    """CPython 3.12's ``sum()``: an exact integer phase, then Neumaier
+    compensation over floats, with the compensation added at the end
+    only when it is non-zero and finite."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int:
+        for item in items:
+            total = total + item
+            if type(item) not in (int, bool):
+                break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) is float:
+                step = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - step) + item
+                else:
+                    compensation += (item - step) + total
+                total = step
+            elif type(item) in (int, bool):
+                total += float(item)
+            else:
+                total = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        total = total + item
+    return total
+
+
+class TestLeftToRightSums:
+    """The scalar references add left to right whatever ``sum()`` does:
+    their ``np.cumsum`` twins do, and the golden digests pin both."""
+
+    TIMES = [1.0] + [1e-16] * 10 + [3.0]
+
+    @pytest.fixture
+    def compensated(self, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+
+    def test_the_emulation_compensates(self):
+        assert _compensated_sum(self.TIMES) != functools.reduce(
+            operator.add, self.TIMES, 0
+        )
+        assert _compensated_sum([1, 2]) == 3
+        assert _compensated_sum([[1], [2]], []) == [1, 2]
+
+    def test_scalar_references_match_their_array_twins(self, compensated):
+        values = [float(i % 3 + 1) for i in range(len(self.TIMES))]
+        assert time_weighted_average(values, self.TIMES) == time_weighted_mean(
+            values, self.TIMES
+        )
+        samples = [
+            Sample("m", time=t, work=2.0 * t + 1e-16, metric_count=1.0)
+            for t in self.TIMES
+        ]
+        objects = SampleSet(samples)
+        columns = SampleSet.from_columns(SampleArray.from_samples(samples))
+        assert objects.total_time() == columns.total_time()
+        assert objects.total_time("m") == columns.total_time("m")
+        assert objects.measured_throughput() == columns.measured_throughput()
+
+    def test_oracle_sums_fold_left(self, compensated):
+        from repro.core.ensemble import SpireModel, mean_absolute_bound_violation
+        from repro.core.right_fit import _flat_tail_error
+
+        # Squared gaps of 1 and 1e-16 to the tail level 0.
+        levels = [1.0] + [1e-8] * 10
+        front = [(float(i), y) for i, y in enumerate(levels + [0.0])]
+        expected = 0
+        for y in levels:
+            expected += y * y
+        assert _flat_tail_error(front, len(levels), []) == expected
+        assert _flat_tail_error([(0.0, 0.0)], 0, levels) == expected
+
+        model = SpireModel.train(
+            SampleSet(
+                Sample("m", time=1.0, work=x, metric_count=1.0)
+                for x in (1.0, 2.0)
+            )
+        )
+        above = SampleSet(
+            Sample("m", time=1.0, work=2.0 + excess, metric_count=1.0)
+            for excess in self.TIMES
+        )
+        with force_scalar():
+            result = mean_absolute_bound_violation(model, above)
+        bound = model.roofline("m").estimate(2.0)
+        violations = 0
+        for excess in self.TIMES:
+            violations += max(0.0, 2.0 + excess - bound)
+        assert result == violations / len(self.TIMES)

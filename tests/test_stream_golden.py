@@ -53,6 +53,9 @@ SPARSE = {"rare.event": 0.12, "div.active": 0.7}
 #: The metric the trained models lack.
 UNTRAINED = "tlb.walk"
 
+#: Events, model and phases were taken before the stream's columnar
+#: paths existed.  The report digests also pin the quarantine of
+#: ``nan``-stamped intervals, whose rows never reach a window.
 GOLDEN = {
     "model": {
         "events": (
@@ -64,8 +67,8 @@ GOLDEN = {
             "bca197bcab457cc6540eaca643741a7f"
         ),
         "report": (
-            "aca3e9ae6c1dec14ed229b0196564c2b"
-            "4b42a433ca0051295b57203ea2d584f9"
+            "9821fd45f2075d94d3571519693f08e3"
+            "6a21b0da20152ad4d018ff3cf313095f"
         ),
         "phases": (
             "c5fa70d141f9be11c817c245f7e6aa1e"
@@ -82,8 +85,8 @@ GOLDEN = {
             "7ccb7c47b74dfb02c6b359b667aa7fd3"
         ),
         "report": (
-            "b96504c91697d42c043bdd13b2b506ba"
-            "a2605119cbf1f895279894384bee9781"
+            "249c7a391370d1ab85c3d19d91a140bf"
+            "017a2763be22d133221990640bf9a481"
         ),
         "phases": (
             "d2bfde45abeccd008054745a79698097"
@@ -100,8 +103,8 @@ GOLDEN = {
             "72f586f15912a5684c89ee5d819301ec"
         ),
         "report": (
-            "99d9db7a9e8bb44656e7b2e992da6162"
-            "2555ed5988fda0b04f5c35a1bb124d96"
+            "47ae33b9eea74169c5319cbd572f6e9a"
+            "4fc7e3f568a696f3be66ad36f8ac195c"
         ),
         "phases": (
             "5b823a23edc62a5a905a461a85d0015e"

@@ -7,14 +7,17 @@ stream`` / ``spire faultsim --drift`` entry points.
 """
 
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.columns import SampleArray
+from repro.core.sample import Sample, SampleSet
 from repro.counters.perf_parser import _samples_from_records
-from repro.errors import ConfigError, DegradedDataWarning, FitError
+from repro.errors import ConfigError, DataError, DegradedDataWarning, FitError
 from repro.guard.dispatch import reset_guards
 from repro.runtime.faults import (
     DRIFT_INJECT,
@@ -112,26 +115,26 @@ class TestPerfChunking:
 
 
 class _Recording(StreamIngestor):
-    """Keeps every sealed window's samples."""
+    """Keeps every sealed window's rows."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.windows = []
 
-    def _seal(self, batch):
-        self.windows.append(
-            [(x.metric, x.time, x.work, x.metric_count) for x in batch]
-        )
-        return super()._seal(batch)
+    def _seal(self, array):
+        self.windows.append([array.row(i) for i in range(len(array))])
+        return super()._seal(array)
 
 
 class _ViaRecords(_Recording):
     """Each closed perf interval pushed as timestamped records, through
     the timestamp screen and the value sanitizer, as push_perf once did."""
 
-    def _close_perf_interval(self):
-        group, self._perf_interval = self._perf_interval, []
+    def _close_perf_interval(self, group, scalar):
         stamp = group[0].timestamp
+        if stamp != stamp:
+            # A NaN-stamped interval: one dict key for all its records.
+            group = [replace(record, timestamp=None) for record in group]
         samples = _samples_from_records(
             group, "instructions", "cycles", lenient=True
         )
@@ -223,6 +226,107 @@ class TestPerfIntervalsSkipTheValueSanitizer:
         assert outputs[0] == outputs[1]
 
 
+class _ScalarClose(_Recording):
+    """Closes every perf interval through the scalar reference:
+    _samples_from_records, the strict Sample constructor, the screen."""
+
+    def _close_perf_interval(self, group, scalar):
+        super()._close_perf_interval(group, True)
+
+
+_EVENTS = ("instructions", "cycles") + _METRICS
+
+#: One interval: (stamp step, "nan" or "none" for no stamp column, rows
+#: of (event, value)).  W and T rows may repeat, be missing, be not
+#: counted or be zero, so the first-match rule decides.
+_RAW_INTERVALS = st.tuples(
+    st.sampled_from([1.0, 1.0, 0.0, -2.5, "nan", "none"]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_EVENTS),
+            st.sampled_from(
+                ["<not counted>", "-40", "inf", "nan", "0", "35", "1200",
+                 "16000", "24000"]
+            ),
+        ),
+        max_size=7,
+    ),
+)
+
+
+def _raw_perf_text(intervals) -> str:
+    lines, stamp = [], 10.0
+    for step, rows in intervals:
+        if step == "nan":
+            prefix = "nan,"
+        elif step == "none":
+            prefix = ""
+        else:
+            stamp += step
+            prefix = f"{stamp:.3f},"
+        for event, value in rows:
+            lines.append(f"{prefix}{value},,{event},1000,100.00,,")
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnarClose:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        intervals=st.lists(_RAW_INTERVALS, max_size=25),
+        cuts=st.lists(st.integers(1, 120), max_size=30),
+    )
+    def test_close_matches_samples_from_records(self, intervals, cuts):
+        """The columnar close seals the rows, records the quality entries
+        (in order) and raises the warnings of the scalar reference."""
+        text = _raw_perf_text(intervals)
+        chunks, cursor = [], 0
+        for size in cuts:
+            chunks.append(text[cursor:cursor + size])
+            cursor += size
+        chunks.append(text[cursor:])
+        options = StreamOptions(window_samples=4, warmup_windows=1)
+        outputs = []
+        for kind in (_Recording, _ScalarClose):
+            ingestor = kind(options=options)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for chunk in chunks:
+                    ingestor.push_perf(chunk)
+                ingestor.flush()
+                ingestor.seal_window()
+            quality = ingestor.report().quality
+            outputs.append(
+                (
+                    ingestor.windows,
+                    (quality.total, quality.kept),
+                    quality.quarantined,
+                    [(w.category, str(w.message)) for w in caught],
+                )
+            )
+        assert outputs[0] == outputs[1]
+
+    def test_nan_stamped_interval_is_quarantined(self):
+        """Lines stamped nan form one interval, which the screen
+        quarantines with a warning, on both routes."""
+        body = "".join(
+            f"{stamp},{value},,{event},1,100.00,,\n"
+            for stamp in ("1.0", "nan", "3.0")
+            for event, value in (("instructions", 1000), ("cycles", 2000),
+                                 ("m", 10))
+        )
+        for kind in (_Recording, _ScalarClose):
+            ingestor = kind(options=StreamOptions(window_samples=1000))
+            with pytest.warns(DegradedDataWarning, match="non-numeric"):
+                ingestor.push_perf(body)
+                ingestor.flush()
+            quality = ingestor.report().quality
+            assert ingestor.pending_samples == 2
+            assert [(q.metric, q.reason) for q in quality.quarantined] == [
+                ("m", "non-numeric timestamp")
+            ]
+            assert not quality.ok
+
+
 class TestScreening:
     def test_out_of_order_timestamps_quarantined(self):
         ingestor = StreamIngestor(options=StreamOptions(window_samples=1000))
@@ -266,6 +370,36 @@ class TestScreening:
         )
         assert ingestor.window_count == 3
         assert ingestor.events != []
+
+
+class TestPushSamples:
+    SAMPLES = [Sample("m", 1.0, 4.0, 2.0), Sample("n", 2.0, 1.0, 0.0)] * 3
+
+    @pytest.mark.parametrize("shape", ["list", "set", "array"])
+    def test_every_shape_fills_the_same_windows(self, shape):
+        source = {
+            "list": list(self.SAMPLES),
+            "set": SampleSet(self.SAMPLES),
+            "array": SampleArray.from_samples(self.SAMPLES),
+        }[shape]
+        ingestor = _Recording(options=StreamOptions(window_samples=4))
+        ingestor.push_samples(source)
+        assert ingestor.windows == [
+            [(s.metric, s.time, s.work, s.metric_count)
+             for s in self.SAMPLES[:4]]
+        ]
+        assert ingestor.pending_samples == 2
+        quality = ingestor.report().quality
+        assert (quality.total, quality.kept) == (6, 6)
+
+    def test_invalid_rows_and_items_raise(self):
+        ingestor = StreamIngestor()
+        dirty = SampleArray.from_lists(["m"], [0.0], [1.0], [1.0])
+        with pytest.raises(DataError, match="time must be positive"):
+            ingestor.push_samples(dirty)
+        with pytest.raises(DataError, match="expected a Sample"):
+            ingestor.push_samples([{"metric": "m"}])
+        assert ingestor.pending_samples == 0
 
 
 class TestWindowsFromRecords:
