@@ -473,8 +473,8 @@ def _cmd_faultsim(args: argparse.Namespace) -> int:
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Probe a running ``spire serve`` process and render its health.
 
-    Renders the long-lived state: registry occupancy and evictions,
-    micro-batch fill, backpressure and guard counters.  Exit code 0 means
+    Renders the long-lived state: micro-batch fill, backpressure, drain
+    and guard counters.  Exit code 0 means
     healthy.
     """
     from repro.guard.doctor import (
@@ -494,9 +494,9 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the micro-batched asyncio inference server.
 
-    Models named with ``--model name=path.json`` are packed into the
-    artifact store before the server starts; anything already packed
-    under ``--store-dir`` is served as well.  The server answers
+    Models named with ``--model name=path.json`` are loaded before the
+    server starts, as is every ``<name>.json`` under ``--store-dir``;
+    all are served from memory.  The server answers
     ``POST /v1/estimate`` and ``/v1/analyze`` (JSON or raw ``perf stat``
     CSV bodies), ``GET /v1/models`` and ``GET /health``.
     """
@@ -509,7 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        capacity=args.capacity,
         micro_batch=not args.no_batch,
         max_batch=args.max_batch,
         queue_limit=args.queue_limit,
@@ -834,22 +833,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8583)
     p.add_argument(
         "--store-dir",
-        default="models",
-        help="packed-model artifact store (default: ./models)",
+        default=None,
+        help="directory whose saved models (<name>.json) are served too",
     )
     p.add_argument(
         "--model",
         action="append",
         default=[],
         metavar="NAME=PATH",
-        help="pack a trained model JSON into the store before starting "
-        "(repeatable)",
-    )
-    p.add_argument(
-        "--capacity",
-        type=int,
-        default=4,
-        help="models kept mapped in memory at once (LRU, default 4)",
+        help="serve a trained model JSON under NAME (repeatable)",
     )
     p.add_argument(
         "--max-batch",

@@ -32,7 +32,6 @@ __all__ = [
     "HEADER_KEY",
     "QUARANTINE_DIRNAME",
     "attach_header",
-    "atomic_write_bytes",
     "atomic_write_text",
     "content_checksum",
     "quarantine_dir",
@@ -105,31 +104,6 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
-
-
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Binary twin of :func:`atomic_write_text` (temp file + ``os.replace``).
-
-    Used for the packed model artifacts the serving registry maps
-    read-only: a crash mid-pack must never leave a half-written ``.spm``
-    where a server could map it.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=f".{path.stem}.", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
         os.replace(tmp_name, path)
     except BaseException:
         try:

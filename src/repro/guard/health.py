@@ -90,8 +90,8 @@ class HealthReport:
     artifacts_quarantined: list[str] = field(default_factory=list)
     drift_events: list[DriftEvent] = field(default_factory=list)
     #: Long-lived-process state attached by a running server before the
-    #: report is serialized: model-registry occupancy and evictions,
-    #: micro-batch fill histogram, backpressure counters (see
+    #: report is serialized: model-registry lookups, micro-batch fill
+    #: histogram, backpressure counters (see
     #: :mod:`repro.serve.stats`).  ``None`` for batch runs.
     serve_state: "dict | None" = None
 
@@ -192,7 +192,6 @@ class HealthReport:
                 f"{event.action}, {stats}{detail}"
             )
         if self.serve_state is not None:
-            registry = self.serve_state.get("registry", {})
             fill = self.serve_state.get("batch_fill", {})
             back = self.serve_state.get("backpressure", {})
             lines.append(
@@ -200,13 +199,6 @@ class HealthReport:
                 f"{self.serve_state.get('requests', 0)} request(s), "
                 f"{self.serve_state.get('batches', 0)} micro-batch(es), "
                 f"mean fill {fill.get('mean', 0.0):.2f}"
-            )
-            lines.append(
-                f"  serve registry: {registry.get('occupancy', 0)}/"
-                f"{registry.get('capacity', 0)} resident, "
-                f"{registry.get('loads', 0)} load(s), "
-                f"{registry.get('evictions', 0)} eviction(s), "
-                f"{registry.get('verify_failures', 0)} verify failure(s)"
             )
             lines.append(
                 f"  serve backpressure: {back.get('rejected', 0)} rejected, "

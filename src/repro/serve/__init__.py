@@ -6,9 +6,8 @@ The serving layer turns trained models into a long-running endpoint:
   ``serve.batch_estimate`` guarded kernel: concurrent requests fuse into
   one packed roofline evaluation, scattered back bit-identically to the
   per-request path;
-- :mod:`repro.serve.registry` — packed ``.spm`` artifacts with integrity
-  headers, mmap zero-copy reloads, per-model LRU residency and
-  single-flight concurrent loads;
+- :mod:`repro.serve.registry` — the installed models, a dict by name
+  filled when the server starts;
 - :mod:`repro.serve.server` — the stdlib-asyncio HTTP/JSON front door
   (``spire serve``), with bounded queues, 429 + ``Retry-After``
   backpressure, graceful drain and a probe-able ``/health``;
@@ -16,11 +15,12 @@ The serving layer turns trained models into a long-running endpoint:
   through :class:`~repro.guard.health.HealthReport.serve_state`.
 
 Models are installed when the server starts (``spire serve --model
-name=path``); anything already packed in the store is served too.
+name=path``), together with the ``<name>.json`` files of the optional
+store directory (``--store-dir``).
 """
 
 from repro.serve.batching import MicroBatcher, batch_estimate, fused_estimate
-from repro.serve.registry import ModelRegistry, map_model, pack_model
+from repro.serve.registry import ModelRegistry
 from repro.serve.server import ServeConfig, SpireServer
 from repro.serve.stats import ServeStats
 
@@ -32,6 +32,4 @@ __all__ = [
     "SpireServer",
     "batch_estimate",
     "fused_estimate",
-    "map_model",
-    "pack_model",
 ]

@@ -1,12 +1,14 @@
 """The SPIRE inference service: asyncio HTTP/JSON, stdlib only.
 
-``spire serve`` turns a trained model store into a long-running endpoint
-that accepts counter-sample batches (JSON records or columnar JSON) or
+``spire serve`` turns trained models into a long-running endpoint that
+accepts counter-sample batches (JSON records or columnar JSON) or
 raw ``perf stat -x,`` CSV and answers with bottleneck rankings and
 optional TMA drilldowns.  Concurrent requests are coalesced by the
 micro-batcher (:mod:`repro.serve.batching`) into one fused evaluation
 per model; responses are bit-identical to what each request would get
-evaluated alone.
+evaluated alone.  Models live in memory from the moment the server is
+constructed (:class:`~repro.serve.registry.ModelRegistry`): a request
+names a model by a dictionary key and never causes a file to be read.
 
 Routes
 ------
@@ -37,6 +39,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.columns import SampleArray
@@ -51,6 +54,7 @@ from repro.errors import (
     SpireError,
 )
 from repro.guard.dispatch import health_report
+from repro.io.dataset import load_model
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import ModelRegistry
 from repro.serve.stats import ServeStats
@@ -71,8 +75,10 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8583
-    store_dir: str = "models"
-    capacity: int = 4
+    # Saved models (``<name>.json``) served besides the installed ones,
+    # loaded when the server is constructed; a missing directory holds
+    # none.
+    store_dir: "str | None" = None
     micro_batch: bool = True
     max_batch: int = 64
     queue_limit: int = 256
@@ -125,16 +131,22 @@ _REASONS = {
 
 
 class SpireServer:
-    """One serving process: registry + micro-batcher + HTTP front door."""
+    """One serving process: registry + micro-batcher + HTTP front door.
+
+    Construction loads every ``<name>.json`` in ``config.store_dir`` with
+    :func:`~repro.io.dataset.load_model`; a file that fails to load
+    stops construction with its ``DataError`` (quarantined by the loader
+    when its integrity check fails).  Further models are installed with
+    ``registry.install`` before :meth:`start`.
+    """
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self.stats = ServeStats()
-        self.registry = ModelRegistry(
-            self.config.store_dir,
-            capacity=self.config.capacity,
-            stats=self.stats,
-        )
+        self.registry = ModelRegistry()
+        if self.config.store_dir is not None:
+            for path in sorted(Path(self.config.store_dir).glob("*.json")):
+                self.registry.install(path.stem, load_model(path))
         self.batcher: MicroBatcher | None = None
         if self.config.micro_batch:
             self.batcher = MicroBatcher(
@@ -219,7 +231,6 @@ class SpireServer:
             await asyncio.gather(
                 *self._handler_tasks, return_exceptions=True
             )
-        self.registry.close()
         if drain:
             self.stats.note_drain(
                 (time.perf_counter() - started) * 1e3, flushed
@@ -359,16 +370,6 @@ class SpireServer:
             return _Response(422, {"error": str(exc)})
         except _BadRequest as exc:
             return _Response(400, {"error": str(exc)})
-        except DataError as exc:
-            # Artifact-level failure: the request was well-formed but
-            # the model could not be served (e.g. a corrupt packed
-            # artifact was quarantined on reload).  503, not 500 — the
-            # server itself is healthy and a reinstall fixes it.
-            return _Response(
-                503,
-                {"error": str(exc)},
-                headers={"Retry-After": f"{self.config.retry_after:.3f}"},
-            )
         except Exception as exc:
             # Anything untyped is a server fault (a guardrail violation
             # under the raise policy, or a bug): answer it, never drop
@@ -467,7 +468,7 @@ class SpireServer:
             result = TopDownAnalyzer(skylake_gold_6126()).analyze(counts)
         except DataError as exc:
             # The counts are client input (a missing event, no cycles):
-            # a bad request, not an artifact the server failed to load.
+            # a bad request, not a fault of the server.
             raise _BadRequest(f"'counts': {exc}") from None
         headline = (result.ipc, *result.fractions.values())
         if not all(map(math.isfinite, headline)):

@@ -36,8 +36,6 @@ class ServeStats:
         self.shed = 0
         self.queue_high_water = 0
         self._fill_histogram = [0] * (len(FILL_BUCKETS) + 1)
-        # Registry lock contention (single-flight cold loads).
-        self.lock_contention = 0
         # Graceful-drain accounting (SpireServer.stop(drain=True)).
         self.drains = 0
         self.last_drain_ms = 0.0
@@ -83,13 +81,6 @@ class ServeStats:
         with self._lock:
             self.shed += 1
 
-    # -- registry single-flight ----------------------------------------
-
-    def note_lock_contention(self) -> None:
-        """A cold load found another caller already verifying+mapping."""
-        with self._lock:
-            self.lock_contention += 1
-
     # -- lifecycle -----------------------------------------------------
 
     def note_drain(self, duration_ms: float, flushed: int) -> None:
@@ -128,7 +119,6 @@ class ServeStats:
                     "shed": self.shed,
                     "queue_high_water": self.queue_high_water,
                 },
-                "lock_contention": self.lock_contention,
                 "drain": {
                     "count": self.drains,
                     "last_ms": self.last_drain_ms,

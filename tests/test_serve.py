@@ -6,11 +6,12 @@ every response must equal — to the bit — what that request would get
 from :meth:`SpireModel.estimate` evaluated alone.  Hypothesis drives
 arbitrary request mixes (covered/uncovered metrics, zero counts that
 produce infinite intensity, empty requests) through arbitrary batch
-splits and asserts exact equality.  The rest covers the registry's
-packed-artifact path (zero-copy mmap, LRU eviction, corrupt-on-reload
-quarantine, single-flight loads), the backpressure policies, batcher
-drain, guard degradation, and the HTTP front door end to end over real
-sockets: request framing, shutdown and drain, quarantine under traffic.
+splits and asserts exact equality.  The rest covers the registry and
+its store directory (saved models loaded at construction, a bad file
+stopping it, request names that never reach the filesystem), the
+backpressure policies, batcher drain, guard degradation, and the HTTP
+front door end to end over real sockets: request framing, shutdown and
+drain, and the surface the repository benchmark drives.
 Malformed and fuzzed JSON bodies must be answered with a 4xx, never a
 500, and every 200 must be valid JSON.
 """
@@ -18,15 +19,14 @@ Malformed and fuzzed JSON bodies must be answered with a 4xx, never a
 from __future__ import annotations
 
 import asyncio
-import hashlib
+import builtins
+import io
 import json
 import math
 import os
 import random
-import threading
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +41,7 @@ from repro.errors import (
     ServeOverloadError,
 )
 from repro.geometry.piecewise import PiecewiseLinear
+from repro.guard.artifact import attach_header
 from repro.guard.dispatch import (
     GUARDED_KERNELS,
     GuardConfig,
@@ -48,14 +49,14 @@ from repro.guard.dispatch import (
     inject_divergence,
     reset_guards,
 )
+from repro.io import save_model
+from repro.io.dataset import MODEL_FORMAT
 from repro.serve import (
     MicroBatcher,
     ModelRegistry,
     ServeConfig,
     SpireServer,
     batch_estimate,
-    map_model,
-    pack_model,
 )
 
 GUARD_ENV_PREFIXES = ("SPIRE_GUARD", "SPIRE_GUARDRAIL", "SPIRE_SCALAR_FALLBACK")
@@ -242,16 +243,12 @@ def _stepped_model() -> SpireModel:
 
 @pytest.fixture(scope="module")
 def stepped_models(tmp_path_factory):
-    """The stepped model in process and mapped from its ``.spm``."""
+    """The stepped model in process and as a store file serves it."""
     model = _stepped_model()
-    path = pack_model(model, tmp_path_factory.mktemp("stepped") / "m.spm")
-    mapped, mapping = map_model(path)
-    yield {"in-process": model, "mapped": mapped}
-    del mapped
-    try:
-        mapping.close()
-    except BufferError:
-        pass
+    store = tmp_path_factory.mktemp("stepped")
+    save_model(model, store / "stepped.json")
+    server = SpireServer(ServeConfig(port=0, store_dir=str(store)))
+    return {"in-process": model, "stored": server.registry.get("stepped")}
 
 
 def _breakpoint_xs(model: SpireModel, metric: str) -> "list[float]":
@@ -289,7 +286,7 @@ class TestPackedParity:
     intensities that hit breakpoints exactly, which the continuous draws
     of ``test_fused_matches_per_request`` practically never do."""
 
-    @pytest.mark.parametrize("kind", ["in-process", "mapped"])
+    @pytest.mark.parametrize("kind", ["in-process", "stored"])
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_breakpoint_intensities_match_per_request(
@@ -327,202 +324,6 @@ class TestPackedParity:
             results = batch_estimate(model, arrays)
             for got, array in zip(results, arrays):
                 _assert_identical(got, _reference(model, array))
-
-
-# ---------------------------------------------------------------------------
-# registry: packed artifacts, mmap, LRU
-# ---------------------------------------------------------------------------
-
-
-# (head field, value).  ``metrics`` replaces the model's metric list;
-# the other fields belong to its first metric entry.
-MALFORMED_HEADS = [
-    pytest.param("metrics", 5, id="metrics-int"),
-    pytest.param("sample_count", "x", id="sample_count-str"),
-    pytest.param("sample_count", None, id="sample_count-null"),
-    pytest.param("infinite_sample_count", [1], id="infinite_sample_count-list"),
-    pytest.param("apex", "ab", id="apex-str"),
-    pytest.param("apex", [None, 1], id="apex-null"),
-]
-
-#: Every head field, by the name ``_rewrite_head`` resolves: top-level
-#: keys, the model's keys, the first metric ``entry`` and its keys.
-HEAD_FIELDS = [
-    "header", "payload_float64", "model", "work_unit", "time_unit",
-    "metrics", "entry", "metric", "offset", "points", "apex",
-    "sample_count", "infinite_sample_count", "direction",
-]
-
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=8,
-)
-
-
-def _rewrite_head(path, field, value) -> None:
-    """Replace one field of a packed model's head, keeping its payload."""
-    blob = path.read_bytes()
-    newline = blob.index(b"\n")
-    head = json.loads(blob[:newline])
-    meta = head["model"]
-    if field in ("header", "payload_float64", "model"):
-        head[field] = value
-    elif field in ("work_unit", "time_unit", "metrics"):
-        meta[field] = value
-    elif field == "entry":
-        meta["metrics"][0] = value
-    else:
-        meta["metrics"][0][field] = value
-    path.write_bytes(json.dumps(head).encode() + b"\n" + blob[newline + 1:])
-
-
-def _rewrite_payload(path, column, rows, value) -> None:
-    """Overwrite breakpoints of a packed model's first metric.
-
-    ``column`` is ``"x"`` or ``"y"`` and ``rows`` a slice of its points.
-    The payload checksum is recomputed (same length, so the head keeps
-    its padding): only a check of the values themselves can catch it.
-    """
-    blob = path.read_bytes()
-    newline = blob.index(b"\n")
-    head = json.loads(blob[:newline])
-    entry = head["model"]["metrics"][0]
-    payload = np.frombuffer(blob[newline + 1:], dtype="<f8").copy()
-    start = entry["offset"] + (entry["points"] if column == "y" else 0)
-    payload[start:start + entry["points"]][rows] = value
-    old = head["header"]["checksum"]
-    new = "sha256:" + hashlib.sha256(payload.tobytes()).hexdigest()
-    path.write_bytes(
-        blob[:newline].replace(old.encode(), new.encode())
-        + b"\n"
-        + payload.tobytes()
-    )
-
-
-NON_FINITE_PAYLOADS = [
-    pytest.param("y", slice(None), np.nan, id="nan-y"),
-    pytest.param("x", slice(-1, None), np.nan, id="nan-last-x"),
-    pytest.param("y", slice(0, 1), np.inf, id="inf-y"),
-]
-
-
-class TestRegistry:
-    def test_pack_map_roundtrip_is_zero_copy(self, model, tmp_path):
-        path = pack_model(model, tmp_path / "m.spm")
-        mapped, mapping = map_model(path)
-        try:
-            assert sorted(mapped.metrics) == sorted(model.metrics)
-            probe = np.asarray([0.3, 1.7, 42.0, np.inf])
-            for metric in model.metrics:
-                want = model.roofline(metric).estimate_batch(
-                    probe.copy(), validated=True
-                )
-                got = mapped.roofline(metric).estimate_batch(
-                    probe.copy(), validated=True
-                )
-                assert got.tolist() == want.tolist()
-                bx, by, _ = mapped.roofline(metric).function._evaluation_arrays()
-                assert not bx.flags.owndata  # views into the mapping
-                assert not by.flags.owndata
-        finally:
-            del mapped
-            try:
-                mapping.close()
-            except BufferError:
-                pass
-
-    def test_lru_eviction(self, model, tmp_path):
-        registry = ModelRegistry(tmp_path, capacity=2)
-        for name in ("a", "b", "c"):
-            registry.install(name, model)
-            registry.get(name)
-        snapshot = registry.snapshot()
-        assert snapshot["occupancy"] == 2
-        assert snapshot["evictions"] == 1
-        assert snapshot["resident"] == ["b", "c"]  # a was oldest
-        registry.get("a")  # remaps from disk, evicting b
-        assert registry.snapshot()["resident"] == ["c", "a"]
-        registry.close()
-        assert registry.snapshot()["occupancy"] == 0
-
-    def test_corrupt_artifact_on_reload_is_quarantined(self, model, tmp_path):
-        registry = ModelRegistry(tmp_path, capacity=2)
-        path = registry.install("victim", model)
-        registry.get("victim")
-        registry.evict("victim")
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF  # flip a payload byte: checksum must catch it
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="checksum mismatch"):
-            registry.get("victim")
-        assert registry.snapshot()["verify_failures"] == 1
-        assert not path.exists()  # moved, never served
-        quarantined = list((tmp_path / ".quarantine").iterdir())
-        assert len(quarantined) == 1
-        assert health_report().artifacts_quarantined
-
-    @pytest.mark.parametrize("field, value", MALFORMED_HEADS)
-    def test_malformed_head_field_is_quarantined(
-        self, model, tmp_path, field, value
-    ):
-        # The checksum covers only the payload, so these head edits pass
-        # it; each must still surface as a typed DataError.
-        path = pack_model(model, tmp_path / "m.spm")
-        _rewrite_head(path, field, value)
-        with pytest.raises(DataError, match="malformed"):
-            map_model(path)
-        assert not path.exists()
-        assert len(list((tmp_path / ".quarantine").iterdir())) == 1
-
-    @pytest.mark.parametrize("column, rows, value", NON_FINITE_PAYLOADS)
-    def test_non_finite_breakpoints_are_quarantined(
-        self, model, tmp_path, column, rows, value
-    ):
-        # The checksum verifies, and NaN passes the sort check.
-        path = pack_model(model, tmp_path / "m.spm")
-        _rewrite_payload(path, column, rows, value)
-        with pytest.raises(DataError, match="non-finite breakpoints"):
-            map_model(path)
-        assert not path.exists()
-        assert len(list((tmp_path / ".quarantine").iterdir())) == 1
-
-    @pytest.mark.parametrize(
-        "head",
-        [b"[" * 100_000, b'{"payload_float64": ' + b"9" * 5_000 + b"}"],
-        ids=["deep-nesting", "huge-int"],
-    )
-    def test_unparseable_head_is_quarantined(self, tmp_path, head):
-        path = tmp_path / "m.spm"
-        path.write_bytes(head + b"\n")
-        with pytest.raises(DataError, match="unparseable"):
-            map_model(path)
-        assert not path.exists()
-
-    @given(field=st.sampled_from(HEAD_FIELDS), value=_json_values)
-    @settings(max_examples=150, deadline=None)
-    def test_arbitrary_head_field_maps_or_raises_data_error(
-        self, model, tmp_path_factory, field, value
-    ):
-        path = pack_model(model, tmp_path_factory.mktemp("spm") / "m.spm")
-        _rewrite_head(path, field, value)
-        try:
-            mapped, mapping = map_model(path)
-        except DataError:
-            return
-        assert isinstance(mapped, SpireModel)
-        del mapped
-        try:
-            mapping.close()
-        except BufferError:
-            pass
-
-    def test_model_names_are_sandboxed(self, tmp_path):
-        registry = ModelRegistry(tmp_path)
-        for name in ("", "a/b", "a\\b", ".hidden"):
-            with pytest.raises(DataError, match="invalid model name"):
-                registry.path_for(name)
 
 
 # ---------------------------------------------------------------------------
@@ -693,43 +494,6 @@ class TestBatcherDrain:
             return excinfo.value
 
         assert _run(drive()).shed  # maps to 503, not 429
-
-
-class TestSingleFlight:
-    def test_concurrent_get_loads_once(self, model, tmp_path, monkeypatch):
-        import repro.serve.registry as registry_module
-
-        registry = ModelRegistry(tmp_path / "store", capacity=4)
-        registry.install("demo", model)
-        registry.evict("demo")
-
-        real_map = registry_module.map_model
-
-        def slow_map(path):
-            time.sleep(0.2)  # hold the load long enough for waiters to pile up
-            return real_map(path)
-
-        monkeypatch.setattr(registry_module, "map_model", slow_map)
-        results, errors = [], []
-
-        def hit():
-            try:
-                results.append(registry.get("demo"))
-            except Exception as exc:  # pragma: no cover - diagnostic
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hit) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        registry.close()
-
-        assert not errors
-        assert len(results) == 4
-        snap = registry.snapshot()
-        assert snap["loads"] == 1  # one map_model for four callers
-        assert snap["single_flight_waits"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +711,7 @@ class TestServer:
                 assert status == 200
                 serve_state = payload["health"]["serve_state"]
                 assert serve_state["requests"] >= 2
-                assert serve_state["registry"]["occupancy"] == 1
+                assert serve_state["registry"]["models"] == ["perf"]
                 assert serve_state["batcher"]["enabled"]
                 assert "render" in payload
             finally:
@@ -1010,11 +774,43 @@ class TestServer:
                 )
                 assert payload["ok"]
                 text = render_server_health(payload)
-                assert "serve registry" in text
+                assert "micro-batch(es)" in text
             finally:
                 await server.stop()
 
         _run(drive())
+
+    def test_benchmark_surface(self, model, tmp_path):
+        """What the repository benchmark's ``serve`` host does: a store
+        directory that does not exist, ``registry.install`` before
+        ``start()``, a columnar estimate, integer lookup counters, and
+        ``ModelRegistry.get`` where its tracer wraps it."""
+        import repro.serve.registry as registry_module
+
+        assert callable(registry_module.ModelRegistry.get)
+        reset_guards(GuardConfig(check_rate=0))
+        config = ServeConfig(port=0, store_dir=str(tmp_path / "models-1"))
+        server = SpireServer(config)
+        server.registry.install("bench", model)
+        body = json.dumps({"model": "bench", "columns": _COLUMNS}).encode()
+
+        async def drive():
+            await server.start()
+            try:
+                return await _http(
+                    config.host, server.port, "POST", "/v1/estimate", body
+                )
+            finally:
+                await server.stop()
+
+        status, payload, _ = _run(drive())
+        assert status == 200
+        rows = list(zip(*_COLUMNS.values()))
+        want = model.estimate(_array_from_rows(rows).to_sample_set())
+        assert payload["per_metric"] == json.loads(json.dumps(want.per_metric))
+        snapshot = server.registry.snapshot()
+        assert type(snapshot["hits"]) is int and snapshot["hits"] >= 1
+        assert type(snapshot["misses"]) is int
 
     def test_oversized_body_closes_the_connection(self, model, tmp_path):
         """A 413 leaves the body unread, so it must end the connection:
@@ -1062,6 +858,135 @@ class TestServer:
         assert headers["connection"] == "close"
         assert "too large" in json.loads(payload)["error"]
         assert rest == b""
+
+
+# ---------------------------------------------------------------------------
+# registry and store: models in memory, loaded when the server is built
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def file_access(monkeypatch) -> list:
+    """Every path the process stats, lists or opens while the test runs."""
+    seen: list = []
+    targets = [(os, "stat"), (os, "scandir"), (os, "listdir"), (os, "open"),
+               (io, "open"), (builtins, "open")]
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def spy(path=".", *args, _real=real, **kwargs):
+            seen.append(path)
+            return _real(path, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+def _named_body(name: str) -> bytes:
+    body = json.loads(_estimate_body())
+    body["model"] = name
+    return json.dumps(body).encode()
+
+
+#: (breakpoint coordinate, rows of the first metric, value) written into
+#: a store file that is then re-signed, so only the loader's own
+#: finiteness check can refuse it.
+NON_FINITE_BREAKPOINTS = [
+    pytest.param(1, slice(None), math.nan, id="nan-y"),
+    pytest.param(0, slice(-1, None), math.nan, id="nan-last-x"),
+    pytest.param(1, slice(0, 1), math.inf, id="inf-y"),
+]
+
+
+class TestRegistry:
+    def test_store_model_is_served_and_listed(self, model, tmp_path):
+        reset_guards(GuardConfig(check_rate=0))
+        save_model(model, tmp_path / "store" / "disk.json")
+        server = _demo_server(tmp_path, model)
+        host = server.config.host
+
+        async def drive():
+            await server.start()
+            try:
+                listed = await _http(host, server.port, "GET", "/v1/models")
+                estimated = await _http(
+                    host, server.port, "POST", "/v1/estimate",
+                    _named_body("disk"),
+                )
+                return listed, estimated
+            finally:
+                await server.stop()
+
+        (status, listed, _), (status2, payload, _) = _run(drive())
+        assert status == 200 and listed["models"] == ["demo", "disk"]
+        assert status2 == 200
+        assert payload["model"] == "disk"
+        assert payload["per_metric"] == _want_per_metric(model)
+
+    def test_corrupt_store_file_stops_construction(self, model, tmp_path):
+        path = save_model(model, tmp_path / "store" / "victim.json")
+        payload = json.loads(path.read_text())
+        payload["rooflines"]["m.0"]["sample_count"] += 1  # stale checksum
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="victim.json: checksum mismatch"):
+            SpireServer(_serve_config(tmp_path))
+        assert not path.exists()  # moved, never served
+        quarantine = tmp_path / "store" / ".quarantine"
+        assert [entry.name for entry in quarantine.iterdir()] == ["victim.json"]
+        assert health_report().artifacts_quarantined
+
+    @pytest.mark.parametrize("axis, rows, value", NON_FINITE_BREAKPOINTS)
+    def test_non_finite_breakpoints_stop_construction(
+        self, model, tmp_path, axis, rows, value
+    ):
+        payload = model.to_dict()
+        points = payload["rooflines"]["m.0"]["function"]["breakpoints"]
+        for point in points[rows]:
+            point[axis] = value
+        path = tmp_path / "store" / "bad.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(attach_header(payload, MODEL_FORMAT)))
+        with pytest.raises(
+            DataError, match="bad.json: metric 'm.0' has non-finite breakpoints"
+        ):
+            SpireServer(_serve_config(tmp_path))
+
+    def test_missing_store_serves_only_installed_models(
+        self, model, tmp_path
+    ):
+        from repro.serve.server import _Request
+
+        server = _demo_server(tmp_path, model)
+        request = _Request("GET", "/v1/models", {}, {}, b"")
+        response = asyncio.run(server._dispatch(request))
+        assert response.status == 200
+        assert response.payload["models"] == ["demo"]
+        assert not (tmp_path / "store").exists()
+
+    def test_model_names_are_sandboxed(self, model, tmp_path, file_access):
+        """Request names are dictionary keys: ``../demo`` and ``a/b``
+        answer 404 and touch no file, though each names a saved model
+        relative to the store."""
+        from repro.serve.server import _Request
+
+        save_model(model, tmp_path / "demo.json")
+        save_model(model, tmp_path / "store" / "a" / "b.json")
+        server = _demo_server(tmp_path, model)
+        assert server.registry.names() == ["demo"]
+        loop = asyncio.new_event_loop()
+        try:
+            file_access.clear()
+            for name in ("../demo", "a/b"):
+                request = _Request(
+                    "POST", "/v1/estimate", {},
+                    {"content-type": "application/json"}, _named_body(name),
+                )
+                response = loop.run_until_complete(server._dispatch(request))
+                assert response.status == 404, response.payload
+                assert repr(name) in response.payload["error"]
+            assert file_access == []
+        finally:
+            loop.close()
 
 
 class TestServerRobustness:
@@ -1121,65 +1046,6 @@ class TestServerRobustness:
         assert stats["drain"]["count"] == 1
         assert stats["drain"]["flushed"] >= 1
 
-    def test_malformed_head_answers_503_promptly(self, model, tmp_path):
-        """An artifact whose head fails conversion is quarantined and
-        answered 503, never left hanging on the batching lane."""
-        reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model)
-        body = _estimate_body()
-
-        async def drive():
-            await server.start()
-            host, port = server.config.host, server.port
-            try:
-                server.registry.evict("demo")
-                _rewrite_head(
-                    tmp_path / "store" / "demo.spm", "sample_count", "x"
-                )
-                status, payload, headers = await asyncio.wait_for(
-                    _http(host, port, "POST", "/v1/estimate", body), 5.0
-                )
-                assert status == 503
-                assert "retry-after" in headers
-                assert "demo" in payload["error"]
-                assert server.registry.snapshot()["verify_failures"] == 1
-                # The next request is answered promptly too: the
-                # quarantined artifact has left the store, so 404.
-                status, payload, _ = await asyncio.wait_for(
-                    _http(host, port, "POST", "/v1/estimate", body), 5.0
-                )
-                assert status == 404
-                assert "demo" in payload["error"]
-            finally:
-                await server.stop()
-
-        _run(drive())
-
-    def test_non_finite_payload_answers_503_promptly(self, model, tmp_path):
-        reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model)
-        body = _estimate_body()
-
-        async def drive():
-            await server.start()
-            host, port = server.config.host, server.port
-            try:
-                server.registry.evict("demo")
-                _rewrite_payload(
-                    tmp_path / "store" / "demo.spm", "y", slice(None), np.nan
-                )
-                status, payload, headers = await asyncio.wait_for(
-                    _http(host, port, "POST", "/v1/estimate", body), 5.0
-                )
-                assert status == 503
-                assert "retry-after" in headers
-                assert "non-finite" in payload["error"]
-                assert server.registry.snapshot()["verify_failures"] == 1
-            finally:
-                await server.stop()
-
-        _run(drive())
-
     def test_evaluation_error_answers_500_and_lane_survives(
         self, model, tmp_path, monkeypatch
     ):
@@ -1231,72 +1097,6 @@ class TestServerRobustness:
             assert payload2[field] == value
         assert server.stats.snapshot()["errors"] >= 1
 
-    def test_quarantine_under_traffic(self, model, tmp_path, capsys):
-        """Corrupting the artifact mid-service yields a clean 503 +
-        quarantine that the doctor reports, and a good reinstall
-        recovers — never a 500."""
-        from repro.cli import main
-        from repro.guard.doctor import probe_server, server_health_problems
-
-        reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model)
-        body = _estimate_body()
-        want = _want_per_metric(model)
-        artifact = tmp_path / "store" / "demo.spm"
-
-        async def drive():
-            await server.start()
-            host, port = server.config.host, server.port
-            url = f"http://{host}:{port}"
-            try:
-                status, payload, _ = await _http(
-                    host, port, "POST", "/v1/estimate", body
-                )
-                assert status == 200
-                assert payload["per_metric"] == want
-
-                # Corrupt the packed artifact on disk, then force the
-                # next request to remap it from the store.
-                blob = artifact.read_bytes()
-                artifact.write_bytes(blob[: len(blob) // 2])
-                server.registry.evict("demo")
-
-                status, payload, headers = await _http(
-                    host, port, "POST", "/v1/estimate", body
-                )
-                assert status == 503  # model unavailable, not a 500
-                assert "retry-after" in headers
-                assert "demo" in payload["error"]
-                quarantine = tmp_path / "store" / ".quarantine"
-                assert any(quarantine.iterdir())
-                assert server.registry.snapshot()["verify_failures"] == 1
-
-                # The doctor reports the quarantine and fails the probe.
-                health = await asyncio.to_thread(probe_server, url)
-                assert any(
-                    "failed verification" in problem
-                    for problem in server_health_problems(health)
-                )
-                capsys.readouterr()
-                code = await asyncio.to_thread(
-                    main, ["doctor", "--serve-url", url]
-                )
-                assert code == 1
-                assert "PROBLEM" in capsys.readouterr().out
-
-                # A good reinstall recovers, bit-identically.
-                server.registry.install("demo", model)
-                status, payload, _ = await _http(
-                    host, port, "POST", "/v1/estimate", body
-                )
-                assert status == 200
-                assert payload["per_metric"] == want
-            finally:
-                await server.stop()
-
-        _run(drive())
-
-
 # ---------------------------------------------------------------------------
 # request bodies: a malformed body is a 4xx, never a 500
 # ---------------------------------------------------------------------------
@@ -1321,6 +1121,12 @@ _HUGE = int("9" * 401)  # a JSON integer past the float range
 # Any JSON value a client might put in place of a field: NaN and
 # Infinity (which Python's json reads), strings, null, nested arrays and
 # objects, integers past the float range and numeric strings.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
 _json_any = _json_values | st.sampled_from([_HUGE, -_HUGE, "nan", "1.5"])
 # Valid but unbounded: sums of these can overflow float64.
 _positive = st.floats(min_value=1e-3, max_value=1e308)
@@ -1400,7 +1206,6 @@ def dispatch(model, tmp_path_factory):
 
     yield post
     loop.run_until_complete(server.batcher.close())
-    server.registry.close()
     loop.close()
 
 
@@ -1496,7 +1301,6 @@ class TestRequestBodies:
 class TestServeCli:
     def test_serve_runs_and_exits(self, model, tmp_path, capsys):
         from repro.cli import main
-        from repro.io import save_model
 
         save_model(model, tmp_path / "demo.json")
         code = main(
