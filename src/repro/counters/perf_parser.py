@@ -239,7 +239,8 @@ class PerfStatParser:
             source, self.separator, lenient=lenient, quality=quality
         )
         return _samples_from_records(
-            records, self.work_event, self.time_event, lenient=lenient
+            records, self.work_event, self.time_event, lenient=lenient,
+            quality=quality,
         )
 
     def _parse_columns(self, text: str) -> tuple[SampleArray, int] | None:
@@ -405,11 +406,23 @@ def _samples_from_records(
     work_event: str,
     time_event: str,
     lenient: bool = False,
+    quality: QualityReport | None = None,
 ) -> SampleSet:
-    """Shared interval-grouping logic for the CSV and JSON paths."""
+    """Shared interval-grouping logic for the CSV and JSON paths.
+
+    Records stamped ``nan`` form one interval, whose samples are
+    quarantined as "non-numeric timestamp" into ``quality`` (lenient) or
+    raise :class:`~repro.errors.ParseError` (strict).
+    """
     intervals: dict[float | None, list[PerfRecord]] = {}
+    unstamped: list[PerfRecord] = []  # stamped nan: no two share a key
     for record in records:
-        intervals.setdefault(record.timestamp, []).append(record)
+        if record.timestamp != record.timestamp:
+            unstamped.append(record)
+        else:
+            intervals.setdefault(record.timestamp, []).append(record)
+    if unstamped and not lenient:
+        raise ParseError("non-numeric timestamp: an interval is stamped nan")
 
     def find(group: list[PerfRecord], event: str) -> float | None:
         for record in group:
@@ -417,22 +430,33 @@ def _samples_from_records(
                 return record.value
         return None
 
-    samples = SampleSet()
-    for timestamp in sorted(intervals, key=lambda t: (t is None, t)):
-        group = intervals[timestamp]
+    def interval(group: list[PerfRecord]) -> list[Sample]:
         work = find(group, work_event)
         time = find(group, time_event)
         if work is None or time is None or time <= 0:
-            continue
-        for record in group:
-            if record.event in (work_event, time_event) or record.value is None:
-                continue
-            samples.add(
-                Sample(
-                    metric=record.event,
-                    time=time,
-                    work=work,
-                    metric_count=record.value,
+            return []
+        return [
+            Sample(
+                metric=record.event,
+                time=time,
+                work=work,
+                metric_count=record.value,
+            )
+            for record in group
+            if record.event not in (work_event, time_event)
+            and record.value is not None
+        ]
+
+    samples = SampleSet()
+    for timestamp in sorted(intervals, key=lambda t: (t is None, t)):
+        for sample in interval(intervals[timestamp]):
+            samples.add(sample)
+    if quality is not None:
+        for sample in interval(unstamped):
+            quality.total += 1
+            quality.quarantined.append(
+                QuarantinedSample(
+                    metric=sample.metric, reason="non-numeric timestamp"
                 )
             )
     if not samples and not lenient:

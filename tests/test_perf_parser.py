@@ -159,6 +159,55 @@ class TestSampleBuilding:
         assert len(samples) == 3
 
 
+#: Three intervals stamped out of order, each an ``instructions``, a
+#: ``cycles`` and one metric row: nine lines, three samples.
+NINE_LINES = [
+    ("3.0", 300, 900, 30), ("2.0", 200, 800, 20), ("1.0", 100, 700, 10)
+]
+
+
+def perf_body(intervals) -> str:
+    return "".join(
+        f"{stamp},{value},,{event},1000,100.00,,\n"
+        for stamp, work, time, count in intervals
+        for event, value in (
+            ("instructions", work), ("cycles", time), ("m.a", count)
+        )
+    )
+
+
+class TestNanStampedInterval:
+    """``nan`` stamps share no dict key: each must not form its own
+    interval, vanish, or reorder the intervals around it."""
+
+    NAN_MIDDLE = [NINE_LINES[0], ("nan", *NINE_LINES[1][1:]), NINE_LINES[2]]
+
+    @staticmethod
+    def _rows(samples):
+        return [(s.metric, s.time, s.work, s.metric_count) for s in samples]
+
+    def test_lenient_quarantines_it_and_keeps_the_rest_in_order(self):
+        quality = QualityReport()
+        got = PerfStatParser().parse(
+            perf_body(self.NAN_MIDDLE), lenient=True, quality=quality
+        )
+        want = PerfStatParser().parse(perf_body(NINE_LINES[::2]))
+        assert self._rows(got) == self._rows(want)
+        assert [s.time for s in got] == [700, 900]  # in stamp order
+        assert [(q.metric, q.reason) for q in quality.quarantined] == [
+            ("m.a", "non-numeric timestamp")
+        ]
+
+    def test_strict_raises(self):
+        with pytest.raises(ParseError, match="non-numeric timestamp"):
+            PerfStatParser().parse(perf_body(self.NAN_MIDDLE))
+
+    def test_json_interval_nan_raises(self):
+        line = '{"interval": NaN, "counter-value": "1", "event": "cycles"}'
+        with pytest.raises(ParseError, match="non-numeric timestamp"):
+            parse_perf_json(line)
+
+
 JSON_TEXT = """\
 {"interval": 1.000123, "counter-value": "1000000.0", "event": "instructions", "event-runtime": 1999881203, "pcnt-running": 100.0}
 {"interval": 1.000123, "counter-value": "1450034.0", "event": "cycles", "event-runtime": 1999881203, "pcnt-running": 100.0}

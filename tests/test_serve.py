@@ -719,6 +719,43 @@ class TestServer:
 
         _run(drive())
 
+    def test_nan_stamped_interval_is_quarantined(self, tmp_path):
+        """A CSV interval stamped ``nan`` is a ``quality`` entry, and the
+        other intervals are estimated as if it were not in the body."""
+        from repro.serve.server import _Request
+
+        reset_guards(GuardConfig(check_rate=0))
+        server = SpireServer(_serve_config(tmp_path))
+        server.registry.install("perf", _train_model(metrics=["m.a"]))
+        intervals = [("3.0", 300, 900, 30), ("nan", 200, 800, 20),
+                     ("1.0", 100, 700, 10)]
+        loop = asyncio.new_event_loop()
+
+        def post(rows):
+            body = "".join(
+                f"{stamp},{value},,{event},1000,100.00,,\n"
+                for stamp, work, time, count in rows
+                for event, value in (
+                    ("instructions", work), ("cycles", time), ("m.a", count)
+                )
+            )
+            request = _Request(
+                "POST", "/v1/estimate", {"model": "perf"},
+                {"content-type": "text/csv"}, body.encode(),
+            )
+            return loop.run_until_complete(server._dispatch(request))
+
+        try:
+            got, want = post(intervals), post(intervals[::2])
+        finally:
+            loop.run_until_complete(server.batcher.close())
+            loop.close()
+        assert got.status == want.status == 200
+        assert "1x non-numeric timestamp" in got.payload["quality"]
+        assert "quality" not in want.payload
+        del got.payload["quality"]
+        assert got.payload == want.payload
+
     def test_backpressure_maps_to_429(self, model, tmp_path, held_lane):
         reset_guards(GuardConfig(check_rate=0))
         config = _serve_config(tmp_path, queue_limit=1, max_batch=64)
