@@ -99,7 +99,8 @@ def parse_perf_lines(
     negative counts are quarantined into ``quality`` (a
     :class:`~repro.core.sanitize.QualityReport`) and parsing continues;
     an input with no records at all returns an empty list rather than
-    raising.
+    raising.  Only quarantined lines are counted here: the samples the
+    records form are counted where they are formed.
     """
     records: list[PerfRecord] = []
     for line_number, line in enumerate(lines, start=1):
@@ -108,8 +109,6 @@ def parse_perf_lines(
         stripped = line.strip()
         if not stripped or stripped[0] == "#":
             continue
-        if quality is not None:
-            quality.total += 1
         parts = line.split(separator)
         if len(parts) < 2:
             if lenient:
@@ -156,8 +155,6 @@ def parse_perf_lines(
             # missing value) but keep the record, as not counted, so
             # interval grouping stays intact.
             _quarantine_line(quality, event, reason)
-        elif quality is not None:
-            quality.kept += 1
         run_time = _parse_float(parts[cursor + 3])
         enabled = _parse_float(parts[cursor + 4]) if len(parts) > cursor + 4 else None
         # Positional: a frozen dataclass's keyword call costs more.
@@ -171,6 +168,7 @@ def _quarantine_line(
     quality: QualityReport | None, metric: str, reason: str
 ) -> None:
     if quality is not None:
+        quality.total += 1
         quality.quarantined.append(
             QuarantinedSample(metric=metric, reason=reason)
         )
@@ -221,18 +219,18 @@ class PerfStatParser:
         :func:`_samples_from_records`): file objects, ragged rows,
         ``<not counted>``, non-finite or negative values, bodies with no
         usable interval, and all input under ``SPIRE_SCALAR_FALLBACK=1``.
-        Both give bit-identical columns and the same ``quality``.
+        Both give bit-identical columns and the same ``quality``, which
+        counts each sample and each quarantined line once.
         """
         if isinstance(source, str):
-            parsed = (
+            array = (
                 None if scalar_fallback_enabled()
                 else self._parse_columns(source)
             )
-            if parsed is not None:
-                array, lines = parsed
+            if array is not None:
                 if quality is not None:
-                    quality.total += lines
-                    quality.kept += lines
+                    quality.total += len(array)
+                    quality.kept += len(array)
                 return SampleSet.from_columns(array)
             source = io.StringIO(source)
         records = parse_perf_lines(
@@ -243,12 +241,12 @@ class PerfStatParser:
             quality=quality,
         )
 
-    def _parse_columns(self, text: str) -> tuple[SampleArray, int] | None:
-        """The columnar pass: the samples and the count of lines read.
+    def _parse_columns(self, text: str) -> SampleArray | None:
+        """The columnar pass: the samples, straight to columns.
 
         Returns ``None`` unless :func:`parse_perf_lines` would read every
-        line as a clean interval record (so it counts each as kept and
-        quarantines none) and at least one sample results.  The per-line
+        line as a clean interval record (so it quarantines none) and at
+        least one sample results.  The per-line
         path then owns every error, quarantine entry and empty result.
         """
         separator = self.separator
@@ -312,10 +310,9 @@ class PerfStatParser:
         if not keep.any():
             return None
         at = interval[keep]
-        array = SampleArray.from_lists(
+        return SampleArray.from_lists(
             names[keep].tolist(), time[at], work[at], values[keep]
         )
-        return array, len(lines)
 
 
 def _first_per_interval(
@@ -410,6 +407,7 @@ def _samples_from_records(
 ) -> SampleSet:
     """Shared interval-grouping logic for the CSV and JSON paths.
 
+    Each sample formed is counted into ``quality`` (when given) as kept.
     Records stamped ``nan`` form one interval, whose samples are
     quarantined as "non-numeric timestamp" into ``quality`` (lenient) or
     raise :class:`~repro.errors.ParseError` (strict).
@@ -452,6 +450,8 @@ def _samples_from_records(
         for sample in interval(intervals[timestamp]):
             samples.add(sample)
     if quality is not None:
+        quality.total += len(samples)
+        quality.kept += len(samples)
         for sample in interval(unstamped):
             quality.total += 1
             quality.quarantined.append(

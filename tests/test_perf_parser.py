@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,16 @@ from repro.counters.perf_parser import (
     parse_perf_lines,
     parse_perf_stat,
 )
-from repro.errors import DataError, ParseError, SpireError
+from repro.errors import (
+    DataError,
+    DegradedDataWarning,
+    ParseError,
+    SpireError,
+)
 from repro.fastpath import force_scalar
+from repro.serve import ServeConfig, SpireServer
+from repro.serve.server import _Request
+from repro.stream import StreamIngestor, StreamOptions
 
 INTERVAL_TEXT = """\
 # started on Mon Jul  6 10:00:00 2026
@@ -446,6 +455,53 @@ def test_irregular_bodies_take_the_per_line_path(body, lenient):
     parser = PerfStatParser(separator=separator)
     _assert_same_parse(parser, text, lenient)
     assert parser._parse_columns(text) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=_perf_bodies() | _perf_bodies(perturbed=True))
+def test_quality_counts_each_sample_and_quarantined_line_once(body):
+    """On both front doors ``kept`` is the rows handed on (the rows the
+    server estimates, the window's rows) and ``total`` adds one for each
+    quarantined sample or line."""
+    separator, text = body
+    server = SpireServer(ServeConfig(separator=separator))
+    request = _Request(
+        "POST", "/v1/estimate", {"model": "m"},
+        {"content-type": "text/csv"}, text.encode(),
+    )
+    try:
+        _, array, quality, _ = server._decode_csv(request)
+    except SpireError:  # no usable interval: answered 400, nothing estimated
+        pass
+    else:
+        assert quality.kept == len(array)
+        assert quality.total == quality.kept + len(quality.quarantined)
+
+    ingestor = StreamIngestor(
+        options=StreamOptions(window_samples=1000),
+        parser=PerfStatParser(separator=separator),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegradedDataWarning)
+        ingestor.push_perf(text)
+        ingestor.flush()
+    quality = ingestor.report().quality
+    assert quality.kept == ingestor.pending_samples
+    assert quality.total == quality.kept + len(quality.quarantined)
+
+
+def test_nine_lines_count_three_samples():
+    """Three intervals of an ``instructions``, a ``cycles`` and one
+    metric row are three samples through either front door."""
+    quality = QualityReport()
+    PerfStatParser().parse(
+        perf_body(NINE_LINES), lenient=True, quality=quality
+    )
+    ingestor = StreamIngestor(options=StreamOptions(window_samples=1000))
+    ingestor.push_perf(perf_body(sorted(NINE_LINES)))  # in stamp order
+    ingestor.flush()
+    for report in (quality, ingestor.report().quality):
+        assert report.summary() == "all 3 samples clean"
 
 
 def _parse_float_reference(text: str):
