@@ -474,8 +474,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     """Probe a running ``spire serve`` process and render its health.
 
     Renders the long-lived state: micro-batch fill, backpressure, drain
-    and guard counters.  Exit code 0 means
-    healthy.
+    and guard counters.  Exit code 0 means healthy.
     """
     from repro.guard.doctor import (
         probe_server,
@@ -496,9 +495,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Models named with ``--model name=path.json`` are loaded before the
     server starts, as is every ``<name>.json`` under ``--store-dir``;
-    all are served from memory.  The server answers
-    ``POST /v1/estimate`` and ``/v1/analyze`` (JSON or raw ``perf stat``
-    CSV bodies), ``GET /v1/models`` and ``GET /health``.
+    all are served from memory.  The server answers ``POST
+    /v1/estimate`` and ``/v1/analyze`` (JSON or raw ``perf stat`` CSV
+    bodies), ``GET /v1/models`` and ``GET /health``.
     """
     import asyncio
     import signal

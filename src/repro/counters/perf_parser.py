@@ -246,8 +246,8 @@ class PerfStatParser:
 
         Returns ``None`` unless :func:`parse_perf_lines` would read every
         line as a clean interval record (so it quarantines none) and at
-        least one sample results.  The per-line
-        path then owns every error, quarantine entry and empty result.
+        least one sample results.  The per-line path then owns every
+        error, quarantine entry and empty result.
         """
         separator = self.separator
         # Split on "\n" only, as iterating an io.StringIO does, and skip

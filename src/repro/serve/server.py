@@ -75,9 +75,8 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8583
-    # Saved models (``<name>.json``) served besides the installed ones,
-    # loaded when the server is constructed; a missing directory holds
-    # none.
+    # A directory of saved models (``<name>.json``), served besides the
+    # installed ones (see SpireServer).
     store_dir: "str | None" = None
     micro_batch: bool = True
     max_batch: int = 64
@@ -134,10 +133,11 @@ class SpireServer:
     """One serving process: registry + micro-batcher + HTTP front door.
 
     Construction loads every ``<name>.json`` in ``config.store_dir`` with
-    :func:`~repro.io.dataset.load_model`; a file that fails to load
-    stops construction with its ``DataError`` (quarantined by the loader
-    when its integrity check fails).  Further models are installed with
-    ``registry.install`` before :meth:`start`.
+    :func:`~repro.io.dataset.load_model`; a missing directory holds no
+    models, and a file that fails to load stops construction with its
+    ``DataError`` (quarantined by the loader when its integrity check
+    fails).  Further models are installed with ``registry.install``
+    before :meth:`start`.
     """
 
     def __init__(self, config: ServeConfig | None = None):
