@@ -53,7 +53,6 @@ from repro.io import save_model
 from repro.io.dataset import MODEL_FORMAT
 from repro.serve import (
     MicroBatcher,
-    ModelRegistry,
     ServeConfig,
     SpireServer,
     batch_estimate,
