@@ -543,10 +543,10 @@ def _demo_server(tmp_path, model, **kwargs) -> SpireServer:
     return server
 
 
-def _estimate_body() -> bytes:
+def _estimate_body(name: str = "demo") -> bytes:
     return json.dumps(
         {
-            "model": "demo",
+            "model": name,
             "samples": [
                 {"metric": m, "time": t, "work": w, "metric_count": c}
                 for m, t, w, c in _ROWS
@@ -918,12 +918,6 @@ def file_access(monkeypatch) -> list:
     return seen
 
 
-def _named_body(name: str) -> bytes:
-    body = json.loads(_estimate_body())
-    body["model"] = name
-    return json.dumps(body).encode()
-
-
 #: (breakpoint coordinate, rows of the first metric, value) written into
 #: a store file that is then re-signed, so only the loader's own
 #: finiteness check can refuse it.
@@ -947,7 +941,7 @@ class TestRegistry:
                 listed = await _http(host, server.port, "GET", "/v1/models")
                 estimated = await _http(
                     host, server.port, "POST", "/v1/estimate",
-                    _named_body("disk"),
+                    _estimate_body("disk"),
                 )
                 return listed, estimated
             finally:
@@ -1015,7 +1009,7 @@ class TestRegistry:
             for name in ("../demo", "a/b"):
                 request = _Request(
                     "POST", "/v1/estimate", {},
-                    {"content-type": "application/json"}, _named_body(name),
+                    {"content-type": "application/json"}, _estimate_body(name),
                 )
                 response = loop.run_until_complete(server._dispatch(request))
                 assert response.status == 404, response.payload
