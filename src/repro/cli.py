@@ -45,6 +45,7 @@ from repro.io import (
     save_model,
     save_samples_csv,
 )
+from repro.io.dataset import read_text
 from repro.pipeline import ExperimentConfig, quick_workload_run
 from repro.viz import ascii_roofline, render_roofline_svg
 from repro.workloads import all_workloads
@@ -152,7 +153,7 @@ def _cmd_derived(args: argparse.Namespace) -> int:
 
 
 def _cmd_parse_perf(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = read_text(args.input)
     samples = parse_perf_stat(
         text, work_event=args.work_event, time_event=args.time_event
     )
@@ -624,7 +625,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedDataWarning)
         if args.format == "perf":
-            text = Path(args.data).read_text(encoding="utf-8")
+            text = read_text(args.data)
             for start in range(0, len(text), 4096):
                 ingestor.push_perf(text[start:start + 4096])
             ingestor.flush()

@@ -14,8 +14,9 @@ metadata when present — a mismatch quarantines the file into a sibling
 ``.quarantine/`` directory (never deletes it) and raises ``DataError``.
 Files written by older versions or by hand, without metadata, still load.
 Whatever the bytes of a file, a loader returns or raises a ``DataError``
-naming the file: not UTF-8, JSON nested past the decoder's depth and
-values of the wrong JSON type included.
+naming the file: not UTF-8, JSON nested past the decoder's depth, values
+of the wrong JSON type and a path that cannot be read (a directory)
+included.
 """
 
 from __future__ import annotations
@@ -62,16 +63,25 @@ def _reject(path: Path, reason: str) -> None:
     raise DataError(f"{path}: {reason}{where}")
 
 
-def _read_text(path: Path) -> str:
+def read_text(path: str | Path) -> str:
+    """The file's UTF-8 text, or a :class:`DataError` naming the file.
+
+    Every loader here reads through it, and so do the CLI commands that
+    take raw ``perf stat`` output.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+    except OSError as exc:  # a directory, a permission, a vanished file
+        raise DataError(
+            f"{path}: cannot read ({exc.strerror or exc})"
+        ) from None
 
 
 def _load_json(path: Path, schema: str):
     """The file's JSON payload, integrity-checked when it has a header."""
-    text = _read_text(path)
+    text = read_text(path)
     try:
         # RecursionError: nested past the decoder's (or the checksum
         # encoder's) depth.
@@ -121,7 +131,7 @@ def load_samples_csv(path: str | Path) -> SampleSet:
     path = Path(path)
     if not path.exists():
         raise DataError(f"sample file {path} does not exist")
-    text = _read_text(path)
+    text = read_text(path)
     trailer_at = text.rfind(_CSV_TRAILER_PREFIX)
     if trailer_at != -1:
         body = text[:trailer_at]

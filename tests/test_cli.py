@@ -97,6 +97,16 @@ class TestParsePerf:
         assert out_csv.exists()
         assert "cache-misses" in out_csv.read_text()
 
+    def test_parse_perf_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        perf_file = tmp_path / "perf.txt"
+        perf_file.write_bytes(b"1.0,1000,,instructions,1,100\n1.0,\xff\xfe\n")
+        out_csv = tmp_path / "out.csv"
+        assert main(["parse-perf", str(perf_file), "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {perf_file}: not UTF-8 text")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestPlot:
     def test_plot_svg(self, sample_csv, tmp_path, capsys):

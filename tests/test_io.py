@@ -171,6 +171,15 @@ class TestTypedErrors:
         with pytest.raises(DataError, match="bad.bin: not UTF-8"):
             loader(path)
 
+    @pytest.mark.parametrize(
+        "loader", [load_samples_csv, load_samples_json, load_model]
+    )
+    def test_unreadable_path(self, loader, tmp_path):
+        path = tmp_path / "odd.json"
+        path.mkdir()
+        with pytest.raises(DataError, match="odd.json: cannot read"):
+            loader(path)
+
     @pytest.mark.parametrize("loader", [load_samples_json, load_model])
     def test_json_nested_too_deep(self, loader, tmp_path):
         path = tmp_path / "deep.json"

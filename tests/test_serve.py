@@ -981,6 +981,11 @@ class TestRegistry:
         ):
             SpireServer(_serve_config(tmp_path))
 
+    def test_unreadable_store_entry_stops_construction(self, tmp_path):
+        (tmp_path / "store" / "odd.json").mkdir(parents=True)
+        with pytest.raises(DataError, match="odd.json: cannot read"):
+            SpireServer(_serve_config(tmp_path))
+
     def test_missing_store_serves_only_installed_models(
         self, model, tmp_path
     ):

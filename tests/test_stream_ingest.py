@@ -528,6 +528,14 @@ class TestStreamCLI:
         assert main(["stream", "--data", "/nonexistent/x.csv"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_stream_perf_not_utf8_fails_cleanly(self, tmp_path, capsys):
+        log = tmp_path / "perf.log"
+        log.write_bytes(b"1.0,1000,,instructions,1,100\n1.0,\xff\xfe\n")
+        assert main(["stream", "--data", str(log), "--format", "perf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log}: not UTF-8 text")
+        assert err.count("\n") == 1
+
     def test_faultsim_drift_scenario_passes(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
