@@ -1,25 +1,20 @@
-"""Streaming bench: per-sample incremental update vs full batch retrain.
+"""Streaming bench: per-sample refit of the touched metric vs full retrain.
 
-``repro.stream.incremental`` claims a live stream can keep every roofline
-current without re-paying ``SpireModel.train`` per sample, while staying
-*bit-equivalent* to the batch fit.  This bench measures both claims on a
+``repro.stream.incremental`` keeps each metric's points and refits only
+the metrics a sample touched, with the batch fit over that metric's
+points, so a live stream keeps every roofline current without re-paying
+``SpireModel.train`` per sample.  This bench measures that on a
 synthetic multi-metric stream:
 
 - **parity gate** (always asserted, every scale): after streaming every
   sample with a refit after each one, each served roofline's
   ``to_dict(include_training=True)`` equals a one-shot batch train over
   the identical records;
-- **update cost**: the amortized per-sample cost of the incremental loop
+- **update cost**: the amortized per-sample cost of the stream loop
   (insert + refit of the touched metric) against one full batch retrain —
   the price a deployment would otherwise pay to fold that sample in.
   The ``>= 10x`` gate is asserted at full scale only; wall-clock ratios
   at toy scale are noise (see ``bench_pipeline``).
-
-The stream refits run through the guarded ``"stream.update"`` kernel; the
-default sampling rate is measured separately (``guarded`` timing plus the
-oracle check count) so its overhead is visible, while the headline cost
-uses rate 0 — the steady state of a long-lived stream whose budgeted
-checks have amortized to nothing.
 
 Results land in ``BENCH_streaming.json``.
 
@@ -40,10 +35,7 @@ from conftest import write_artifact
 from repro.core import SampleSet, SpireModel
 from repro.core.ensemble import TrainOptions
 from repro.core.roofline import RooflineFitOptions
-from repro.guard.dispatch import health_report, reset_guards
 from repro.stream.incremental import OnlineSpire
-
-from bench_hotpath import guard_rate
 
 # Training-point retention is a plotting convenience; a live stream keeps
 # the raw log elsewhere.  Both paths run with the same options, so the
@@ -112,21 +104,13 @@ def _measure(metrics: int, samples: int, repeats: int = 3) -> dict:
     records = synth_stream(metrics, samples)
 
     stream_times, batch_times = [], []
-    with guard_rate(0):
-        for _ in range(repeats):
-            online, stream_s = _stream_pass(records)
-            stream_times.append(stream_s)
+    for _ in range(repeats):
+        online, stream_s = _stream_pass(records)
+        stream_times.append(stream_s)
     for _ in range(repeats):
         batch_model, batch_s = _batch_pass(records)
         batch_times.append(batch_s)
     _assert_parity(online, batch_model)
-
-    # One guarded pass at the default rate: the oracle cost is visible,
-    # and the sampled checks re-prove parity in-line.
-    with guard_rate(None):
-        reset_guards()
-        _, guarded_s = _stream_pass(records)
-        checks = health_report().checks_run
 
     stream_s = min(stream_times)
     batch_s = min(batch_times)
@@ -137,8 +121,6 @@ def _measure(metrics: int, samples: int, repeats: int = 3) -> dict:
         "stream_total_s": round(stream_s, 4),
         "stream_per_sample_us": round(per_sample_s * 1e6, 2),
         "batch_retrain_s": round(batch_s, 4),
-        "guarded_total_s": round(guarded_s, 4),
-        "oracle_checks": checks,
         "speedup_per_sample": round(batch_s / per_sample_s, 1),
     }
 
@@ -148,8 +130,9 @@ def test_streaming_update_cost():
     payload = {"small": _measure(metrics=12, samples=1_500)}
     if run_full:
         payload["full"] = _measure(metrics=60, samples=20_000)
-        # The point of the incremental path: folding one sample in must
-        # beat re-paying the batch train by an order of magnitude.
+        # The point of refitting only the touched metric: folding one
+        # sample in must beat re-paying the batch train by an order of
+        # magnitude.
         assert payload["full"]["speedup_per_sample"] >= 10.0
     else:
         payload["full"] = "skipped (SPIRE_BENCH_STREAM_FULL=0)"

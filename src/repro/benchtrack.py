@@ -2,10 +2,10 @@
 
 Every bench in ``benchmarks/`` writes a ``BENCH_<name>.json`` artifact
 with free-form structure.  This module distills the comparable numbers
-out of all of them — speedups and guard overhead percentages — into
-one flat ``BENCH_summary.json`` keyed by artifact and dotted metric
-path, so the performance trajectory is machine-readable across PRs
-without every consumer learning every bench's schema.
+out of all of them — the speedups — into one flat ``BENCH_summary.json``
+keyed by artifact and dotted metric path, so the performance trajectory
+is machine-readable across PRs without every consumer learning every
+bench's schema.
 
 The same extraction feeds the CI regression gate: a committed
 reduced-scale baseline (``benchmarks/baselines/``) is compared against
@@ -33,13 +33,8 @@ SUMMARY_NAME = "BENCH_summary.json"
 
 # Leaf keys worth tracking across PRs.  Timings in seconds are
 # deliberately excluded: they do not compare across hosts, while these
-# ratios and percentages do.
-_LEAF_EXACT = ("guard_overhead_pct",)
-_LEAF_PREFIXES = ("speedup",)
-
-
-def _tracked(leaf: str) -> bool:
-    return leaf in _LEAF_EXACT or leaf.startswith(_LEAF_PREFIXES)
+# ratios do.
+_LEAF_PREFIX = "speedup"
 
 
 def extract_metrics(payload) -> "dict[str, float]":
@@ -53,7 +48,7 @@ def extract_metrics(payload) -> "dict[str, float]":
                 if isinstance(value, (dict, list)):
                     walk(value, path)
                 elif (
-                    _tracked(str(key))
+                    str(key).startswith(_LEAF_PREFIX)
                     and isinstance(value, (int, float))
                     and not isinstance(value, bool)
                 ):

@@ -660,8 +660,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_bench_summary(args: argparse.Namespace) -> int:
     """Merge bench artifacts into ``BENCH_summary.json``; optionally gate.
 
-    Aggregates the tracked metrics (speedups, guard overhead) from
-    every ``BENCH_*.json`` under ``--out-dir``.  With ``--check`` the
+    Aggregates the tracked metrics (the speedups) from every
+    ``BENCH_*.json`` under ``--out-dir``.  With ``--check`` the
     fresh summary is ratio-gated against a committed baseline (a
     summary file, one ``BENCH_*.json`` artifact, or a directory of
     artifacts): exit code 1 means a speedup collapsed below

@@ -14,9 +14,9 @@ wraps its oracle replay in it so that *every* nested dispatch point takes
 the scalar reference path while the oracle runs, and tests use it to
 compare both paths.
 
-Each vectorized kernel picks its path on this one switch; only the two
-kernels whose inputs arrive at run time (``serve.batch_estimate`` and
-``stream.update``) also sample oracle checks at run time.
+Each vectorized kernel picks its path on this one switch; only
+``serve.batch_estimate``, whose inputs arrive over HTTP, also samples
+oracle checks at run time.
 """
 
 from __future__ import annotations

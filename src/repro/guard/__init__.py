@@ -1,17 +1,16 @@
 """Runtime self-verification and graceful degradation (``repro.guard``).
 
 Five pieces, built for the property production serving stacks have —
-every kernel that sees run-time inputs is checked in production and
-degrades per-component, not globally:
+the kernel that answers requests is checked in production and degrades
+on its own, not globally:
 
-- :mod:`repro.guard.dispatch` — guarded dispatch for the two kernels
-  whose inputs arrive at run time (``serve.batch_estimate`` and
-  ``stream.update``): sampled oracle checks with a circuit breaker each;
+- :mod:`repro.guard.dispatch` — guarded dispatch for
+  ``serve.batch_estimate``, whose inputs arrive over HTTP: sampled
+  oracle checks with a circuit breaker;
 - :mod:`repro.guard.guardrails` — cheap stage-boundary numeric invariant
   checks;
 - :mod:`repro.guard.artifact` — integrity headers, checksum verification
-  and quarantine for on-disk artifacts (the serve registry's packed
-  models and :mod:`repro.io.dataset`'s files);
+  and quarantine for on-disk artifacts (:mod:`repro.io.dataset`'s files);
 - :mod:`repro.guard.health` — the :class:`HealthReport` telemetry that
   rides on :class:`~repro.runtime.runner.RunReport` and CLI output;
 - :mod:`repro.guard.doctor` — ``spire doctor``, which probes a running

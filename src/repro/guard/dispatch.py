@@ -1,18 +1,17 @@
 """Guarded dispatch with sampled oracle checks, for run-time inputs.
 
-Two vectorized kernels see inputs that arrive at run time rather than
-from a seeded generator: ``serve.batch_estimate`` (fused micro-batch
-estimation over HTTP request bodies) and ``stream.update`` (incremental
-refits over pushed counter chunks).  Each dispatches through a named
-:class:`KernelGuard` from a process-wide registry:
+``serve.batch_estimate`` (fused micro-batch estimation over HTTP request
+bodies) is the one vectorized kernel checked at run time: its inputs
+arrive over HTTP rather than from a seeded generator.  It dispatches
+through a named :class:`KernelGuard` from a process-wide registry:
 
 - a deterministic sample of calls (every ``check_rate``-th, with a
   seed-driven per-kernel offset) replays the same inputs through the
   kernel's oracle and compares the results;
 - on divergence the guard records a
   :class:`~repro.guard.health.DivergenceEvent` and trips that kernel's
-  breaker: the kernel runs its oracle path for the rest of the process
-  while the other stays fast.  (``SPIRE_GUARD_POLICY=raise`` raises
+  breaker: the kernel runs its oracle path for the rest of the
+  process.  (``SPIRE_GUARD_POLICY=raise`` raises
   :class:`~repro.errors.GuardDivergenceError` instead.)
 
 Every other vectorized kernel keeps its scalar oracle as a test-time
@@ -59,12 +58,11 @@ __all__ = [
     "reset_guards",
 ]
 
-#: The kernels whose inputs arrive at run time, each with a guard.  One
-#: check replays a whole micro-batch through per-request estimation, or a
-#: whole metric through a batch refit, so the default rate of 64 keeps the
-#: amortized oracle cost small while still checking a busy server or a
-#: long-lived stream many times over.
-GUARDED_KERNELS = ("stream.update", "serve.batch_estimate")
+#: The kernels with a runtime guard.  One check replays a whole
+#: micro-batch through per-request estimation, so the default rate of 64
+#: keeps the amortized oracle cost small while still checking a busy
+#: server many times over.
+GUARDED_KERNELS = ("serve.batch_estimate",)
 
 DEFAULT_CHECK_RATE = 64
 

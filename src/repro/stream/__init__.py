@@ -3,9 +3,8 @@
 Three layers, mirroring how a deployment consumes live counter data:
 
 - :mod:`repro.stream.incremental` — :class:`OnlineSpire`, the ensemble
-  that grows one sample at a time via incremental Pareto-front and
-  left-hull maintenance, bit-equivalent to a batch rebuild and guarded
-  by the ``"stream.update"`` kernel sentinel;
+  that grows as samples arrive, refitting each changed metric with the
+  batch fit over that metric's buffered points;
 - :mod:`repro.stream.drift` — the refute-and-refine degradation ladder
   (absorb -> targeted refit -> stale) and its policy knobs;
 - :mod:`repro.stream.ingest` — :class:`StreamIngestor`, the windowed
@@ -22,7 +21,7 @@ from repro.stream.drift import (
     DriftPolicy,
     DriftReport,
 )
-from repro.stream.incremental import MetricStreamState, OnlineSpire
+from repro.stream.incremental import OnlineSpire
 from repro.stream.ingest import StreamIngestor, StreamOptions
 from repro.stream.replay import ReplayResult, replay_stream, windows_from_records
 
@@ -31,7 +30,6 @@ __all__ = [
     "DriftMonitor",
     "DriftPolicy",
     "DriftReport",
-    "MetricStreamState",
     "OnlineSpire",
     "ReplayResult",
     "StreamIngestor",

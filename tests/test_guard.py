@@ -174,16 +174,6 @@ class TestDispatch:
         )
         assert served(batch_estimate(model, [request()])) == reference(model)
 
-    def test_trip_is_per_kernel(self, model, wrong_fast):
-        reset_guards(checked_config())
-        with pytest.warns(DegradedDataWarning):
-            batch_estimate(model, [request()])
-        # The other kernel keeps its fast path.
-        assert kernel_guard("stream.update").use_fast()
-        health = health_report()
-        assert health.tripped_kernels == [KERNEL]
-        assert not health.kernels["stream.update"].tripped
-
     def test_injected_divergence_serves_fast_result(self, model, monkeypatch):
         reset_guards(checked_config())
         want = reference(model)
@@ -260,7 +250,7 @@ class TestDispatch:
             GuardConfig(rate_overrides={KERNEL: -1})
 
     def test_all_guarded_kernels_named(self):
-        assert GUARDED_KERNELS == ("stream.update", "serve.batch_estimate")
+        assert GUARDED_KERNELS == ("serve.batch_estimate",)
 
 
 # ---------------------------------------------------------------------------

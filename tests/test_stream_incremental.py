@@ -1,14 +1,13 @@
-"""Incremental-vs-batch parity for the streaming ensemble.
+"""Stream-vs-batch parity for the streaming ensemble.
 
-The headline promise of :mod:`repro.stream.incremental` is *bit*
-equivalence: an :class:`OnlineSpire` that saw the samples one at a time
-— with refreshes interleaved anywhere — serves exactly the roofline a
-batch :func:`fit_metric_roofline_arrays` over the same arrays produces,
-field for field including retained training points.  Hypothesis drives
-arbitrary insertion orders, apex moves, ties, infinite intensities and
-refresh schedules against that oracle; the guard tests prove the
-``"stream.update"`` kernel sentinel actually referees the same check at
-runtime and degrades to the batch path on divergence.
+:class:`OnlineSpire` buffers each metric's points in arrival order and
+refits a dirty metric with the batch fit over them, so an ensemble that
+saw the samples one at a time — with refreshes interleaved anywhere —
+serves exactly the roofline a batch :func:`fit_metric_roofline_arrays`
+over the same arrays produces, field for field including retained
+training points.  Hypothesis drives arbitrary insertion orders, apex
+moves, ties, infinite intensities and refresh schedules against that
+oracle; ``insert_array`` is held to row-by-row ``insert``.
 """
 
 import math
@@ -19,17 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columns import SampleArray
 from repro.core.ensemble import TrainOptions
 from repro.core.roofline import RooflineFitOptions, fit_metric_roofline_arrays
 from repro.errors import DataError, FitError
-from repro.geometry.pareto import pareto_front_arrays
-from repro.guard.dispatch import (
-    GuardConfig,
-    inject_divergence,
-    registry,
-    reset_guards,
-)
-from repro.stream.incremental import MetricStreamState, OnlineSpire
+from repro.stream.incremental import OnlineSpire
 
 # A small value grid encourages ties, duplicates and apex churn far more
 # often than uniform floats would.
@@ -76,14 +69,6 @@ def _run_stream(samples, refreshes, options):
     return online
 
 
-@pytest.fixture(autouse=True)
-def _unguarded():
-    """Parity tests measure the incremental path itself, not the guard."""
-    reset_guards(GuardConfig(check_rate=0))
-    yield
-    reset_guards()
-
-
 class TestBatchParity:
     @settings(max_examples=80, deadline=None)
     @given(stream_case())
@@ -113,24 +98,6 @@ class TestBatchParity:
             include_training=True
         )
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(raw_sample(), min_size=1, max_size=40))
-    def test_front_matches_batch_pareto(self, samples):
-        """The maintained front is the Pareto front of the finite points."""
-        state = MetricStreamState("m")
-        for time, work, count in samples:
-            intensity = math.inf if count == 0 else work / count
-            state.insert(intensity, work / time)
-        if not state.fin_x:
-            assert state.front_x == []
-            return
-        fx, fy = pareto_front_arrays(
-            np.asarray(state.fin_x), np.asarray(state.fin_y)
-        )
-        assert set(zip(state.front_x, state.front_y)) == set(
-            zip(fx.tolist(), fy.tolist())
-        )
-
     def test_apex_tie_prefers_smaller_intensity(self):
         options = TrainOptions(min_samples_per_metric=1)
         samples = [(1.0, 8.0, 2.0), (1.0, 8.0, 1.0), (1.0, 8.0, 4.0)]
@@ -148,24 +115,35 @@ class TestBatchParity:
             include_training=True
         ) == expected.to_dict(include_training=True)
 
-    def test_candidate_pruning_shrinks_state(self):
-        """Points strictly under the fitted chain are dropped for good."""
-        online = OnlineSpire(options=TrainOptions(min_samples_per_metric=1))
-        online.insert("m", time=1.0, work=100.0, metric_count=1.0)  # apex
-        online.insert("m", time=1.0, work=50.0, metric_count=1.0)
-        online.refresh()
-        state = online.state("m")
-        kept = len(state.cand_x)
-        for work in (1.0, 2.0, 3.0):  # far below the chain near x ~ 1-3
-            online.insert("m", time=100.0, work=work, metric_count=work)
-        online.refresh()
-        assert len(state.cand_x) <= kept + 1
-        samples = [(1.0, 100.0, 1.0), (1.0, 50.0, 1.0),
-                   (100.0, 1.0, 1.0), (100.0, 2.0, 2.0), (100.0, 3.0, 3.0)]
-        expected = _batch_fit(samples, TrainOptions(min_samples_per_metric=1))
-        assert online.roofline("m").to_dict(
-            include_training=True
-        ) == expected.to_dict(include_training=True)
+    def test_insert_array_matches_row_by_row_insert(self):
+        """Mixed metrics, zero counts included: same order, same fits."""
+        records = [
+            {"metric": "b", "time": 2.0, "work": 8.0, "metric_count": 2.0},
+            {"metric": "a", "time": 1.0, "work": 4.0, "metric_count": 0.0},
+            {"metric": "b", "time": 1.0, "work": 9.0, "metric_count": 3.0},
+            {"metric": "c", "time": 4.0, "work": 2.0, "metric_count": 8.0},
+            {"metric": "a", "time": 1.0, "work": 6.0, "metric_count": 1.0},
+            {"metric": "b", "time": 1.0, "work": 1.0, "metric_count": 0.0},
+            {"metric": "a", "time": 2.0, "work": 7.0, "metric_count": 7.0},
+        ]
+        options = TrainOptions(min_samples_per_metric=1)
+        by_row = OnlineSpire(options=options)
+        by_row.insert("c", time=1.0, work=1.0, metric_count=1.0)
+        for r in records:
+            by_row.insert(
+                r["metric"], time=r["time"], work=r["work"],
+                metric_count=r["metric_count"],
+            )
+        by_array = OnlineSpire(options=options)
+        by_array.insert("c", time=1.0, work=1.0, metric_count=1.0)
+        by_array.insert_array(SampleArray.from_records(records))
+        assert by_array.metrics == by_row.metrics == ["c", "b", "a"]
+        assert by_array.sample_count == by_row.sample_count == 8
+        assert by_array.refresh() == by_row.refresh() == ["c", "b", "a"]
+        for metric in by_row.metrics:
+            assert by_array.roofline(metric).to_dict(
+                include_training=True
+            ) == by_row.roofline(metric).to_dict(include_training=True)
 
 
 class TestValidation:
@@ -202,47 +180,14 @@ class TestValidation:
         online = OnlineSpire(options=TrainOptions(min_samples_per_metric=1))
         online.insert("m", time=1.0, work=4.0, metric_count=2.0)
         online.refresh()
+        online.insert("n", time=1.0, work=2.0, metric_count=1.0)
         online.reset_metric("m")
-        assert online.state("m") is None
+        assert online.metrics == ["n"]
         assert online.roofline("m") is None
-        assert online.metrics == []
-
-
-class TestStreamUpdateGuard:
-    def setup_method(self):
-        reset_guards(GuardConfig(check_rate=1))
-
-    def teardown_method(self):
-        reset_guards()
-
-    def _feed(self, online, n=12):
-        for i in range(1, n + 1):
-            online.insert("m", time=1.0, work=float(i), metric_count=1.0)
-            online.refresh()
-
-    def test_every_refit_is_oracle_checked_at_rate_one(self):
-        online = OnlineSpire(options=TrainOptions(min_samples_per_metric=1))
-        self._feed(online)
-        report = registry().health_report()
-        health = report.kernels["stream.update"]
-        assert health.checks == 12
-        assert not health.tripped
-        assert not report.divergences
-
-    def test_injected_divergence_degrades_to_batch(self):
-        from repro.errors import DegradedDataWarning
-
-        online = OnlineSpire(options=TrainOptions(min_samples_per_metric=1))
-        inject_divergence("stream.update")
-        with pytest.warns(DegradedDataWarning, match="stream.update"):
-            self._feed(online)
-        report = registry().health_report()
-        assert report.kernels["stream.update"].tripped
-        assert [d.kernel for d in report.divergences] == ["stream.update"]
-        assert not report.ok
-        # Degraded, not broken: the served fit still matches the oracle.
-        samples = [(1.0, float(i), 1.0) for i in range(1, 13)]
-        expected = _batch_fit(samples, TrainOptions(min_samples_per_metric=1))
-        assert online.roofline("m").to_dict(
-            include_training=True
-        ) == expected.to_dict(include_training=True)
+        assert online.refresh() == ["n"]
+        # A re-seeded metric fits from its new points alone.
+        online.insert("m", time=1.0, work=9.0, metric_count=3.0)
+        online.refresh()
+        assert online.metrics == ["n", "m"]
+        assert online.roofline("m").sample_count == 1
+        assert online.roofline("m").apex.y == 9.0
