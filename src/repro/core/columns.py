@@ -116,12 +116,11 @@ class SampleArray:
     ) -> "SampleArray":
         """Build from parallel Python lists (the collector's emit path)."""
         table: dict[str, int] = {}
-        ids = np.empty(len(metrics), dtype=np.int64)
-        for row, name in enumerate(metrics):
-            ident = table.get(name)
-            if ident is None:
-                ident = table.setdefault(name, len(table))
-            ids[row] = ident
+        ids = np.fromiter(
+            [table.setdefault(name, len(table)) for name in metrics],
+            np.int64,
+            len(metrics),
+        )
         return cls(ids, tuple(table), time, work, metric_count)
 
     @classmethod

@@ -391,23 +391,16 @@ _NO_COVERAGE = "none of the sample metrics are covered by this model"
 def _segment_ordered_sums(
     values: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """Left-to-right sum of each contiguous segment (positional wavefront).
+    """Left-to-right sum of each contiguous segment.
 
-    Iteration ``k`` folds every segment's ``k``-th element into its
-    accumulator: vectorized across segments, sequential within each, so
-    the result is bit-identical to ``np.cumsum(segment)[-1]`` per
-    segment.  Cost is O(longest segment) vectorized adds instead of one
-    Python-level reduction per segment.
+    One unbuffered ``np.add.at`` adds every segment's rows, in ascending
+    order, into a ``-0.0`` accumulator.  ``-0.0 + x`` is ``x`` bitwise, so
+    each total is ``np.cumsum(segment)[-1]`` bit for bit.
     """
-    totals = np.zeros(len(starts), dtype=np.float64)
-    if not len(starts):
-        return totals
-    totals[:] = values[starts]  # k = 0: every segment has at least one row
-    for k in range(1, int(lengths.max())):
-        live = np.flatnonzero(lengths > k)
-        if not len(live):  # pragma: no cover - max() guarantees live rows
-            break
-        totals[live] += values[starts[live] + k]
+    segment = np.repeat(np.arange(len(starts)), lengths)
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    totals = np.full(len(starts), -0.0)
+    np.add.at(totals, segment, values[np.arange(len(segment)) + offsets])
     return totals
 
 

@@ -33,7 +33,6 @@ from repro.counters.scheduling import (
     pack_events,
 )
 from repro.errors import ConfigError
-from repro.uarch.activity import WindowActivity
 from repro.uarch.config import MachineConfig
 from repro.uarch.core import CoreModel
 from repro.uarch.spec import WindowSpec
@@ -68,7 +67,6 @@ class CollectionResult:
     total_cycles: float = 0.0
     total_instructions: float = 0.0
     overhead_cycles: float = 0.0
-    aggregate_activity: WindowActivity | None = None
     periods: int = 0
     # Degraded-data accounting: what the sanitizer quarantined or dropped
     # (always present; ``quality.ok`` on a clean run).
@@ -182,7 +180,6 @@ class SampleCollector:
         total_cycles = 0.0
         total_instructions = 0.0
         overhead = 0.0
-        aggregate: WindowActivity | None = None
         periods = 0
         flush_count = 0
 
@@ -242,7 +239,6 @@ class SampleCollector:
         # One batched call per run: CoreModel vectorizes the whole spec
         # column internally (bit-identical to per-window simulate_window).
         for activity in core.simulate_run(list(specs), rng):
-            aggregate = activity if aggregate is None else aggregate.merged_with(activity)
             total_cycles += activity.cycles
             total_instructions += activity.instructions
 
@@ -319,7 +315,6 @@ class SampleCollector:
             total_cycles=total_cycles,
             total_instructions=total_instructions,
             overhead_cycles=overhead,
-            aggregate_activity=aggregate,
             periods=periods,
             quality=quality,
         )

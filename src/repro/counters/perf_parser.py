@@ -14,9 +14,11 @@ Supported input is ``perf stat -x <sep>`` output, with or without
     1.000234,8123,,br_misp_retired.all_branches,499970301,25.00,,
 
 Fields: [timestamp,] value, unit, event, run-time, enabled-percent, ...
-Values are already multiplex-scaled by perf; the run-time column is the
-time (ns) the event was actually counted, which we use as each sample's
-weight when cycles are not available for the interval.
+Values are already multiplex-scaled by perf, so a record keeps only the
+timestamp, the value and the event.  The run-time column must be present
+(a shorter line is truncated), but neither it nor the enabled-percent
+column is parsed: a sample's weight is its interval's time event
+(cycles), and an interval without one yields no sample.
 
 :func:`parse_perf_lines` and :func:`_samples_from_records` read one line
 at a time and are the reference for every shape of input.  A text body
@@ -25,8 +27,8 @@ stat -x, -I`` writes) takes a columnar pass instead, straight to a
 :class:`~repro.core.columns.SampleArray`, with bit-identical samples and
 the same quality accounting.
 
-:func:`parse_perf_lines` strips each line once and parses each field
-once: :func:`_parse_float` tries ``float()`` before its full rule, and
+:func:`parse_perf_lines` strips each line once and parses each field it
+keeps once: :func:`_parse_float` tries ``float()`` before its full rule, and
 the value reuses the parse that told an interval record from a
 single-shot one.  The stream ingestor (:mod:`repro.stream.ingest`)
 reads its records chunk by chunk and pairs each interval's W and T by
@@ -38,8 +40,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -52,15 +53,14 @@ from repro.fastpath import scalar_fallback_enabled
 _NOT_COUNTED = {"<not counted>", "<not supported>"}
 
 
-@dataclass(frozen=True, slots=True)
-class PerfRecord:
-    """One parsed ``perf stat`` line."""
+class PerfRecord(NamedTuple):
+    """One parsed ``perf stat`` line: its interval stamp (``None`` in
+    single-shot mode), its count (``None`` when not counted) and its
+    event name."""
 
     timestamp: float | None
     value: float | None
     event: str
-    run_time: float | None
-    enabled_percent: float | None
 
 
 def _parse_float(text: str) -> float | None:
@@ -155,10 +155,7 @@ def parse_perf_lines(
             # missing value) but keep the record, as not counted, so
             # interval grouping stays intact.
             _quarantine_line(quality, event, reason)
-        run_time = _parse_float(parts[cursor + 3])
-        enabled = _parse_float(parts[cursor + 4]) if len(parts) > cursor + 4 else None
-        # Positional: a frozen dataclass's keyword call costs more.
-        records.append(PerfRecord(timestamp, value, event, run_time, enabled))
+        records.append(PerfRecord(timestamp, value, event))
     if not records and not lenient:
         raise ParseError("no perf stat records found in input")
     return records
@@ -384,15 +381,7 @@ def parse_perf_json(
                 raise ParseError(
                     f"line {line_number}: non-numeric interval {timestamp!r}"
                 ) from None
-        records.append(
-            PerfRecord(
-                timestamp=timestamp,
-                value=value,
-                event=event,
-                run_time=_parse_float(str(payload.get("event-runtime", ""))),
-                enabled_percent=_parse_float(str(payload.get("pcnt-running", ""))),
-            )
-        )
+        records.append(PerfRecord(timestamp, value, event))
     if not records:
         raise ParseError("no perf stat JSON records found in input")
     return _samples_from_records(records, work_event, time_event)

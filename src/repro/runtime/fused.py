@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -104,14 +104,13 @@ def _segment_totals(
     columns: Sequence[np.ndarray],
     segments: np.ndarray,
     n_segments: int,
-    start: float,
 ) -> list[list[float]]:
     """Per-segment sums of every column, one row of floats per segment.
 
     ``np.add.at`` is unbuffered and adds in index order, so each total is
-    the scalar left fold ``start + x0 + x1 + ...`` in window order.
+    the scalar left fold ``0.0 + x0 + x1 + ...`` in window order.
     """
-    totals = np.full((len(columns), n_segments), start)
+    totals = np.zeros((len(columns), n_segments))
     for total, column in zip(totals, columns):
         np.add.at(total, segments, column)
     return totals.T.tolist()
@@ -195,11 +194,6 @@ def _event_columns(
     return event_columns
 
 
-_ACTIVITY_FIELDS = tuple(
-    spec.name for spec in fields(WindowActivity) if spec.name != "port_uops"
-)
-
-
 #: Most windows one fused chunk evaluates at once.  Chunks hold whole
 #: tasks, so the transient columns (~130 float64 per window) stay near
 #: 8 MB however large the experiment; a task larger than the budget is a
@@ -262,7 +256,7 @@ def _simulate_plan(
     """Evaluate one fused plan and reduce it into per-task runs."""
     from repro.pipeline import WorkloadRun
 
-    activity, port_columns = evaluate_run_columns(
+    activity = evaluate_run_columns(
         machine, plan.columns, plan.instructions, plan.noise
     )
     (
@@ -276,7 +270,7 @@ def _simulate_plan(
         collector.catalog, machine, WindowActivity(**activity), len(plan.instructions)
     )
     collections = _collect_chunk(
-        plan, collector, groups, activity, port_columns, events
+        plan, collector, groups, activity, events
     )
     return [
         WorkloadRun(
@@ -293,7 +287,6 @@ def _collect_chunk(
     collector: SampleCollector,
     groups: list[list[str]],
     activity: dict[str, np.ndarray],
-    ports: dict[str, np.ndarray],
     events: dict[str, np.ndarray],
 ) -> list[CollectionResult]:
     """Reduce a chunk's columns to one CollectionResult per task.
@@ -309,9 +302,7 @@ def _collect_chunk(
     segments = plan.segment_ids
 
     # The collector's event totals, cycles, instructions and switch
-    # overhead start at 0.0; its aggregate activity starts at the first
-    # window's record (``merged_with``), which a -0.0 start reproduces:
-    # -0.0 + x is x bitwise, a negative zero included.
+    # overhead start at 0.0.
     switch_cost = config.switch_overhead_cycles if config.multiplex else 0.0
     totals = _segment_totals(
         [events[name] for name in names]
@@ -319,16 +310,7 @@ def _collect_chunk(
         + [np.full(len(segments), switch_cost)],
         segments,
         n_tasks,
-        0.0,
     )
-    n_fields = len(_ACTIVITY_FIELDS)
-    aggregates = _segment_totals(
-        [activity[name] for name in _ACTIVITY_FIELDS] + list(ports.values()),
-        segments,
-        n_tasks,
-        -0.0,
-    )
-
     cell_offsets, time, work, counts = _period_cells(plan, collector, groups, events)
     index_of = {name: i for i, name in enumerate(names)}
     event_ids = np.array([index_of[name] for group in groups for name in group])
@@ -339,11 +321,6 @@ def _collect_chunk(
             names, event_ids, group_sizes, time[lo:hi], work[lo:hi], counts[lo:hi]
         )
         *event_totals, total_cycles, total_instructions, overhead = totals[index]
-        row = aggregates[index]
-        aggregate = WindowActivity(
-            **dict(zip(_ACTIVITY_FIELDS, row[:n_fields])),
-            port_uops=dict(zip(ports, row[n_fields:])),
-        )
         results.append(
             CollectionResult(
                 samples=samples,
@@ -351,7 +328,6 @@ def _collect_chunk(
                 total_cycles=total_cycles,
                 total_instructions=total_instructions,
                 overhead_cycles=overhead,
-                aggregate_activity=aggregate,
                 periods=periods,
                 quality=quality,
             )
@@ -499,7 +475,6 @@ def runs_equal(a: "WorkloadRun", b: "WorkloadRun") -> bool:
         and ca.total_cycles == cb.total_cycles
         and ca.total_instructions == cb.total_instructions
         and ca.overhead_cycles == cb.overhead_cycles
-        and ca.aggregate_activity == cb.aggregate_activity
         and ca.periods == cb.periods
         and _quality_equal(ca.quality, cb.quality)
         and a.tma == b.tma

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -115,8 +115,9 @@ class StreamIngestor:
         self._reference: dict[str, MetricRoofline] = {}
         if model is not None:
             self._reference = {m: model.roofline(m) for m in model.metrics}
-        # Rebuilt once per sealed window: drift checks and phase
+        # Renewed once per sealed window: drift checks and phase
         # estimates run on its packed rooflines, and model() serves it.
+        self._served: dict[str, MetricRoofline] = {}
         self._serving = self._build_serving()
         self._monitor = DriftMonitor(self.options.policy)
         self._screen = TimestampScreen()
@@ -313,7 +314,7 @@ class StreamIngestor:
         ``Sample`` constructor."""
         if group[0].timestamp != group[0].timestamp:
             # No two NaN stamps share a dict key; this is one interval.
-            group = [replace(record, timestamp=None) for record in group]
+            group = [record._replace(timestamp=None) for record in group]
         samples = _samples_from_records(
             group, self._parser.work_event, self._parser.time_event,
             lenient=True,
@@ -580,6 +581,13 @@ class StreamIngestor:
         return self._serving
 
     def _build_serving(self) -> SpireModel | None:
+        """The serving ensemble of the current rooflines.
+
+        While the same roofline objects serve the same metrics in the
+        same order, the current model is that ensemble already, and
+        keeping it keeps its packed table; a refit, quarantine or new
+        metric builds a new one.
+        """
         rooflines = dict(self._reference)
         for metric in self._online.metrics:
             if metric in self._quarantined:
@@ -587,8 +595,13 @@ class StreamIngestor:
             roofline = self._online.roofline(metric)
             if roofline is not None:
                 rooflines[metric] = roofline
+        served, self._served = self._served, rooflines
         if not rooflines:
             return None
+        if list(rooflines) == list(served) and all(
+            new is old for new, old in zip(rooflines.values(), served.values())
+        ):
+            return self._serving
         return SpireModel(
             rooflines,
             work_unit=self._online.work_unit,

@@ -11,7 +11,8 @@ Both the per-access scalar path and the column-batch path
 :meth:`CacheHierarchy.access_batch`) operate on the same LRU state: the
 batch path works on a dense ``[n_sets, ways]`` tag matrix that is lazily
 synchronized with the scalar ``OrderedDict`` sets in either direction, so
-mixing the two paths stays bit-exact.
+mixing the two paths stays bit-exact.  A scalar set exists only once it
+is touched: a cache the batch path alone drives builds none.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class SetAssociativeCache:
         self.line = line
         self.ways = ways
         self.n_sets = size // (line * ways)
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.n_sets)
-        ]
+        # Set index -> its LRU → MRU tags, created on first touch; a
+        # missing set is empty.
+        self._sets: dict[int, OrderedDict[int, None]] = {}
         # Dense mirror of ``_sets`` used by the batch path: one int64 row
         # per set, tags left-to-right in LRU→MRU order with -1 padding on
         # the LRU side.  Lazily built and lazily flushed back so windowed
@@ -57,13 +58,17 @@ class SetAssociativeCache:
 
     def _locate(self, address: int) -> tuple[OrderedDict, int]:
         line_address = address // self.line
-        return self._sets[line_address % self.n_sets], line_address
+        index = line_address % self.n_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set, line_address
 
     def _dense_state(self) -> np.ndarray:
         dense = self._dense
         if dense is None:
             dense = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-            for row, cache_set in enumerate(self._sets):
+            for row, cache_set in self._sets.items():
                 if cache_set:
                     tags = list(cache_set)  # LRU → MRU
                     dense[row, self.ways - len(tags) :] = tags
@@ -74,13 +79,11 @@ class SetAssociativeCache:
         dense = self._dense
         if dense is None or not self._dense_dirty:
             return
-        sets = self._sets
-        for row in range(self.n_sets):
-            entries: OrderedDict[int, None] = OrderedDict()
-            for tag in dense[row].tolist():
-                if tag >= 0:
-                    entries[tag] = None
-            sets[row] = entries
+        filled = np.flatnonzero((dense >= 0).any(axis=1))
+        self._sets = {
+            row: OrderedDict.fromkeys(tag for tag in tags if tag >= 0)
+            for row, tags in zip(filled.tolist(), dense[filled].tolist())
+        }
         self._dense_dirty = False
 
     def access(self, address: int) -> bool:

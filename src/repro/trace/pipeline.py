@@ -439,7 +439,7 @@ class TracePipeline:
         div_mask = kind == _DIV_CODE
         # Latency per row: the hierarchy's for loads, the divider's
         # occupancy for divides.  The block's column may be a view into
-        # a fused trace, so scatter into a copy.
+        # the trace, so scatter into a copy.
         latency = block.latency.astype(np.int64)
         level = np.zeros(n, dtype=np.int8)
         if load_mask.any():

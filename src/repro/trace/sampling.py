@@ -20,7 +20,6 @@ from repro.errors import ConfigError
 from repro.fastpath import scalar_fallback_enabled
 from repro.trace.kernels import array_builder_by_name, kernel_by_name
 from repro.trace.pipeline import PipelineConfig, TracePipeline
-from repro.trace.trace_array import TraceArray
 
 # The trace substrate's "Table III": metric -> closest bottleneck area.
 TRACE_EVENT_AREAS = {
@@ -73,11 +72,10 @@ def collect_trace_samples(
     trace is executed in ``window_uops`` chunks, and each chunk becomes
     one sample per trace metric.
 
-    The default path is fused: every intensity's trace is built up front
-    as :class:`TraceArray` columns and concatenated into one mega-trace
-    via :meth:`TraceArray.concat_segments`, then each segment (a natural
-    recurrence reset — fresh pipeline per intensity) executes in a
-    single :meth:`~repro.trace.pipeline.TracePipeline.execute_array_windowed`
+    The default path builds each intensity's trace as
+    :class:`~repro.trace.trace_array.TraceArray` columns and executes it
+    in a single
+    :meth:`~repro.trace.pipeline.TracePipeline.execute_array_windowed`
     pass that snapshots counters at every ``window_uops`` boundary
     in-loop instead of once per ``execute_array`` call.
     ``SPIRE_SCALAR_FALLBACK=1`` routes through the per-uop
@@ -92,12 +90,6 @@ def collect_trace_samples(
         )
     builder = array_builder_by_name(kernel)
 
-    traces = [
-        builder(n_uops, intensity, random.Random(seed * 1_000 + round_index))
-        for round_index, intensity in enumerate(intensities)
-    ]
-    fused, _segment_ids, bounds = TraceArray.concat_segments(traces)
-
     metrics: list[str] = []
     times: list[float] = []
     works: list[float] = []
@@ -105,11 +97,11 @@ def collect_trace_samples(
     total_instructions = 0
     total_cycles = 0
     final: dict[str, float] = {}
-    for round_index in range(len(traces)):
-        segment = fused.slice(int(bounds[round_index]), int(bounds[round_index + 1]))
+    for round_index, intensity in enumerate(intensities):
+        trace = builder(n_uops, intensity, random.Random(seed * 1_000 + round_index))
         pipeline = TracePipeline(config=config)
         previous = pipeline.snapshot()
-        for now in pipeline.execute_array_windowed(segment, window_uops):
+        for now in pipeline.execute_array_windowed(trace, window_uops):
             previous = _emit_rows(
                 now, previous, metrics, times, works, counts
             )

@@ -205,28 +205,6 @@ class TraceArray:
             latency=np.concatenate([a.latency for a in arrays]),
         )
 
-    @classmethod
-    def concat_segments(
-        cls, arrays: Sequence["TraceArray"]
-    ) -> "tuple[TraceArray, np.ndarray, np.ndarray]":
-        """Fuse fragments into one mega-trace with a segment-index column.
-
-        Returns ``(fused, segment_ids, offsets)`` where ``segment_ids``
-        maps every row back to the index of its source fragment and
-        ``offsets`` holds the CSR-style segment boundaries, so
-        ``fused.slice(offsets[i], offsets[i + 1])`` recovers fragment
-        ``i`` bit-identically (empty fragments yield empty slices).
-        Segment boundaries are the natural recurrence resets of the
-        fused execution engines.
-        """
-        lengths = np.array([len(a) for a in arrays], dtype=np.int64)
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        segment_ids = np.repeat(
-            np.arange(len(arrays), dtype=np.int64), lengths
-        )
-        return cls.concat(arrays), segment_ids, offsets
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

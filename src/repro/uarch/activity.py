@@ -10,7 +10,7 @@ attached to the same core without touching the core model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 
 @dataclass(slots=True)
@@ -118,23 +118,6 @@ class WindowActivity:
     @property
     def backend_stall_cycles(self) -> float:
         return self.c_mem + self.c_core
-
-    def merged_with(self, other: "WindowActivity") -> "WindowActivity":
-        """Element-wise sum of two activity records."""
-        result = WindowActivity()
-        for spec in fields(WindowActivity):
-            if spec.name == "port_uops":
-                continue
-            setattr(
-                result,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        merged_ports = dict(self.port_uops)
-        for port, count in other.port_uops.items():
-            merged_ports[port] = merged_ports.get(port, 0.0) + count
-        result.port_uops = merged_ports
-        return result
 
     def check_consistency(self, tolerance: float = 1e-6) -> None:
         """Assert internal bookkeeping invariants; raises AssertionError."""

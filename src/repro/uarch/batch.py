@@ -172,17 +172,17 @@ def evaluate_run_columns(
     columns: dict[str, np.ndarray],
     instructions: np.ndarray,
     noise: np.ndarray | None,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+) -> dict[str, np.ndarray]:
     """Apply the core/frontend/memory/backend formulas over spec columns.
 
     Every expression is elementwise, so evaluating the concatenation of
     several runs' columns in one call is bit-identical to evaluating each
     run separately — the property the fused experiment engine
-    (:mod:`repro.runtime.fused`) relies on.  Returns the activity columns
-    (every scalar :class:`WindowActivity` field except the port-activity
+    (:mod:`repro.runtime.fused`) relies on.  Returns the activity columns:
+    every scalar :class:`WindowActivity` field except the port-activity
     histogram, which callers add with
     :func:`~repro.uarch.backend.port_activity_histogram_columns` once this
-    function's intermediates are freed) and the per-port uop columns.
+    function's intermediates are freed.
     """
     n_windows = len(instructions)
 
@@ -384,7 +384,7 @@ def evaluate_run_columns(
         "vw_mismatch_events": vw_events,
         "exec_active_cycles": exec_active,
     }
-    return out, port_columns
+    return out
 
 
 def workload_spec_columns(

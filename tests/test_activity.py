@@ -24,28 +24,6 @@ class TestProperties:
         assert a.backend_stall_cycles == 7.0
 
 
-class TestMerge:
-    def test_fields_sum(self):
-        a = WindowActivity(instructions=10.0, cycles=20.0, loads=5.0)
-        b = WindowActivity(instructions=1.0, cycles=2.0, loads=0.5)
-        merged = a.merged_with(b)
-        assert merged.instructions == 11.0
-        assert merged.cycles == 22.0
-        assert merged.loads == 5.5
-
-    def test_port_uops_merge_union(self):
-        a = WindowActivity(port_uops={"p0": 1.0, "p1": 2.0})
-        b = WindowActivity(port_uops={"p1": 3.0, "p2": 4.0})
-        merged = a.merged_with(b)
-        assert merged.port_uops == {"p0": 1.0, "p1": 5.0, "p2": 4.0}
-
-    def test_merge_does_not_mutate(self):
-        a = WindowActivity(port_uops={"p0": 1.0})
-        b = WindowActivity(port_uops={"p0": 2.0})
-        a.merged_with(b)
-        assert a.port_uops == {"p0": 1.0}
-
-
 class TestConsistency:
     def test_consistent_record_passes(self):
         a = WindowActivity(

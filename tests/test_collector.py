@@ -104,11 +104,6 @@ class TestMultiplexedCollection:
     def test_measured_ipc_sane(self, result, machine):
         assert 0 < result.measured_ipc <= machine.pipeline_width
 
-    def test_aggregate_activity_matches_totals(self, result):
-        agg = result.aggregate_activity
-        assert agg.instructions == pytest.approx(result.total_instructions)
-        assert agg.cycles == pytest.approx(result.total_cycles)
-
 
 class TestUnmultiplexedCollection:
     def test_rectangular_samples(self, machine, core):

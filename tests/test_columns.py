@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.columns import (
     SampleArray,
@@ -39,6 +41,33 @@ def test_metric_interning_preserves_first_seen_order():
     assert array.metric_names == ("a", "b", "c")
     assert array.metrics() == ["a", "b", "c"]
     assert array.metric_ids.tolist() == [0, 1, 0, 2]
+
+
+def _interned_by_loop(metrics):
+    """Metric interning as one row at a time: first-seen ids."""
+    table = {}
+    ids = []
+    for name in metrics:
+        if name not in table:
+            table[name] = len(table)
+        ids.append(table[name])
+    return ids, tuple(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "c", "l1d.miss", ""]), max_size=40))
+def test_from_lists_interns_names_first_seen(metrics):
+    n = len(metrics)
+    array = SampleArray.from_lists(metrics, [1.0] * n, [1.0] * n, [1.0] * n)
+    ids, names = _interned_by_loop(metrics)
+    assert array.metric_ids.dtype == np.int64
+    assert array.metric_ids.tolist() == ids
+    assert array.metric_names == names
+
+
+def test_from_lists_rejects_unhashable_names():
+    with pytest.raises(TypeError):
+        SampleArray.from_lists(["a", ["b"]], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
 
 
 def test_derived_columns_match_sample_properties():

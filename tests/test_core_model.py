@@ -135,12 +135,3 @@ class TestActivityDetails:
         spec = WindowSpec(frac_branches=0.3, branch_mispredict_rate=1.0)
         activity = core.simulate_window(spec)
         assert activity.wasted_uops <= 0.6 * activity.uops
-
-    def test_merged_activity(self, core, base_spec):
-        a = core.simulate_window(base_spec)
-        b = core.simulate_window(base_spec)
-        merged = a.merged_with(b)
-        assert merged.instructions == a.instructions + b.instructions
-        assert merged.cycles == pytest.approx(a.cycles + b.cycles)
-        for port, count in merged.port_uops.items():
-            assert count == pytest.approx(a.port_uops[port] + b.port_uops[port])

@@ -1,10 +1,16 @@
 """Unit tests for the SPIRE ensemble (training, estimation, Figure 4)."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.ensemble import (
     SpireModel,
     TrainOptions,
+    _segment_ordered_sums,
     mean_absolute_bound_violation,
 )
 from repro.core.roofline import fit_metric_roofline
@@ -157,3 +163,45 @@ class TestSerialization:
         assert clone.estimate(workload).throughput == pytest.approx(
             model.estimate(workload).throughput
         )
+
+
+#: Finite floats plus the values whose sums are sign- and order-sensitive.
+_TERMS = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),  # rows skipped before the segment
+            st.one_of(
+                st.lists(_TERMS, min_size=1, max_size=12),
+                st.lists(st.just(-0.0), min_size=1, max_size=4),
+            ),
+        ),
+        max_size=8,
+    )
+)
+@example([(0, [-0.0])])
+@example([(1, [-0.0, -0.0]), (0, [0.0]), (2, [math.inf, 1.0])])
+def test_segment_ordered_sums_match_cumsum_bitwise(layout):
+    values, starts, lengths = [], [], []
+    for gap, segment in layout:
+        values.extend([7.0] * gap)
+        starts.append(len(values))
+        lengths.append(len(segment))
+        values.extend(segment)
+    with np.errstate(all="ignore"):
+        totals = _segment_ordered_sums(
+            np.array(values, dtype=np.float64),
+            np.array(starts, dtype=np.int64),
+            np.array(lengths, dtype=np.int64),
+        )
+        expected = np.array(
+            [np.cumsum(segment)[-1] for _, segment in layout], dtype=np.float64
+        )
+    assert totals.dtype == np.float64
+    assert totals.view(np.int64).tolist() == expected.view(np.int64).tolist()

@@ -2,16 +2,15 @@
 
 Three layers of guarantees:
 
-- :meth:`TraceArray.concat_segments` round-trips: slicing the fused
-  mega-trace at its segment offsets recovers every fragment bit-for-bit
-  (packed-source CSR offsets rebased, rng-built columns untouched), and
-  the per-row segment-index column maps rows back to their fragments;
+- :meth:`TraceArray.concat` round-trips: slicing the concatenation at
+  the fragments' cumulative lengths recovers every fragment bit-for-bit
+  (packed-source CSR offsets rebased, rng-built columns untouched);
 - :meth:`TracePipeline.execute_array_windowed` — the batched-window plan
   — snapshots counters at window boundaries bit-identically to slicing
   the trace per window, across block boundaries, and the fused
   ``collect_trace_samples`` path emits the same samples as a manual
-  per-window loop (rng streams stay aligned because every segment's
-  trace is drawn from its own seeded generator before fusion);
+  per-window loop (rng streams stay aligned because every intensity's
+  trace is drawn from its own seeded generator);
 - :func:`repro.runtime.fused.simulate_tasks_fused` produces
   ``WorkloadRun``s bit-identical to per-workload ``run_workload`` calls
   for randomized workload subsets, window counts and seeds (hypothesis),
@@ -36,7 +35,7 @@ from repro.uarch.config import skylake_gold_6126
 from repro.workloads import all_workloads
 
 # ----------------------------------------------------------------------
-# concat_segments: CSR round-trip and the segment-index column
+# concat + slice: CSR round-trip
 # ----------------------------------------------------------------------
 
 
@@ -56,13 +55,10 @@ def _kernel_fragments(lengths, seed=0):
 @pytest.mark.parametrize("lengths", [(5,), (64, 0, 130, 1), (300, 300, 7)])
 def test_concat_segments_round_trips_fragments(lengths):
     fragments = _kernel_fragments(lengths, seed=3)
-    fused, segment_ids, offsets = TraceArray.concat_segments(fragments)
+    fused = TraceArray.concat(fragments)
+    offsets = np.cumsum((0,) + lengths)
 
     assert len(fused) == sum(lengths)
-    assert offsets.tolist() == np.cumsum((0,) + lengths).tolist()
-    assert segment_ids.tolist() == [
-        i for i, n in enumerate(lengths) for _ in range(n)
-    ]
     # The fused CSR stays well-formed: monotone offsets spanning exactly
     # the packed values.
     assert fused.src_offsets[0] == 0
@@ -80,7 +76,8 @@ def test_concat_segments_round_trips_fragments(lengths):
 
 def test_concat_segments_round_trips_microops():
     fragments = _kernel_fragments((40, 25, 60), seed=9)
-    fused, _, offsets = TraceArray.concat_segments(fragments)
+    fused = TraceArray.concat(fragments)
+    offsets = np.cumsum((0, 40, 25, 60))
     for index, fragment in enumerate(fragments):
         sliced = fused.slice(int(offsets[index]), int(offsets[index + 1]))
         assert sliced.to_microops() == fragment.to_microops()

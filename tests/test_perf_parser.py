@@ -13,6 +13,7 @@ from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport
 from repro.counters import perf_parser
 from repro.counters.perf_parser import (
+    PerfRecord,
     PerfStatParser,
     parse_perf_json,
     parse_perf_lines,
@@ -83,10 +84,26 @@ class TestLineParser:
         with pytest.raises(ParseError, match="empty event"):
             parse_perf_lines(io.StringIO("1.0,100,, ,200,100.0\n"))
 
-    def test_run_time_and_enabled_parsed(self):
-        records = parse_perf_lines(io.StringIO(INTERVAL_TEXT))
-        assert records[2].run_time == pytest.approx(499970301)
-        assert records[2].enabled_percent == pytest.approx(25.0)
+    def test_record_has_three_fields(self):
+        assert PerfRecord._fields == ("timestamp", "value", "event")
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_run_time_and_enabled_columns_are_not_parsed(self, lenient):
+        clean = "1.5,8123,,l1d.miss,499970301,25.00,,\n"
+        (expected,) = parse_perf_lines([clean])
+        assert expected == PerfRecord(1.5, 8123.0, "l1d.miss")
+        for tail in (
+            "garbage,??,,",
+            ",,",
+            "<not counted>,nan%",
+            "1,2,3,4,5,6,7",
+            "",
+        ):
+            quality = QualityReport()
+            line = f"1.5,8123,,l1d.miss,{tail}\n"
+            records = parse_perf_lines([line], lenient=lenient, quality=quality)
+            assert records == [expected], line
+            assert not quality.quarantined
 
 
 class TestSampleBuilding:

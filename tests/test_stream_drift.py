@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ensemble
 from repro.core.ensemble import SpireModel, TrainOptions
 from repro.core.roofline import MetricRoofline
 from repro.core.sample import Sample, SampleSet
@@ -37,6 +38,7 @@ from repro.runtime.faults import (
 from repro.stream import (
     DriftMonitor,
     DriftPolicy,
+    StreamIngestor,
     StreamOptions,
     replay_stream,
     windows_from_records,
@@ -211,6 +213,88 @@ class TestDriftInjection:
         assert self.VICTIM in result.report.quarantined_metrics
         # Withheld from serving: the victim is in no served ensemble.
         assert self.VICTIM not in result.model.metrics
+
+
+class TestServingModelReuse:
+    """A sealed window that changes no roofline keeps the served model
+    and its packed table; a refit or a quarantine serves a new one."""
+
+    VICTIM = "llc.miss"
+
+    @classmethod
+    def _seal_windows(cls, ingestor, windows, drift_from=None):
+        """Seal each window; yield the model served before it and the
+        window's drift actions."""
+        for index, window in enumerate(windows):
+            rows = [dict(record, timestamp=float(index)) for record in window]
+            if drift_from is not None and index >= drift_from:
+                for row in rows:
+                    if row["metric"] == cls.VICTIM:
+                        row["work"] *= 4.0
+                        row["metric_count"] *= 4.0
+            before = ingestor.model()
+            ingestor.push_records(rows)
+            events = ingestor.seal_window()
+            yield before, {event.action for event in events}
+
+    @staticmethod
+    def _fresh_model(ingestor, model):
+        """A new SpireModel of what the ingestor should serve: the
+        reference rooflines, then each stream fit not withheld."""
+        rooflines = {m: model.roofline(m) for m in ingestor.reference_metrics}
+        withheld = ingestor.report().quarantined_metrics
+        for metric in ingestor.stream_metrics:
+            roofline = ingestor._online.roofline(metric)
+            if roofline is not None and metric not in withheld:
+                rooflines[metric] = roofline
+        return SpireModel(
+            rooflines, work_unit=model.work_unit, time_unit=model.time_unit
+        )
+
+    def test_unchanged_window_keeps_model_and_packed_table(self, trained):
+        model, windows = trained
+        ingestor = StreamIngestor(
+            model=model, options=StreamOptions(window_samples=1_000)
+        )
+        served = ingestor.model()
+        packed = served.packed_rooflines()
+        with mock.patch.object(
+            ensemble, "PackedPiecewise", wraps=ensemble.PackedPiecewise
+        ) as built:
+            for _, actions in self._seal_windows(ingestor, windows):
+                assert not actions
+                assert ingestor.model() is served
+        assert built.call_count == 0
+        assert served.packed_rooflines() is packed
+
+    @pytest.mark.parametrize("repair", ["refit", "quarantined"])
+    def test_repair_serves_a_fresh_model(self, trained, repair):
+        model, windows = trained
+        if repair == "refit":
+            options = StreamOptions(window_samples=1_000)
+        else:
+            options = StreamOptions(
+                window_samples=1_000,
+                policy=DriftPolicy(refit_history=1),
+                train=TrainOptions(min_samples_per_metric=64),
+            )
+        ingestor = StreamIngestor(model=model, options=options)
+        repaired = 0
+        for before, actions in self._seal_windows(
+            ingestor, windows, drift_from=2
+        ):
+            served = ingestor.model()
+            assert served.to_dict(include_training=True) == (
+                self._fresh_model(ingestor, model).to_dict(include_training=True)
+            )
+            if repair in actions:
+                repaired += 1
+                assert served is not before
+                assert (self.VICTIM in served) == (repair == "refit")
+            elif repair == "quarantined" and not actions:
+                # Withheld, the victim changes nothing that is served.
+                assert served is before
+        assert repaired
 
 
 class TestNoModelStream:

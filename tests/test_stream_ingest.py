@@ -7,7 +7,6 @@ stream`` / ``spire faultsim --drift`` entry points.
 """
 
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +133,7 @@ class _ViaRecords(_Recording):
         stamp = group[0].timestamp
         if stamp != stamp:
             # A NaN-stamped interval: one dict key for all its records.
-            group = [replace(record, timestamp=None) for record in group]
+            group = [record._replace(timestamp=None) for record in group]
         samples = _samples_from_records(
             group, "instructions", "cycles", lenient=True
         )
