@@ -77,6 +77,11 @@ def test_extension_direction_mode(benchmark, experiment):
     assert trend_bp1.direction == NEGATIVE_METRIC
     assert paper_bp1.estimate(1e9) < paper_bp1.apex.y
     assert trend_bp1.estimate(1e9) == trend_bp1.apex.y
+    # EXPERIMENTS.md's extension row, at its rounding.
+    assert round(paper_bp1.estimate(1e9), 2) == 3.61
+    assert round(trend_bp1.estimate(1e9), 2) == 3.68
+    counts = {direction: len(metrics) for direction, metrics in directions.items()}
+    assert counts == {"negative": 33, "positive": 1, "mixed": 26}
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +124,10 @@ def test_extension_microbench_training(benchmark, experiment):
         f"  held-out bound violation (trained on microbenchmarks): "
         f"{micro_violation:.4f} IPC",
     ]
+    limiting = {}
     for name, run in experiment.testing_runs.items():
         estimate = micro_model.estimate(run.collection.samples)
+        limiting[name] = estimate.limiting_metric
         lines.append(
             f"  {name:<24} measured {run.measured_ipc:5.2f}  "
             f"ubench-model bound {estimate.throughput:5.2f}  "
@@ -132,9 +139,13 @@ def test_extension_microbench_training(benchmark, experiment):
     write_artifact("extension_microbench.txt", text)
 
     # The microbenchmark model must cover the same metrics and produce
-    # usable (same order of magnitude) bounds on real workloads.
+    # usable (same order of magnitude) bounds on real workloads; at
+    # EXPERIMENTS.md's rounding its held-out violation beats the
+    # application model's, and L3 misses limit ONNX.
     assert set(micro_model.metrics) == set(experiment.model.metrics)
-    assert micro_violation < 1.0
+    assert round(micro_violation, 4) == 0.0011
+    assert round(app_violation, 4) == 0.0024
+    assert limiting["onnx"] == "longest_lat_cache.miss"
 
 
 # ---------------------------------------------------------------------------
@@ -213,4 +224,4 @@ def test_extension_model_health(benchmark, experiment):
     # and the tnn ranking must be essentially stable.
     assert report.mean_violation_fraction < 0.2
     assert report.mean_violation < 0.05
-    assert stability > 0.7
+    assert stability >= 0.83

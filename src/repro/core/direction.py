@@ -31,9 +31,14 @@ MIXED = "mixed"                # no clear monotone trend
 
 
 def _ranks_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_ranks`: average ranks with ties sharing the mean."""
+    """Vectorized :func:`_ranks`: average ranks with ties sharing the mean.
+
+    Every member of a run of equal values gets the run's mean rank, so
+    for NaN-free values the order of ties inside the sort cannot change
+    a rank, and the default (unstable) sort serves.
+    """
     v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)
     sv = v[order]
     starts = np.empty(len(v), dtype=bool)
     starts[0] = True

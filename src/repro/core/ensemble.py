@@ -9,7 +9,8 @@ bottleneck analysis.
 
 :func:`fused_estimate` computes the same per-metric averages for many
 sample sets in one pass over the model's packed roofline table; the
-serving micro-batcher and the stream's window estimates use it.
+serving micro-batcher, the stream's window estimates and
+:meth:`SpireModel.analyze` use it.
 """
 
 from __future__ import annotations
@@ -343,9 +344,11 @@ class SpireModel:
 
         ``metric_areas`` optionally maps metric names to microarchitecture
         areas (e.g. TMA top-level categories) for agreement reporting.
+        The estimate is :func:`packed_estimate`'s, which is
+        :meth:`estimate`'s bit for bit.
         """
         sample_set = _as_sample_set(samples)
-        estimate = self.estimate(sample_set)
+        estimate = packed_estimate(self, sample_set)
         measured = sample_set.measured_throughput()
         return AnalysisReport(
             workload=workload,
@@ -553,23 +556,25 @@ def mean_absolute_bound_violation(
 
 
 def _bound_violation_columnar(model: SpireModel, samples: SampleSet) -> float:
+    # The scalar reference folds every violation left to right from 0
+    # in grouped() order (left_sum); np.cumsum over a leading 0.0 and
+    # the same order is that fold bit for bit, where np.sum's pairwise
+    # tree is not.
     array = samples.columns()
     intensity = array.intensity
     throughput = array.throughput
-    total = 0.0
-    count = 0
+    excesses = []
     for metric, rows in array.group_indices().items():
         if metric not in model:
             continue
         bounds = model.roofline(metric).estimate_batch(
             intensity[rows], validated=True
         )
-        excess = np.clip(throughput[rows] - bounds, 0.0, None)
-        total += float(np.sum(excess))
-        count += len(rows)
-    if not count:
+        excesses.append(np.clip(throughput[rows] - bounds, 0.0, None))
+    if not excesses:
         raise EstimationError("no overlapping metrics between model and samples")
-    return total / count
+    total = np.cumsum(np.concatenate([[0.0], *excesses]))[-1]
+    return float(total / sum(len(excess) for excess in excesses))
 
 
 def _bound_violation_scalar(model: SpireModel, samples: SampleSet) -> float:

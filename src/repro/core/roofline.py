@@ -68,9 +68,40 @@ class RooflineFitOptions:
             raise FitError("direction_threshold must be in (0, 1]")
 
 
+def _training_columns(intensity, throughput) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 copies of row-aligned ``(I_x, P)`` columns.
+
+    The copies belong to the roofline that keeps them, so a caller
+    writing to its own arrays after a fit changes nothing.
+    """
+    columns = (
+        np.array(intensity, dtype=np.float64),
+        np.array(throughput, dtype=np.float64),
+    )
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _columns_of_points(
+    points: Sequence[tuple[float, float]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_training_columns` of a list of ``(I_x, P)`` points."""
+    return _training_columns([x for x, _ in points], [y for _, y in points])
+
+
+_NO_TRAINING = _training_columns((), ())
+
+
 @dataclass
 class MetricRoofline:
-    """A trained piecewise linear roofline for one performance metric."""
+    """A trained piecewise linear roofline for one performance metric.
+
+    ``training_columns`` holds the retained training samples as two
+    read-only float64 columns, ``(I_x, P)``; they are empty when the fit
+    ran with ``keep_samples=False`` or the roofline was loaded from a
+    compact model file.
+    """
 
     metric: str
     function: PiecewiseLinear
@@ -78,8 +109,19 @@ class MetricRoofline:
     sample_count: int
     infinite_sample_count: int = 0
     right_fit: RightFitResult | None = None
-    training_points: list[tuple[float, float]] = field(default_factory=list)
+    training_columns: tuple[np.ndarray, np.ndarray] = field(
+        default=_NO_TRAINING, compare=False, repr=False
+    )
     direction: str = MIXED
+
+    @property
+    def training_points(self) -> list[tuple[float, float]]:
+        """The retained training samples as ``(I_x, P)`` tuples.
+
+        Built from :attr:`training_columns` on each access.
+        """
+        x, y = self.training_columns
+        return list(zip(x.tolist(), y.tolist()))
 
     def estimate(self, intensity: float) -> float:
         """Maximum-throughput estimate at operational intensity ``I_x``.
@@ -151,11 +193,12 @@ class MetricRoofline:
 
     def is_upper_bound_of_training_data(self, tolerance: float = 1e-9) -> bool:
         """Validate the core invariant against the retained training points."""
-        finite = [(x, y) for x, y in self.training_points if math.isfinite(x)]
+        points = self.training_points
+        finite = [(x, y) for x, y in points if math.isfinite(x)]
         if not self.function.is_upper_bound_of(finite, tolerance=tolerance):
             return False
         tail = self.function.breakpoints[-1].y
-        for x, y in self.training_points:
+        for x, y in points:
             if math.isinf(x) and tail < y - tolerance * max(1.0, abs(y)):
                 return False
         return True
@@ -187,10 +230,12 @@ class MetricRoofline:
             apex=Breakpoint(*payload["apex"]),
             sample_count=int(payload["sample_count"]),
             infinite_sample_count=int(payload.get("infinite_sample_count", 0)),
-            training_points=[
-                (float(x), float(y))
-                for x, y in payload.get("training_points", [])
-            ],
+            training_columns=_columns_of_points(
+                [
+                    (float(x), float(y))
+                    for x, y in payload.get("training_points", [])
+                ]
+            ),
             direction=payload.get("direction", MIXED),
         )
 
@@ -262,6 +307,7 @@ def fit_metric_roofline_scalar(
     """
     metric = sample_list[0].metric
     points = [s.as_point() for s in sample_list]
+    kept = _columns_of_points(points) if opts.keep_samples else _NO_TRAINING
     finite = [(x, y) for x, y in points if math.isfinite(x)]
     infinite_levels = [y for x, y in points if math.isinf(x)]
 
@@ -277,7 +323,7 @@ def fit_metric_roofline_scalar(
             apex=apex,
             sample_count=len(sample_list),
             infinite_sample_count=len(infinite_levels),
-            training_points=points if opts.keep_samples else [],
+            training_columns=kept,
         )
 
     # The apex is the highest-throughput sample; ties break toward the
@@ -334,7 +380,7 @@ def fit_metric_roofline_scalar(
         sample_count=len(sample_list),
         infinite_sample_count=len(infinite_levels),
         right_fit=right,
-        training_points=points if opts.keep_samples else [],
+        training_columns=kept,
         direction=direction,
     )
 
@@ -360,10 +406,7 @@ def fit_metric_roofline_arrays(
     fin_x, fin_y = x[finite_mask], y[finite_mask]
     infinite_levels = y[~finite_mask]
 
-    if opts.keep_samples:
-        points = list(zip(x.tolist(), y.tolist()))
-    else:
-        points = []
+    kept = _training_columns(x, y) if opts.keep_samples else _NO_TRAINING
 
     if not len(fin_x):
         # The metric never fired in any training period; the only defensible
@@ -377,7 +420,7 @@ def fit_metric_roofline_arrays(
             apex=apex,
             sample_count=len(x),
             infinite_sample_count=len(infinite_levels),
-            training_points=points,
+            training_columns=kept,
         )
 
     # The apex is the highest-throughput sample; ties break toward the
@@ -440,6 +483,6 @@ def fit_metric_roofline_arrays(
         sample_count=len(x),
         infinite_sample_count=len(infinite_levels),
         right_fit=right,
-        training_points=points,
+        training_columns=kept,
         direction=direction,
     )

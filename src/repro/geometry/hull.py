@@ -62,13 +62,19 @@ def upper_concave_chain_arrays(
         return [anchor, target]
 
     # Candidates strictly between anchor and target in x, plus the target;
-    # sorted by x so each step's viable set is a suffix.
+    # sorted by x so each step's viable set is a suffix.  Candidates of
+    # equal x that tie on slope from one vertex have equal y, so the
+    # order of equal x inside the sort does not change the pick and the
+    # default (unstable) sort serves.  (Two y values an ulp or so apart
+    # can round to one slope; which of them is picked then depends on
+    # tie order, and the stable sort's last and the scalar reference's
+    # first already disagreed there.)
     mask = (x > anchor[0]) & (x <= target[0])
     cx, cy = x[mask], y[mask]
     if not ((cx == target[0]) & (cy == target[1])).any():
         cx = np.append(cx, target[0])
         cy = np.append(cy, target[1])
-    order = np.argsort(cx, kind="stable")
+    order = np.argsort(cx)
     cx, cy = cx[order], cy[order]
 
     chain = [anchor]

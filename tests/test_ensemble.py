@@ -1,6 +1,8 @@
 """Unit tests for the SPIRE ensemble (training, estimation, Figure 4)."""
 
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from repro.core.ensemble import (
     _segment_ordered_sums,
     mean_absolute_bound_violation,
 )
-from repro.core.roofline import fit_metric_roofline
+from repro.core.roofline import MetricRoofline, fit_metric_roofline
 from repro.core.sample import Sample, SampleSet
 from repro.errors import EstimationError, FitError
+from repro.fastpath import force_scalar
+from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
 
 
 def sample(metric, intensity, throughput, work=1000.0):
@@ -205,3 +209,145 @@ def test_segment_ordered_sums_match_cumsum_bitwise(layout):
         )
     assert totals.dtype == np.float64
     assert totals.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+#: (metric, intensity, throughput, time) rows: "a" and "b" are trained,
+#: "c" never is, and small grids make equal intensities common.
+_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.one_of(
+            st.sampled_from([0.5, 2.0, 8.0, math.inf]),
+            st.floats(min_value=1e-2, max_value=1e3),
+        ),
+        st.floats(min_value=1e-2, max_value=10.0),
+        st.floats(min_value=1e-3, max_value=1e3),
+    ),
+    max_size=30,
+)
+
+
+def _samples(rows) -> SampleSet:
+    return SampleSet(
+        Sample(
+            metric,
+            time=time,
+            work=throughput * time,
+            metric_count=throughput * time / intensity,  # 0.0 when I_x is inf
+        )
+        for metric, intensity, throughput, time in rows
+    )
+
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+def _ranking_bits(ranking, estimated, measured):
+    return (
+        [(e.metric, _bits(e.estimate), e.sample_count) for e in ranking],
+        _bits(estimated),
+        _bits(measured),
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except EstimationError as error:
+        return ("EstimationError", str(error))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b"]),
+            st.sampled_from([0.5, 2.0, 8.0, math.inf]),
+            st.floats(min_value=1e-2, max_value=10.0),
+            st.just(1.0),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    _ROWS,
+    st.booleans(),
+)
+@example([("a", 2.0, 1.0, 1.0)], [("c", 2.0, 1.0, 1.0)], False)
+@example([("a", 2.0, 1.0, 1.0)], [], True)
+@example(  # one long segment whose pairwise and left-to-right sums differ
+    [("a", 2.0, 1.0, 1.0), ("a", 8.0, 3.0, 1.0)],
+    [("a", 0.5, 1.0, 1000.0)]
+    + [("a", 0.5 + 0.1 * k, 1.0, 0.001 * (k + 1)) for k in range(16)]
+    + [("b", 2.0, 1.0, 1.0)],
+    False,
+)
+def test_analyze_is_the_per_metric_estimate_bitwise(training, rows, fallback):
+    model = SpireModel.train(_samples(training), TrainOptions(min_samples_per_metric=1))
+    samples = _samples(rows)
+
+    def analyzed():
+        report = model.analyze(samples, top_k=3)
+        return _ranking_bits(
+            report.ranking,
+            report.estimated_throughput,
+            report.measured_throughput,
+        )
+
+    def per_metric():
+        estimate = model.estimate(samples)
+        return _ranking_bits(
+            estimate.ranked(), estimate.throughput, samples.measured_throughput()
+        )
+
+    flag = {"SPIRE_SCALAR_FALLBACK": "1" if fallback else "0"}
+    with mock.patch.dict(os.environ, flag):
+        assert _outcome(analyzed) == _outcome(per_metric)
+        if not {metric for metric, *_ in rows} & set(model.metrics):
+            assert _outcome(analyzed)[0] == "EstimationError"
+
+
+#: (metric, throughput) rows bounded by a flat roofline at 1.0: one large
+#: excess then many tiny ones, which a pairwise sum keeps and a left
+#: fold rounds away.
+_SKEWED = [("m", 5.0)] + [("m", 1.0 + 2.0**-52)] * 15 + [("n", 2.0), ("m", 3.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["m", "n", "uncovered"]),
+            st.one_of(
+                st.sampled_from([1.0, 1.0 + 2.0**-52, 5.0]),
+                st.floats(min_value=1e-3, max_value=1e3),
+            ),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@example(_SKEWED)
+def test_bound_violation_default_path_is_the_scalar_fold_bitwise(rows):
+    flat = PiecewiseLinear([Breakpoint(0.0, 1.0)])
+    model = SpireModel(
+        {
+            metric: MetricRoofline(
+                metric=metric, function=flat, apex=flat.breakpoints[0],
+                sample_count=1,
+            )
+            for metric in ("m", "n")
+        }
+    )
+    samples = SampleSet(
+        Sample(metric, time=1.0, work=throughput, metric_count=1.0)
+        for metric, throughput in rows
+    )
+
+    def violation():
+        return _bits(mean_absolute_bound_violation(model, samples))
+
+    default = _outcome(violation)
+    with force_scalar():
+        scalar = _outcome(violation)
+    assert default == scalar

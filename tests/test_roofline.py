@@ -2,15 +2,21 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.columns import SampleArray
 from repro.core.roofline import (
     MetricRoofline,
     RooflineFitOptions,
     fit_metric_roofline,
+    fit_metric_roofline_arrays,
 )
 from repro.core.sample import Sample
 from repro.errors import FitError
+from repro.fastpath import force_scalar
 
 
 def sample(metric, intensity, throughput, work=1000.0, time_scale=1.0):
@@ -146,3 +152,98 @@ class TestSerialization:
         for intensity in (0.5, 2.0, 4.0, 10.0, 100.0, math.inf):
             assert again.estimate(intensity) == pytest.approx(r.estimate(intensity))
         assert again.sample_count == r.sample_count
+
+
+#: (I_x, P) points of one metric; ``inf`` is a period the metric never fired.
+_POINTS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.just(math.inf),
+            st.sampled_from([0.5, 1.0, 2.0, 8.0]),
+            st.floats(min_value=1e-3, max_value=1e6),
+        ),
+        st.floats(min_value=1e-3, max_value=1e3),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestTrainingColumns:
+    """The retained training samples are two columns the roofline owns."""
+
+    @staticmethod
+    def fits(points, keep_samples=True):
+        """``{path: (roofline, the points it was fit on)}`` for one fit on
+        the columnar, sample-list and scalar paths."""
+        options = RooflineFitOptions(keep_samples=keep_samples)
+        x = np.array([p[0] for p in points])
+        y = np.array([p[1] for p in points])
+        samples = [sample("m", px, py) for px, py in points]
+        as_points = [s.as_point() for s in samples]
+        fitted = {
+            "arrays": (fit_metric_roofline_arrays("m", x, y, options), points),
+            "samples": (fit_metric_roofline(samples, options), as_points),
+        }
+        with force_scalar():
+            fitted["scalar"] = (fit_metric_roofline(samples, options), as_points)
+        return fitted
+
+    @settings(max_examples=60, deadline=None)
+    @given(_POINTS, st.booleans())
+    def test_points_are_the_columns_and_serialize_as_before(
+        self, points, keep_samples
+    ):
+        for path, (roofline, fit_on) in self.fits(points, keep_samples).items():
+            expected = list(fit_on) if keep_samples else []
+            x, y = roofline.training_columns
+            assert x.dtype == y.dtype == np.float64, path
+            assert roofline.training_points == list(zip(x.tolist(), y.tolist()))
+            assert roofline.training_points == expected, path
+            payload = roofline.to_dict(include_training=True)
+            assert payload["training_points"] == [list(p) for p in expected]
+            assert "training_points" not in roofline.to_dict()
+            again = MetricRoofline.from_dict(payload)
+            assert again.training_points == expected, path
+            assert again.to_dict(include_training=True) == payload, path
+            assert not MetricRoofline.from_dict(
+                roofline.to_dict()
+            ).training_points
+
+    def test_infinite_intensities_are_kept(self):
+        points = [(math.inf, 1.5), (4.0, 2.0), (math.inf, 3.0)]
+        for roofline, _ in self.fits(points).values():
+            assert roofline.training_points == points
+            assert roofline.is_upper_bound_of_training_data()
+
+    def test_columns_are_read_only(self):
+        rooflines = [r for r, _ in self.fits([(1.0, 0.5), (4.0, 2.0)]).values()]
+        rooflines.append(
+            MetricRoofline.from_dict(rooflines[0].to_dict(include_training=True))
+        )
+        for roofline in rooflines:
+            for column in roofline.training_columns:
+                with pytest.raises(ValueError):
+                    column[0] = 99.0
+
+    def test_writing_the_callers_arrays_changes_nothing(self):
+        x = np.array([1.0, 4.0, math.inf])
+        y = np.array([0.5, 2.0, 1.0])
+        roofline = fit_metric_roofline_arrays("m", x, y)
+        array = SampleArray.from_samples(
+            [sample("m", 1.0, 0.5), sample("m", 4.0, 2.0)]
+        )
+        from_array = fit_metric_roofline(array)
+        before = (roofline.training_points, from_array.training_points)
+        x[:] = 7.0
+        y[:] = 7.0
+        array.intensity[:] = 7.0
+        array.throughput[:] = 7.0
+        assert (roofline.training_points, from_array.training_points) == before
+        assert before[0] == [(1.0, 0.5), (4.0, 2.0), (math.inf, 1.0)]
+
+    def test_columns_are_left_out_of_comparison(self):
+        kept, _ = self.fits([(1.0, 0.5), (4.0, 2.0)])["arrays"]
+        bare, _ = self.fits([(1.0, 0.5), (4.0, 2.0)], False)["arrays"]
+        assert kept == bare
+        assert "training_columns" not in repr(kept)

@@ -19,12 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.columns import SampleArray
-from repro.core.direction import detect_direction, spearman, spearman_arrays
+from repro.core.direction import (
+    _ranks,
+    _ranks_array,
+    detect_direction,
+    spearman,
+    spearman_arrays,
+)
 from repro.core.ensemble import SpireModel
 from repro.core.roofline import fit_metric_roofline
 from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import SampleSanitizer
 from repro.errors import FitError
+from repro.fastpath import force_scalar
+from repro.geometry.hull import upper_concave_chain, upper_concave_chain_arrays
 from repro.geometry.pareto import pareto_front
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
 
@@ -171,6 +179,53 @@ def test_direction_parity(pairs):
             spearman(xs, ys),
             spearman_arrays(np.asarray(xs), np.asarray(ys)),
         )
+
+
+#: Few distinct values, so most draws hold long runs of ties (``-0.0``
+#: ties ``0.0``).
+_TIED = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TIED, min_size=1, max_size=60))
+def test_ranks_parity_with_ties(values):
+    # The default argsort may order ties any way; every member of a run
+    # still gets the run's mean rank.
+    assert _ranks_array(np.array(values, dtype=np.float64)).tolist() == _ranks(
+        values
+    )
+
+
+def _chain_or_error(run):
+    try:
+        return run()
+    except ValueError as error:
+        return str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 4.0]),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.0, 3.0, 6.0]),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    st.one_of(st.none(), st.sampled_from([(2.0, 6.0), (3.0, 6.0), (4.0, 6.0)])),
+)
+def test_hull_parity_with_duplicate_x(points, target):
+    if target is not None:
+        points = points + [target]
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    vectorized = _chain_or_error(
+        lambda: upper_concave_chain_arrays(xs, ys, target=target)
+    )
+    with force_scalar():
+        scalar = _chain_or_error(lambda: upper_concave_chain(points, target=target))
+    assert vectorized == scalar
 
 
 # ----------------------------------------------------------------------
