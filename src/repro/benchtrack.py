@@ -12,8 +12,8 @@ reduced-scale baseline (``benchmarks/baselines/``) is compared against
 a fresh run by *ratio* — wall clock is far too noisy across hosts, but
 a speedup collapsing to half its recorded value is a real regression.
 
-Used by ``benchmarks/collect.py`` (standalone script) and the
-``spire bench-summary`` subcommand.
+Its one entry point is ``benchmarks/collect.py``, which writes the
+summary and, with ``--check``, runs the gate.
 """
 
 from __future__ import annotations

@@ -24,9 +24,7 @@ Subcommands mirror the paper's workflow:
   drift detection and refute-and-refine repair (see
   ``docs/streaming.md``);
 - ``serve``     — run the micro-batched asyncio HTTP inference server
-  (see ``docs/serving.md``);
-- ``bench-summary`` — merge benchmark artifacts and ratio-gate them
-  against a committed baseline.
+  (see ``docs/serving.md``).
 """
 
 from __future__ import annotations
@@ -657,46 +655,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     return 1 if report.stale else 0
 
 
-def _cmd_bench_summary(args: argparse.Namespace) -> int:
-    """Merge bench artifacts into ``BENCH_summary.json``; optionally gate.
-
-    Aggregates the tracked metrics (the speedups) from every
-    ``BENCH_*.json`` under ``--out-dir``.  With ``--check`` the
-    fresh summary is ratio-gated against a committed baseline (a
-    summary file, one ``BENCH_*.json`` artifact, or a directory of
-    artifacts): exit code 1 means a speedup collapsed below
-    ``--min-ratio`` of its recorded value.
-    """
-    from repro import benchtrack
-
-    out_dir = Path(args.out_dir)
-    summary = benchtrack.summarize(out_dir)
-    target = benchtrack.write_summary(out_dir)
-    artifacts = summary["artifacts"]
-    print(f"wrote {target} ({len(artifacts)} artifacts)")
-    for name in sorted(artifacts):
-        metrics = artifacts[name]
-        if not metrics:
-            continue
-        shown = ", ".join(
-            f"{path}={value:g}" for path, value in sorted(metrics.items())
-        )
-        print(f"  {name}: {shown}")
-
-    if not args.check:
-        return 0
-    baseline = benchtrack.load_baseline(args.check)
-    failures = benchtrack.check_against_baseline(
-        summary, baseline, min_ratio=args.min_ratio
-    )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(f"baseline check passed against {args.check}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spire",
@@ -939,29 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="input format: spire sample CSV or raw 'perf stat -x,' output",
     )
     p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser(
-        "bench-summary",
-        help="merge BENCH_*.json artifacts and gate against a baseline",
-    )
-    p.add_argument(
-        "--out-dir",
-        default="benchmarks/out",
-        help="directory holding BENCH_*.json artifacts",
-    )
-    p.add_argument(
-        "--check",
-        default="",
-        metavar="BASELINE",
-        help="baseline summary to ratio-gate against (CI mode)",
-    )
-    p.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.5,
-        help="speedups must hold this fraction of baseline (default 0.5)",
-    )
-    p.set_defaults(func=_cmd_bench_summary)
 
     p = sub.add_parser("plot", help="plot a trained metric roofline")
     p.add_argument("--model", required=True)

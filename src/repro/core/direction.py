@@ -23,8 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.fastpath import scalar_fallback_enabled
-
 NEGATIVE_METRIC = "negative"   # throughput increases with I_x (e.g. stalls)
 POSITIVE_METRIC = "positive"   # throughput decreases with I_x (e.g. DSB hits)
 MIXED = "mixed"                # no clear monotone trend
@@ -133,24 +131,9 @@ def detect_direction(
 
     Returns :data:`NEGATIVE_METRIC`, :data:`POSITIVE_METRIC`, or
     :data:`MIXED`.  ``threshold`` is the absolute Spearman correlation
-    required to commit to a monotone direction.
-
-    Takes the vectorized path unless ``SPIRE_SCALAR_FALLBACK`` forces
-    the scalar reference.
+    required to commit to a monotone direction.  This is the scalar
+    reference of :func:`detect_direction_arrays`.
     """
-    pts = list(points)
-    if scalar_fallback_enabled():
-        return _detect_direction_scalar(pts, threshold)
-    return detect_direction_arrays(
-        np.asarray([p[0] for p in pts], dtype=np.float64),
-        np.asarray([p[1] for p in pts], dtype=np.float64),
-        threshold=threshold,
-    )
-
-
-def _detect_direction_scalar(
-    points: Sequence[tuple[float, float]], threshold: float
-) -> str:
     finite = [(x, y) for x, y in points if math.isfinite(x)]
     if len(finite) < 3:
         return MIXED

@@ -26,8 +26,8 @@ from repro.core.columns import SampleArray, time_weighted_mean
 from repro.core.roofline import (
     MetricRoofline,
     RooflineFitOptions,
-    fit_metric_roofline,
     fit_metric_roofline_arrays,
+    fit_metric_roofline_scalar,
 )
 from repro.core.sample import Sample, SampleSet, left_sum
 from repro.core.sanitize import QualityReport, SampleSanitizer
@@ -182,7 +182,7 @@ class SpireModel:
         if scalar_fallback_enabled():
             groups = list(sample_set.grouped().items())
             fitted = [
-                fit_metric_roofline(group, options=opts.roofline)
+                fit_metric_roofline_scalar(group, opts.roofline)
                 for _, group in groups
             ]
         else:

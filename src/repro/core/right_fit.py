@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.sample import left_sum
 from repro.errors import FitError
-from repro.fastpath import scalar_fallback_enabled
 from repro.geometry.pareto import pareto_front, pareto_front_arrays
 from repro.geometry.piecewise import Breakpoint
 from repro.geometry.shortest_path import Graph, dijkstra
@@ -248,9 +247,13 @@ def _build_graph(
     entering at front index ``i``, and ``(i, j)`` for the segment from
     front index ``i`` (right) to ``j`` (left), with ``i < j`` in list
     order because the front is sorted right to left.
+
+    Pareto fronts are tiny — rarely more than a few dozen points — so
+    plain float arithmetic beats array kernels on call overhead here.
+    Only the infinite-level tail term, the one input that scales with the
+    sample count, is reduced with numpy.  Both fit paths build their
+    graph here, so they share every edge weight bit for bit.
     """
-    if not scalar_fallback_enabled():
-        return _build_graph_fast(front, endpoint_indices, inf_levels, opts)
     graph = Graph()
     graph.add_node(_START)
     graph.add_node(_END)
@@ -262,101 +265,15 @@ def _build_graph(
     # infinite levels to the apex).
     min_tail_level = max(inf_levels, default=-math.inf)
 
-    front_x = np.array([p[0] for p in front], dtype=float)
-    front_y = np.array([p[1] for p in front], dtype=float)
-    tolerance = opts.validity_tolerance * np.maximum(1.0, np.abs(front_y))
-
-    # Pairwise segment validity and error, checked against the full front.
-    valid: dict[tuple[int, int], float] = {}
-    slopes: dict[tuple[int, int], float] = {}
-    for ii, i in enumerate(endpoint_indices):
-        ax, ay = front[i]
-        for j in endpoint_indices[ii + 1 :]:
-            bx, by = front[j]
-            slope = (by - ay) / (bx - ax)
-            between = slice(i + 1, j)
-            values = ay + (front_x[between] - ax) * slope
-            gaps = values - front_y[between]
-            if np.any(gaps < -tolerance[between]):
-                continue
-            valid[(i, j)] = float(np.sum(np.clip(gaps, 0.0, None) ** 2))
-            slopes[(i, j)] = slope
-
-    # Start -> flat tail entries (only at heights covering every
-    # infinite-intensity sample).
-    def tail_ok(index: int) -> bool:
-        level = front[index][1]
-        return level >= min_tail_level - 1e-12 * max(1.0, abs(min_tail_level))
-
-    for i in endpoint_indices:
-        if tail_ok(i):
-            graph.add_edge(_START, ("tail", i), _flat_tail_error(front, i, inf_levels))
-
-    # Tail -> first real segment.  The tail's slope is 0 and every front
-    # segment is decreasing (negative slope read left to right), hence
-    # strictly steeper: the concavity rule always allows this edge.
-    for (i, j), error in valid.items():
-        if tail_ok(i):
-            graph.add_edge(("tail", i), (i, j), error)
-
-    # Segment -> segment, preserving concavity: read left to right the
-    # slopes must be non-decreasing, i.e. walking right to left each new
-    # segment is at least as steep as the previous one.
-    by_right_end: dict[int, list[tuple[int, int]]] = {}
-    for i, j in valid:
-        by_right_end.setdefault(i, []).append((i, j))
-    for i, j in valid:
-        for node in by_right_end.get(j, ()):
-            if slopes[node] <= slopes[(i, j)] + opts.slope_tolerance:
-                graph.add_edge((i, j), node, valid[node])
-
-    # Everything -> End through the horizontal-at-apex-height segment (the
-    # paper's exception to the concave-up rule).  Reaching the apex
-    # directly costs nothing extra.
-    def horizontal_error(from_index: int) -> float:
-        if from_index >= last:
-            return 0.0
-        skipped = front_y[from_index + 1 : last]
-        return float(np.sum((apex_level - skipped) ** 2))
-
-    for i in endpoint_indices:
-        graph.add_edge(("tail", i), _END, horizontal_error(i))
-    for i, j in valid:
-        graph.add_edge((i, j), _END, horizontal_error(j))
-
-    return graph
-
-
-def _build_graph_fast(
-    front: Sequence[tuple[float, float]],
-    endpoint_indices: Sequence[int],
-    inf_levels: Sequence[float],
-    opts: RightFitOptions,
-) -> Graph:
-    """:func:`_build_graph` for the vectorized pipeline.
-
-    Pareto fronts are tiny — rarely more than a few dozen points — so
-    plain float arithmetic beats array kernels on call overhead here.
-    Only the infinite-level tail term, the one input that scales with the
-    sample count, is reduced with numpy.  Edge insertion order and the
-    per-term arithmetic match the scalar builder, keeping downstream
-    Dijkstra tie-breaking stable.
-    """
-    graph = Graph()
-    graph.add_node(_START)
-    graph.add_node(_END)
-    last = len(front) - 1
-    apex_level = front[last][1]
-    min_tail_level = max(inf_levels, default=-math.inf)
-
     xs = [p[0] for p in front]
     ys = [p[1] for p in front]
     validity_tolerance = opts.validity_tolerance
     tol = [validity_tolerance * max(1.0, abs(value)) for value in ys]
 
-    # Pairwise segment validity and error over interior front points.
-    # Zero-gap terms contribute exactly 0.0 in the scalar reduction, so
-    # skipping them preserves exact-zero edge weights (and ties).
+    # Pairwise segment validity and error over interior front points,
+    # checked against the full front.  A point on or (within tolerance)
+    # above the segment adds nothing, so a segment through every point
+    # it skips weighs exactly 0.0.
     valid: dict[tuple[int, int], float] = {}
     slopes: dict[tuple[int, int], float] = {}
     for ii, i in enumerate(endpoint_indices):
@@ -381,8 +298,7 @@ def _build_graph_fast(
     inf_arr = np.asarray(inf_levels, dtype=np.float64) if inf_levels else None
 
     def tail_error(i: int) -> float:
-        # Same two-part sum as _flat_tail_error; the front part stays a
-        # sequential Python accumulation, the (potentially large)
+        # The front part folds left to right; the (potentially large)
         # infinite-level part reduces as one array kernel.
         level = ys[i]
         error = 0.0
@@ -397,10 +313,16 @@ def _build_graph_fast(
         if ys[i] >= tail_floor:
             graph.add_edge(_START, ("tail", i), tail_error(i))
 
+    # Tail -> first real segment.  The tail's slope is 0 and every front
+    # segment is decreasing (negative slope read left to right), hence
+    # strictly steeper: the concavity rule always allows this edge.
     for (i, j), error in valid.items():
         if ys[i] >= tail_floor:
             graph.add_edge(("tail", i), (i, j), error)
 
+    # Segment -> segment, preserving concavity: read left to right the
+    # slopes must be non-decreasing, i.e. walking right to left each new
+    # segment is at least as steep as the previous one.
     by_right_end: dict[int, list[tuple[int, int]]] = {}
     for i, j in valid:
         by_right_end.setdefault(i, []).append((i, j))
@@ -411,8 +333,10 @@ def _build_graph_fast(
             if slopes[node] <= limit:
                 graph.add_edge((i, j), node, valid[node])
 
-    # suffix[k] = squared horizontal-exception gap over front points
-    # k .. last-1, accumulated right to left.
+    # Everything -> End through the horizontal-at-apex-height segment (the
+    # paper's exception to the concave-up rule); reaching the apex
+    # directly costs nothing extra.  suffix[k] = squared gap over front
+    # points k .. last-1, accumulated right to left.
     suffix = [0.0] * (last + 1)
     acc = 0.0
     for k in range(last - 1, -1, -1):

@@ -300,10 +300,12 @@ def fit_metric_roofline_scalar(
     sample_list: list[Sample],
     opts: RooflineFitOptions,
 ) -> MetricRoofline:
-    """The retained scalar reference fit (the fallback path's oracle).
+    """The scalar reference fit (the fallback path's oracle).
 
-    ``sample_list`` must be non-empty and single-metric — the dispatcher
-    validates before routing here.
+    Runs the scalar reference of every fit kernel: the left hull, the
+    Pareto front and direction detection.  ``sample_list`` must be
+    non-empty and single-metric — :func:`fit_metric_roofline` validates,
+    and ``SpireModel.train`` passes per-metric groups.
     """
     metric = sample_list[0].metric
     points = [s.as_point() for s in sample_list]

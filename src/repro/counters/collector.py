@@ -19,12 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.core.columns import SampleArray
 from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import QualityReport, QuarantinedSample, SampleSanitizer
-from repro.fastpath import scalar_fallback_enabled
 from repro.counters.events import EventCatalog, default_catalog
 from repro.counters.pmu import PMU
 from repro.counters.scheduling import (
@@ -138,8 +134,10 @@ class SampleCollector:
         one multiplexing slice.  With ``config.multiplex`` off, every event
         observes every window (an idealized PMU with unlimited counters).
 
-        Every emitted measurement is screened by a
-        :class:`~repro.core.sanitize.SampleSanitizer`: invalid values —
+        Every emitted measurement becomes a
+        :class:`~repro.core.sample.Sample` only after
+        :meth:`~repro.core.sanitize.SampleSanitizer.check` passes it, one
+        at a time in emission order: invalid values —
         whether from an injected ``corrupt-sample``/``drop-metric`` fault
         in ``faults`` (see :mod:`repro.runtime.faults`) or a genuinely
         degraded source — are quarantined into ``result.quality`` instead
@@ -165,23 +163,13 @@ class SampleCollector:
         for metric in sorted(dropped_metrics):
             quality.dropped_metrics[metric] = "injected drop-metric fault"
         emit_index = 0
-        fallback = scalar_fallback_enabled()
 
         samples = SampleSet()
-        # Columnar emission path: measurements land in parallel raw lists
-        # (metric, T, W, M, flush id) and are sanitized as arrays after the
-        # run — Sample objects never materialize on the hot path.
-        raw_metrics: list[str] = []
-        raw_time: list[float] = []
-        raw_work: list[float] = []
-        raw_count: list[float] = []
-        raw_period: list[int] = []
         full_counts: dict[str, float] = {name: 0.0 for name in self.catalog.names}
         total_cycles = 0.0
         total_instructions = 0.0
         overhead = 0.0
         periods = 0
-        flush_count = 0
 
         # Per-period accumulators: group index -> (T, W, {event: M}).
         def fresh_accumulators() -> list[tuple[list[float], dict[str, float]]]:
@@ -192,7 +180,7 @@ class SampleCollector:
         group_cursor = 0
 
         def flush_period() -> None:
-            nonlocal accumulators, window_in_period, periods, emit_index, flush_count
+            nonlocal accumulators, window_in_period, periods, emit_index
             emitted = False
             for (tw, metric_counts) in accumulators:
                 t, w = tw
@@ -207,13 +195,6 @@ class SampleCollector:
                     if emit_index in corrupt_indices:
                         count = float("nan")
                     emit_index += 1
-                    if not fallback:
-                        raw_metrics.append(name)
-                        raw_time.append(t)
-                        raw_work.append(w)
-                        raw_count.append(count)
-                        raw_period.append(flush_count)
-                        continue
                     reason = sanitizer.check(t, w, count)
                     if reason is not None:
                         quality.quarantined.append(
@@ -232,12 +213,11 @@ class SampleCollector:
                     emitted = True
             if emitted:
                 periods += 1
-            flush_count += 1
             accumulators = fresh_accumulators()
             window_in_period = 0
 
-        # One batched call per run: CoreModel vectorizes the whole spec
-        # column internally (bit-identical to per-window simulate_window).
+        # CoreModel.simulate_run is the scalar simulate_window loop, so a
+        # collection is the fused engine's oracle all the way down.
         for activity in core.simulate_run(list(specs), rng):
             total_cycles += activity.cycles
             total_instructions += activity.instructions
@@ -275,39 +255,6 @@ class SampleCollector:
                 flush_period()
 
         flush_period()
-        if not fallback:
-            # Vectorized screening of the raw columns: the same per-value
-            # predicate sanitizer.check applies, with quarantine entries
-            # resolved in emission order.  A period counts iff at least one
-            # of its measurements survived, matching the scalar flush.
-            array = SampleArray.from_lists(raw_metrics, raw_time, raw_work, raw_count)
-            t, w, m = array.time, array.work, array.metric_count
-            bad = (
-                ~np.isfinite(t) | ~np.isfinite(w) | ~np.isfinite(m)
-                | (t <= 0) | (w < 0) | (m < 0)
-            )
-            period_ids = np.asarray(raw_period, dtype=np.int64)
-            if bad.any():
-                names = array.metric_names
-                ids = array.metric_ids
-                for index in np.flatnonzero(bad):
-                    ti = float(t[index])
-                    wi = float(w[index])
-                    mi = float(m[index])
-                    quality.quarantined.append(
-                        QuarantinedSample(
-                            metric=names[int(ids[index])],
-                            reason=sanitizer.check(ti, wi, mi),
-                            time=ti,
-                            work=wi,
-                            metric_count=mi,
-                        )
-                    )
-                keep = ~bad
-                array = array.select(keep)
-                period_ids = period_ids[keep]
-            periods = int(len(np.unique(period_ids)))
-            samples = SampleSet.from_columns(array)
         quality.kept = len(samples)
         return CollectionResult(
             samples=samples,

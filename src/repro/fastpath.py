@@ -1,22 +1,36 @@
 """Dispatch control for the vectorized hot path.
 
-Every vectorized kernel (columnar sampling, batch piecewise evaluation,
-array-based fitting and estimation) keeps its original scalar
-implementation alive as a reference oracle.  Setting
-``SPIRE_SCALAR_FALLBACK=1`` in the environment forces every dispatch
-point back onto the scalar path — the escape hatch used by the hot-path
-benchmark and by anyone bisecting a numerical discrepancy.  The flag is
-read at call time so a single process can compare both paths.
+Each computation has one fast path and one scalar reference oracle, and
+chooses between them once, at its entry point.  Setting
+``SPIRE_SCALAR_FALLBACK=1`` in the environment sends every computation
+down its oracle all the way: nothing below an entry point reads the
+switch.  The flag is read at call time so a single process can compare
+both paths.  The entry points are:
+
+- training and estimation: ``SpireModel.train`` and
+  ``SpireModel.estimate``, ``packed_estimate`` and
+  ``mean_absolute_bound_violation`` (:mod:`repro.core.ensemble`);
+- one roofline fit: ``fit_metric_roofline``;
+- samples in: ``SampleSanitizer.sanitize``, ``SampleSet.from_records``
+  and ``PerfStatParser.parse``;
+- simulation: ``collect_trace_samples`` (the trace substrate),
+  ``ParallelRunner._run_fused`` (the fused experiment engine, whose
+  oracle is the per-workload ``run_workload``) and
+  ``run_experiment_with_report`` (pooling the training samples);
+- streaming: ``StreamIngestor.push_perf`` and ``StreamIngestor.flush``,
+  and ``DriftMonitor.assess``;
+- serving: ``KernelGuard.use_fast``, the dispatch of
+  ``serve.batch_estimate``.
+
+A kernel called directly runs what it is: an ``*_arrays`` function its
+fast path, its scalar twin (``upper_concave_chain``, ``pareto_front``,
+``detect_direction``, ``fit_metric_roofline_scalar``) the reference.
 
 :func:`force_scalar` is the in-process equivalent, scoped to the current
 thread: ``serve.batch_estimate``'s runtime guard (:mod:`repro.guard`)
-wraps its oracle replay in it so that *every* nested dispatch point takes
-the scalar reference path while the oracle runs, and tests use it to
-compare both paths.
-
-Each vectorized kernel picks its path on this one switch; only
-``serve.batch_estimate``, whose inputs arrive over HTTP, also samples
-oracle checks at run time.
+wraps its oracle replay in it, and tests use it to compare both paths.
+Only ``serve.batch_estimate``, whose inputs arrive over HTTP, also
+samples oracle checks at run time.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ hull, exactly as the paper describes.  The vectorized variant evaluates
 each wrapping step as one slope-array reduction instead of a Python
 ``max`` over tuples; the walk itself stays sequential because every step
 depends on the previous vertex.
+
+Both walks pick the candidate with the highest slope from the current
+vertex and break exact slope ties by ``(x, y)``: the farthest point, and
+at one ``x`` the highest.  Two ``y`` values an ulp or so apart can round
+to one slope, so the tie-break must not depend on input or sort order.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from repro.fastpath import scalar_fallback_enabled
 
 
 def _slope(origin: tuple[float, float], point: tuple[float, float]) -> float:
@@ -40,8 +43,7 @@ def upper_concave_chain_arrays(
     """Vectorized :func:`upper_concave_chain` over coordinate columns.
 
     Identical contract and tie-breaking: each wrapping step picks the
-    highest slope from the current vertex, ties broken toward the largest
-    ``x``.
+    highest slope from the current vertex, ties broken by ``(x, y)``.
     """
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -62,13 +64,9 @@ def upper_concave_chain_arrays(
         return [anchor, target]
 
     # Candidates strictly between anchor and target in x, plus the target;
-    # sorted by x so each step's viable set is a suffix.  Candidates of
-    # equal x that tie on slope from one vertex have equal y, so the
-    # order of equal x inside the sort does not change the pick and the
-    # default (unstable) sort serves.  (Two y values an ulp or so apart
-    # can round to one slope; which of them is picked then depends on
-    # tie order, and the stable sort's last and the scalar reference's
-    # first already disagreed there.)
+    # sorted by x so each step's viable set is a suffix.  The order of
+    # equal x inside the sort is left to the default (unstable) sort: a
+    # step that ties resolves the tie by (x, y) itself.
     mask = (x > anchor[0]) & (x <= target[0])
     cx, cy = x[mask], y[mask]
     if not ((cx == target[0]) & (cy == target[1])).any():
@@ -90,8 +88,13 @@ def upper_concave_chain_arrays(
         ties = np.flatnonzero(slopes == slopes.max())
         # Highest slope wins; ties broken toward the farthest point (the
         # last tie in x-ascending order) so the chain uses as few vertices
-        # as possible.
-        pick = start + int(ties[-1])
+        # as possible, and at that x toward the highest point.
+        pick = int(ties[-1])
+        if len(ties) > 1:
+            viable_x, viable_y = cx[start:], cy[start:]
+            farthest = ties[viable_x[ties] == viable_x[pick]]
+            pick = int(farthest[np.argmax(viable_y[farthest])])
+        pick += start
         best = (float(cx[pick]), float(cy[pick]))
         chain.append(best)
         current = best
@@ -133,14 +136,6 @@ def upper_concave_chain(
         slopes are non-increasing (concave-down) and every input point in
         the covered x range lies on or below the chain.
     """
-    if not scalar_fallback_enabled():
-        pts = list(points)
-        return upper_concave_chain_arrays(
-            np.asarray([p[0] for p in pts], dtype=np.float64),
-            np.asarray([p[1] for p in pts], dtype=np.float64),
-            anchor=anchor,
-            target=target,
-        )
     pts = [(float(x), float(y)) for x, y in points]
     if target is None:
         if not pts:
@@ -171,8 +166,9 @@ def upper_concave_chain(
             chain.append(target)
             break
         # Highest slope wins; ties broken toward the farthest point so the
-        # chain uses as few vertices as possible.
-        best = max(viable, key=lambda p: (_slope(current, p), p[0]))
+        # chain uses as few vertices as possible, and at that x toward
+        # the highest point.
+        best = max(viable, key=lambda p: (_slope(current, p), p[0], p[1]))
         chain.append(best)
         current = best
         if current[0] >= target[0] and current != target:

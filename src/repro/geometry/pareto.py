@@ -13,7 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.fastpath import scalar_fallback_enabled
 from repro.guard.guardrails import check_pareto_front
 
 
@@ -59,35 +58,13 @@ def pareto_front(
     traversal order of the right fitting algorithm: from the rightmost,
     lowest-throughput sample toward the leftmost, highest-throughput one.
 
-    Duplicate points are collapsed to a single representative.
-
-    Takes the vectorized path unless ``SPIRE_SCALAR_FALLBACK`` forces
-    the scalar reference.  The returned front is screened by the
-    monotonicity guardrail.
+    Duplicate points are collapsed to a single representative.  This is
+    the scalar reference of :func:`pareto_front_arrays`; the returned
+    front is screened by the monotonicity guardrail.
     """
-    pts = list(points)
-    front = (
-        _pareto_front_scalar(pts) if scalar_fallback_enabled()
-        else _pareto_front_fast(pts)
+    unique = sorted(
+        {(float(x), float(y)) for x, y in points}, key=lambda p: (-p[0], -p[1])
     )
-    check_pareto_front(front)
-    return front
-
-
-def _pareto_front_fast(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not pts:
-        return []
-    fx, fy = pareto_front_arrays(
-        np.asarray([p[0] for p in pts], dtype=np.float64),
-        np.asarray([p[1] for p in pts], dtype=np.float64),
-    )
-    return list(zip(fx.tolist(), fy.tolist()))
-
-
-def _pareto_front_scalar(
-    pts: list[tuple[float, float]],
-) -> list[tuple[float, float]]:
-    unique = sorted({(float(x), float(y)) for x, y in pts}, key=lambda p: (-p[0], -p[1]))
     front: list[tuple[float, float]] = []
     best_y = float("-inf")
     for x, y in unique:
@@ -96,6 +73,7 @@ def _pareto_front_scalar(
         if y > best_y:
             front.append((x, y))
             best_y = y
+    check_pareto_front(front)
     return front
 
 

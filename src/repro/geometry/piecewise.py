@@ -171,18 +171,6 @@ class PiecewiseLinear:
             result[interior] = values
         return result
 
-    def evaluate_many(self, xs: Iterable[float]) -> list[float]:
-        """Evaluate the function at each value in ``xs``.
-
-        Routed through :meth:`evaluate_array`; the scalar loop remains
-        available as the reference oracle via ``SPIRE_SCALAR_FALLBACK``.
-        """
-        from repro.fastpath import scalar_fallback_enabled
-
-        if scalar_fallback_enabled():
-            return [self(x) for x in xs]
-        return self.evaluate_array(np.asarray(list(xs), dtype=np.float64)).tolist()
-
     def segments(self) -> list[tuple[Breakpoint, Breakpoint]]:
         """Return the (possibly degenerate) segments between breakpoints."""
         return list(zip(self._points, self._points[1:]))

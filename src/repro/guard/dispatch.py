@@ -15,8 +15,9 @@ through a named :class:`KernelGuard` from a process-wide registry:
   :class:`~repro.errors.GuardDivergenceError` instead.)
 
 Every other vectorized kernel keeps its scalar oracle as a test-time
-reference, reached through ``SPIRE_SCALAR_FALLBACK=1``
-(:mod:`repro.fastpath`) rather than sampled at run time.
+reference, reached through ``SPIRE_SCALAR_FALLBACK=1`` at the
+computation's entry point (:mod:`repro.fastpath`) rather than sampled at
+run time.
 
 Configuration is environment-driven: ``SPIRE_GUARD_RATE`` (default 64;
 ``1`` checks every call, ``0`` never checks), ``SPIRE_GUARD_SEED``,

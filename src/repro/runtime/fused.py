@@ -401,7 +401,7 @@ def _emit_samples(
     w = np.repeat(work, group_sizes, axis=1)[live]
     m = counts[live]
     # Metric ids number the catalog indices by first appearance, which is
-    # how SampleArray.from_lists interns the collector's metric names.
+    # how SampleArray.from_samples interns the collector's samples.
     found, first, inverse = np.unique(
         event_ids[events], return_index=True, return_inverse=True
     )
@@ -410,7 +410,9 @@ def _emit_samples(
     rank[order] = np.arange(len(order))
     array = SampleArray(rank[inverse], [names[i] for i in found[order]], t, w, m)
 
-    # Vectorized sanitize, identical to the collector's columnar path.
+    # Vectorized sanitize: the predicate SampleSanitizer.check applies to
+    # each value in the collector's loop, with quarantine entries in
+    # emission order.
     sanitizer = SampleSanitizer()
     quality = QualityReport(total=len(array))
     bad = (

@@ -7,8 +7,10 @@ samples as they arrive, so :class:`OnlineSpire` keeps each metric's
 :meth:`OnlineSpire.refresh` refits only the dirty metrics, each with
 :func:`~repro.core.roofline.fit_metric_roofline_arrays` over its buffered
 points.  A streamed roofline is therefore the batch roofline of its
-samples by construction, and the fit's kernels keep their scalar oracles
-behind ``SPIRE_SCALAR_FALLBACK=1`` (:mod:`repro.fastpath`).
+samples by construction.  A refit reads no switch; the fit's scalar
+oracle, :func:`~repro.core.roofline.fit_metric_roofline_scalar`, is what
+``SpireModel.train`` and ``fit_metric_roofline`` run under
+``SPIRE_SCALAR_FALLBACK=1`` (:mod:`repro.fastpath`).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fastpath import scalar_fallback_enabled
 
 
 class GsharePredictor:
@@ -79,31 +78,12 @@ class GsharePredictor:
         monotonically through a run, so each run collapses to one
         closed-form update while per-branch predictions are recovered
         from the run's starting counter and the offset within the run.
-
-        ``SPIRE_SCALAR_FALLBACK`` routes the batch through the retained
-        scalar :meth:`update` loop instead.
         """
         pcs = np.asarray(pcs, dtype=np.int64)
         taken = np.asarray(taken, dtype=np.bool_)
-        if len(pcs) == 0:
-            return np.zeros(0, dtype=np.bool_)
-        if scalar_fallback_enabled():
-            return self._update_scalar(pcs, taken)
-        return self._update_batch_fast(pcs, taken)
-
-    def _update_scalar(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
-        """The retained scalar reference loop behind :meth:`update_batch`."""
-        return np.fromiter(
-            (
-                self.update(int(pc), bool(t))
-                for pc, t in zip(pcs.tolist(), taken.tolist())
-            ),
-            dtype=np.bool_,
-            count=len(pcs),
-        )
-
-    def _update_batch_fast(self, pcs: np.ndarray, taken: np.ndarray) -> np.ndarray:
         n = len(pcs)
+        if n == 0:
+            return np.zeros(0, dtype=np.bool_)
         history_bits = self.history_bits
         taken_bits = taken.astype(np.int64)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.fastpath import scalar_fallback_enabled
 
 #: Hierarchy level names in batch level-code order (0..3).
 LEVELS = ("l1", "l2", "l3", "dram")
@@ -111,27 +110,11 @@ class SetAssociativeCache:
         run's first access can miss, the rest re-touch the MRU way.  Runs
         are then replayed round-by-round, one run per set per round, on
         the dense tag matrix.
-
-        ``SPIRE_SCALAR_FALLBACK`` routes the column through the retained
-        scalar :meth:`access` loop instead.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        if len(addresses) == 0:
-            return np.zeros(0, dtype=np.bool_)
-        if scalar_fallback_enabled():
-            return self._access_scalar(addresses)
-        return self._access_batch_fast(addresses)
-
-    def _access_scalar(self, addresses: np.ndarray) -> np.ndarray:
-        """The retained scalar reference loop behind :meth:`access_batch`."""
-        return np.fromiter(
-            (self.access(int(a)) for a in addresses.tolist()),
-            dtype=np.bool_,
-            count=len(addresses),
-        )
-
-    def _access_batch_fast(self, addresses: np.ndarray) -> np.ndarray:
         n = len(addresses)
+        if n == 0:
+            return np.zeros(0, dtype=np.bool_)
         lines = addresses // self.line
         set_ids = lines % self.n_sets
         dense = self._dense_state()

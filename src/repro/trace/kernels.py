@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.bulkrng import random_draws
 from repro.errors import ConfigError
-from repro.fastpath import scalar_fallback_enabled
 from repro.trace.trace_array import KIND_CODES, TraceArray
 from repro.trace.uops import MicroOp
 
@@ -366,17 +365,10 @@ def array_builder_by_name(name: str) -> Callable:
 def make_kernel_trace_array(
     name: str, n: int, intensity: float, seed: int = 0
 ) -> TraceArray:
-    """Columnar :func:`make_kernel_trace`: the same trace, as a TraceArray.
-
-    With ``SPIRE_SCALAR_FALLBACK=1`` the trace is produced by the scalar
-    generator and bridged, exercising the reference oracle end to end.
-    """
+    """Columnar :func:`make_kernel_trace`: the same trace, as a TraceArray."""
     if not 0.0 <= intensity <= 1.0:
         raise ConfigError(f"kernel intensity must be in [0, 1], got {intensity}")
     if n < 1:
         raise ConfigError("trace needs at least one micro-op")
     builder = array_builder_by_name(name)
-    if scalar_fallback_enabled():
-        return TraceArray.from_microops(make_kernel_trace(name, n, intensity, seed))
-    rng = random.Random(seed)
-    return builder(n, intensity, rng)
+    return builder(n, intensity, random.Random(seed))

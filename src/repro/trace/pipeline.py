@@ -32,7 +32,6 @@ import numpy as np
 from time import perf_counter
 
 from repro.errors import ConfigError
-from repro.fastpath import scalar_fallback_enabled
 from repro.trace import phases, wavefront
 from repro.trace.branch import GsharePredictor
 from repro.trace.cache import CacheHierarchy
@@ -319,16 +318,13 @@ class TracePipeline:
         :meth:`_run_block`).
 
         State persists across calls and is shared with :meth:`execute`,
-        so scalar and columnar windows can be mixed freely.  With
-        ``SPIRE_SCALAR_FALLBACK=1`` each block is bridged to ``MicroOp``
-        objects and replayed through the scalar oracle instead (see
-        :meth:`_execute_block`).
+        so scalar and columnar windows can be mixed freely.
         """
         n = len(trace)
         for start in range(0, n, block_size):
             stop = min(start + block_size, n)
             block = trace if (start == 0 and stop == n) else trace.slice(start, stop)
-            self._execute_block(block)
+            self._run_block(block, [], [])
         return self.counters
 
     def execute_array_windowed(
@@ -344,8 +340,6 @@ class TracePipeline:
         whole ``block_size`` blocks and enters the sequential recurrence
         once per block instead of once per window; the block loop walks
         the block one window slice at a time and snapshots between them.
-        ``SPIRE_SCALAR_FALLBACK=1`` replays each window slice through
-        :meth:`execute` instead (see :meth:`_execute_block`).
         """
         if window_uops < 1:
             raise ConfigError("need window_uops >= 1")
@@ -362,44 +356,8 @@ class TracePipeline:
             stop = min(start + block_size, n)
             relative = [b - start for b in boundaries if start < b <= stop]
             block = trace if (start == 0 and stop == n) else trace.slice(start, stop)
-            self._execute_block(block, boundaries=relative, snapshots=snapshots)
+            self._run_block(block, relative, snapshots)
         return snapshots
-
-    def _execute_block(
-        self,
-        block: "TraceArray",
-        boundaries: "list[int] | None" = None,
-        snapshots: "list[PipelineCounters] | None" = None,
-    ) -> None:
-        """One block through the recurrence, or through ``execute``.
-
-        ``boundaries`` are block-relative window ends; a counter snapshot
-        is appended to ``snapshots`` at each.  The block loop
-        (:meth:`_run_block`) runs unless ``SPIRE_SCALAR_FALLBACK`` forces
-        the scalar oracle, which replays the block uop by uop through
-        :meth:`execute` (:meth:`_replay_block`).
-        """
-        if len(block) == 0:
-            return
-        out: list[PipelineCounters] = [] if snapshots is None else snapshots
-        run = self._replay_block if scalar_fallback_enabled() else self._run_block
-        run(block, boundaries or [], out)
-
-    def _replay_block(
-        self,
-        block: "TraceArray",
-        boundaries: "list[int]",
-        snapshots: "list[PipelineCounters]",
-    ) -> None:
-        """The oracle: the block's uops through :meth:`execute`."""
-        ops = block.to_microops()
-        start = 0
-        for stop in boundaries:
-            self.execute(ops[start:stop])
-            snapshots.append(self.snapshot())
-            start = stop
-        if start < len(ops):
-            self.execute(ops[start:])
 
     def _run_block(
         self,

@@ -12,8 +12,9 @@ The kernel generators in :mod:`repro.trace.kernels` emit these arrays
 directly (no per-uop allocation) and
 :meth:`TracePipeline.execute_array <repro.trace.pipeline.TracePipeline.execute_array>`
 consumes them through vectorized predictor/cache kernels.  Conversion to
-and from ``MicroOp`` lists is lossless; the object path remains the
-dispatching reference oracle behind ``SPIRE_SCALAR_FALLBACK=1``.
+and from ``MicroOp`` lists is lossless; the object path
+(:func:`~repro.trace.sampling.collect_trace_samples` under
+``SPIRE_SCALAR_FALLBACK=1``) remains the reference oracle.
 
 Representation
 --------------

@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from repro.pipeline import ExperimentConfig, run_workload
 from repro.runtime import fused
 from repro.runtime.fused import runs_equal, simulate_tasks_fused
-from repro.runtime.plan import TESTING, TRAINING, WorkloadTask
+from repro.runtime.plan import TESTING, TRAINING, ExecutionPlan, WorkloadTask
+from repro.runtime.runner import ParallelRunner
 from repro.trace import TraceArray, TracePipeline, collect_trace_samples
 from repro.trace.kernels import ARRAY_BUILDERS, array_builder_by_name
 from repro.trace.sampling import _emit_rows
@@ -271,12 +272,34 @@ def test_fused_chunk_boundaries_match_per_workload(monkeypatch, case):
 
 
 def test_fused_engine_scalar_fallback_routes_oracle(monkeypatch):
+    # The engine reads no switch: under SPIRE_SCALAR_FALLBACK=1 the runner
+    # must send every task to run_workload, the engine's oracle, and never
+    # enter the engine.
+    import repro.pipeline
+
+    tasks = _subset_tasks((0, 5, 9), (6, 6, 6))
+    plan = ExecutionPlan(
+        tasks=tuple(tasks),
+        machine=skylake_gold_6126(),
+        config=ExperimentConfig(windows_per_period=6, seed=1),
+    )
+    ran = []
+    oracle = repro.pipeline.run_workload
+
+    def spy(workload, *args, **kwargs):
+        ran.append(workload.name)
+        return oracle(workload, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fused engine ran")
+
+    monkeypatch.setattr(repro.pipeline, "run_workload", spy)
+    monkeypatch.setattr(fused, "simulate_tasks_fused", refuse)
     monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
-    config = ExperimentConfig(windows_per_period=6, seed=1)
-    machine = skylake_gold_6126()
-    tasks = _subset_tasks((0, 5), (6, 6))
-    via_oracle = simulate_tasks_fused(tasks, machine, config)
+    runs = ParallelRunner().run(plan)
+    assert ran == [task.name for task in tasks]
+    assert all(run is not None for run in runs)
+
     monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
-    fast = simulate_tasks_fused(tasks, machine, config)
-    for a, b in zip(via_oracle, fast):
-        assert runs_equal(a, b)
+    with pytest.raises(AssertionError, match="the fused engine ran"):
+        ParallelRunner().run(plan)

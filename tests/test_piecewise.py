@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear, merge_min
@@ -71,9 +72,9 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="NaN"):
             f(math.nan)
 
-    def test_evaluate_many(self):
+    def test_evaluate_array(self):
         f = PiecewiseLinear([(0.0, 0.0), (2.0, 4.0)])
-        assert f.evaluate_many([0.0, 1.0, 2.0]) == [0.0, 2.0, 4.0]
+        assert f.evaluate_array(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 2.0, 4.0]
 
     def test_multi_segment(self):
         f = PiecewiseLinear([(0.0, 0.0), (1.0, 4.0), (3.0, 6.0), (5.0, 6.0)])

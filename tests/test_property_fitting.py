@@ -139,27 +139,35 @@ def test_serialization_preserves_estimates(samples):
         ),
         min_size=0,
         max_size=7,
-    )
+    ),
+    st.lists(st.floats(min_value=0.1, max_value=5.0), min_size=0, max_size=4),
 )
-def test_right_fit_matches_exhaustive_optimum(points):
+def test_right_fit_matches_exhaustive_optimum(points, infinite_levels):
     """Dijkstra over the segment graph finds the globally optimal valid fit
-    (verified against brute force over all Pareto-subset chains)."""
+    (verified against brute force over all Pareto-subset chains), with
+    infinite-intensity samples weighing on the flat tail."""
     from itertools import combinations
 
     from repro.core.right_fit import fit_right_region
     from repro.geometry.pareto import pareto_front
 
     apex = (1.0, 5.0)
-    result = fit_right_region(points, apex)
+    result = fit_right_region(points, apex, infinite_throughputs=infinite_levels)
 
     front = pareto_front(list(points) + [apex])
     last = len(front) - 1
     apex_y = front[last][1]
+    # The flat tail is the fit at infinite intensity: it must cover every
+    # infinite-intensity sample.
+    top = max(infinite_levels, default=-math.inf)
+    tail_floor = top - 1e-12 * max(1.0, abs(top))
 
     def chain_error(subset):
-        error = sum(
-            (front[subset[0]][1] - front[k][1]) ** 2 for k in range(subset[0])
-        )
+        level = front[subset[0]][1]
+        if level < tail_floor:
+            return None
+        error = sum((level - front[k][1]) ** 2 for k in range(subset[0]))
+        error += sum((level - p) ** 2 for p in infinite_levels)
         previous_slope = 0.0
         for a, b in zip(subset, subset[1:]):
             (ax, ay), (bx, by) = front[a], front[b]

@@ -172,29 +172,6 @@ def test_array_builders_match_generators(kernel):
         assert columnar == scalar, (kernel, n, intensity, seed)
 
 
-def test_make_kernel_trace_array_fallback_routes_scalar(monkeypatch):
-    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
-    via_oracle = make_kernel_trace_array("mixed", 300, 0.5, seed=2)
-    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
-    assert via_oracle == make_kernel_trace_array("mixed", 300, 0.5, seed=2)
-
-
-def test_execute_array_fallback_routes_through_scalar_execute(monkeypatch):
-    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
-    pipeline = TracePipeline()
-    calls = []
-    original = TracePipeline.execute
-
-    def spy(self, trace):
-        calls.append(len(trace))
-        return original(self, trace)
-
-    monkeypatch.setattr(TracePipeline, "execute", spy)
-    trace = make_kernel_trace_array("stream", 200, 0.4, seed=1)
-    pipeline.execute_array(trace)
-    assert calls == [200]
-
-
 # ----------------------------------------------------------------------
 # Hypothesis parity: vectorized kernels vs scalar references
 # ----------------------------------------------------------------------
@@ -437,7 +414,6 @@ def test_bulk_draws_match_scalar_lognormals(
 
 
 def test_simulate_run_fallback_routes_per_window(monkeypatch):
-    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
     core = CoreModel(skylake_gold_6126())
     calls = []
     original = CoreModel.simulate_window

@@ -1,15 +1,21 @@
 """Scalar-vs-vectorized parity: the NumPy kernels against the reference path.
 
-Every kernel behind ``SPIRE_SCALAR_FALLBACK`` must reproduce the scalar
-implementation: same breakpoints, same estimates, same rejection reasons.
-These tests run each operation twice — once per path — and compare to
-1e-9 (bit-identical in practice), plus the edge cases where the two
+Every fast path must reproduce its scalar reference: same breakpoints,
+same estimates, same rejection reasons.  Entry points (training,
+estimation, sanitizing, one roofline fit) run twice, once on each side
+of ``SPIRE_SCALAR_FALLBACK``; the kernels below them (piecewise
+evaluation, the Pareto front, direction detection, the left hull and
+the whole fit) are called directly, array twin against scalar
+reference, since nothing below an entry point reads the switch.
+Results agree to 1e-9 or exactly, plus the edge cases where the two
 implementations are most likely to drift: empty groups, single-breakpoint
 functions, duplicate-x Pareto columns, all-infinite-intensity metrics,
 and NaN rejection in the sanitizers.
 """
 
 import math
+import random
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -23,17 +29,23 @@ from repro.core.direction import (
     _ranks,
     _ranks_array,
     detect_direction,
+    detect_direction_arrays,
     spearman,
     spearman_arrays,
 )
 from repro.core.ensemble import SpireModel
-from repro.core.roofline import fit_metric_roofline
+from repro.core.roofline import (
+    RooflineFitOptions,
+    fit_metric_roofline,
+    fit_metric_roofline_arrays,
+    fit_metric_roofline_scalar,
+)
 from repro.core.sample import Sample, SampleSet
 from repro.core.sanitize import SampleSanitizer
 from repro.errors import FitError
 from repro.fastpath import force_scalar
 from repro.geometry.hull import upper_concave_chain, upper_concave_chain_arrays
-from repro.geometry.pareto import pareto_front
+from repro.geometry.pareto import pareto_front, pareto_front_arrays
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
 
 TOLERANCE = 1e-9
@@ -117,6 +129,84 @@ def test_train_and_estimate_parity(samples):
     assert s_est.sample_counts == v_est.sample_counts
 
 
+@st.composite
+def seeded_cloud(draw):
+    """One metric's samples as seeded random floats, some never firing."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    never = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    samples = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        count = 0.0 if rng.random() < never else rng.uniform(1e-3, 1e6)
+        samples.append(
+            Sample(
+                "m",
+                time=rng.uniform(1.0, 1e6),
+                work=rng.uniform(1.0, 1e6),
+                metric_count=count,
+            )
+        )
+    return samples
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_cloud(), st.sampled_from(["apex-split", "trend"]))
+def test_scalar_and_array_fits_are_equal(samples, mode):
+    options = RooflineFitOptions(direction_mode=mode)
+    # The oracle runs as SpireModel.train runs it under the switch.
+    with force_scalar():
+        oracle = fit_metric_roofline_scalar(samples, options)
+    fast = fit_metric_roofline_arrays(
+        "m",
+        np.array([s.intensity for s in samples]),
+        np.array([s.throughput for s in samples]),
+        options=options,
+    )
+    # Exact equality, right fit included: its front, its segment-graph
+    # path and its total error.
+    assert fast == oracle
+
+
+#: Every fast fit kernel: the oracle fit must reach none of them.
+_ARRAY_FIT_KERNELS = (
+    "fit_metric_roofline_arrays",
+    "fit_left_region_arrays",
+    "fit_right_region_arrays",
+    "upper_concave_chain_arrays",
+    "pareto_front_arrays",
+    "detect_direction_arrays",
+    "spearman_arrays",
+)
+
+
+def test_train_oracle_runs_no_array_fit_kernel(monkeypatch):
+    rng = random.Random(3)
+    samples = [
+        Sample(
+            metric,
+            time=rng.uniform(1.0, 10.0),
+            work=rng.uniform(1.0, 10.0),
+            metric_count=0.0 if k % 5 == 0 else rng.uniform(0.1, 10.0),
+        )
+        for metric in ("m", "n")
+        for k in range(30)
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an array fit kernel ran")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for name in _ARRAY_FIT_KERNELS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
+    model = SpireModel.train(SampleSet(samples))
+    assert model.metrics == ["m", "n"]
+    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
+    with pytest.raises(AssertionError, match="an array fit kernel ran"):
+        SpireModel.train(SampleSet(samples))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -136,7 +226,7 @@ def test_piecewise_evaluation_parity(points, queries):
     bps = [Breakpoint(x, y) for x, (_, y) in zip(xs, points)]
     function = PiecewiseLinear(bps)
     scalar = [function(q) for q in queries]
-    batch = function.evaluate_many(queries)
+    batch = function.evaluate_array(np.asarray(queries, dtype=np.float64)).tolist()
     assert len(scalar) == len(batch)
     for a, b in zip(scalar, batch):
         assert close(a, b)
@@ -154,8 +244,11 @@ def test_piecewise_evaluation_parity(points, queries):
     )
 )
 def test_pareto_front_parity_with_duplicate_x(points):
-    scalar, vectorized = both_paths(lambda: pareto_front(points))
-    assert scalar == vectorized
+    xs, ys = pareto_front_arrays(
+        np.array([x for x, _ in points], dtype=np.float64),
+        np.array([y for _, y in points], dtype=np.float64),
+    )
+    assert list(zip(xs.tolist(), ys.tolist())) == pareto_front(points)
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,11 +263,13 @@ def test_pareto_front_parity_with_duplicate_x(points):
     )
 )
 def test_direction_parity(pairs):
-    scalar, vectorized = both_paths(lambda: detect_direction(pairs))
-    assert scalar == vectorized
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    vectorized = detect_direction_arrays(
+        np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    )
+    assert vectorized == detect_direction(pairs)
     if len(pairs) >= 3:
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
         assert close(
             spearman(xs, ys),
             spearman_arrays(np.asarray(xs), np.asarray(ys)),
@@ -223,9 +318,30 @@ def test_hull_parity_with_duplicate_x(points, target):
     vectorized = _chain_or_error(
         lambda: upper_concave_chain_arrays(xs, ys, target=target)
     )
-    with force_scalar():
-        scalar = _chain_or_error(lambda: upper_concave_chain(points, target=target))
+    scalar = _chain_or_error(lambda: upper_concave_chain(points, target=target))
     assert vectorized == scalar
+
+
+#: Two hull candidates at one x whose y values are an ulp apart: from the
+#: origin both round to one slope toward the target's line.
+_ULP_LOW = (1.7637746189766141, 1.765207077218265)
+_ULP_HIGH = (1.7637746189766141, 1.7652070772182653)
+_ULP_TARGET = (3.5275492379532283, 2.6478106158273977)
+
+
+@pytest.mark.parametrize(
+    "points", [[_ULP_LOW, _ULP_HIGH], [_ULP_HIGH, _ULP_LOW]], ids=["low-first", "high-first"]
+)
+def test_hull_slope_ties_break_by_x_then_y(points):
+    origin = (0.0, 0.0)
+    assert (_ULP_LOW[1] - origin[1]) / (_ULP_LOW[0] - origin[0]) == (
+        _ULP_HIGH[1] - origin[1]
+    ) / (_ULP_HIGH[0] - origin[0])
+    xs = np.array([x for x, _ in points])
+    ys = np.array([y for _, y in points])
+    expected = [origin, _ULP_HIGH, _ULP_TARGET]
+    assert upper_concave_chain(points, target=_ULP_TARGET) == expected
+    assert upper_concave_chain_arrays(xs, ys, target=_ULP_TARGET) == expected
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +358,11 @@ def test_empty_sample_group_raises_on_both_paths():
 
 def test_single_breakpoint_function_batch_evaluation():
     function = PiecewiseLinear([Breakpoint(2.0, 5.0)])
-    assert function.evaluate_many([0.0, 2.0, 10.0]) == [5.0, 5.0, 5.0]
+    assert function.evaluate_array(np.array([0.0, 2.0, 10.0])).tolist() == [
+        5.0,
+        5.0,
+        5.0,
+    ]
     assert function(math.inf) == 5.0
 
 
