@@ -40,13 +40,11 @@ def test_spire_tma_agreement(benchmark, experiment):
     ]
     matches = 0
     for row in rows:
-        name = row["workload"]
-        report = reports[name]
-        top1 = report.area_of(report.top(1)[0].metric)
-        match = row["baseline_category"] in (top1, row["spire_dominant_area"])
+        match = row["agrees"]
         matches += match
         lines.append(
-            f"{name:<24} {row['baseline_category']:<16} {top1:<16} "
+            f"{row['workload']:<24} {row['baseline_category']:<16} "
+            f"{row['spire_top_area']:<16} "
             f"{row['spire_dominant_area']:<16} {str(match):<6} "
             f"{row['top_k_area_fraction']:.2f}"
         )

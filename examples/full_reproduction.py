@@ -37,10 +37,9 @@ def main() -> None:
                 f"  {entry.estimate:9.3f}  {report.area_of(entry.metric):<16} "
                 f"{abbr:<5} {entry.metric}"
             )
-        top_area = report.area_of(report.top(1)[0].metric)
-        match = top_area == tma_category or report.dominant_area(10) == tma_category
+        match = report.agrees_with(tma_category, 10)
         agreements += match
-        print(f"  -> SPIRE #1 metric area: {top_area}  "
+        print(f"  -> SPIRE #1 metric area: {report.top_area}  "
               f"({'agrees with' if match else 'differs from'} TMA)")
     print("=" * 74)
     print(f"SPIRE/TMA agreement on {agreements}/{len(result.testing_runs)} test workloads")

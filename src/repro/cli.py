@@ -209,13 +209,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     matches = 0
     for name, run in result.testing_runs.items():
         report = result.analyze(name, top_k=args.top)
-        top1_area = report.area_of(report.top(1)[0].metric)
         tma = run.table1_category
-        match = tma in (top1_area, report.dominant_area(args.top))
+        match = report.agrees_with(tma, args.top)
         matches += match
         print(
             f"{name:<24} IPC {report.measured_throughput:5.2f}  "
-            f"TMA {tma:<16} SPIRE #1 {top1_area:<16} "
+            f"TMA {tma:<16} SPIRE #1 {report.top_area:<16} "
             f"{'agree' if match else 'differ'}"
         )
         for entry in report.top(args.top):
@@ -246,12 +245,10 @@ def _faultsim_drift(args: argparse.Namespace) -> int:
     from collections import Counter
 
     from repro.errors import DegradedDataWarning
-    from repro.guard.dispatch import registry, reset_guards
     from repro.runtime.faults import DRIFT_INJECT, STALE_WINDOW, FaultPlan, FaultSpec
     from repro.stream import replay_stream, windows_from_records
     from repro.workloads import all_workloads
 
-    reset_guards()
     names = [w.name for w in all_workloads()]
     workload = names[args.fault_seed % len(names)]
     config = ExperimentConfig(seed=args.seed)
@@ -296,6 +293,9 @@ def _faultsim_drift(args: argparse.Namespace) -> int:
     if "refit" not in actions:
         print(f"FAIL: the drift monitor never refit {victim!r} (saw {actions})")
         return 1
+    if victim not in faulted.report.refuted_metrics:
+        print(f"FAIL: {victim!r} is missing from the stream's refuted metrics")
+        return 1
     if victim not in faulted.ingestor.stream_metrics:
         print(f"FAIL: {victim!r} was not taken over by the stream after refit")
         return 1
@@ -338,12 +338,6 @@ def _faultsim_drift(args: argparse.Namespace) -> int:
         print("FAIL: the late window's records were not quarantined")
         return 1
 
-    health = registry().health_report()
-    print()
-    print(health.render())
-    if victim not in health.drifted_metrics:
-        print(f"FAIL: {victim!r} is missing from the health report's drift")
-        return 1
     print(
         f"PASS: {victim!r} refuted and refit from recent windows, "
         f"{len(bystanders)} bystander(s) bit-identical; stalled window "
@@ -613,7 +607,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     import warnings
 
     from repro.errors import DegradedDataWarning
-    from repro.guard.dispatch import registry
     from repro.stream import StreamIngestor, StreamOptions
 
     model = load_model(args.model) if args.model else None
@@ -648,10 +641,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
     else:
         print("serving no metrics yet (stream still warming up)")
-    health = registry().health_report()
-    if health.drift_events or not health.ok:
-        print()
-        print(health.render())
     return 1 if report.stale else 0
 
 

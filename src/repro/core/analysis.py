@@ -90,6 +90,17 @@ class AnalysisReport:
         return sorted(tied)[0]  # pragma: no cover - unreachable fallback
 
     @property
+    def top_area(self) -> str:
+        """Area of the most-limiting metric."""
+        return self.area_of(self.ranking[0].metric)
+
+    def agrees_with(self, category: str, count: int | None = None) -> bool:
+        """§V's rule: a baseline's main bottleneck ``category`` (TMA's)
+        agrees when it is :attr:`top_area` or the top ``count``'s
+        :meth:`dominant_area`."""
+        return category in (self.top_area, self.dominant_area(count))
+
+    @property
     def estimation_ratio(self) -> float:
         """Estimated max throughput over measured throughput.
 
@@ -138,7 +149,10 @@ def summarize_agreement(
     baseline_categories: Mapping[str, str],
     top_k: int = 10,
 ) -> list[dict]:
-    """Per-workload agreement rows between SPIRE and a baseline classifier."""
+    """Per-workload agreement rows between SPIRE and a baseline classifier.
+
+    ``agrees`` is :meth:`AnalysisReport.agrees_with`'s verdict.
+    """
     rows = []
     for workload, report in reports.items():
         baseline = baseline_categories.get(workload, "?")
@@ -147,9 +161,10 @@ def summarize_agreement(
         rows.append(
             {
                 "workload": workload,
+                "spire_top_area": report.top_area,
                 "spire_dominant_area": spire_dominant,
                 "baseline_category": baseline,
-                "dominant_match": spire_dominant == baseline,
+                "agrees": report.agrees_with(baseline, top_k),
                 "top_k_area_fraction": rank_agreement(areas, baseline),
             }
         )

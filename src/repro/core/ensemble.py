@@ -15,6 +15,7 @@ serving micro-batcher, the stream's window estimates and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -182,8 +183,10 @@ class SpireModel:
         if scalar_fallback_enabled():
             groups = list(sample_set.grouped().items())
             fitted = [
-                fit_metric_roofline_scalar(group, opts.roofline)
-                for _, group in groups
+                fit_metric_roofline_scalar(
+                    metric, [s.as_point() for s in group], opts.roofline
+                )
+                for metric, group in groups
             ]
         else:
             # Columnar grouping: per-metric row slices of the clean array,
@@ -264,26 +267,20 @@ class SpireModel:
 
         Samples of metrics absent from the ensemble are skipped (collected
         in ``skipped_metrics``) unless ``strict`` is set, in which case
-        they raise :class:`EstimationError`.  Takes the columnar path
-        unless ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference.
+        they raise :class:`EstimationError`, as :func:`finish_estimate`
+        does for totals that overflow.  Takes the columnar path unless
+        ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference.
         """
         sample_set = _as_sample_set(samples)
         if not sample_set:
             raise EstimationError("cannot estimate from an empty sample set")
 
-        per_metric, counts, skipped = (
+        parts = (
             self._estimate_scalar(sample_set, strict)
             if scalar_fallback_enabled()
             else self._estimate_columnar(sample_set, strict)
         )
-        if not per_metric:
-            raise EstimationError(
-                "none of the sample metrics are covered by this model"
-            )
-        check_estimates(per_metric)
-        return EnsembleEstimate(
-            per_metric=per_metric, sample_counts=counts, skipped_metrics=skipped
-        )
+        return finish_estimate(*parts)
 
     def _estimate_scalar(
         self, sample_set: SampleSet, strict: bool
@@ -497,13 +494,18 @@ def finish_estimate(
     sample_counts: dict[str, int],
     skipped_metrics: list[str],
 ) -> EnsembleEstimate:
-    """:class:`EnsembleEstimate` from :func:`fused_estimate`'s parts.
+    """:class:`EnsembleEstimate` from one estimate's per-metric parts.
 
-    Raises and guards exactly as :meth:`SpireModel.estimate` does once
-    its per-metric values are in.
+    Every estimate path ends here.  No covered metric, or a non-finite
+    value (finite samples whose sums overflow float64), is that call's
+    :class:`EstimationError`, decided before the guardrail runs.
     """
     if not per_metric:
         raise EstimationError(_NO_COVERAGE)
+    if not all(map(math.isfinite, per_metric.values())):
+        raise EstimationError(
+            "the samples' totals overflow: no finite estimate"
+        )
     check_estimates(per_metric)
     return EnsembleEstimate(
         per_metric=per_metric,

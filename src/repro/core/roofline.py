@@ -268,13 +268,13 @@ def fit_metric_roofline(
                 f"mixed metrics in one roofline group: "
                 f"{samples.metric_names[first]!r} and {other!r}"
             )
+        metric = samples.metric_names[first]
         if scalar_fallback_enabled():
-            return fit_metric_roofline_scalar(list(samples.iter_samples()), opts)
+            return fit_metric_roofline_scalar(
+                metric, [s.as_point() for s in samples.iter_samples()], opts
+            )
         return fit_metric_roofline_arrays(
-            samples.metric_names[first],
-            samples.intensity,
-            samples.throughput,
-            options=opts,
+            metric, samples.intensity, samples.throughput, options=opts
         )
     sample_list = list(samples)
     if not sample_list:
@@ -287,7 +287,9 @@ def fit_metric_roofline(
                 f"{sample.metric!r}"
             )
     if scalar_fallback_enabled():
-        return fit_metric_roofline_scalar(sample_list, opts)
+        return fit_metric_roofline_scalar(
+            metric, [s.as_point() for s in sample_list], opts
+        )
     return fit_metric_roofline_arrays(
         metric,
         np.asarray([s.intensity for s in sample_list], dtype=np.float64),
@@ -297,18 +299,17 @@ def fit_metric_roofline(
 
 
 def fit_metric_roofline_scalar(
-    sample_list: list[Sample],
+    metric: str,
+    points: Sequence[tuple[float, float]],
     opts: RooflineFitOptions,
 ) -> MetricRoofline:
     """The scalar reference fit (the fallback path's oracle).
 
     Runs the scalar reference of every fit kernel: the left hull, the
-    Pareto front and direction detection.  ``sample_list`` must be
-    non-empty and single-metric — :func:`fit_metric_roofline` validates,
-    and ``SpireModel.train`` passes per-metric groups.
+    Pareto front and direction detection.  ``points`` are one metric's
+    ``(I_x, P)`` points, as :func:`fit_metric_roofline_arrays` takes
+    columns, and must be non-empty.
     """
-    metric = sample_list[0].metric
-    points = [s.as_point() for s in sample_list]
     kept = _columns_of_points(points) if opts.keep_samples else _NO_TRAINING
     finite = [(x, y) for x, y in points if math.isfinite(x)]
     infinite_levels = [y for x, y in points if math.isinf(x)]
@@ -323,7 +324,7 @@ def fit_metric_roofline_scalar(
             metric=metric,
             function=function,
             apex=apex,
-            sample_count=len(sample_list),
+            sample_count=len(points),
             infinite_sample_count=len(infinite_levels),
             training_columns=kept,
         )
@@ -379,7 +380,7 @@ def fit_metric_roofline_scalar(
         metric=metric,
         function=PiecewiseLinear(breakpoints),
         apex=apex,
-        sample_count=len(sample_list),
+        sample_count=len(points),
         infinite_sample_count=len(infinite_levels),
         right_fit=right,
         training_columns=kept,

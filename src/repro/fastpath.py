@@ -18,7 +18,7 @@ both paths.  The entry points are:
   oracle is the per-workload ``run_workload``) and
   ``run_experiment_with_report`` (pooling the training samples);
 - streaming: ``StreamIngestor.push_perf`` and ``StreamIngestor.flush``,
-  and ``DriftMonitor.assess``;
+  ``DriftMonitor.assess`` and ``OnlineSpire.refresh`` (a stream refit);
 - serving: ``KernelGuard.use_fast``, the dispatch of
   ``serve.batch_estimate``.
 

@@ -33,7 +33,6 @@ from repro.guard.dispatch import (
 )
 from repro.guard.health import (
     DivergenceEvent,
-    DriftEvent,
     GuardrailHit,
     HealthReport,
     KernelHealth,
@@ -42,7 +41,6 @@ from repro.guard.health import (
 __all__ = [
     "DEFAULT_CHECK_RATE",
     "DivergenceEvent",
-    "DriftEvent",
     "GUARDED_KERNELS",
     "GuardConfig",
     "GuardrailHit",

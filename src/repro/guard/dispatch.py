@@ -40,7 +40,6 @@ from repro.errors import ConfigError, DegradedDataWarning, GuardDivergenceError
 from repro.fastpath import scalar_fallback_enabled
 from repro.guard.health import (
     DivergenceEvent,
-    DriftEvent,
     GuardrailHit,
     HealthReport,
     KernelHealth,
@@ -210,7 +209,6 @@ class GuardRegistry:
         self._divergences: list[DivergenceEvent] = []
         self._guardrail_hits: list[GuardrailHit] = []
         self._quarantined: list[str] = []
-        self._drift_events: list[DriftEvent] = []
         self._lock = threading.Lock()
 
     def guard(self, name: str) -> KernelGuard:
@@ -278,11 +276,6 @@ class GuardRegistry:
         with self._lock:
             self._quarantined.append(str(path))
 
-    def record_drift(self, event: DriftEvent) -> None:
-        """Ledger one streaming drift-ladder decision (see repro.stream)."""
-        with self._lock:
-            self._drift_events.append(event)
-
     def health_report(self) -> HealthReport:
         """A snapshot of everything the guard layer has seen so far."""
         with self._lock:
@@ -299,7 +292,6 @@ class GuardRegistry:
                 divergences=list(self._divergences),
                 guardrail_hits=list(self._guardrail_hits),
                 artifacts_quarantined=list(self._quarantined),
-                drift_events=list(self._drift_events),
             )
 
 

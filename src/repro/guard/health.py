@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DivergenceEvent",
-    "DriftEvent",
     "GuardrailHit",
     "HealthReport",
     "KernelHealth",
@@ -38,28 +37,6 @@ class GuardrailHit:
 
     stage: str
     reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class DriftEvent:
-    """One streaming drift-ladder decision for a metric roofline.
-
-    ``action`` is the degradation rung taken: ``"absorbed"`` (violations
-    within tolerance, folded into the incremental update), ``"refit"``
-    (the metric was refuted, quarantined and refit from recent windows),
-    ``"quarantined"`` (refuted but too little recent data to refit — the
-    metric is excluded from the serving model), ``"stalled"`` (a window
-    sealed with no usable samples), or ``"stale"`` (the drift monitor gave
-    up on incremental repair; a batch retrain is required).
-    """
-
-    metric: str
-    window: int          # 0-based sealed-window index at which it fired
-    action: str
-    violations: int = 0
-    samples: int = 0
-    worst_excess: float = 0.0  # largest throughput overshoot past the bound
-    detail: str = ""
 
 
 @dataclass
@@ -88,7 +65,6 @@ class HealthReport:
     divergences: list[DivergenceEvent] = field(default_factory=list)
     guardrail_hits: list[GuardrailHit] = field(default_factory=list)
     artifacts_quarantined: list[str] = field(default_factory=list)
-    drift_events: list[DriftEvent] = field(default_factory=list)
     #: Long-lived-process state attached by a running server before the
     #: report is serialized: model-registry lookups, micro-batch fill
     #: histogram, backpressure counters (see
@@ -104,22 +80,12 @@ class HealthReport:
         return sorted(name for name, k in self.kernels.items() if k.tripped)
 
     @property
-    def drifted_metrics(self) -> list[str]:
-        """Metrics whose rooflines the stream refuted (beyond absorption)."""
-        return sorted(
-            {e.metric for e in self.drift_events if e.action != "absorbed"}
-        )
-
-    @property
     def ok(self) -> bool:
-        # Absorbed drift is business as usual for a live stream; anything
-        # further down the ladder means the model needed repair.
         return not (
             self.divergences
             or self.guardrail_hits
             or self.artifacts_quarantined
             or self.tripped_kernels
-            or self.drifted_metrics
         )
 
     def to_dict(self) -> dict:
@@ -138,18 +104,6 @@ class HealthReport:
                 {"stage": h.stage, "reason": h.reason} for h in self.guardrail_hits
             ],
             "artifacts_quarantined": list(self.artifacts_quarantined),
-            "drift_events": [
-                {
-                    "metric": e.metric,
-                    "window": e.window,
-                    "action": e.action,
-                    "violations": e.violations,
-                    "samples": e.samples,
-                    "worst_excess": e.worst_excess,
-                    "detail": e.detail,
-                }
-                for e in self.drift_events
-            ],
         }
         if self.serve_state is not None:
             payload["serve_state"] = self.serve_state
@@ -164,8 +118,6 @@ class HealthReport:
             f"{len(self.guardrail_hits)} guardrail hit(s), "
             f"{len(self.artifacts_quarantined)} artifact(s) quarantined"
         ]
-        if self.drift_events:
-            lines[0] += f", {len(self.drift_events)} drift event(s)"
         for event in self.divergences:
             tag = "injected" if event.injected else "DIVERGED"
             detail = f" ({event.detail})" if event.detail else ""
@@ -180,17 +132,6 @@ class HealthReport:
             lines.append(f"  guardrail [{hit.stage}]: {hit.reason}")
         for path in self.artifacts_quarantined:
             lines.append(f"  quarantined: {path}")
-        for event in self.drift_events:
-            stats = (
-                f"{event.violations}/{event.samples} violation(s)"
-                if event.samples
-                else "no samples"
-            )
-            detail = f" ({event.detail})" if event.detail else ""
-            lines.append(
-                f"  drift [{event.metric}] window {event.window}: "
-                f"{event.action}, {stats}{detail}"
-            )
         if self.serve_state is not None:
             fill = self.serve_state.get("batch_fill", {})
             back = self.serve_state.get("backpressure", {})

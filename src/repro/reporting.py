@@ -117,15 +117,14 @@ def render_summary(result: "ExperimentResult", top_k: int = 10) -> str:
     matches = 0
     for name, run in result.testing_runs.items():
         report = result.analyze(name, top_k=top_k)
-        top_area = report.area_of(report.top(1)[0].metric)
-        agree = run.table1_category in (top_area, report.dominant_area(top_k))
+        agree = report.agrees_with(run.table1_category, top_k)
         matches += agree
         rows.append(
             [
                 name,
                 f"{report.measured_throughput:.2f}",
                 run.table1_category,
-                top_area,
+                report.top_area,
                 "agree" if agree else "differ",
             ]
         )

@@ -16,7 +16,7 @@ is bit-identical to what :meth:`SpireModel.estimate
 Dispatch runs through the ``serve.batch_estimate`` kernel guard: sampled
 calls replay every request in the batch through the retained scalar
 per-request path and compare to tolerance; a divergence trips the server
-back to per-request evaluation for the rest of the process.
+to that scalar per-request oracle for the rest of the process.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ def _finalize(
 def _per_request(
     model: SpireModel, array: SampleArray
 ) -> "EnsembleEstimate | EstimationError":
-    """The unfused reference: exactly what a lone request would get."""
+    """The oracle the guard checks against: one request, scalar path."""
     try:
-        return model.estimate(array.to_sample_set())
+        with force_scalar():
+            return model.estimate(array.to_sample_set())
     except EstimationError as exc:
         return exc
 
@@ -79,7 +80,7 @@ def batch_estimate(
     request never fails its batch-mates.  The sampled oracle replays
     every request through the scalar per-request path under
     :func:`~repro.fastpath.force_scalar`; the tripped (or forced-scalar)
-    state serves each request through plain per-request estimation.
+    state serves each request through that same oracle.
     """
     if not arrays:
         return []

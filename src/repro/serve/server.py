@@ -413,12 +413,6 @@ class SpireServer:
         if not self.registry.has(name):
             return _Response(404, {"error": f"unknown model {name!r}"})
         estimate = await self._evaluate(name, array)
-        values = (estimate.throughput, *estimate.per_metric.values())
-        if not all(map(math.isfinite, values)):
-            # Every sample is finite, but their sums overflow float64.
-            raise EstimationError(
-                "the samples' totals overflow: no finite estimate"
-            )
         payload = {
             "model": name,
             "throughput": estimate.throughput,

@@ -17,6 +17,7 @@ See ``docs/streaming.md``.
 
 from repro.stream.drift import (
     DriftAssessment,
+    DriftEvent,
     DriftMonitor,
     DriftPolicy,
     DriftReport,
@@ -27,6 +28,7 @@ from repro.stream.replay import ReplayResult, replay_stream, windows_from_record
 
 __all__ = [
     "DriftAssessment",
+    "DriftEvent",
     "DriftMonitor",
     "DriftPolicy",
     "DriftReport",

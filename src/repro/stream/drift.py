@@ -17,9 +17,8 @@ repair ladder to go:
    has lost; the stream marks the model stale and a batch retrain is the
    only honest way forward.
 
-The per-metric decisions are :class:`~repro.guard.health.DriftEvent`
-values; the stream threads them through the guard registry so they
-surface on the run-level :class:`~repro.guard.health.HealthReport`.
+The per-metric decisions are :class:`DriftEvent` values, recorded on
+the stream's own :class:`DriftReport` and nowhere else.
 """
 
 from __future__ import annotations
@@ -34,9 +33,14 @@ from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport
 from repro.errors import ConfigError
 from repro.fastpath import scalar_fallback_enabled
-from repro.guard.health import DriftEvent
 
-__all__ = ["DriftAssessment", "DriftMonitor", "DriftPolicy", "DriftReport"]
+__all__ = [
+    "DriftAssessment",
+    "DriftEvent",
+    "DriftMonitor",
+    "DriftPolicy",
+    "DriftReport",
+]
 
 #: Assessment verdicts, in escalation order.
 CLEAN = "clean"
@@ -68,6 +72,28 @@ class DriftPolicy:
             raise ConfigError("stale_fraction must be in (0, 1]")
         if self.refit_history < 1:
             raise ConfigError("refit_history must be at least 1")
+
+
+@dataclass(frozen=True, slots=True)
+class DriftEvent:
+    """One drift-ladder decision for a metric roofline.
+
+    ``action`` is the degradation rung taken: ``"absorbed"`` (violations
+    within tolerance, folded into the incremental update), ``"refit"``
+    (the metric was refuted, quarantined and refit from recent windows),
+    ``"quarantined"`` (refuted but too little recent data to refit — the
+    metric is excluded from the serving model), ``"stalled"`` (a window
+    sealed with no usable samples), or ``"stale"`` (the drift monitor gave
+    up on incremental repair; a batch retrain is required).
+    """
+
+    metric: str
+    window: int          # 0-based sealed-window index at which it fired
+    action: str
+    violations: int = 0
+    samples: int = 0
+    worst_excess: float = 0.0  # largest throughput overshoot past the bound
+    detail: str = ""
 
 
 @dataclass(frozen=True, slots=True)

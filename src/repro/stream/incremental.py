@@ -7,10 +7,9 @@ samples as they arrive, so :class:`OnlineSpire` keeps each metric's
 :meth:`OnlineSpire.refresh` refits only the dirty metrics, each with
 :func:`~repro.core.roofline.fit_metric_roofline_arrays` over its buffered
 points.  A streamed roofline is therefore the batch roofline of its
-samples by construction.  A refit reads no switch; the fit's scalar
-oracle, :func:`~repro.core.roofline.fit_metric_roofline_scalar`, is what
-``SpireModel.train`` and ``fit_metric_roofline`` run under
-``SPIRE_SCALAR_FALLBACK=1`` (:mod:`repro.fastpath`).
+samples by construction.  ``refresh`` is an entry point: under
+``SPIRE_SCALAR_FALLBACK=1`` (:mod:`repro.fastpath`) it refits with the
+scalar oracle, :func:`~repro.core.roofline.fit_metric_roofline_scalar`.
 """
 
 from __future__ import annotations
@@ -19,8 +18,13 @@ import math
 
 from repro.core.columns import SampleArray
 from repro.core.ensemble import SpireModel, TrainOptions
-from repro.core.roofline import MetricRoofline, fit_metric_roofline_arrays
+from repro.core.roofline import (
+    MetricRoofline,
+    fit_metric_roofline_arrays,
+    fit_metric_roofline_scalar,
+)
 from repro.errors import DataError, FitError
+from repro.fastpath import scalar_fallback_enabled
 
 __all__ = ["OnlineSpire"]
 
@@ -122,12 +126,16 @@ class OnlineSpire:
 
     def refresh(self) -> list[str]:
         """Refit every dirty metric; returns the refit metric names."""
+        scalar = scalar_fallback_enabled()
+        options = self._options.roofline
         refitted = []
         for metric, (xs, ys) in self._points.items():
             if metric not in self._dirty:
                 continue
-            self._rooflines[metric] = fit_metric_roofline_arrays(
-                metric, xs, ys, self._options.roofline
+            self._rooflines[metric] = (
+                fit_metric_roofline_scalar(metric, list(zip(xs, ys)), options)
+                if scalar
+                else fit_metric_roofline_arrays(metric, xs, ys, options)
             )
             self._dirty.discard(metric)
             refitted.append(metric)

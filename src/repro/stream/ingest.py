@@ -66,11 +66,10 @@ from repro.errors import (
     FitError,
 )
 from repro.fastpath import scalar_fallback_enabled
-from repro.guard.dispatch import registry
-from repro.guard.health import DriftEvent
 from repro.stream.drift import (
     ABSORBED,
     REFUTED,
+    DriftEvent,
     DriftMonitor,
     DriftPolicy,
     DriftReport,
@@ -397,7 +396,7 @@ class StreamIngestor:
                     detail="window sealed with no usable samples",
                 )
             )
-            self._record(events)
+            self._report.events.extend(events)
             return events
 
         window_set = SampleSet.from_columns(array)
@@ -455,7 +454,7 @@ class StreamIngestor:
                 self._quarantined.discard(metric)
         self._serving = self._build_serving()
         self._observe_phase(index, window_set)
-        self._record(events)
+        self._report.events.extend(events)
         return events
 
     def _insert_if_stream_owned(
@@ -469,20 +468,19 @@ class StreamIngestor:
         self, metric, index, verdict, array: SampleArray, rows
     ) -> list[DriftEvent]:
         """Rungs 2-3: quarantine the refuted metric and refit or give up."""
-        events: list[DriftEvent] = []
         self._reference.pop(metric, None)
 
         recent = [self._metric_rows(window, metric) for window in self._recent]
         recent.append(array.select(rows))
         refit_parts = [part for part in recent if len(part)]
         refit_samples = sum(len(part) for part in refit_parts)
+        self._online.reset_metric(metric)
+        for part in refit_parts:
+            self._online.insert_array(part)
 
         if refit_samples < self.options.train.min_samples_per_metric:
-            self._online.reset_metric(metric)
-            for part in refit_parts:
-                self._online.insert_array(part)
             self._quarantined.add(metric)
-            events.append(
+            return [
                 DriftEvent(
                     metric=metric,
                     window=index,
@@ -495,14 +493,10 @@ class StreamIngestor:
                         "to refit; withheld from serving"
                     ),
                 )
-            )
-            return events
+            ]
 
-        self._online.reset_metric(metric)
-        for part in refit_parts:
-            self._online.insert_array(part)
         self._quarantined.discard(metric)
-        events.append(
+        events = [
             DriftEvent(
                 metric=metric,
                 window=index,
@@ -515,10 +509,7 @@ class StreamIngestor:
                     f"{refit_samples} sample(s)"
                 ),
             )
-        )
-        self._report.refit_counts[metric] = (
-            self._report.refit_counts.get(metric, 0) + 1
-        )
+        ]
         if self._monitor.note_refit(metric) and not self.stale:
             reason = (
                 f"metric {metric!r} refuted "
@@ -560,11 +551,6 @@ class StreamIngestor:
                 sample_count=len(window_set),
             )
         )
-
-    def _record(self, events: list[DriftEvent]) -> None:
-        for event in events:
-            self._report.events.append(event)
-            registry().record_drift(event)
 
     # -- Serving -------------------------------------------------------
 

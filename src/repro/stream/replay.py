@@ -28,9 +28,8 @@ from typing import Mapping, Sequence
 from repro.core.ensemble import SpireModel
 from repro.core.sanitize import QualityReport
 from repro.errors import FitError
-from repro.guard.health import DriftEvent
 from repro.runtime.faults import DRIFT_INJECT, STALE_WINDOW, FaultPlan
-from repro.stream.drift import DriftReport
+from repro.stream.drift import DriftEvent, DriftReport
 from repro.stream.ingest import StreamIngestor, StreamOptions
 
 __all__ = ["ReplayResult", "replay_stream", "windows_from_records"]

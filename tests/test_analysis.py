@@ -131,11 +131,27 @@ class TestAgreement:
             )
         }
         rows = summarize_agreement(reports, {"wl": "Core"}, top_k=2)
-        assert rows[0]["dominant_match"] is True
+        assert rows[0]["agrees"] is True
         assert rows[0]["top_k_area_fraction"] == 1.0
+
+    def test_agrees_with_top_area_or_dominant_area(self):
+        r = report(
+            {"a": 1.0, "b": 1.1, "c": 1.2},
+            areas={"a": "Memory", "b": "Core", "c": "Core"},
+        )
+        assert r.top_area == "Memory"
+        assert r.dominant_area(3) == "Core"
+        assert r.agrees_with("Memory", 3)
+        assert r.agrees_with("Core", 3)
+        assert not r.agrees_with("Core", 1)
+        assert not r.agrees_with("Frontend", 3)
+        rows = summarize_agreement({"wl": r}, {"wl": "Memory"}, top_k=3)
+        assert rows[0]["agrees"] is True
+        assert rows[0]["spire_top_area"] == "Memory"
+        assert rows[0]["spire_dominant_area"] == "Core"
 
     def test_summarize_agreement_unknown_baseline(self):
         reports = {"wl": report({"a": 1.0}, areas={"a": "Core"})}
         rows = summarize_agreement(reports, {}, top_k=1)
         assert rows[0]["baseline_category"] == "?"
-        assert rows[0]["dominant_match"] is False
+        assert rows[0]["agrees"] is False

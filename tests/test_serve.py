@@ -195,6 +195,38 @@ class TestBatchEstimateParity:
         assert "covered" in str(results[0])
         _assert_identical(results[1], _reference(model, good))
 
+    def test_overflowing_request_fails_alone_under_raise(self, model):
+        reset_guards(GuardConfig(check_rate=0, guardrail_policy="raise"))
+        good = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
+        huge = _array_from_rows(
+            [("m.0", 1e308, 1e308, 1.0), ("m.0", 1e308, 1e308, 1.0)]
+        )
+        results = batch_estimate(model, [good, huge])
+        _assert_identical(results[0], _reference(model, good))
+        assert isinstance(results[1], EstimationError)
+        assert "overflow" in str(results[1])
+
+    def test_tripped_guard_serves_the_scalar_oracle(self, model, monkeypatch):
+        reset_guards(GuardConfig(check_rate=1))
+        inject_divergence("serve.batch_estimate")
+        arrays = [_array_from_rows([("m.0", 1.0, 2.0, 1.0)])]
+        with pytest.warns(DegradedDataWarning, match="injected divergence"):
+            batch_estimate(model, arrays)
+        want = _reference(model, arrays[0])
+        calls = {"_estimate_scalar": 0, "_estimate_columnar": 0}
+        for name in calls:
+            method = getattr(SpireModel, name)
+
+            def spy(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(SpireModel, name, spy)
+        for _ in range(3):
+            (got,) = batch_estimate(model, arrays)
+            _assert_identical(got, want)
+        assert calls == {"_estimate_scalar": 3, "_estimate_columnar": 0}
+
     def test_injected_divergence_degrades_to_per_request(self, model):
         reset_guards(GuardConfig(check_rate=1))
         inject_divergence("serve.batch_estimate")
@@ -1298,6 +1330,29 @@ class TestRequestBodies:
         columns = {**_COLUMNS, "time": [1e308, 1e308], "work": [1e308, 1e308]}
         response = dispatch(path, {"columns": columns})
         assert response.status == 422, response.payload
+
+    def test_overflowing_request_leaves_health_ok(self, model, tmp_path):
+        from repro.serve.server import _Request
+
+        server = _demo_server(tmp_path, model)
+        columns = {**_COLUMNS, "time": [1e308, 1e308], "work": [1e308, 1e308]}
+        body = json.dumps({"model": "demo", "columns": columns}).encode()
+        requests = [
+            _Request("POST", path, {}, {"content-type": "application/json"},
+                     body)
+            for path in ("/v1/estimate", "/v1/analyze")
+        ] + [_Request("GET", "/health", {}, {}, b"")]
+
+        async def run():
+            try:
+                return [await server._dispatch(r) for r in requests]
+            finally:
+                await server.batcher.close()
+
+        *answers, health = asyncio.run(run())
+        assert [answer.status for answer in answers] == [422, 422]
+        assert health.payload["ok"], health.payload["render"]
+        assert health.payload["health"]["guardrail_hits"] == []
 
     def test_overflowing_measured_throughput_is_null(self, dispatch):
         columns = {

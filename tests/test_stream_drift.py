@@ -28,7 +28,8 @@ from repro.core.sample import Sample, SampleSet
 from repro.errors import ConfigError
 from repro.fastpath import force_scalar
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
-from repro.guard.dispatch import registry, reset_guards
+from repro.guard.dispatch import health_report, reset_guards
+from repro.pipeline import ExperimentConfig, run_experiment_with_report
 from repro.runtime.faults import (
     DRIFT_INJECT,
     STALE_WINDOW,
@@ -162,12 +163,16 @@ class TestDriftInjection:
             assert bound >= y - 1e-6 * max(1.0, y)
 
     def test_drift_surfaces_on_health_report(self, trained):
+        """Drift lives on the stream's report and never reaches the guard
+        ledger, so a later run in the same process stays healthy."""
         model, windows = trained
-        replay_stream(windows, model=model, faults=self._fault())
-        health = registry().health_report()
-        assert self.VICTIM in health.drifted_metrics
-        assert not health.ok
-        assert "drift" in health.render()
+        result = replay_stream(windows, model=model, faults=self._fault())
+        assert self.VICTIM in result.report.refuted_metrics
+        assert "drift_events" not in health_report().to_dict()
+        _, run_report = run_experiment_with_report(
+            ExperimentConfig(train_windows=48, test_windows=24)
+        )
+        assert run_report.health.ok
 
     def test_repeated_refutation_goes_stale(self, trained):
         model, windows = trained

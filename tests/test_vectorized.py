@@ -47,6 +47,7 @@ from repro.fastpath import force_scalar
 from repro.geometry.hull import upper_concave_chain, upper_concave_chain_arrays
 from repro.geometry.pareto import pareto_front, pareto_front_arrays
 from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
+from repro.stream import StreamIngestor, StreamOptions
 
 TOLERANCE = 1e-9
 
@@ -154,7 +155,9 @@ def test_scalar_and_array_fits_are_equal(samples, mode):
     options = RooflineFitOptions(direction_mode=mode)
     # The oracle runs as SpireModel.train runs it under the switch.
     with force_scalar():
-        oracle = fit_metric_roofline_scalar(samples, options)
+        oracle = fit_metric_roofline_scalar(
+            "m", [s.as_point() for s in samples], options
+        )
     fast = fit_metric_roofline_arrays(
         "m",
         np.array([s.intensity for s in samples]),
@@ -178,9 +181,9 @@ _ARRAY_FIT_KERNELS = (
 )
 
 
-def test_train_oracle_runs_no_array_fit_kernel(monkeypatch):
-    rng = random.Random(3)
-    samples = [
+def _spy_samples(seed: int) -> list[Sample]:
+    rng = random.Random(seed)
+    return [
         Sample(
             metric,
             time=rng.uniform(1.0, 10.0),
@@ -191,6 +194,8 @@ def test_train_oracle_runs_no_array_fit_kernel(monkeypatch):
         for k in range(30)
     ]
 
+
+def _refuse_array_fit_kernels(monkeypatch) -> None:
     def refuse(*args, **kwargs):
         raise AssertionError("an array fit kernel ran")
 
@@ -199,12 +204,30 @@ def test_train_oracle_runs_no_array_fit_kernel(monkeypatch):
             for name in _ARRAY_FIT_KERNELS:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
+
+
+def test_train_oracle_runs_no_array_fit_kernel(monkeypatch):
+    samples = _spy_samples(3)
+    _refuse_array_fit_kernels(monkeypatch)
     monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
     model = SpireModel.train(SampleSet(samples))
     assert model.metrics == ["m", "n"]
     monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
     with pytest.raises(AssertionError, match="an array fit kernel ran"):
         SpireModel.train(SampleSet(samples))
+
+
+def test_stream_refit_oracle_runs_no_array_fit_kernel(monkeypatch):
+    samples = _spy_samples(5)
+    _refuse_array_fit_kernels(monkeypatch)
+    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
+    ingestor = StreamIngestor(options=StreamOptions(window_samples=20))
+    ingestor.push_samples(SampleSet(samples))
+    assert ingestor.window_count == 3
+    assert ingestor.stream_metrics == ["m", "n"]
+    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK")
+    with pytest.raises(AssertionError, match="an array fit kernel ran"):
+        ingestor.push_samples(SampleSet(samples))
 
 
 @settings(max_examples=40, deadline=None)
