@@ -202,9 +202,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(f"experiment ready in {time.perf_counter() - started:.2f}s")
     if not run_report.ok:
         print(run_report.render())
-    elif run_report.health is not None and not run_report.health.ok:
-        # Degradations that did not fail any task still deserve a line.
-        print(run_report.health.render())
     print(f"trained {len(result.model)} rooflines\n")
     matches = 0
     for name, run in result.testing_runs.items():

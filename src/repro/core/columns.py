@@ -417,30 +417,6 @@ class SampleArray:
             )
         ]
 
-    # ------------------------------------------------------------------
-    # Pickling (drop caches; only the arrays travel)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return (
-            self.metric_ids,
-            self.metric_names,
-            self.time,
-            self.work,
-            self.metric_count,
-        )
-
-    def __setstate__(self, state):
-        ids, names, time, work, count = state
-        self.metric_ids = ids
-        self.metric_names = names
-        self.time = time
-        self.work = work
-        self.metric_count = count
-        self._groups = None
-        self._intensity = None
-        self._throughput = None
-
 
 def as_sample_array(samples) -> SampleArray:
     """Coerce any accepted sample source into a :class:`SampleArray`."""

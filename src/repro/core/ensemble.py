@@ -35,11 +35,6 @@ from repro.core.sanitize import QualityReport, SampleSanitizer
 from repro.errors import DegradedDataWarning, EstimationError, FitError
 from repro.fastpath import scalar_fallback_enabled
 from repro.geometry.piecewise import PackedPiecewise
-from repro.guard.guardrails import (
-    check_bound_violation,
-    check_estimates,
-    check_sample_columns,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,9 +188,6 @@ class SpireModel:
             # never materializing Sample objects.  Group order matches
             # grouped() (first-seen), so the trained model is identical.
             array = sample_set.columns()
-            check_sample_columns(
-                array.time, array.work, array.metric_count, stage="train-input"
-            )
             groups = list(array.group_indices().items())
             # Columnar fits slice the pooled intensity/throughput
             # columns directly — no per-group SampleArray construction.
@@ -498,7 +490,9 @@ def finish_estimate(
 
     Every estimate path ends here.  No covered metric, or a non-finite
     value (finite samples whose sums overflow float64), is that call's
-    :class:`EstimationError`, decided before the guardrail runs.
+    :class:`EstimationError`.  No value is negative: every fitted
+    breakpoint is a sample throughput, the apex level or the origin, and
+    ``load_model`` refuses a file with a breakpoint below 0.
     """
     if not per_metric:
         raise EstimationError(_NO_COVERAGE)
@@ -506,7 +500,6 @@ def finish_estimate(
         raise EstimationError(
             "the samples' totals overflow: no finite estimate"
         )
-    check_estimates(per_metric)
     return EnsembleEstimate(
         per_metric=per_metric,
         sample_counts=sample_counts,
@@ -517,7 +510,7 @@ def finish_estimate(
 def packed_estimate(model: SpireModel, samples: SampleSet) -> EnsembleEstimate:
     """:meth:`SpireModel.estimate` of one sample set on the packed table.
 
-    The same estimate, bit for bit, with the same errors and guardrail,
+    The same estimate, bit for bit, with the same errors,
     from a fixed number of NumPy calls however many metrics the model
     covers.  ``SPIRE_SCALAR_FALLBACK`` makes it ``SpireModel.estimate``.
     """
@@ -547,13 +540,19 @@ def mean_absolute_bound_violation(
     positive values on held-out data quantify how often reality beat the
     learned bound.  Used by the ablation benchmarks.  Takes the columnar
     path unless ``SPIRE_SCALAR_FALLBACK`` forces the scalar reference.
+    Each excess is clipped at 0, so the mean is never negative; finite
+    samples whose excesses overflow float64 are the call's
+    :class:`EstimationError`, as in :func:`finish_estimate`.
     """
     result = (
         _bound_violation_scalar(model, samples)
         if scalar_fallback_enabled()
         else _bound_violation_columnar(model, samples)
     )
-    check_bound_violation(result)
+    if not math.isfinite(result):
+        raise EstimationError(
+            "the samples' bound violations overflow: no finite mean"
+        )
     return result
 
 

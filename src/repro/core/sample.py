@@ -279,29 +279,6 @@ class SampleSet:
             return cls(Sample.from_dict(r) for r in records)
         return cls.from_columns(SampleArray.from_records(records, validate=True))
 
-    # ------------------------------------------------------------------
-    # Pickling: ship columns when the object layer was never built
-    # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        if self._lazy is not None:
-            return {"lazy": self._lazy}
-        return {"samples": self._samples}
-
-    def __setstate__(self, state):
-        self._samples = []
-        self._by_metric = defaultdict(list)
-        self._columns = None
-        self._grouped = None
-        self._lazy = None
-        if "lazy" in state:
-            self._columns = state["lazy"]
-            self._lazy = state["lazy"]
-        else:
-            for sample in state["samples"]:
-                self._samples.append(sample)
-                self._by_metric[sample.metric].append(sample)
-
 
 def left_sum(values: Iterable[float]) -> float:
     """``sum(values)`` added strictly left to right, starting from ``0``.

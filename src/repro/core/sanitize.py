@@ -113,11 +113,6 @@ class TimestampScreen:
     def __init__(self) -> None:
         self._last: dict[str, float] = {}
 
-    @property
-    def last_seen(self) -> dict[str, float]:
-        """Per-metric high-water timestamps observed so far."""
-        return dict(self._last)
-
     def screen(
         self,
         records: Iterable[Mapping],

@@ -49,11 +49,6 @@ class GuardDivergenceError(SpireError):
     guard policy is ``raise`` (the default policy degrades instead)."""
 
 
-class GuardrailViolation(SpireError):
-    """Raised when a stage-boundary numeric invariant fails and the
-    guardrail policy is ``raise`` (the default policy records instead)."""
-
-
 class DegradedDataWarning(UserWarning):
     """Emitted when the pipeline continues on incomplete or quarantined data.
 

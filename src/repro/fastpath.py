@@ -60,11 +60,6 @@ def force_scalar():
         _local.forced = previous
 
 
-def scalar_fallback_forced() -> bool:
-    """True inside a :func:`force_scalar` block on this thread."""
-    return getattr(_local, "forced", False)
-
-
 def scalar_fallback_enabled() -> bool:
     """True when the scalar reference path is forced.
 

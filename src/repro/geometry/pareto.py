@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.guard.guardrails import check_pareto_front
-
 
 def pareto_front_arrays(
     xs: np.ndarray, ys: np.ndarray
@@ -58,9 +56,9 @@ def pareto_front(
     traversal order of the right fitting algorithm: from the rightmost,
     lowest-throughput sample toward the leftmost, highest-throughput one.
 
-    Duplicate points are collapsed to a single representative.  This is
-    the scalar reference of :func:`pareto_front_arrays`; the returned
-    front is screened by the monotonicity guardrail.
+    Duplicate points are collapsed to a single representative, so the
+    front is strictly monotone: each kept ``y`` beats every earlier one.
+    This is the scalar reference of :func:`pareto_front_arrays`.
     """
     unique = sorted(
         {(float(x), float(y)) for x, y in points}, key=lambda p: (-p[0], -p[1])
@@ -73,7 +71,6 @@ def pareto_front(
         if y > best_y:
             front.append((x, y))
             best_y = y
-    check_pareto_front(front)
     return front
 
 

@@ -1,18 +1,16 @@
 """Runtime self-verification and graceful degradation (``repro.guard``).
 
-Five pieces, built for the property production serving stacks have —
+Four pieces, built for the property production serving stacks have —
 the kernel that answers requests is checked in production and degrades
 on its own, not globally:
 
 - :mod:`repro.guard.dispatch` — guarded dispatch for
   ``serve.batch_estimate``, whose inputs arrive over HTTP: sampled
   oracle checks with a circuit breaker;
-- :mod:`repro.guard.guardrails` — cheap stage-boundary numeric invariant
-  checks;
 - :mod:`repro.guard.artifact` — integrity headers, checksum verification
   and quarantine for on-disk artifacts (:mod:`repro.io.dataset`'s files);
 - :mod:`repro.guard.health` — the :class:`HealthReport` telemetry that
-  rides on :class:`~repro.runtime.runner.RunReport` and CLI output;
+  ``GET /health`` answers;
 - :mod:`repro.guard.doctor` — ``spire doctor``, which probes a running
   ``spire serve`` process and renders its health.
 
@@ -31,19 +29,13 @@ from repro.guard.dispatch import (
     registry,
     reset_guards,
 )
-from repro.guard.health import (
-    DivergenceEvent,
-    GuardrailHit,
-    HealthReport,
-    KernelHealth,
-)
+from repro.guard.health import DivergenceEvent, HealthReport, KernelHealth
 
 __all__ = [
     "DEFAULT_CHECK_RATE",
     "DivergenceEvent",
     "GUARDED_KERNELS",
     "GuardConfig",
-    "GuardrailHit",
     "HealthReport",
     "KernelGuard",
     "KernelHealth",

@@ -10,8 +10,8 @@ The checksum covers the canonical JSON encoding of the payload *without*
 the header, so truncation, bit rot and hand-editing are all detectable.
 Loaders verify the schema string and checksum; a mismatched or headerless
 managed artifact is **quarantined** — moved into a ``.quarantine/``
-subdirectory next to the file, never deleted — and recorded in the guard
-health ledger so it surfaces in :class:`~repro.guard.health.HealthReport`.
+subdirectory next to the file, never deleted — and the loader's
+:class:`~repro.errors.DataError` names where it went.
 
 Writes here (and in :mod:`repro.io.dataset`) are atomic: content lands in
 a temp file in the destination directory and is moved into place with
@@ -25,8 +25,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-
-from repro.guard.dispatch import registry
 
 __all__ = [
     "HEADER_KEY",
@@ -119,7 +117,7 @@ def quarantine_dir(directory: str | Path) -> Path:
     return Path(directory) / QUARANTINE_DIRNAME
 
 
-def quarantine_file(path: str | Path, reason: str = "") -> Path | None:
+def quarantine_file(path: str | Path) -> Path | None:
     """Move a failed artifact into quarantine instead of deleting it.
 
     Returns the quarantine destination, or ``None`` when the file was
@@ -139,7 +137,4 @@ def quarantine_file(path: str | Path, reason: str = "") -> Path | None:
         os.replace(path, destination)
     except OSError:
         return None
-    registry().record_quarantine(
-        f"{destination}" + (f" ({reason})" if reason else "")
-    )
     return destination

@@ -20,8 +20,8 @@ computation's entry point (:mod:`repro.fastpath`) rather than sampled at
 run time.
 
 Configuration is environment-driven: ``SPIRE_GUARD_RATE`` (default 64;
-``1`` checks every call, ``0`` never checks), ``SPIRE_GUARD_SEED``,
-``SPIRE_GUARD_POLICY`` and ``SPIRE_GUARDRAIL_POLICY``.
+``1`` checks every call, ``0`` never checks), ``SPIRE_GUARD_SEED`` and
+``SPIRE_GUARD_POLICY``.
 :func:`inject_divergence` forces a divergence on a kernel's next checked
 call, to exercise the degradation machinery in tests.
 """
@@ -38,12 +38,7 @@ from typing import Mapping
 
 from repro.errors import ConfigError, DegradedDataWarning, GuardDivergenceError
 from repro.fastpath import scalar_fallback_enabled
-from repro.guard.health import (
-    DivergenceEvent,
-    GuardrailHit,
-    HealthReport,
-    KernelHealth,
-)
+from repro.guard.health import DivergenceEvent, HealthReport, KernelHealth
 
 __all__ = [
     "DEFAULT_CHECK_RATE",
@@ -69,10 +64,8 @@ DEFAULT_CHECK_RATE = 64
 RATE_ENV = "SPIRE_GUARD_RATE"
 SEED_ENV = "SPIRE_GUARD_SEED"
 POLICY_ENV = "SPIRE_GUARD_POLICY"
-GUARDRAIL_POLICY_ENV = "SPIRE_GUARDRAIL_POLICY"
 
 GUARD_POLICIES = ("degrade", "raise")
-GUARDRAIL_POLICIES = ("record", "raise", "off")
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,6 @@ class GuardConfig:
     check_rate: int = DEFAULT_CHECK_RATE
     seed: int = 0
     policy: str = "degrade"
-    guardrail_policy: str = "record"
     # Per-kernel rates; the environment sets none, so every kernel runs
     # at ``check_rate`` unless a caller passes an override.
     rate_overrides: Mapping[str, int] = field(default_factory=dict)
@@ -94,11 +86,6 @@ class GuardConfig:
             raise ConfigError(
                 f"unknown guard policy {self.policy!r}; "
                 f"expected one of {GUARD_POLICIES}"
-            )
-        if self.guardrail_policy not in GUARDRAIL_POLICIES:
-            raise ConfigError(
-                f"unknown guardrail policy {self.guardrail_policy!r}; "
-                f"expected one of {GUARDRAIL_POLICIES}"
             )
         for kernel, rate in self.rate_overrides.items():
             if rate < 0:
@@ -118,16 +105,10 @@ class GuardConfig:
                 return default
 
         policy = os.environ.get(POLICY_ENV, "").strip().lower() or "degrade"
-        guardrail = (
-            os.environ.get(GUARDRAIL_POLICY_ENV, "").strip().lower() or "record"
-        )
         return cls(
             check_rate=_int(RATE_ENV, DEFAULT_CHECK_RATE),
             seed=_int(SEED_ENV, 0),
             policy=policy if policy in GUARD_POLICIES else "degrade",
-            guardrail_policy=(
-                guardrail if guardrail in GUARDRAIL_POLICIES else "record"
-            ),
         )
 
     def rate_for(self, kernel: str) -> int:
@@ -200,15 +181,13 @@ class KernelGuard:
 
 
 class GuardRegistry:
-    """Process-wide state: one guard per kernel plus the health ledger."""
+    """Process-wide state: one guard per kernel plus its divergences."""
 
     def __init__(self, config: GuardConfig | None = None):
         self.config = config or GuardConfig.from_env()
         self._guards: dict[str, KernelGuard] = {}
         self._injections: dict[str, int] = {}
         self._divergences: list[DivergenceEvent] = []
-        self._guardrail_hits: list[GuardrailHit] = []
-        self._quarantined: list[str] = []
         self._lock = threading.Lock()
 
     def guard(self, name: str) -> KernelGuard:
@@ -268,16 +247,8 @@ class GuardRegistry:
             stacklevel=4,
         )
 
-    def record_guardrail(self, hit: GuardrailHit) -> None:
-        with self._lock:
-            self._guardrail_hits.append(hit)
-
-    def record_quarantine(self, path: str) -> None:
-        with self._lock:
-            self._quarantined.append(str(path))
-
     def health_report(self) -> HealthReport:
-        """A snapshot of everything the guard layer has seen so far."""
+        """A snapshot of every guard's counters and divergences so far."""
         with self._lock:
             return HealthReport(
                 kernels={
@@ -290,8 +261,6 @@ class GuardRegistry:
                     for name, g in self._guards.items()
                 },
                 divergences=list(self._divergences),
-                guardrail_hits=list(self._guardrail_hits),
-                artifacts_quarantined=list(self._quarantined),
             )
 
 

@@ -1,12 +1,10 @@
 """Health telemetry for the guarded-dispatch layer.
 
-A :class:`HealthReport` is the run-level summary of what the guard layer
-observed: how many sampled oracle checks ran per kernel, which kernels
-diverged and tripped their breaker to the scalar path, which numeric
-guardrails fired, and which on-disk artifacts failed integrity
-verification and were quarantined.  It rides on
-:class:`~repro.runtime.runner.RunReport` and surfaces in ``spire report``
-and ``spire faultsim`` output.
+A :class:`HealthReport` is the process-level summary of what the serve
+guard observed: how many sampled oracle checks ran per kernel and which
+kernels diverged and tripped their breaker to the scalar path.  A
+running server attaches its ``serve_state`` and answers it on
+``GET /health``, which ``spire doctor`` reads.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "DivergenceEvent",
-    "GuardrailHit",
     "HealthReport",
     "KernelHealth",
 ]
@@ -29,14 +26,6 @@ class DivergenceEvent:
     call_index: int      # 0-based call counter of the kernel at divergence
     detail: str = ""
     injected: bool = False   # inject_divergence(), not a real mismatch
-
-
-@dataclass(frozen=True, slots=True)
-class GuardrailHit:
-    """One stage-boundary numeric invariant that failed."""
-
-    stage: str
-    reason: str
 
 
 @dataclass
@@ -59,16 +48,14 @@ class KernelHealth:
 
 @dataclass
 class HealthReport:
-    """What the guard layer saw during one process/run."""
+    """What the serve guard saw during one process."""
 
     kernels: dict[str, KernelHealth] = field(default_factory=dict)
     divergences: list[DivergenceEvent] = field(default_factory=list)
-    guardrail_hits: list[GuardrailHit] = field(default_factory=list)
-    artifacts_quarantined: list[str] = field(default_factory=list)
     #: Long-lived-process state attached by a running server before the
     #: report is serialized: model-registry lookups, micro-batch fill
     #: histogram, backpressure counters (see
-    #: :mod:`repro.serve.stats`).  ``None`` for batch runs.
+    #: :mod:`repro.serve.stats`).  ``None`` outside a server.
     serve_state: "dict | None" = None
 
     @property
@@ -81,12 +68,7 @@ class HealthReport:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.divergences
-            or self.guardrail_hits
-            or self.artifacts_quarantined
-            or self.tripped_kernels
-        )
+        return not (self.divergences or self.tripped_kernels)
 
     def to_dict(self) -> dict:
         payload = {
@@ -100,10 +82,6 @@ class HealthReport:
                 }
                 for d in self.divergences
             ],
-            "guardrail_hits": [
-                {"stage": h.stage, "reason": h.reason} for h in self.guardrail_hits
-            ],
-            "artifacts_quarantined": list(self.artifacts_quarantined),
         }
         if self.serve_state is not None:
             payload["serve_state"] = self.serve_state
@@ -114,9 +92,7 @@ class HealthReport:
         checked = sum(1 for k in self.kernels.values() if k.checks)
         lines = [
             f"guard: {self.checks_run} oracle check(s) across {checked} "
-            f"kernel(s), {len(self.divergences)} divergence(s), "
-            f"{len(self.guardrail_hits)} guardrail hit(s), "
-            f"{len(self.artifacts_quarantined)} artifact(s) quarantined"
+            f"kernel(s), {len(self.divergences)} divergence(s)"
         ]
         for event in self.divergences:
             tag = "injected" if event.injected else "DIVERGED"
@@ -128,10 +104,6 @@ class HealthReport:
             lines.append(
                 "  tripped to scalar: " + ", ".join(self.tripped_kernels)
             )
-        for hit in self.guardrail_hits:
-            lines.append(f"  guardrail [{hit.stage}]: {hit.reason}")
-        for path in self.artifacts_quarantined:
-            lines.append(f"  quarantined: {path}")
         if self.serve_state is not None:
             fill = self.serve_state.get("batch_fill", {})
             back = self.serve_state.get("backpressure", {})

@@ -58,7 +58,7 @@ def _text_checksum(body: str) -> str:
 
 def _reject(path: Path, reason: str) -> None:
     """Quarantine a failed-integrity artifact and fail loudly."""
-    destination = quarantine_file(path, reason)
+    destination = quarantine_file(path)
     where = f" (quarantined to {destination})" if destination else ""
     raise DataError(f"{path}: {reason}{where}")
 
@@ -228,9 +228,10 @@ def load_model(path: str | Path) -> SpireModel:
 
     Integrity metadata is verified when present; the payload shape is
     then validated (a ``rooflines`` mapping is required) before
-    deserialization, and every breakpoint must be finite, so a wrong or
-    hand-mangled file raises a clear :class:`~repro.errors.DataError`
-    instead of an arbitrary traceback or a model that estimates NaN.
+    deserialization, and every breakpoint must be finite with a
+    non-negative throughput, so a wrong or hand-mangled file raises a
+    clear :class:`~repro.errors.DataError` instead of an arbitrary
+    traceback or a model that estimates NaN or a negative throughput.
     """
     path = Path(path)
     if not path.exists():
@@ -252,14 +253,20 @@ def load_model(path: str | Path) -> SpireModel:
         raise DataError(f"{path}: malformed model payload ({exc})") from None
     # json.loads accepts NaN and Infinity; a bound built on them is never
     # exceeded and estimates NaN, and the packed table needs finite
-    # breakpoints.
+    # breakpoints.  Every fitted breakpoint is a measured throughput, the
+    # apex level or the origin, so none is below 0; an estimate
+    # interpolates them, so it is never negative either.
     for metric in model.metrics:
-        function = model.roofline(metric).function
+        breakpoints = model.roofline(metric).function.breakpoints
         if not all(
             math.isfinite(point.x) and math.isfinite(point.y)
-            for point in function.breakpoints
+            for point in breakpoints
         ):
             raise DataError(
                 f"{path}: metric {metric!r} has non-finite breakpoints"
+            )
+        if any(point.y < 0 for point in breakpoints):
+            raise DataError(
+                f"{path}: metric {metric!r} has negative breakpoints"
             )
     return model

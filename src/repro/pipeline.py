@@ -33,7 +33,6 @@ from repro.fastpath import scalar_fallback_enabled
 from repro.counters import CollectionConfig, CollectionResult, SampleCollector
 from repro.counters.events import default_catalog
 from repro.errors import DegradedDataWarning, SpireError
-from repro.guard.dispatch import health_report
 from repro.runtime.faults import FaultPlan
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.runner import ParallelRunner, RunReport
@@ -242,7 +241,6 @@ def run_experiment_with_report(
         testing_runs=testing_runs,
         training_samples=pooled,
     )
-    report.health = health_report()
     return result, report
 
 

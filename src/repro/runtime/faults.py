@@ -8,7 +8,7 @@ absorb it (:mod:`repro.counters.collector`, :mod:`repro.core.sanitize`,
 :mod:`repro.stream`) can be exercised deterministically in tests and in
 the ``spire faultsim`` CLI smoke.
 
-A :class:`FaultPlan` is a picklable set of :class:`FaultSpec` entries,
+A :class:`FaultPlan` is a set of :class:`FaultSpec` entries,
 each targeting one workload by name:
 
 ========================  ====================================================
@@ -81,7 +81,7 @@ class FaultSpec:
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """A picklable, deterministic set of faults for one experiment run."""
+    """A deterministic set of faults for one experiment run."""
 
     specs: tuple[FaultSpec, ...] = ()
 
@@ -90,9 +90,6 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def for_workload(self, name: str) -> tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.workload == name)
 
     def collector_faults(self, name: str) -> tuple[FaultSpec, ...]:
         return tuple(

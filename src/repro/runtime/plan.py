@@ -80,11 +80,5 @@ class ExecutionPlan:
         ]
         return cls(tasks=tuple(tasks), machine=machine, config=config)
 
-    def training_tasks(self) -> list[WorkloadTask]:
-        return [t for t in self.tasks if t.role == TRAINING]
-
-    def testing_tasks(self) -> list[WorkloadTask]:
-        return [t for t in self.tasks if t.role == TESTING]
-
     def __len__(self) -> int:
         return len(self.tasks)

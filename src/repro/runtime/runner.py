@@ -34,7 +34,6 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.plan import ExecutionPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.guard.health import HealthReport
     from repro.pipeline import WorkloadRun
 
 __all__ = [
@@ -68,9 +67,6 @@ class RunReport:
     attempts: list[TaskAttempt] = field(default_factory=list)
     completed: list[str] = field(default_factory=list)
     failures: dict[str, str] = field(default_factory=dict)
-    #: Guard-layer telemetry (oracle checks, kernel trips, guardrail hits,
-    #: quarantined artifacts) — attached by the experiment pipeline.
-    health: "HealthReport | None" = None
 
     @property
     def ok(self) -> bool:
@@ -84,8 +80,6 @@ class RunReport:
         ]
         for name, reason in self.failures.items():
             lines.append(f"  {name}: FAILED: {reason}")
-        if self.health is not None:
-            lines.append(self.health.render())
         return "\n".join(lines)
 
 

@@ -46,7 +46,7 @@ _EMPTY = "cannot estimate from an empty sample set"
 def _finalize(
     tuples: "list[tuple | EstimationError]",
 ) -> "list[EnsembleEstimate | EstimationError]":
-    """Per-request guardrails and EnsembleEstimate construction."""
+    """Per-request EnsembleEstimate construction, or its error."""
     out: "list[EnsembleEstimate | EstimationError]" = []
     for item in tuples:
         if isinstance(item, EstimationError):
@@ -131,7 +131,7 @@ class MicroBatcher:
     A batch costs a fixed number of NumPy calls however many metrics
     its requests cover, so it needs no company to be cheap.
 
-    A batch whose evaluation raises (a guardrail violation under the
+    A batch whose evaluation raises (a guard divergence under the
     ``raise`` policy, or a bug) fails each of its requests with that
     exception; the lane keeps serving.
 

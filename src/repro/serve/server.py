@@ -371,7 +371,7 @@ class SpireServer:
         except _BadRequest as exc:
             return _Response(400, {"error": str(exc)})
         except Exception as exc:
-            # Anything untyped is a server fault (a guardrail violation
+            # Anything untyped is a server fault (a guard divergence
             # under the raise policy, or a bug): answer it, never drop
             # the connection.
             _log.exception(

@@ -47,9 +47,5 @@ class MicroOp:
             raise ConfigError("branches do not write registers")
 
     @property
-    def is_memory(self) -> bool:
-        return self.kind in ("load", "store")
-
-    @property
     def latency(self) -> int:
         return EXEC_LATENCY[self.kind]

@@ -1,5 +1,6 @@
 """Unit tests for the SPIRE ensemble (training, estimation, Figure 4)."""
 
+import contextlib
 import math
 import os
 from unittest import mock
@@ -138,6 +139,17 @@ class TestEstimation:
         other = SampleSet([sample("unknown", 2, 1.0)])
         with pytest.raises(EstimationError):
             mean_absolute_bound_violation(model, other)
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_overflowing_bound_violation_raises(self, model, scalar):
+        """Finite samples whose excesses overflow have no finite mean."""
+        huge = SampleSet(
+            Sample("stalls", time=1e-300, work=1.7e308, metric_count=1.0)
+            for _ in range(2)
+        )
+        path = force_scalar() if scalar else contextlib.nullcontext()
+        with path, pytest.raises(EstimationError, match="overflow"):
+            mean_absolute_bound_violation(model, huge)
 
 
 class TestAnalyze:

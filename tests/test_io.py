@@ -114,11 +114,21 @@ class TestModel:
         with pytest.raises(DataError, match="malformed"):
             load_model(path)
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_non_finite_breakpoint_rejected(self, model, tmp_path, value, axis):
+    @pytest.mark.parametrize(
+        "axis, value, what",
+        [
+            pytest.param(axis, value, "non-finite", id=f"{axis}-{value}")
+            for value in ("NaN", "Infinity", "-Infinity")
+            for axis in (0, 1)
+        ]
+        + [pytest.param(1, "-27.3", "negative", id="1-negative")],
+    )
+    def test_non_finite_breakpoint_rejected(
+        self, model, tmp_path, axis, value, what
+    ):
         """json.loads accepts NaN and Infinity; a model built on them
-        estimates NaN and is never refuted, so loading must fail."""
+        estimates NaN and is never refuted, and a throughput bound below 0
+        estimates a negative throughput, so loading must fail."""
         payload = model.to_dict()
         metric = sorted(payload["rooflines"])[-1]
         breakpoints = payload["rooflines"][metric]["function"]["breakpoints"]
@@ -126,7 +136,7 @@ class TestModel:
         breakpoints[0 if value.startswith("-") else -1][axis] = f"@{value}@"
         path = tmp_path / "headerless.json"
         path.write_text(json.dumps(payload).replace(f'"@{value}@"', value))
-        with pytest.raises(DataError, match=f"metric {metric!r} has non-finite"):
+        with pytest.raises(DataError, match=f"metric {metric!r} has {what}"):
             load_model(path)
 
 
