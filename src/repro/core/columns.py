@@ -290,20 +290,19 @@ class SampleArray:
         if self._groups is None:
             groups: dict[str, np.ndarray] = {}
             if len(self):
+                # One stable argsort: each id's rows are a run of
+                # ``order``, ascending, and the run's first entry is the
+                # id's first row, so sorting the runs by it orders the
+                # groups first-seen.
                 order = np.argsort(self.metric_ids, kind="stable")
                 sorted_ids = self.metric_ids[order]
-                boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-                starts = np.concatenate(([0], boundaries))
-                id_to_rows = {
-                    int(sorted_ids[start]): split
-                    for start, split in zip(starts, np.split(order, boundaries))
-                }
-                unique_ids, first_rows = np.unique(
-                    self.metric_ids, return_index=True
-                )
-                appearance = np.argsort(first_rows, kind="stable")
-                for ident in unique_ids[appearance]:
-                    groups[self.metric_names[int(ident)]] = id_to_rows[int(ident)]
+                # Ids are never negative, so row 0 starts a run too.
+                starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
+                edges = [*starts.tolist(), len(order)]
+                ids = sorted_ids[starts].tolist()
+                names = self.metric_names
+                for run in np.argsort(order[starts]).tolist():
+                    groups[names[ids[run]]] = order[edges[run]:edges[run + 1]]
             self._groups = groups
         return self._groups
 

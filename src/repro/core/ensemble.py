@@ -397,7 +397,9 @@ def _segment_ordered_sums(
 
 
 def fused_estimate(
-    model: SpireModel, arrays: Sequence[SampleArray]
+    model: SpireModel,
+    arrays: Sequence[SampleArray],
+    bounds: np.ndarray | None = None,
 ) -> list[tuple]:
     """Eq. 1 for many sample arrays in one pass over the packed table.
 
@@ -407,10 +409,17 @@ def fused_estimate(
     metric order.  An all-uncovered array yields an empty
     ``per_metric``; the caller maps that to the per-array error.
 
+    ``bounds`` may carry row estimates already evaluated, one entry per
+    row of the arrays in turn: a row's bound under ``model``'s roofline
+    for its metric, or NaN where it is still to be evaluated (a bound
+    is never NaN: breakpoints are finite and NaN intensities raise).
+    Only the covered rows without one are evaluated.
+
     - roofline evaluation is elementwise, and the packed table applies
       the same rules and float expressions as
       ``PiecewiseLinear.evaluate_array``, so batching rows across arrays
-      and metrics cannot change any row's estimate;
+      and metrics cannot change any row's estimate, and neither can
+      evaluating it on another model's table;
     - the stable ``(metric, array)`` lexsort preserves original row
       order inside every segment, matching ``group_indices``'s
       ascending rows;
@@ -451,10 +460,15 @@ def fused_estimate(
     )
     covered = function >= 0
     rows = covered[sorted_metric]
-    estimates = np.zeros(n, dtype=np.float64)
-    estimates[rows] = table.evaluate(
-        function[sorted_metric[rows]], intensity[rows]
-    )
+    if bounds is None:
+        estimates = np.zeros(n, dtype=np.float64)
+    else:
+        estimates = bounds[order]
+        rows &= np.isnan(estimates)
+    if rows.any():
+        estimates[rows] = table.evaluate(
+            function[sorted_metric[rows]], intensity[rows]
+        )
 
     seg_covered = covered[seg_metric]
     live_starts = seg_starts[seg_covered]
@@ -470,9 +484,11 @@ def fused_estimate(
     values = seg_value.tolist()
     counts_list = seg_lengths.tolist()
     covered_list = seg_covered.tolist()
+    request_list = seg_request.tolist()
+    metric_list = seg_metric.tolist()
     for seg in scatter.tolist():
-        per_metric, counts, skipped = results[int(seg_request[seg])]
-        name = names[int(seg_metric[seg])]
+        per_metric, counts, skipped = results[request_list[seg]]
+        name = names[metric_list[seg]]
         if covered_list[seg]:
             per_metric[name] = values[seg]
             counts[name] = counts_list[seg]
@@ -507,18 +523,25 @@ def finish_estimate(
     )
 
 
-def packed_estimate(model: SpireModel, samples: SampleSet) -> EnsembleEstimate:
+def packed_estimate(
+    model: SpireModel,
+    samples: SampleSet,
+    bounds: np.ndarray | None = None,
+) -> EnsembleEstimate:
     """:meth:`SpireModel.estimate` of one sample set on the packed table.
 
     The same estimate, bit for bit, with the same errors,
     from a fixed number of NumPy calls however many metrics the model
-    covers.  ``SPIRE_SCALAR_FALLBACK`` makes it ``SpireModel.estimate``.
+    covers.  ``bounds`` holds row estimates already evaluated, NaN
+    where not, as :func:`fused_estimate` takes them.
+    ``SPIRE_SCALAR_FALLBACK`` makes it ``SpireModel.estimate``, which
+    evaluates every row.
     """
     if scalar_fallback_enabled():
         return model.estimate(samples)
     if not samples:
         raise EstimationError("cannot estimate from an empty sample set")
-    (parts,) = fused_estimate(model, [samples.columns()])
+    (parts,) = fused_estimate(model, [samples.columns()], bounds)
     return finish_estimate(*parts)
 
 

@@ -95,6 +95,11 @@ class GuardConfig:
 
     @classmethod
     def from_env(cls) -> "GuardConfig":
+        """The config the ``SPIRE_GUARD_*`` variables set; an unset or
+        empty variable takes its default.  A value that is not an
+        integer, a negative rate or an unknown policy raises
+        :class:`ConfigError` naming the variable and its value."""
+
         def _int(name: str, default: int) -> int:
             raw = os.environ.get(name, "").strip()
             if not raw:
@@ -102,14 +107,21 @@ class GuardConfig:
             try:
                 return int(raw)
             except ValueError:
-                return default
+                raise ConfigError(
+                    f"{name} must be an integer, got {raw!r}"
+                ) from None
 
-        policy = os.environ.get(POLICY_ENV, "").strip().lower() or "degrade"
-        return cls(
-            check_rate=_int(RATE_ENV, DEFAULT_CHECK_RATE),
-            seed=_int(SEED_ENV, 0),
-            policy=policy if policy in GUARD_POLICIES else "degrade",
-        )
+        rate = _int(RATE_ENV, DEFAULT_CHECK_RATE)
+        if rate < 0:
+            raise ConfigError(f"{RATE_ENV} cannot be negative, got {rate}")
+        raw_policy = os.environ.get(POLICY_ENV, "").strip()
+        policy = raw_policy.lower() or "degrade"
+        if policy not in GUARD_POLICIES:
+            raise ConfigError(
+                f"{POLICY_ENV} must be one of {', '.join(GUARD_POLICIES)}, "
+                f"got {raw_policy!r}"
+            )
+        return cls(check_rate=rate, seed=_int(SEED_ENV, 0), policy=policy)
 
     def rate_for(self, kernel: str) -> int:
         return self.rate_overrides.get(kernel, self.check_rate)

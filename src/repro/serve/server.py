@@ -53,7 +53,7 @@ from repro.errors import (
     ServeOverloadError,
     SpireError,
 )
-from repro.guard.dispatch import health_report
+from repro.guard.dispatch import GuardConfig, health_report
 from repro.io.dataset import load_model
 from repro.serve.batching import MicroBatcher
 from repro.serve.registry import ModelRegistry
@@ -137,11 +137,16 @@ class SpireServer:
     models, and a file that fails to load stops construction with its
     ``DataError`` (quarantined by the loader when its integrity check
     fails).  Further models are installed with ``registry.install``
-    before :meth:`start`.
+    before :meth:`start`.  A bad ``SPIRE_GUARD_*`` setting stops
+    construction with its ``ConfigError``.
     """
 
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
+        # The guard registry reads SPIRE_GUARD_* lazily, inside the
+        # first request that needs it; reading them here stops a bad
+        # value before the server listens, not with a 500 per request.
+        GuardConfig.from_env()
         self.stats = ServeStats()
         self.registry = ModelRegistry()
         if self.config.store_dir is not None:

@@ -124,7 +124,10 @@ class DriftMonitor:
         return dict(self._refits)
 
     def assess(
-        self, model: SpireModel, window: SampleSet
+        self,
+        model: SpireModel,
+        window: SampleSet,
+        bounds: np.ndarray | None = None,
     ) -> dict[str, DriftAssessment]:
         """Score one sealed window against the serving model.
 
@@ -133,8 +136,12 @@ class DriftMonitor:
         <repro.geometry.piecewise.PackedPiecewise.evaluate>` over the
         model's packed table; per-metric counts and worst excesses are
         order-free reductions, so each verdict is what that metric's
-        rows alone would give.  ``SPIRE_SCALAR_FALLBACK`` bounds each
-        sample with :meth:`MetricRoofline.estimate` instead.
+        rows alone would give.  ``bounds``, one float per window row,
+        receives each covered row's bound, for the window's phase
+        estimate to reuse; other rows are left as they are.
+        ``SPIRE_SCALAR_FALLBACK`` bounds each sample with
+        :meth:`MetricRoofline.estimate` instead and writes no
+        ``bounds``.
         """
         if scalar_fallback_enabled():
             return self._assess_scalar(model, window)
@@ -147,6 +154,8 @@ class DriftMonitor:
         covered = function[array.metric_ids] >= 0
         ids = array.metric_ids[covered]
         bound = table.evaluate(function[ids], array.intensity[covered])
+        if bounds is not None:
+            bounds[covered] = bound
         slack = self.policy.tolerance * np.maximum(1.0, np.abs(bound))
         excess = array.throughput[covered] - bound
         violating = excess > slack
@@ -154,12 +163,11 @@ class DriftMonitor:
         violations = np.bincount(ids[violating], minlength=len(names))
         worst = np.zeros(len(names), dtype=np.float64)
         np.maximum.at(worst, ids[violating], excess[violating])
+        tallies = zip(samples.tolist(), violations.tolist(), worst.tolist())
         return {
-            names[ident]: self._verdict(
-                int(samples[ident]), int(violations[ident]),
-                float(worst[ident]),
-            )
-            for ident in np.flatnonzero(samples).tolist()
+            names[ident]: self._verdict(*tally)
+            for ident, tally in enumerate(tallies)
+            if tally[0]
         }
 
     def _assess_scalar(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.columns import SampleArray
 from repro.core.ensemble import SpireModel, TrainOptions
 from repro.core.roofline import (
@@ -32,11 +34,11 @@ __all__ = ["OnlineSpire"]
 class OnlineSpire:
     """A SPIRE ensemble that grows as samples arrive.
 
-    ``insert``/``insert_array`` append samples to each metric's point
-    lists and mark the metric dirty; :meth:`refresh` refits only the
-    dirty metrics.  :meth:`model` serves the current ensemble with the
-    batch trainer's starved-metric floor applied (metrics under
-    ``min_samples_per_metric`` are withheld, exactly as
+    ``insert``/``insert_array``/``insert_points`` append samples to each
+    metric's point lists and mark the metric dirty; :meth:`refresh`
+    refits only the dirty metrics.  :meth:`model` serves the current
+    ensemble with the batch trainer's starved-metric floor applied
+    (metrics under ``min_samples_per_metric`` are withheld, exactly as
     :meth:`SpireModel.train` drops them).
     """
 
@@ -104,9 +106,16 @@ class OnlineSpire:
         intensity = samples.intensity
         throughput = samples.throughput
         for metric, rows in samples.group_indices().items():
-            xs, ys = self._points_of(metric)
-            xs.extend(intensity[rows].tolist())
-            ys.extend(throughput[rows].tolist())
+            self.insert_points(metric, intensity[rows], throughput[rows])
+
+    def insert_points(
+        self, metric: str, intensity: np.ndarray, throughput: np.ndarray
+    ) -> None:
+        """Append one metric's ``(I_x, P)`` columns of validated samples,
+        in order."""
+        xs, ys = self._points_of(metric)
+        xs.extend(intensity.tolist())
+        ys.extend(throughput.tolist())
 
     def _points_of(self, metric: str) -> tuple[list[float], list[float]]:
         """The metric's point lists, created on first sight; marks it dirty."""

@@ -9,7 +9,9 @@ values, via :class:`~repro.core.sanitize.SampleSanitizer`), buffers them
 into fixed size windows, and on each sealed window walks the drift
 ladder (:mod:`repro.stream.drift`) for every metric, in one packed pass
 over the serving model, before folding the window into the incremental
-ensemble (:mod:`repro.stream.incremental`).
+ensemble (:mod:`repro.stream.incremental`).  The window's phase estimate
+reuses that pass's row bounds and evaluates again only the rows of
+metrics whose served roofline the seal changed.
 
 Perf intervals stay in columns from the parse to the sealed window.  A
 closed interval pairs its first ``instructions`` and ``cycles`` rows as
@@ -403,14 +405,18 @@ class StreamIngestor:
         checking = bool(self._reference) or index >= self.options.warmup_windows
         # Repairs only touch the refuted metric, so every verdict can be
         # taken up front against the model served when the window opened.
+        # The check keeps each covered row's bound for the phase estimate.
+        opened = self._served
+        bounds = np.full(len(array), np.nan)
         verdicts = (
-            self._monitor.assess(self._serving, window_set)
+            self._monitor.assess(self._serving, window_set, bounds)
             if checking and self._serving is not None
             else {}
         )
 
+        groups = array.group_indices()
         refuted: list[str] = []
-        for metric, rows in array.group_indices().items():
+        for metric, rows in groups.items():
             verdict = verdicts.get(metric)
             if verdict is None:
                 self._insert_if_stream_owned(metric, array, rows)
@@ -453,7 +459,13 @@ class StreamIngestor:
             if self._online.roofline(metric) is not None:
                 self._quarantined.discard(metric)
         self._serving = self._build_serving()
-        self._observe_phase(index, window_set)
+        # Rows of a metric whose served roofline changed in this seal
+        # (refit, re-seeded or newly served) are bound anew; a withheld
+        # metric's rows are skipped either way.
+        for metric, rows in groups.items():
+            if self._served.get(metric) is not opened.get(metric):
+                bounds[rows] = np.nan
+        self._observe_phase(index, window_set, bounds)
         self._report.events.extend(events)
         return events
 
@@ -462,7 +474,9 @@ class StreamIngestor:
     ) -> None:
         if metric in self._reference:
             return  # reference-owned: static while it agrees
-        self._online.insert_array(array.select(rows))
+        self._online.insert_points(
+            metric, array.intensity[rows], array.throughput[rows]
+        )
 
     def _repair(
         self, metric, index, verdict, array: SampleArray, rows
@@ -470,13 +484,18 @@ class StreamIngestor:
         """Rungs 2-3: quarantine the refuted metric and refit or give up."""
         self._reference.pop(metric, None)
 
-        recent = [self._metric_rows(window, metric) for window in self._recent]
-        recent.append(array.select(rows))
-        refit_parts = [part for part in recent if len(part)]
-        refit_samples = sum(len(part) for part in refit_parts)
+        refit_parts = [
+            (window, window.group_indices()[metric])
+            for window in self._recent
+            if metric in window.group_indices()
+        ]
+        refit_parts.append((array, rows))
+        refit_samples = sum(len(part) for _, part in refit_parts)
         self._online.reset_metric(metric)
-        for part in refit_parts:
-            self._online.insert_array(part)
+        for window, part in refit_parts:
+            self._online.insert_points(
+                metric, window.intensity[part], window.throughput[part]
+            )
 
         if refit_samples < self.options.train.min_samples_per_metric:
             self._quarantined.add(metric)
@@ -524,22 +543,17 @@ class StreamIngestor:
             self._mark_stale(reason)
         return events
 
-    @staticmethod
-    def _metric_rows(array: SampleArray, metric: str) -> SampleArray:
-        rows = array.group_indices().get(metric)
-        if rows is None:
-            rows = np.empty(0, dtype=np.intp)
-        return array.select(rows)
-
     def _mark_stale(self, reason: str) -> None:
         self._report.stale = True
         self._report.stale_reason = reason
 
-    def _observe_phase(self, index: int, window_set: SampleSet) -> None:
+    def _observe_phase(
+        self, index: int, window_set: SampleSet, bounds: np.ndarray
+    ) -> None:
         if self._serving is None:
             return
         try:
-            estimate = packed_estimate(self._serving, window_set)
+            estimate = packed_estimate(self._serving, window_set, bounds)
         except (FitError, EstimationError):
             return
         self._tracker.observe(

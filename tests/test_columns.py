@@ -95,6 +95,34 @@ def test_group_indices_and_for_metric():
     assert sub.metric_names[int(sub.metric_ids[0])] == "a"
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    names=st.lists(
+        st.sampled_from(["a", "b", "c", "l1d.miss", "unused"]),
+        min_size=1, max_size=5, unique=True,
+    ),
+    picks=st.one_of(
+        st.lists(st.integers(0, 4), max_size=60),
+        st.lists(st.just(0), min_size=1, max_size=8),
+    ),
+)
+def test_group_indices_match_grouped(names, picks):
+    """Empty, one-metric and interleaved id columns, over a name table
+    that may hold names no row uses: the keys, key order and rows of
+    ``SampleSet.grouped()`` on the same rows, each group ascending."""
+    ids = [pick % len(names) for pick in picks]
+    n = len(ids)
+    # Row i has time i + 1, so each sample names its row.
+    array = SampleArray(ids, names, np.arange(1.0, n + 1), [1.0] * n,
+                        [1.0] * n)
+    groups = array.group_indices()
+    expected = SampleSet(array.iter_samples()).grouped()
+    assert list(groups) == list(expected)
+    for metric, rows in groups.items():
+        assert rows.tolist() == [int(s.time) - 1 for s in expected[metric]]
+        assert np.all(np.diff(rows) > 0)
+
+
 def test_select_and_concat_round_trip():
     array = SampleArray.from_samples(make_samples())
     front = array.select(np.array([0, 1]))

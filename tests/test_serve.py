@@ -35,6 +35,7 @@ from repro.core import SpireModel, TrainOptions
 from repro.core.columns import SampleArray
 from repro.core.roofline import MetricRoofline
 from repro.errors import (
+    ConfigError,
     DataError,
     DegradedDataWarning,
     EstimationError,
@@ -964,6 +965,18 @@ BAD_BREAKPOINTS = [
 ]
 
 
+#: (variable, value, the error after the variable's name) of guard
+#: settings that must stop a server before it listens, rather than fail
+#: its requests or quietly become a default.
+BAD_GUARD_SETTINGS = [
+    ("SPIRE_GUARD_RATE", "-1", "cannot be negative, got -1"),
+    ("SPIRE_GUARD_RATE", "abc", "must be an integer, got 'abc'"),
+    ("SPIRE_GUARD_SEED", "1.5", "must be an integer, got '1.5'"),
+    ("SPIRE_GUARD_POLICY", "explode",
+     "must be one of degrade, raise, got 'explode'"),
+]
+
+
 class TestRegistry:
     def test_store_model_is_served_and_listed(self, model, tmp_path):
         reset_guards(GuardConfig(check_rate=0))
@@ -1015,6 +1028,17 @@ class TestRegistry:
             DataError, match=f"bad.json: metric 'm.0' has {what} breakpoints"
         ):
             SpireServer(_serve_config(tmp_path))
+
+    @pytest.mark.parametrize("variable, value, error", BAD_GUARD_SETTINGS)
+    def test_bad_guard_setting_stops_construction(
+        self, tmp_path, monkeypatch, variable, value, error
+    ):
+        # The context restores the variable before fresh_guards resets.
+        with monkeypatch.context() as patch:
+            patch.setenv(variable, value)
+            with pytest.raises(ConfigError) as raised:
+                SpireServer(_serve_config(tmp_path))
+        assert str(raised.value) == f"{variable} {error}"
 
     def test_unreadable_store_entry_stops_construction(self, tmp_path):
         (tmp_path / "store" / "odd.json").mkdir(parents=True)
@@ -1408,6 +1432,29 @@ class TestServeCli:
         assert code == 0
         assert "installed model 'demo'" in out
         assert "serving 1 model(s)" in out
+
+    def test_serve_exits_2_on_a_bad_guard_setting(
+        self, model, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        save_model(model, tmp_path / "demo.json")
+        with monkeypatch.context() as patch:
+            patch.setenv("SPIRE_GUARD_RATE", "-1")
+            code = main(
+                [
+                    "serve",
+                    "--model", f"demo={tmp_path / 'demo.json'}",
+                    "--port", "0",
+                    "--max-runtime", "0.3",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "error: SPIRE_GUARD_RATE cannot be negative, got -1"
+        ]
+        assert "serving" not in captured.out
 
     def test_serve_rejects_malformed_model_spec(self, tmp_path, capsys):
         from repro.cli import main

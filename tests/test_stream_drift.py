@@ -14,6 +14,7 @@ bound of its training data).
 import math
 import os
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -25,9 +26,13 @@ from repro.core import ensemble
 from repro.core.ensemble import SpireModel, TrainOptions
 from repro.core.roofline import MetricRoofline
 from repro.core.sample import Sample, SampleSet
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FitError
 from repro.fastpath import force_scalar
-from repro.geometry.piecewise import Breakpoint, PiecewiseLinear
+from repro.geometry.piecewise import (
+    Breakpoint,
+    PackedPiecewise,
+    PiecewiseLinear,
+)
 from repro.guard.dispatch import health_report, reset_guards
 from repro.runtime.faults import (
     DRIFT_INJECT,
@@ -297,6 +302,129 @@ class TestServingModelReuse:
                 # Withheld, the victim changes nothing that is served.
                 assert served is before
         assert repaired
+
+
+class TestOneEvaluationPerSeal:
+    """A seal bounds each covered row once, against the model the window
+    opened with.  The phase estimate reuses those bounds and evaluates
+    again only the rows of metrics whose served roofline the seal
+    changed (refit, re-seeded or newly served); a withheld metric's rows
+    are skipped."""
+
+    VICTIM = "llc.miss"
+    SCENARIOS = {
+        "refit": dict(reference=True, options=StreamOptions(
+            window_samples=1_000)),
+        "quarantined": dict(reference=True, options=StreamOptions(
+            window_samples=1_000,
+            policy=DriftPolicy(refit_history=1),
+            train=TrainOptions(min_samples_per_metric=64),
+        )),
+        "warmup": dict(reference=False, options=StreamOptions(
+            window_samples=1_000)),
+    }
+
+    @classmethod
+    def _drifting(cls, windows):
+        """Each window's timestamped rows, the victim off its bound from
+        window 2 on."""
+        for index, window in enumerate(windows):
+            rows = [dict(record, timestamp=float(index)) for record in window]
+            for row in rows:
+                if index >= 2 and row["metric"] == cls.VICTIM:
+                    row["work"] *= 4.0
+                    row["metric_count"] *= 4.0
+            yield index, rows
+
+    @staticmethod
+    def _served(ingestor):
+        try:
+            model = ingestor.model()
+        except FitError:
+            return None, {}
+        return model, {m: model.roofline(m) for m in model.metrics}
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_seal_evaluates_covered_rows_once_and_changed_rows_again(
+        self, trained, scenario, monkeypatch
+    ):
+        monkeypatch.delenv("SPIRE_SCALAR_FALLBACK", raising=False)
+        model, windows = trained
+        spec = self.SCENARIOS[scenario]
+        options = spec["options"]
+        ingestor = StreamIngestor(
+            model=model if spec["reference"] else None, options=options
+        )
+        calls = []
+        evaluate = PackedPiecewise.evaluate
+
+        def spy(table, k, xs):
+            calls.append((table, np.array(k)))
+            return evaluate(table, k, xs)
+
+        seen = Counter()  # seals that reached each case
+        for index, rows in self._drifting(windows):
+            opened, opened_rooflines = self._served(ingestor)
+            ingestor.push_records(rows)
+            calls.clear()
+            with mock.patch.object(PackedPiecewise, "evaluate", spy):
+                ingestor.seal_window()
+            served, served_rooflines = self._served(ingestor)
+
+            counts = Counter(row["metric"] for row in rows)
+            checked = opened is not None and (
+                spec["reference"] or index >= options.warmup_windows
+            )
+            covered = Counter(
+                {m: n for m, n in counts.items() if m in opened_rooflines}
+            ) if checked else Counter()
+            # Served rows without a bound from the check, or whose
+            # roofline the seal replaced.
+            fresh = Counter({
+                m: n for m, n in counts.items()
+                if m in served_rooflines and (
+                    m not in covered
+                    or opened_rooflines[m] is not served_rooflines[m]
+                )
+            })
+            expected = [(opened, covered)] if checked else []
+            if fresh:
+                expected.append((served, fresh))
+            # Each call as (whose table, rows per metric).
+            owners = {
+                m.packed_rooflines()[1]: (m, {
+                    k: name for name, k in m.packed_rooflines()[0].items()
+                })
+                for m in (opened, served) if m is not None
+            }
+            assert [
+                (owners[table][0], Counter(owners[table][1][k] for k in ks))
+                for table, ks in calls
+            ] == expected
+            seen["reused"] += bool(fresh) and bool(covered - fresh)
+            seen["withheld"] += any(m not in served_rooflines for m in covered)
+            seen["fresh"] += bool(fresh)
+        # Each scenario reaches the case it is named for.
+        assert seen[{"refit": "reused", "quarantined": "withheld",
+                     "warmup": "fresh"}[scenario]]
+
+    def test_scalar_fallback_runs_no_packed_evaluation(
+        self, trained, monkeypatch
+    ):
+        monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
+        model, windows = trained
+        ingestor = StreamIngestor(
+            model=model, options=StreamOptions(window_samples=1_000)
+        )
+        with mock.patch.object(
+            PackedPiecewise, "evaluate", side_effect=AssertionError
+        ) as evaluate:
+            for _, rows in self._drifting(windows):
+                ingestor.push_records(rows)
+                ingestor.seal_window()
+        assert evaluate.call_count == 0
+        assert "refit" in {event.action for event in ingestor.events}
+        assert len(ingestor.report().phases.phases) == len(windows)
 
 
 class TestNoModelStream:

@@ -18,6 +18,10 @@ truncated lines, out-of-order and ``nan`` timestamps and intervals
 missing ``cycles``.  Two run against a trained model (absorb, refit,
 quarantine and stale events), one without (warm-up).  Each is checked
 on the default path and under ``SPIRE_SCALAR_FALLBACK=1``.
+
+The same streams also hold each window's phase estimate, which reuses
+its drift check's row bounds, to a fresh ``packed_estimate`` of the
+window, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,13 +31,14 @@ import json
 import random
 import warnings
 
+import numpy as np
 import pytest
 
-from repro.core.ensemble import SpireModel, TrainOptions
+from repro.core.ensemble import SpireModel, TrainOptions, packed_estimate
 from repro.core.sample import Sample, SampleSet
 from repro.errors import DegradedDataWarning, FitError
 from repro.guard import reset_guards
-from repro.stream import DriftPolicy, StreamIngestor, StreamOptions
+from repro.stream import DriftPolicy, StreamIngestor, StreamOptions, ingest
 
 #: Metric name -> slope of the bound ``slope * I`` its samples sit under.
 SLOPES = {
@@ -321,3 +326,58 @@ def path(request, monkeypatch):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_stream_output_matches_golden(name, path):
     assert stream_digests(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_phase_estimates_equal_fresh_packed_estimates(name, monkeypatch):
+    """A seal's phase estimate reuses the bounds its drift check took
+    against the opening model and evaluates only the rows whose served
+    roofline the seal changed.  Each must still be ``packed_estimate`` of
+    the window under the model served after the seal, evaluated afresh,
+    bit for bit."""
+    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK", raising=False)
+    served = []
+    compared = []
+    mixed = 0  # seals whose estimate both reused and evaluated served rows
+    observe = StreamIngestor._observe_phase
+
+    def observing(self, index, window, bounds):
+        nonlocal mixed
+        try:
+            model = self.model()
+        except FitError:
+            model = None
+        served.append(model)
+        if model is not None:
+            array = window.columns()
+            live = np.asarray(
+                [name in model for name in array.metric_names]
+            )[array.metric_ids]
+            known = ~np.isnan(bounds)
+            mixed += (live & known).any() and (live & ~known).any()
+        observe(self, index, window, bounds)
+
+    def estimating(model, samples, bounds=None):
+        assert model is served[-1]
+        estimate = packed_estimate(model, samples, bounds)
+        compared.append((estimate, packed_estimate(model, samples)))
+        return estimate
+
+    monkeypatch.setattr(StreamIngestor, "_observe_phase", observing)
+    monkeypatch.setattr(ingest, "packed_estimate", estimating)
+    phases = run_stream(name)["phases"]
+
+    def bits(estimate):
+        return (
+            [(m, v.hex()) for m, v in estimate.per_metric.items()],
+            estimate.sample_counts,
+            estimate.skipped_metrics,
+        )
+
+    assert len(compared) == len(phases) > 0
+    for (estimate, fresh), phase in zip(compared, phases):
+        assert bits(estimate) == bits(fresh)
+        assert phase[1:3] == [fresh.throughput, fresh.limiting_metric]
+    if SCENARIOS[name]["trained"]:
+        # Some seal served a refit beside rooflines whose bounds it kept.
+        assert mixed
