@@ -1,8 +1,8 @@
 """Serving bench: micro-batched vs per-request inference under load.
 
 ``repro.serve`` claims concurrent requests can be fused into one
-columnar ``estimate_batch`` evaluation without changing a single bit of
-any response.  This bench measures both claims against a live server —
+evaluation over the model's packed roofline table without changing a
+single bit of any response.  This bench measures both claims against a live server —
 real sockets, real HTTP framing, the same code path ``spire serve``
 runs:
 
@@ -14,7 +14,9 @@ runs:
   concurrent keep-alive clients, batched vs unbatched.  At 64 clients
   the batched server must hold at least **3x** the unbatched RPS even
   at reduced CI scale — the whole point of coalescing is that model
-  evaluation cost is per-batch, not per-request.
+  evaluation cost is per-batch, not per-request;
+- **coalescing** (always asserted): the 64-client batched pass fuses at
+  least 8 requests per evaluation on average.
 
 The headline numbers run with the guard sampling rate pinned to 0 (the
 amortized steady state); a separate guarded pass at the default rate
@@ -208,19 +210,28 @@ async def _load(
 async def _measure(
     model: SpireModel, micro_batch: bool, n_requests: int
 ) -> dict:
-    config = ServeConfig(port=0, micro_batch=micro_batch, queue_limit=4096)
+    config = ServeConfig(port=0, micro_batch=micro_batch)
     server = SpireServer(config)
     server.registry.install("bench", model)
     await server.start()
     try:
         results = {}
         for concurrency in CONCURRENCIES:
-            # Warmup pass primes connections, the model map and (for the
-            # batched server) the lane task before anything is timed.
+            # Warmup pass primes connections and the model's packed
+            # table before anything is timed.
             await _load(server, concurrency, max(2, n_requests // 10))
+            batches = server.stats.batches
+            batched = server.stats.batched_requests
             stats = await _load(
                 server, concurrency, n_requests, collect=micro_batch
             )
+            if micro_batch:
+                # This pass's own fill, from the counters around it.
+                stats["mean_fill"] = round(
+                    (server.stats.batched_requests - batched)
+                    / (server.stats.batches - batches),
+                    2,
+                )
             responses = stats.pop("responses")
             if responses is not None:
                 _assert_parity(model, responses)
@@ -286,6 +297,10 @@ def test_serve_throughput():
     assert payload["speedup_rps_c64"] >= 3.0, (
         f"micro-batching speedup collapsed: {payload['speedup_rps_c64']}x"
     )
+    # 64 clients keep up to 64 requests pending; a flush that took them
+    # one at a time would read 1.
+    fill = payload["batched"]["c64"]["mean_fill"]
+    assert fill >= 8, f"64 clients no longer coalesce: mean fill {fill}"
 
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)

@@ -499,9 +499,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         store_dir=args.store_dir,
         micro_batch=not args.no_batch,
-        max_batch=args.max_batch,
-        queue_limit=args.queue_limit,
-        load_shed=args.load_shed,
         drain_timeout=args.drain_timeout,
     )
 
@@ -517,7 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         await server.start()
-        mode = "off" if args.no_batch else f"on (max {config.max_batch})"
+        mode = "off" if args.no_batch else "on"
         print(
             f"serving {len(server.registry.names())} model(s) on "
             f"http://{config.host}:{server.port} — micro-batch {mode}",
@@ -538,7 +535,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else:
                 await stop.wait()
         finally:
-            # Graceful drain: queued micro-batch requests are evaluated
+            # Graceful drain: pending micro-batch requests are evaluated
             # and answered, in-flight handlers finish.
             await server.stop(drain=True)
 
@@ -786,24 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="NAME=PATH",
         help="serve a trained model JSON under NAME (repeatable)",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="most requests fused into one evaluation (default 64)",
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        help="per-model pending-request bound before backpressure",
-    )
-    p.add_argument(
-        "--load-shed",
-        choices=["reject", "oldest"],
-        default="reject",
-        help="full-queue policy: reject newest (429) or shed oldest (503)",
     )
     p.add_argument(
         "--no-batch",

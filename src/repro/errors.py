@@ -30,17 +30,16 @@ class ParseError(DataError):
 class ServeOverloadError(SpireError):
     """Raised when the serving layer sheds a request under backpressure.
 
-    Carries ``retry_after`` (seconds) so the HTTP layer can answer with
-    ``429`` + ``Retry-After``; ``shed`` marks a request that was already
-    queued and then evicted by the ``oldest`` load-shed policy or failed
-    by a server shutdown (``503``).
+    The HTTP layer answers ``429`` + ``Retry-After: retry_after``;
+    ``shed`` marks a request refused or failed by a server shutdown
+    (``503``).
     """
 
-    def __init__(
-        self, message: str, retry_after: float = 0.05, shed: bool = False
-    ):
+    #: Seconds a refused client is told to wait before it retries.
+    retry_after = 0.05
+
+    def __init__(self, message: str, shed: bool = False):
         super().__init__(message)
-        self.retry_after = retry_after
         self.shed = shed
 
 

@@ -114,8 +114,6 @@ class HealthReport:
                 f"mean fill {fill.get('mean', 0.0):.2f}"
             )
             lines.append(
-                f"  serve backpressure: {back.get('rejected', 0)} rejected, "
-                f"{back.get('shed', 0)} shed, queue high-water "
-                f"{back.get('queue_high_water', 0)}"
+                f"  serve backpressure: {back.get('rejected', 0)} rejected"
             )
         return "\n".join(lines)

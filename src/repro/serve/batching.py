@@ -22,7 +22,6 @@ to that scalar per-request oracle for the rest of the process.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from typing import Callable, Sequence
 
 from repro.core.columns import SampleArray
@@ -32,13 +31,16 @@ from repro.core.ensemble import (
     finish_estimate,
     fused_estimate,
 )
-from repro.errors import EstimationError, ServeOverloadError, SpireError
+from repro.errors import EstimationError, ServeOverloadError
 from repro.fastpath import force_scalar
 from repro.guard.dispatch import approx_equal, kernel_guard
 
 __all__ = ["KERNEL", "MicroBatcher", "batch_estimate", "fused_estimate"]
 
 KERNEL = "serve.batch_estimate"
+
+#: Most requests one model may have pending; the next is answered 429.
+QUEUE_LIMIT = 256
 
 _EMPTY = "cannot estimate from an empty sample set"
 
@@ -121,199 +123,108 @@ def batch_estimate(
 
 
 class MicroBatcher:
-    """Request coalescing that dispatches whenever its lane is idle.
+    """Request coalescing with one scheduled flush per burst.
 
-    A request enqueues its :class:`SampleArray` on its model's lane and
-    awaits a future.  The lane's runner coroutine evaluates whatever is
-    queued, up to ``max_batch`` requests, as soon as it runs — there is
-    no deadline to wait out.  Evaluation runs on the event loop, so the
-    requests that arrive while one batch is evaluated form the next.
-    A batch costs a fixed number of NumPy calls however many metrics
-    its requests cover, so it needs no company to be cheap.
+    A request appends its :class:`SampleArray` to its model's pending
+    list and awaits a future.  The first request of a burst schedules
+    one flush with ``loop.call_soon``, so every handler the event loop
+    runs before that callback joins it.  The flush evaluates each
+    model's pending requests with one :func:`batch_estimate` call and
+    resolves their futures; the requests that arrive while one flush is
+    evaluated form the next.  A batch costs a fixed number of NumPy
+    calls however many metrics its requests cover, so it needs no
+    company to be cheap.
 
-    A batch whose evaluation raises (a guard divergence under the
-    ``raise`` policy, or a bug) fails each of its requests with that
-    exception; the lane keeps serving.
+    An evaluation that raises (a guard divergence under the ``raise``
+    policy, or a bug) fails only its model's requests with that
+    exception; the next burst schedules a new flush.
 
-    Backpressure: a lane whose queue holds ``queue_limit`` requests
-    either rejects the newcomer (``load_shed="reject"``, the HTTP 429
-    path) or evicts its oldest queued request (``load_shed="oldest"``,
-    favoring fresh arrivals when clients time out and retry anyway).
+    Backpressure: a model with :data:`QUEUE_LIMIT` requests pending
+    refuses the newcomer with :class:`ServeOverloadError` (the HTTP 429
+    path).
     """
 
-    def __init__(
-        self,
-        resolve: "Callable[[str], SpireModel]",
-        max_batch: int = 64,
-        queue_limit: int = 256,
-        load_shed: str = "reject",
-        retry_after: float = 0.05,
-        stats=None,
-    ):
-        if max_batch < 1:
-            raise SpireError("max_batch must be at least 1")
-        if queue_limit < 1:
-            raise SpireError("queue_limit must be at least 1")
-        if load_shed not in ("reject", "oldest"):
-            raise SpireError(
-                f"load_shed must be reject|oldest, got {load_shed!r}"
-            )
+    def __init__(self, resolve: "Callable[[str], SpireModel]", stats=None):
         self._resolve = resolve
-        self.max_batch = max_batch
-        self.queue_limit = queue_limit
-        self.load_shed = load_shed
-        self.retry_after = retry_after
         self.stats = stats
-        self._lanes: "dict[str, _Lane]" = {}
+        # model name -> [(request array, its future)] in arrival order
+        self._pending: "dict[str, list[tuple]]" = {}
+        self._scheduled = False
         self._closed = False
 
-    # -- introspection -------------------------------------------------
-
     def queue_depths(self) -> "dict[str, int]":
-        return {name: len(lane.queue) for name, lane in self._lanes.items()}
-
-    # -- request path --------------------------------------------------
+        return {name: len(queue) for name, queue in self._pending.items()}
 
     async def submit(self, model_name: str, array: SampleArray):
-        """Enqueue one request; returns its :class:`EnsembleEstimate`.
+        """Join the next flush; returns the :class:`EnsembleEstimate`.
 
         Raises :class:`EstimationError` for per-request failures and
-        :class:`ServeOverloadError` under backpressure.
+        :class:`ServeOverloadError` under backpressure or shutdown.
         """
         if self._closed:
-            raise ServeOverloadError(
-                "server is shutting down",
-                retry_after=self.retry_after,
-                shed=True,
-            )
-        lane = self._lanes.get(model_name)
-        if lane is None:
-            lane = _Lane(model_name)
-            self._lanes[model_name] = lane
-            lane.task = asyncio.ensure_future(self._run_lane(lane))
-        if len(lane.queue) >= self.queue_limit:
-            if self.load_shed == "reject":
-                if self.stats is not None:
-                    self.stats.note_rejected()
-                raise ServeOverloadError(
-                    f"queue for model {model_name!r} is full "
-                    f"({self.queue_limit} pending)",
-                    retry_after=self.retry_after,
-                )
-            victim = lane.queue.popleft()
-            if not victim.future.done():
-                victim.future.set_exception(
-                    ServeOverloadError(
-                        "request shed under load (oldest-first policy)",
-                        retry_after=self.retry_after,
-                        shed=True,
-                    )
-                )
+            raise ServeOverloadError("server is shutting down", shed=True)
+        queue = self._pending.setdefault(model_name, [])
+        if len(queue) >= QUEUE_LIMIT:
             if self.stats is not None:
-                self.stats.note_shed()
-        future = asyncio.get_running_loop().create_future()
-        lane.queue.append(_Pending(array, future))
-        if self.stats is not None:
-            self.stats.note_queue_depth(len(lane.queue))
-        lane.event.set()
+                self.stats.note_rejected()
+            raise ServeOverloadError(
+                f"queue for model {model_name!r} is full "
+                f"({QUEUE_LIMIT} pending)"
+            )
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        queue.append((array, future))
+        if not self._scheduled:
+            self._scheduled = True
+            loop.call_soon(self._flush)
         return await future
 
-    # -- lane runner ---------------------------------------------------
-
-    async def _run_lane(self, lane: "_Lane") -> None:
-        while True:
-            if not lane.queue:
-                if self._closed:
-                    return
-                lane.event.clear()
-                if lane.queue or self._closed:  # raced with a set()
-                    continue
-                await lane.event.wait()
-                continue
-            batch = [
-                lane.queue.popleft()
-                for _ in range(min(self.max_batch, len(lane.queue)))
-            ]
+    def _flush(self) -> None:
+        self._scheduled = False
+        pending, self._pending = self._pending, {}
+        for name, queue in pending.items():
             if self.stats is not None:
-                self.stats.note_batch(len(batch))
+                self.stats.note_batch(len(queue))
             try:
-                model = self._resolve(lane.name)
-                results = batch_estimate(model, [p.array for p in batch])
+                results = batch_estimate(
+                    self._resolve(name), [array for array, _ in queue]
+                )
             except Exception as exc:
-                results = [exc] * len(batch)
-            for pending, result in zip(batch, results):
-                if pending.future.done():
-                    continue  # the client went away mid-batch
+                results = [exc] * len(queue)
+            for (_, future), result in zip(queue, results):
+                if future.done():
+                    continue  # the client went away before the flush
                 if isinstance(result, Exception):
-                    pending.future.set_exception(result)
+                    future.set_exception(result)
                 else:
-                    pending.future.set_result(result)
+                    future.set_result(result)
 
-    async def drain(self) -> int:
-        """Flush every queued request through evaluation, then shut down.
+    def drain(self) -> int:
+        """Evaluate every pending request now and refuse later ones.
 
-        The graceful half of shutdown: new submissions are refused
-        (``503``) immediately, but everything already queued is
-        evaluated — lane runners burn down their queues in full-batch
-        passes.  Returns the number of requests flushed this way.
+        The graceful half of shutdown: new submissions are refused with
+        ``503``, and everything pending is evaluated and answered.
+        Returns the number of requests flushed this way.
         """
         self._closed = True
-        flushed = sum(len(lane.queue) for lane in self._lanes.values())
-        for lane in self._lanes.values():
-            lane.event.set()
-        tasks = [lane.task for lane in self._lanes.values() if lane.task]
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._lanes.clear()
+        flushed = sum(len(queue) for queue in self._pending.values())
+        self._flush()
         return flushed
 
-    async def close(self) -> None:
-        """Cancel lane runners and fail anything still queued with 503.
+    def close(self) -> None:
+        """Fail every pending request with ``503`` and refuse later ones.
 
-        The hard half of shutdown: queued requests get an immediate
-        ``ServeOverloadError`` with ``shed=True`` (the HTTP ``503``
-        path) instead of hanging on a keep-alive connection that will
-        never answer.
+        The hard half of shutdown: a pending request gets an immediate
+        ``ServeOverloadError`` with ``shed=True`` instead of hanging on
+        a keep-alive connection that will never answer.
         """
         self._closed = True
-        for lane in self._lanes.values():
-            if lane.task is not None:
-                lane.task.cancel()
-            while lane.queue:
-                pending = lane.queue.popleft()
-                if not pending.future.done():
-                    pending.future.set_exception(
+        pending, self._pending = self._pending, {}
+        for queue in pending.values():
+            for _, future in queue:
+                if not future.done():
+                    future.set_exception(
                         ServeOverloadError(
-                            "server is shutting down",
-                            retry_after=self.retry_after,
-                            shed=True,
+                            "server is shutting down", shed=True
                         )
                     )
-        tasks = [lane.task for lane in self._lanes.values() if lane.task]
-        for task in tasks:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._lanes.clear()
-
-
-class _Pending:
-    __slots__ = ("array", "future")
-
-    def __init__(self, array, future):
-        self.array = array
-        self.future = future
-
-
-class _Lane:
-    __slots__ = ("name", "queue", "event", "task")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.queue: "deque[_Pending]" = deque()
-        self.event = asyncio.Event()
-        self.task: "asyncio.Task | None" = None

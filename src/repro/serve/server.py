@@ -23,12 +23,14 @@ screen and sanitizer first), ``{"model": ..., "columns": {...}}``
 columnar payloads, or ``Content-Type: text/csv`` raw ``perf stat``
 output with the model named in the query string (``?model=...``).
 
-Backpressure maps to HTTP: a full queue answers ``429`` with a
-``Retry-After`` header under the default ``reject`` policy, and sheds
-the *oldest* queued request with ``503`` under ``load_shed=oldest``.
-A body over ``max_body`` is answered ``413`` and closes the connection:
-the unread body must never be parsed as the next request.  Any other
-exception while answering a request is a ``500`` with a JSON body.
+Backpressure maps to HTTP: a model with a full queue answers the
+newcomer ``429`` with a ``Retry-After`` header, and a request still
+pending when the server stops hard is answered ``503``.  A body over
+``max_body`` is answered ``413`` and closes the connection: the unread
+body must never be parsed as the next request.  A request that carries
+``Expect: 100-continue`` gets its interim ``100 Continue`` before its
+body is read.  Any other exception while answering a request is a
+``500`` with a JSON body.
 """
 
 from __future__ import annotations
@@ -79,14 +81,7 @@ class ServeConfig:
     # installed ones (see SpireServer).
     store_dir: "str | None" = None
     micro_batch: bool = True
-    max_batch: int = 64
-    queue_limit: int = 256
-    load_shed: str = "reject"   # or "oldest"
-    retry_after: float = 0.05
     max_body: int = 8 * 1024 * 1024
-    work_event: str = "instructions"
-    time_event: str = "cycles"
-    separator: str = ","
     # Graceful-shutdown budget: how long stop(drain=True) waits for
     # busy handlers to write their final responses.
     drain_timeout: float = 5.0
@@ -154,19 +149,8 @@ class SpireServer:
                 self.registry.install(path.stem, load_model(path))
         self.batcher: MicroBatcher | None = None
         if self.config.micro_batch:
-            self.batcher = MicroBatcher(
-                resolve=self.registry.get,
-                max_batch=self.config.max_batch,
-                queue_limit=self.config.queue_limit,
-                load_shed=self.config.load_shed,
-                retry_after=self.config.retry_after,
-                stats=self.stats,
-            )
-        self._parser = PerfStatParser(
-            work_event=self.config.work_event,
-            time_event=self.config.time_event,
-            separator=self.config.separator,
-        )
+            self.batcher = MicroBatcher(self.registry.get, stats=self.stats)
+        self._parser = PerfStatParser()
         self._server: "asyncio.AbstractServer | None" = None
         self.port = self.config.port
         self._handler_tasks: "set[asyncio.Task]" = set()
@@ -199,12 +183,13 @@ class SpireServer:
         """Shut down, gracefully (``drain=True``) or hard.
 
         Ordered either way: the listener closes first so no new
-        connections arrive, then the batcher's queues are settled —
-        *evaluated* on drain, failed with ``503`` on a hard stop — and
-        only then are connection handlers (which still need the event
-        loop to write those final responses) waited on and reaped.
-        Closing transports before settling the queues is exactly the
-        hung-keep-alive bug this ordering exists to prevent.
+        connections arrive, then the batcher's pending requests are
+        settled — *evaluated* on drain, failed with ``503`` on a hard
+        stop — and only then are connection handlers (which still need
+        the event loop to write those final responses) waited on and
+        reaped.  Closing transports before settling the pending requests
+        is exactly the hung-keep-alive bug this ordering exists to
+        prevent.
         """
         started = time.perf_counter()
         if self._server is not None:
@@ -214,9 +199,9 @@ class SpireServer:
         flushed = 0
         if self.batcher is not None:
             if drain:
-                flushed = await self.batcher.drain()
+                flushed = self.batcher.drain()
             else:
-                await self.batcher.close()
+                self.batcher.close()
         # Busy handlers now hold resolved futures (results or 503s);
         # give them the drain budget to finish writing.
         deadline = (
@@ -251,7 +236,7 @@ class SpireServer:
             self._handler_tasks.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                request = await self._read_request(reader, writer)
                 if request is None:
                     break
                 self._busy += 1
@@ -290,7 +275,7 @@ class SpireServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> "_Request | None":
         try:
             head = await reader.readuntil(b"\r\n\r\n")
@@ -327,6 +312,11 @@ class SpireServer:
             return _Request(
                 method, split.path, query, headers, b"", oversized=True
             )
+        if length and headers.get("expect", "").lower() == "100-continue":
+            # The client holds its body back until it hears this; curl
+            # waits a second, then sends it anyway.
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
         body = await reader.readexactly(length) if length else b""
         return _Request(method, split.path, query, headers, body)
 
@@ -369,7 +359,7 @@ class SpireServer:
             return _Response(
                 status,
                 {"error": str(exc), "retry_after": exc.retry_after},
-                headers={"Retry-After": f"{max(exc.retry_after, 0.0):.3f}"},
+                headers={"Retry-After": f"{exc.retry_after:.3f}"},
             )
         except EstimationError as exc:
             return _Response(422, {"error": str(exc)})
@@ -392,9 +382,6 @@ class SpireServer:
         serve_state = self.stats.snapshot(registry_snapshot)
         serve_state["batcher"] = {
             "enabled": self.batcher is not None,
-            "max_batch": self.config.max_batch,
-            "queue_limit": self.config.queue_limit,
-            "load_shed": self.config.load_shed,
             "queues": (
                 self.batcher.queue_depths() if self.batcher is not None else {}
             ),
@@ -605,8 +592,8 @@ class SpireServer:
         if not sample_set:
             raise _BadRequest(
                 "no usable perf intervals: need both "
-                f"{self.config.work_event!r} and {self.config.time_event!r} "
-                "per interval"
+                f"{self._parser.work_event!r} and "
+                f"{self._parser.time_event!r} per interval"
             )
         clean, report = SampleSanitizer(min_samples_per_metric=1).sanitize(
             sample_set

@@ -33,8 +33,6 @@ class ServeStats:
         self.batched_requests = 0
         self.max_fill = 0
         self.rejected = 0
-        self.shed = 0
-        self.queue_high_water = 0
         self._fill_histogram = [0] * (len(FILL_BUCKETS) + 1)
         # Graceful-drain accounting (SpireServer.stop(drain=True)).
         self.drains = 0
@@ -68,18 +66,9 @@ class ServeStats:
             else:
                 self._fill_histogram[-1] += 1
 
-    def note_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            if depth > self.queue_high_water:
-                self.queue_high_water = depth
-
     def note_rejected(self) -> None:
         with self._lock:
             self.rejected += 1
-
-    def note_shed(self) -> None:
-        with self._lock:
-            self.shed += 1
 
     # -- lifecycle -----------------------------------------------------
 
@@ -114,11 +103,7 @@ class ServeStats:
                     "max": self.max_fill,
                     "histogram": dict(zip(labels, self._fill_histogram)),
                 },
-                "backpressure": {
-                    "rejected": self.rejected,
-                    "shed": self.shed,
-                    "queue_high_water": self.queue_high_water,
-                },
+                "backpressure": {"rejected": self.rejected},
                 "drain": {
                     "count": self.drains,
                     "last_ms": self.last_drain_ms,

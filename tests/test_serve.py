@@ -9,9 +9,10 @@ produce infinite intensity, empty requests) through arbitrary batch
 splits and asserts exact equality.  The rest covers the registry and
 its store directory (saved models loaded at construction, a bad file
 stopping it, request names that never reach the filesystem), the
-backpressure policies, batcher drain, guard degradation, and the HTTP
-front door end to end over real sockets: request framing, shutdown and
-drain, and the surface the repository benchmark drives.
+batcher's one flush per burst, backpressure, batcher drain, guard
+degradation, and the HTTP front door end to end over real sockets:
+request framing, shutdown and drain, and the surface the repository
+benchmark drives.
 Malformed and fuzzed JSON bodies must be answered with a 4xx, never a
 500, and every 200 must be valid JSON.
 """
@@ -55,9 +56,11 @@ from repro.io.dataset import MODEL_FORMAT
 from repro.serve import (
     MicroBatcher,
     ServeConfig,
+    ServeStats,
     SpireServer,
     batch_estimate,
 )
+import repro.serve.batching as batching_module
 
 GUARD_ENV_PREFIXES = ("SPIRE_GUARD", "SPIRE_SCALAR_FALLBACK")
 
@@ -370,6 +373,78 @@ def _run(coro):
     return asyncio.run(coro)
 
 
+class TestFlush:
+    """One scheduled flush per burst: every request submitted before the
+    event loop reaches the flush joins it, one evaluation per model."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch) -> list:
+        """Record each ``batch_estimate`` call as (model, request count);
+        a model whose rooflines cover ``"n.0"`` fails its evaluation."""
+        reset_guards(GuardConfig(check_rate=0))
+        calls = []
+        evaluate = batching_module.batch_estimate
+
+        def spy(model, arrays):
+            calls.append((model, len(arrays)))
+            if "n.0" in model.metrics:
+                raise RuntimeError("injected evaluation failure")
+            return evaluate(model, arrays)
+
+        monkeypatch.setattr(batching_module, "batch_estimate", spy)
+        return calls
+
+    def test_one_evaluation_per_model_per_burst(self, model, evaluations):
+        other = _train_model(metrics=["m.0", "m.1"], seed=11)
+        models = {"first": model, "second": other}
+        array = _array_from_rows(_ROWS)
+        stats = ServeStats()
+
+        async def drive():
+            batcher = MicroBatcher(models.__getitem__, stats=stats)
+            burst = await asyncio.gather(
+                *(batcher.submit(name, array) for name in
+                  ["first", "second", "first", "second", "first"])
+            )
+            after_burst = (list(evaluations), stats.snapshot())
+            late = await batcher.submit("first", array)
+            return burst, after_burst, late
+
+        burst, (burst_calls, snapshot), late = _run(drive())
+        assert burst_calls == [(model, 3), (other, 2)]
+        assert snapshot["batches"] == 2
+        assert snapshot["batch_fill"]["max"] == 3
+        # A submit after the flush schedules a flush of its own.
+        assert evaluations == burst_calls + [(model, 1)]
+        assert stats.snapshot()["batches"] == 3
+        for name, got in zip(["first", "second", "first", "second", "first"],
+                             burst):
+            _assert_identical(got, _reference(models[name], array))
+        _assert_identical(late, _reference(model, array))
+
+    def test_failed_evaluation_fails_only_its_model(
+        self, model, evaluations
+    ):
+        failing = _train_model(metrics=["n.0", "n.1"], seed=11)
+        models = {"good": model, "bad": failing}
+        array = _array_from_rows(_ROWS)
+
+        async def drive():
+            batcher = MicroBatcher(models.__getitem__)
+            return await asyncio.gather(
+                *(batcher.submit(name, array) for name in
+                  ["bad", "good", "bad", "good"]),
+                return_exceptions=True,
+            )
+
+        bad, good, bad_again, good_again = _run(drive())
+        assert evaluations == [(failing, 2), (model, 2)]
+        for failed in (bad, bad_again):
+            assert isinstance(failed, RuntimeError)
+        for got in (good, good_again):
+            _assert_identical(got, _reference(model, array))
+
+
 class TestMicroBatcher:
     def test_interleaved_submissions_match_reference(self, model):
         reset_guards(GuardConfig(check_rate=0))
@@ -392,7 +467,7 @@ class TestMicroBatcher:
             plan.append((name, _array_from_rows(rows)))
 
         async def drive():
-            batcher = MicroBatcher(lambda name: models[name], max_batch=8)
+            batcher = MicroBatcher(lambda name: models[name])
             try:
 
                 async def one(name, array, delay):
@@ -409,65 +484,40 @@ class TestMicroBatcher:
                     )
                 )
             finally:
-                await batcher.close()
+                batcher.close()
 
         results = _run(drive())
         for (name, array), got in zip(plan, results):
             _assert_identical(got, _reference(models[name], array))
 
     def test_full_queue_rejects_with_retry_after(self, model):
-        async def drive():
-            blocked = asyncio.Event()
-
-            def resolve(name):
-                return model
-
-            batcher = MicroBatcher(resolve, max_batch=64, queue_limit=2)
-            array = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
-            # All three enqueue in one loop iteration, before the lane
-            # first runs: the third finds the queue full.
-            first = asyncio.ensure_future(batcher.submit("m", array))
-            second = asyncio.ensure_future(batcher.submit("m", array))
-            third = asyncio.ensure_future(batcher.submit("m", array))
-            with pytest.raises(ServeOverloadError) as excinfo:
-                await third
-            assert excinfo.value.retry_after > 0
-            assert not excinfo.value.shed
-            for future in (first, second):
-                future.cancel()
-            await batcher.close()
-            del blocked
-
-        _run(drive())
-
-    def test_oldest_policy_sheds_first_request(self, model):
         reset_guards(GuardConfig(check_rate=0))
+        array = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
 
         async def drive():
-            batcher = MicroBatcher(
-                lambda name: model,
-                max_batch=64,
-                queue_limit=1,
-                load_shed="oldest",
-            )
-            array = _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
-            # Both enqueue before the lane first runs: the second evicts
-            # the first.
-            first = asyncio.ensure_future(batcher.submit("m", array))
-            second = asyncio.ensure_future(batcher.submit("m", array))
+            batcher = MicroBatcher(lambda name: model)
+            # Every submit runs in one loop iteration, before the flush
+            # it scheduled: the one past the bound finds the queue full.
+            accepted = [
+                asyncio.ensure_future(batcher.submit("m", array))
+                for _ in range(batching_module.QUEUE_LIMIT)
+            ]
+            refused = asyncio.ensure_future(batcher.submit("m", array))
             with pytest.raises(ServeOverloadError) as excinfo:
-                await first
-            assert excinfo.value.shed
-            result = await second
-            _assert_identical(result, _reference(model, array))
-            await batcher.close()
+                await refused
+            return excinfo.value, await asyncio.gather(*accepted)
 
-        _run(drive())
+        error, results = _run(drive())
+        assert error.retry_after == 0.05
+        assert not error.shed
+        assert len(results) == batching_module.QUEUE_LIMIT
+        for got in results:
+            _assert_identical(got, _reference(model, array))
 
     def test_closed_batcher_refuses(self, model):
         async def drive():
             batcher = MicroBatcher(lambda name: model)
-            await batcher.close()
+            batcher.close()
             with pytest.raises(ServeOverloadError):
                 await batcher.submit(
                     "m", _array_from_rows([("m.0", 1.0, 2.0, 1.0)])
@@ -486,15 +536,16 @@ class TestBatcherDrain:
         want = model.estimate(array.to_sample_set())
 
         async def drive():
-            batcher = MicroBatcher(lambda _: model, max_batch=8)
-            # The three requests and the drain all start before the lane
-            # first runs, so the drain finds them parked.
+            batcher = MicroBatcher(lambda _: model)
             futures = [
                 asyncio.ensure_future(batcher.submit("m", array))
                 for _ in range(3)
             ]
-            drain = asyncio.ensure_future(batcher.drain())
-            flushed = await drain
+            # The three submits run in this iteration and the flush they
+            # scheduled in the next, so the drain finds them pending.
+            await asyncio.sleep(0)
+            assert batcher.queue_depths() == {"m": 3}
+            flushed = batcher.drain()
             results = await asyncio.gather(*futures)
             return flushed, results
 
@@ -507,8 +558,8 @@ class TestBatcherDrain:
         array = _array_from_rows(_ROWS)
 
         async def drive():
-            batcher = MicroBatcher(lambda _: model, max_batch=8)
-            await batcher.drain()
+            batcher = MicroBatcher(lambda _: model)
+            batcher.drain()
             with pytest.raises(ServeOverloadError) as excinfo:
                 await batcher.submit("m", array)
             return excinfo.value
@@ -519,11 +570,13 @@ class TestBatcherDrain:
         array = _array_from_rows(_ROWS)
 
         async def drive():
-            batcher = MicroBatcher(lambda _: model, max_batch=8)
-            # Closed before the lane first runs: the request is queued.
+            batcher = MicroBatcher(lambda _: model)
             future = asyncio.ensure_future(batcher.submit("m", array))
-            close = asyncio.ensure_future(batcher.close())
-            await close
+            # Closed before the flush the submit scheduled: the request
+            # is pending.
+            await asyncio.sleep(0)
+            assert batcher.queue_depths() == {"m": 1}
+            batcher.close()
             with pytest.raises(ServeOverloadError) as excinfo:
                 await future
             return excinfo.value
@@ -548,23 +601,26 @@ async def _http(host, port, method, target, body=b"", content_type="application/
         ).encode()
         writer.write(head + body)
         await writer.drain()
-        header = await reader.readuntil(b"\r\n\r\n")
-        status = int(header.split(b" ", 2)[1])
-        length = 0
-        headers = {}
-        for line in header.split(b"\r\n")[1:]:
-            if b":" in line:
-                key, value = line.split(b":", 1)
-                headers[key.strip().lower().decode()] = value.strip().decode()
-        length = int(headers.get("content-length", "0"))
-        payload = json.loads((await reader.readexactly(length)).decode())
-        return status, payload, headers
+        return await _read_response(reader)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def _read_response(reader):
+    header = await reader.readuntil(b"\r\n\r\n")
+    status = int(header.split(b" ", 2)[1])
+    headers = {}
+    for line in header.split(b"\r\n")[1:]:
+        if b":" in line:
+            key, value = line.split(b":", 1)
+            headers[key.strip().lower().decode()] = value.strip().decode()
+    length = int(headers.get("content-length", "0"))
+    payload = json.loads((await reader.readexactly(length)).decode())
+    return status, payload, headers
 
 
 def _serve_config(tmp_path, **kwargs) -> ServeConfig:
@@ -598,24 +654,27 @@ def _want_per_metric(model: SpireModel) -> dict:
 
 @pytest.fixture
 def held_lane(monkeypatch) -> asyncio.Event:
-    """Park every batching lane until the returned event is set.
+    """Hold every batcher flush until the returned event is set.
 
-    Lanes dispatch as soon as they run, so a test that needs queued
-    requests holds the lane runner before its first pass.
+    A flush runs as soon as the event loop reaches it, so a test that
+    needs pending requests holds it back.
     """
     release = asyncio.Event()
-    run_lane = MicroBatcher._run_lane
+    flush = MicroBatcher._flush
 
-    async def held(self, lane):
-        await release.wait()
-        await run_lane(self, lane)
+    def held(self):
+        async def when_released():
+            await release.wait()
+            flush(self)
 
-    monkeypatch.setattr(MicroBatcher, "_run_lane", held)
+        asyncio.ensure_future(when_released())
+
+    monkeypatch.setattr(MicroBatcher, "_flush", held)
     return release
 
 
 async def _until_queued(server: SpireServer, count: int) -> None:
-    """Wait until ``count`` requests sit in the demo model's lane."""
+    """Wait until ``count`` requests of the demo model are pending."""
     for _ in range(1000):
         if server.batcher.queue_depths().get("demo", 0) >= count:
             return
@@ -783,7 +842,7 @@ class TestServer:
         try:
             got, want = post(intervals), post(intervals[::2])
         finally:
-            loop.run_until_complete(server.batcher.close())
+            server.batcher.close()
             loop.close()
         assert got.status == want.status == 200
         assert "1x non-numeric timestamp" in got.payload["quality"]
@@ -791,9 +850,13 @@ class TestServer:
         del got.payload["quality"]
         assert got.payload == want.payload
 
-    def test_backpressure_maps_to_429(self, model, tmp_path, held_lane):
+    def test_backpressure_maps_to_429(
+        self, model, tmp_path, held_lane, monkeypatch
+    ):
         reset_guards(GuardConfig(check_rate=0))
-        config = _serve_config(tmp_path, queue_limit=1, max_batch=64)
+        # One pending request fills the queue (256 outside this test).
+        monkeypatch.setattr(batching_module, "QUEUE_LIMIT", 1)
+        config = _serve_config(tmp_path)
         server = SpireServer(config)
         server.registry.install("demo", model)
         body = json.dumps(
@@ -813,12 +876,12 @@ class TestServer:
                 first = asyncio.ensure_future(
                     _http(host, port, "POST", "/v1/estimate", body)
                 )
-                await _until_queued(server, 1)  # parked on the held lane
+                await _until_queued(server, 1)  # held before its flush
                 status, payload, headers = await _http(
                     host, port, "POST", "/v1/estimate", body
                 )
                 assert status == 429
-                assert float(headers["retry-after"]) > 0
+                assert float(headers["retry-after"]) == 0.05
                 assert server.stats.snapshot()["backpressure"]["rejected"] == 1
                 held_lane.set()
                 status, _, _ = await first
@@ -883,6 +946,53 @@ class TestServer:
         snapshot = server.registry.snapshot()
         assert type(snapshot["hits"]) is int and snapshot["hits"] >= 1
         assert type(snapshot["misses"]) is int
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, model, tmp_path
+    ):
+        """A client that sends ``Expect: 100-continue`` holds its body
+        back until it hears ``100 Continue`` (curl for a second, then it
+        sends anyway), so the server must answer the expectation before
+        it reads the body."""
+        reset_guards(GuardConfig(check_rate=0))
+        server = _demo_server(tmp_path, model)
+        body = _estimate_body()
+        head = (
+            "POST /v1/estimate HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            "Expect: 100-continue\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode()
+
+        async def drive():
+            await server.start()
+            host, port = server.config.host, server.port
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+                try:
+                    writer.write(head)
+                    await writer.drain()
+                    interim = await asyncio.wait_for(
+                        reader.readuntil(b"\r\n\r\n"), 2.0
+                    )
+                    writer.write(body)
+                    await writer.drain()
+                    expected = await _read_response(reader)
+                finally:
+                    writer.close()
+                plain = await _http(host, port, "POST", "/v1/estimate", body)
+                return interim, expected, plain
+            finally:
+                await server.stop()
+
+        interim, (status, payload, _), (plain_status, plain, _) = _run(
+            drive()
+        )
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        assert status == plain_status == 200
+        assert payload == plain
 
     def test_oversized_body_closes_the_connection(self, model, tmp_path):
         """A 413 leaves the body unread, so it must end the connection:
@@ -1087,9 +1197,9 @@ class TestServerRobustness:
     def test_stop_answers_queued_requests_with_503(
         self, model, tmp_path, held_lane
     ):
-        """Shutdown with parked lanes: queued requests get 503, not a hang."""
+        """Shutdown with a held flush: pending requests get 503, not a hang."""
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, max_batch=8)
+        server = _demo_server(tmp_path, model)
 
         async def drive():
             await server.start()
@@ -1099,7 +1209,7 @@ class TestServerRobustness:
                     _estimate_body(),
                 )
             )
-            await _until_queued(server, 1)  # parked on the held lane
+            await _until_queued(server, 1)  # held before its flush
             started = time.perf_counter()
             await server.stop()
             elapsed = time.perf_counter() - started
@@ -1107,7 +1217,7 @@ class TestServerRobustness:
             return elapsed, status, payload
 
         elapsed, status, payload = _run(drive())
-        assert elapsed < 10.0  # the held lane never ran: the queue was failed
+        assert elapsed < 10.0  # the held flush never ran: stop failed it
         assert status == 503
         assert "error" in payload
 
@@ -1115,7 +1225,7 @@ class TestServerRobustness:
         self, model, tmp_path, held_lane
     ):
         reset_guards(GuardConfig(check_rate=0))
-        server = _demo_server(tmp_path, model, max_batch=8)
+        server = _demo_server(tmp_path, model)
 
         async def drive():
             await server.start()
@@ -1125,7 +1235,7 @@ class TestServerRobustness:
                     _estimate_body(),
                 )
             )
-            await _until_queued(server, 1)  # parked on the held lane
+            await _until_queued(server, 1)  # held before its flush
             stop = asyncio.ensure_future(server.stop(drain=True))
             while not server.batcher._closed:  # the drain has counted it
                 await asyncio.sleep(0.005)
@@ -1144,9 +1254,7 @@ class TestServerRobustness:
         self, model, tmp_path, monkeypatch
     ):
         """A batch whose evaluation raises fails its requests with a 500;
-        the lane stays alive and answers the next request."""
-        import repro.serve.batching as batching_module
-
+        the next request gets a new flush and is answered."""
         reset_guards(GuardConfig(check_rate=0))
         server = _demo_server(tmp_path, model)
         body = _estimate_body()
@@ -1299,7 +1407,7 @@ def dispatch(model, tmp_path_factory):
         return loop.run_until_complete(server._dispatch(request))
 
     yield post
-    loop.run_until_complete(server.batcher.close())
+    server.batcher.close()
     loop.close()
 
 
@@ -1374,7 +1482,7 @@ class TestRequestBodies:
             try:
                 return [await server._dispatch(r) for r in requests]
             finally:
-                await server.batcher.close()
+                server.batcher.close()
 
         *answers, health = asyncio.run(run())
         assert [answer.status for answer in answers] == [422, 422]
