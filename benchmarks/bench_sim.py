@@ -28,9 +28,10 @@ import time
 
 from conftest import write_artifact
 
+from repro.concurrency import share_count
 from repro.trace import phases
 from repro.trace.kernels import KERNELS
-from repro.trace.sampling import collect_trace_samples
+from repro.trace.sampling import DEFAULT_INTENSITIES, collect_trace_samples
 
 from bench_hotpath import scalar_fallback
 
@@ -98,8 +99,13 @@ def _measure(n_uops: int, window_uops: int) -> dict:
         phase_split[label] = _phase_summary(phase_totals)
     _assert_trace_equivalent(runs["scalar"], runs["vectorized"])
 
-    # Both sides of speedup_pipeline time the same work, the pipeline
-    # over every uop: the scalar label spends it in the per-MicroOp
+    # speedup_trace is wall clock: the vectorized label forks each
+    # collection's intensity rounds across `processes` CPUs
+    # (repro.concurrency.fork_join), so it includes the fork-join, while
+    # the scalar label runs in one process.  Both sides of
+    # speedup_pipeline still time the same work, the pipeline over every
+    # uop, summed over processes (forked rounds merge their phase
+    # seconds back): the scalar label spends it in the per-MicroOp
     # TracePipeline.execute, the vectorized label in blocks (pre-pass,
     # event counts, recurrence loop).  Trace generation and sampling
     # are outside both.
@@ -109,6 +115,7 @@ def _measure(n_uops: int, window_uops: int) -> dict:
         "kernels": len(KERNELS),
         "n_uops": n_uops,
         "window_uops": window_uops,
+        "processes": share_count(len(DEFAULT_INTENSITIES)),
         **timings,
         "phases": phase_split,
         "speedup_trace": round(

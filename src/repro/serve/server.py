@@ -26,11 +26,12 @@ output with the model named in the query string (``?model=...``).
 Backpressure maps to HTTP: a model with a full queue answers the
 newcomer ``429`` with a ``Retry-After`` header, and a request still
 pending when the server stops hard is answered ``503``.  A body over
-``max_body`` is answered ``413`` and closes the connection: the unread
-body must never be parsed as the next request.  A request that carries
-``Expect: 100-continue`` gets its interim ``100 Continue`` before its
-body is read.  Any other exception while answering a request is a
-``500`` with a JSON body.
+``max_body`` is answered ``413``, and a body framed by
+``Transfer-Encoding`` ``411``; either closes the connection, because
+the unread body must never be parsed as the next request.  A request
+that carries ``Expect: 100-continue`` gets its interim ``100 Continue``
+before its body is read.  Any other exception while answering a request
+is a ``500`` with a JSON body.
 """
 
 from __future__ import annotations
@@ -100,8 +101,10 @@ class _Request:
     query: "dict[str, str]"
     headers: "dict[str, str]"
     body: bytes
-    # The declared body exceeds ``max_body`` and was left unread.
-    oversized: bool = False
+    # The status and error of a request whose body was left unread (too
+    # large, or framed by Transfer-Encoding): answered once, and then the
+    # connection closes.
+    refused: "tuple[int, str] | None" = None
 
 
 @dataclass
@@ -116,6 +119,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    411: "Length Required",
     413: "Payload Too Large",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
@@ -245,9 +249,9 @@ class SpireServer:
                     self.stats.note_request()
                     response = await self._dispatch(request)
                     self.stats.note_response(response.status)
-                    # An unread oversized body would be parsed as the
-                    # next request: answer once, then hang up.
-                    close = request.oversized or (
+                    # An unread body would be parsed as the next
+                    # request: answer once, then hang up.
+                    close = request.refused is not None or (
                         request.headers.get("connection", "").lower()
                         == "close"
                     )
@@ -299,6 +303,15 @@ class SpireServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Only Content-Length framing is read.  Taken as an empty
+            # body, a chunked request was answered "invalid JSON" and its
+            # chunks were then parsed as the next request head.
+            return _Request(
+                method, split.path, query, headers, b"",
+                refused=(411, "Transfer-Encoding is not supported; "
+                              "send a Content-Length"),
+            )
         length = 0
         raw_length = headers.get("content-length")
         if raw_length is not None:
@@ -310,7 +323,8 @@ class SpireServer:
             return None
         if length > self.config.max_body:
             return _Request(
-                method, split.path, query, headers, b"", oversized=True
+                method, split.path, query, headers, b"",
+                refused=(413, "request body too large"),
             )
         if length and headers.get("expect", "").lower() == "100-continue":
             # The client holds its body back until it hears this; curl
@@ -336,8 +350,9 @@ class SpireServer:
     # -- routing -------------------------------------------------------
 
     async def _dispatch(self, request: _Request) -> _Response:
-        if request.oversized:
-            return _Response(413, {"error": "request body too large"})
+        if request.refused is not None:
+            status, error = request.refused
+            return _Response(status, {"error": error})
         try:
             if request.path == "/health":
                 if request.method != "GET":
@@ -380,12 +395,7 @@ class SpireServer:
         report = health_report()
         registry_snapshot = self.registry.snapshot()
         serve_state = self.stats.snapshot(registry_snapshot)
-        serve_state["batcher"] = {
-            "enabled": self.batcher is not None,
-            "queues": (
-                self.batcher.queue_depths() if self.batcher is not None else {}
-            ),
-        }
+        serve_state["batcher"] = {"enabled": self.batcher is not None}
         report.serve_state = serve_state
         return _Response(
             200,

@@ -34,3 +34,9 @@ def add(name: str, seconds: float) -> None:
 def totals() -> dict[str, float]:
     """A copy of the accumulated per-phase seconds."""
     return dict(_totals)
+
+
+def merge(gains: dict[str, float]) -> None:
+    """Add the phase seconds another process spent (a forked share's)."""
+    for name, seconds in gains.items():
+        add(name, seconds)

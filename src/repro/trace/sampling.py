@@ -14,10 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.concurrency import fork_join
 from repro.core.columns import SampleArray
 from repro.core.sample import Sample, SampleSet
 from repro.errors import ConfigError
 from repro.fastpath import scalar_fallback_enabled
+from repro.trace import phases, wavefront
 from repro.trace.kernels import array_builder_by_name, kernel_by_name
 from repro.trace.pipeline import PipelineConfig, TracePipeline
 
@@ -43,6 +45,9 @@ TRACE_EVENT_AREAS = {
 WORK_EVENT = "trace.instructions"
 TIME_EVENT = "trace.cycles"
 
+#: The intensities :func:`collect_trace_samples` runs a kernel at by default.
+DEFAULT_INTENSITIES = (0.1, 0.3, 0.5, 0.7, 0.9)
+
 
 @dataclass
 class TraceRun:
@@ -62,7 +67,7 @@ def collect_trace_samples(
     kernel: str,
     n_uops: int = 60_000,
     window_uops: int = 4_000,
-    intensities: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
+    intensities: tuple[float, ...] = DEFAULT_INTENSITIES,
     seed: int = 0,
     config: PipelineConfig | None = None,
 ) -> TraceRun:
@@ -77,10 +82,14 @@ def collect_trace_samples(
     in a single
     :meth:`~repro.trace.pipeline.TracePipeline.execute_array_windowed`
     pass that snapshots counters at every ``window_uops`` boundary
-    in-loop instead of once per ``execute_array`` call.
+    in-loop instead of once per ``execute_array`` call.  The rounds
+    share no state, so :func:`~repro.concurrency.fork_join` runs them on
+    every available CPU and returns them in round order; forked rounds
+    merge their block/uop counts and phase seconds back into
+    :mod:`~repro.trace.wavefront` and :mod:`~repro.trace.phases`.
     ``SPIRE_SCALAR_FALLBACK=1`` routes through the per-uop
-    generator/``execute`` oracle instead.  The two paths produce
-    bit-identical samples and counters.
+    generator/``execute`` oracle instead, in-process.  The two paths
+    produce bit-identical samples and counters.
     """
     if window_uops < 1 or n_uops < window_uops:
         raise ConfigError("need n_uops >= window_uops >= 1")
@@ -90,30 +99,37 @@ def collect_trace_samples(
         )
     builder = array_builder_by_name(kernel)
 
-    metrics: list[str] = []
-    times: list[float] = []
-    works: list[float] = []
-    counts: list[float] = []
-    total_instructions = 0
-    total_cycles = 0
-    final: dict[str, float] = {}
-    for round_index, intensity in enumerate(intensities):
-        trace = builder(n_uops, intensity, random.Random(seed * 1_000 + round_index))
+    def run_round(round_index: int):
+        trace = builder(
+            n_uops,
+            intensities[round_index],
+            random.Random(seed * 1_000 + round_index),
+        )
         pipeline = TracePipeline(config=config)
+        rows = ([], [], [], [])  # metrics, times, works, counts
         previous = pipeline.snapshot()
         for now in pipeline.execute_array_windowed(trace, window_uops):
-            previous = _emit_rows(
-                now, previous, metrics, times, works, counts
-            )
-        total_instructions += pipeline.counters.instructions
-        total_cycles += pipeline.counters.cycles
-        final = pipeline.counters.as_dict()
-    array = SampleArray.from_lists(metrics, times, works, counts)
+            previous = _emit_rows(now, previous, *rows)
+        counters = pipeline.counters
+        return rows, counters.instructions, counters.cycles, counters.as_dict()
+
+    rounds = fork_join(
+        run_round,
+        len(intensities),
+        tallies=(
+            (wavefront.stats, wavefront.merge),
+            (phases.totals, phases.merge),
+        ),
+    )
+    columns = ([], [], [], [])
+    for rows, _, _, _ in rounds:
+        for column, values in zip(columns, rows):
+            column.extend(values)
     return TraceRun(
-        samples=SampleSet.from_columns(array),
-        instructions=total_instructions,
-        cycles=total_cycles,
-        final_counters=final,
+        samples=SampleSet.from_columns(SampleArray.from_lists(*columns)),
+        instructions=sum(instructions for _, instructions, _, _ in rounds),
+        cycles=sum(cycles for _, _, cycles, _ in rounds),
+        final_counters=rounds[-1][3] if rounds else {},
     )
 
 

@@ -1,8 +1,10 @@
 """Block and uop counters of the trace pipeline's block loop.
 
 :meth:`TracePipeline._run_block <repro.trace.pipeline.TracePipeline._run_block>`
-records each block it runs here.  ``perfbench`` reads :func:`stats` for
-its ``trace.uops`` count, so the module keeps its name.
+records each block it runs here, and a forked share of
+:func:`~repro.concurrency.fork_join` sends its counts back to
+:func:`merge`.  ``perfbench`` reads :func:`stats` for its ``trace.uops``
+count, so the module keeps its name.
 """
 
 from __future__ import annotations
@@ -23,3 +25,9 @@ def stats() -> dict[str, float]:
 def record_block(n: int) -> None:
     _STATS["blocks"] += 1
     _STATS["uops"] += n
+
+
+def merge(gains: dict) -> None:
+    """Add the blocks and uops another process ran (a forked share's)."""
+    for key, value in gains.items():
+        _STATS[key] += value

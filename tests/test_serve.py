@@ -1008,38 +1008,66 @@ class TestServer:
             "Connection: keep-alive\r\n\r\n"
         ).encode()
 
-        async def drive():
-            await server.start()
-            reader, writer = await asyncio.open_connection(
-                server.config.host, server.port
-            )
-            try:
-                writer.write(head + smuggled)
-                await writer.drain()
-                header = await reader.readuntil(b"\r\n\r\n")
-                lines = header.decode("latin-1").split("\r\n")
-                headers = {
-                    key.strip().lower(): value.strip()
-                    for key, _, value in (
-                        line.partition(":") for line in lines[1:] if line
-                    )
-                }
-                payload = await reader.readexactly(
-                    int(headers["content-length"])
-                )
-                # EOF reads b""; a second response fails the assert and
-                # a connection left open times out.
-                rest = await asyncio.wait_for(reader.read(65536), 5.0)
-                return lines[0], headers, payload, rest
-            finally:
-                writer.close()
-                await server.stop()
-
-        status_line, headers, payload, rest = _run(drive())
+        status_line, headers, payload, rest = _run(
+            _one_response_then_eof(server, head + smuggled)
+        )
         assert status_line.split(" ")[1] == "413"
         assert headers["connection"] == "close"
         assert "too large" in json.loads(payload)["error"]
         assert rest == b""
+
+    def test_chunked_body_is_refused_and_closes_the_connection(
+        self, model, tmp_path
+    ):
+        """The server reads bodies by Content-Length alone, so a chunked
+        body gets one 411 (not a 400 blaming its JSON) and the connection
+        ends before its chunks can be parsed as a request."""
+        server = _demo_server(tmp_path, model)
+        body = _estimate_body()
+        chunked = f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        head = (
+            "POST /v1/estimate HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            "Transfer-Encoding: chunked\r\n"
+            "Connection: keep-alive\r\n\r\n"
+        ).encode()
+
+        status_line, headers, payload, rest = _run(
+            _one_response_then_eof(server, head + chunked)
+        )
+        assert status_line == "HTTP/1.1 411 Length Required"
+        assert headers["connection"] == "close"
+        assert "Content-Length" in json.loads(payload)["error"]
+        assert rest == b""
+
+
+async def _one_response_then_eof(server, raw: bytes):
+    """Send ``raw`` on one keep-alive connection; return the first
+    response's status line, headers and body, and whatever follows it
+    until EOF (a second response fails the caller's check, and a
+    connection left open times out)."""
+    await server.start()
+    reader, writer = await asyncio.open_connection(
+        server.config.host, server.port
+    )
+    try:
+        writer.write(raw)
+        await writer.drain()
+        header = await reader.readuntil(b"\r\n\r\n")
+        lines = header.decode("latin-1").split("\r\n")
+        headers = {
+            key.strip().lower(): value.strip()
+            for key, _, value in (
+                line.partition(":") for line in lines[1:] if line
+            )
+        }
+        payload = await reader.readexactly(int(headers["content-length"]))
+        rest = await asyncio.wait_for(reader.read(65536), 5.0)
+        return lines[0], headers, payload, rest
+    finally:
+        writer.close()
+        await server.stop()
 
 
 # ---------------------------------------------------------------------------
