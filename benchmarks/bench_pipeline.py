@@ -6,24 +6,29 @@ into one mega-batch, and this bench measures:
 
 - **fused vs per-workload** simulation of the full task list, with a
   bit-identical-output check against the scalar per-workload oracle;
+- the whole experiment with its fused chunks **forked** across the CPUs
+  (:func:`repro.concurrency.fork_join`) and **in-process**
+  (``available_cpus`` patched to 1), which must be bit-identical;
 - the whole experiment at ``jobs=1`` and ``jobs="auto"``, which must be
-  bit-identical.
+  bit-identical.  Both take the same path: ``jobs`` sizes no pool.
 
 Results land in ``BENCH_pipeline.json`` to seed the repo's performance
 trajectory.  Fused == per-workload, the fused sim-phase speedup
-(``>= 2``) and auto == serial are asserted.
+(``>= 2``), forked == in-process and auto == serial are asserted.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 
 from conftest import write_artifact
 
+import repro.concurrency as concurrency
 from repro.pipeline import ExperimentConfig, run_experiment, run_workload
-from repro.runtime.fused import runs_equal, simulate_tasks_fused
+from repro.runtime.fused import _task_chunks, runs_equal, simulate_tasks_fused
 from repro.runtime.plan import ExecutionPlan
 from repro.uarch import skylake_gold_6126
 
@@ -75,6 +80,42 @@ def test_fused_vs_per_workload(out_dir):
     }
 
 
+def test_forked_chunks_equal_in_process(out_dir, monkeypatch):
+    """The whole experiment, its fused chunks forked and in-process."""
+    config = ExperimentConfig()  # full paper scale: five chunks
+    cpus = concurrency.available_cpus()
+    chunks = len(_task_chunks(
+        ExecutionPlan.for_experiment(config, skylake_gold_6126()).tasks
+    ))
+    shares = concurrency.share_count(chunks)
+    times: dict[str, list[float]] = {"in_process": [], "forked": []}
+    results = {}
+    for _ in range(3):  # alternating sides
+        for side, count in (("in_process", 1), ("forked", cpus)):
+            monkeypatch.setattr(
+                concurrency, "available_cpus", lambda count=count: count
+            )
+            started = time.perf_counter()
+            results[side] = run_experiment(config)
+            times[side].append(time.perf_counter() - started)
+
+    in_process, forked = results["in_process"], results["forked"]
+    for runs in ("training_runs", "testing_runs"):
+        for name, run in getattr(in_process, runs).items():
+            assert runs_equal(getattr(forked, runs)[name], run), name
+    assert forked.model.to_dict() == in_process.model.to_dict()
+    assert _analysis_signature(forked) == _analysis_signature(in_process)
+
+    test_forked_chunks_equal_in_process.payload = {
+        "chunks": chunks,
+        "shares": shares,
+        "experiment_in_process_s": round(
+            statistics.median(times["in_process"]), 4
+        ),
+        "experiment_forked_s": round(statistics.median(times["forked"]), 4),
+    }
+
+
 def test_pipeline_auto_equals_serial(out_dir):
     config = ExperimentConfig()  # full paper scale
 
@@ -100,6 +141,7 @@ def test_pipeline_auto_equals_serial(out_dir):
         "auto_s": round(auto_s, 4),
     }
     payload.update(getattr(test_fused_vs_per_workload, "payload", {}))
+    payload.update(getattr(test_forked_chunks_equal_in_process, "payload", {}))
     text = json.dumps(payload, indent=2)
     print()
     print(text)

@@ -1,23 +1,32 @@
 """Process-level parallelism: the job-count knob and one fork-join.
 
-Experiments and training run in one process.  The fused in-process
-engine beats any process pool at the paper's evaluation: on a 2-vCPU
-Xeon VM a paper-scale ``run_experiment`` took 0.41–0.72 s in-process
-against 2.27–2.84 s with a 2-worker pool, and ``SpireModel.train`` on
-its 69,000 samples took 75–102 ms against 90–133 ms, with identical
-models.  So ``jobs`` accepts only ``1`` and ``"auto"``, both meaning the
-calling process; any other value raises
-:class:`~repro.errors.ConfigError`.
+No process pool runs experiments or training.  It lost to the fused
+in-process engine at the paper's evaluation: on a 2-vCPU Xeon VM a
+paper-scale ``run_experiment`` took 0.41–0.72 s in-process against
+2.27–2.84 s with a 2-worker pool of per-workload tasks, and
+``SpireModel.train`` on its 69,000 samples took 75–102 ms against
+90–133 ms, with identical models.  So ``jobs`` accepts only ``1`` and
+``"auto"``, both meaning no pool; any other value raises
+:class:`~repro.errors.ConfigError`.  Training runs in the calling
+process.
 
-Trace collection is the exception.  The intensity rounds of one
-:func:`~repro.trace.sampling.collect_trace_samples` call share no state,
-each runs a pure-Python recurrence for tens of milliseconds, and each
-returns a few hundred sample rows, so :func:`fork_join` runs them on
-every CPU the process may use: forked children send their rounds back
-through pipes, and the results are bit-identical to the in-process loop.
-On a 2-vCPU host the seven trace kernels' default collection took
-1,088–1,091 ms in one process and 683–685 ms forked.  Nothing selects
-it but what the process can observe (:func:`share_count`).
+Two loops fork instead, through :func:`fork_join`, because their rounds
+share no state and forking a process that already holds them costs
+little: the intensity rounds of one
+:func:`~repro.trace.sampling.collect_trace_samples` call (each a
+pure-Python recurrence of tens of milliseconds that returns a few
+hundred sample rows) and the fused chunks of one
+:func:`~repro.runtime.fused.simulate_tasks_fused` call (a paper-scale
+experiment's five chunks; a child sends back its tasks' collections and
+Top-Down results, 1.2 MB pickled).  Forked children send their rounds
+back through pipes, and the results are bit-identical to the in-process
+loop.  On a 2-vCPU host the seven trace kernels' default collection took
+1,088–1,091 ms in one process and 683–685 ms forked, and a paper-scale
+``simulate_tasks_fused`` 148 ms against 108 ms (medians of 15
+alternating runs); where the host runs its two vCPUs at about half
+speed each, the forked path gains nothing and can lose
+(``docs/performance.md``).  Nothing selects either but what the process
+can observe (:func:`share_count`).
 
 This module imports only the standard library and :mod:`repro.errors`,
 so any layer can use it without import cycles.
@@ -67,7 +76,7 @@ def resolve_jobs(jobs: "int | str", tasks: int | None = None) -> int:
     if jobs == 1 or jobs == "auto":
         return 1
     raise ConfigError(
-        f"jobs must be 1 or 'auto' (experiments run in one process), "
+        f"jobs must be 1 or 'auto' (experiments run no process pool), "
         f"got {jobs!r}"
     )
 

@@ -13,10 +13,11 @@ does (§IV):
 
 Every benchmark and example builds on these functions;
 :func:`cached_experiment` memoizes a result in-process so benchmarks
-share one pass.  The per-workload simulations run in one process
-(:mod:`repro.runtime.runner`), fused into one mega-batch; fused and
-per-workload runs are byte-identical because every workload derives its
-RNG seed from the experiment seed plus its own name.
+share one pass.  The per-workload simulations are fused into one
+mega-batch (:mod:`repro.runtime.runner`) whose chunks fork-join across
+the available CPUs; fused and per-workload runs are byte-identical
+because every workload derives its RNG seed from the experiment seed
+plus its own name.
 """
 
 from __future__ import annotations
@@ -150,9 +151,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run the paper's full evaluation: 23 training + 4 testing workloads.
 
-    The workloads simulate in this process on the fused engine, and the
-    per-metric rooflines fit serially.  ``jobs`` accepts only ``1`` and
-    ``"auto"``, which both mean exactly that; any other value raises
+    The workloads simulate on the fused engine, whose chunks fork-join
+    across the available CPUs, and the per-metric rooflines fit serially
+    in this process.  ``jobs`` accepts only ``1`` and ``"auto"``, which
+    both mean exactly that; any other value raises
     :class:`~repro.errors.ConfigError`
     (:func:`repro.concurrency.resolve_jobs`).
 

@@ -2,10 +2,11 @@
 
 - :class:`ExecutionPlan` decomposes an experiment into independently
   executable workload tasks;
-- :class:`ParallelRunner` runs them in one process — unfaulted tasks as
-  one fused mega-batch (:mod:`repro.runtime.fused`), the rest once each
-  under a failure policy (``"raise"`` or ``"skip"``); every run yields a
-  :class:`RunReport` of what actually happened;
+- :class:`ParallelRunner` runs them without a process pool — unfaulted
+  tasks as one fused mega-batch (:mod:`repro.runtime.fused`), whose
+  chunks fork-join across the available CPUs, the rest once each in the
+  calling process under a failure policy (``"raise"`` or ``"skip"``);
+  every run yields a :class:`RunReport` of what actually happened;
 - :class:`FaultPlan` injects deterministic faults (corrupt sample,
   dropped metric, stream faults) to prove the layers that must absorb
   them do — see ``spire faultsim``.

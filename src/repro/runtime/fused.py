@@ -10,7 +10,8 @@ event formula **once** per plan as array expressions, and then reduces
 the whole plan to per-workload
 :class:`~repro.counters.collector.CollectionResult` segments with a few
 array passes.  A plan holds whole tasks up to :data:`CHUNK_WINDOWS`
-windows, which bounds the transient working set.
+windows, which bounds the transient working set, and the chunks run
+across the available CPUs (:func:`~repro.concurrency.fork_join`).
 
 Bit-identity with the per-workload path is load-bearing and holds by
 construction:
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.concurrency import fork_join
 from repro.core.columns import SampleArray
 from repro.core.sample import SampleSet
 from repro.core.sanitize import QualityReport, QuarantinedSample, SampleSanitizer
@@ -58,7 +60,7 @@ from repro.counters.collector import CollectionResult, SampleCollector
 from repro.counters.events import EventCatalog, default_catalog
 from repro.counters.pmu import PMU
 from repro.errors import ConfigError
-from repro.tma import TopDownAnalyzer
+from repro.tma import TMAResult, TopDownAnalyzer
 from repro.uarch.activity import WindowActivity
 from repro.uarch.backend import port_activity_histogram_columns
 from repro.uarch.batch import (
@@ -226,8 +228,13 @@ def simulate_tasks_fused(
     bit-identical to calling :func:`~repro.pipeline.run_workload` on each
     task separately (asserted by the equivalence tests and the CI gate).
     The tasks are evaluated in chunks of at most :data:`CHUNK_WINDOWS`
-    windows.
+    windows, which share no state, so
+    :func:`~repro.concurrency.fork_join` deals them across the available
+    CPUs: chunk ``i`` runs on share ``i % k``, and a forked share sends
+    back each task's collection and Top-Down result.
     """
+    from repro.pipeline import WorkloadRun
+
     collection_config = config.collection()
     catalog = default_catalog()
     # Reuse the collector's validation and constraint-aware packing so a
@@ -238,12 +245,19 @@ def simulate_tasks_fused(
     for group in groups:
         pmu.program(group)
     analyzer = TopDownAnalyzer(machine)
+    chunks = _task_chunks(tasks)
 
-    runs: list["WorkloadRun"] = []
-    for chunk in _task_chunks(tasks):
-        plan = build_fused_plan(chunk, machine, config)
-        runs.extend(_simulate_plan(plan, machine, collector, groups, analyzer))
-    return runs
+    def simulate_chunk(index: int) -> list[tuple[CollectionResult, TMAResult]]:
+        plan = build_fused_plan(chunks[index], machine, config)
+        return _simulate_plan(plan, machine, collector, groups, analyzer)
+
+    # Each task's run is rebuilt around its own workload, which a forked
+    # chunk would send back as a copy.
+    return [
+        WorkloadRun(workload=task.workload, collection=collection, tma=tma)
+        for chunk, results in zip(chunks, fork_join(simulate_chunk, len(chunks)))
+        for task, (collection, tma) in zip(chunk, results)
+    ]
 
 
 def _simulate_plan(
@@ -252,10 +266,8 @@ def _simulate_plan(
     collector: SampleCollector,
     groups: list[list[str]],
     analyzer: TopDownAnalyzer,
-) -> list["WorkloadRun"]:
-    """Evaluate one fused plan and reduce it into per-task runs."""
-    from repro.pipeline import WorkloadRun
-
+) -> list[tuple[CollectionResult, TMAResult]]:
+    """Evaluate one fused plan: each task's collection and Top-Down result."""
     activity = evaluate_run_columns(
         machine, plan.columns, plan.instructions, plan.noise
     )
@@ -273,12 +285,8 @@ def _simulate_plan(
         plan, collector, groups, activity, events
     )
     return [
-        WorkloadRun(
-            workload=task.workload,
-            collection=collection,
-            tma=analyzer.analyze(collection.full_counts),
-        )
-        for task, collection in zip(plan.tasks, collections)
+        (collection, analyzer.analyze(collection.full_counts))
+        for collection in collections
     ]
 
 

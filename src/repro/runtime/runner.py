@@ -1,16 +1,18 @@
-"""In-process execution of workload simulations.
+"""Execution of workload simulations, without a process pool.
 
-The runner executes an :class:`~repro.runtime.plan.ExecutionPlan` in the
-calling process and returns results in plan order:
+The runner executes an :class:`~repro.runtime.plan.ExecutionPlan` and
+returns results in plan order:
 
 - every task without a collector fault simulates in one fused
-  mega-batch (:mod:`repro.runtime.fused`), unless
-  ``SPIRE_SCALAR_FALLBACK`` sends every task down the per-task path;
+  mega-batch (:mod:`repro.runtime.fused`), whose chunks
+  :func:`~repro.concurrency.fork_join` deals across the available CPUs,
+  unless ``SPIRE_SCALAR_FALLBACK`` sends every task down the per-task
+  path;
 - the other tasks run once each through
-  :func:`~repro.pipeline.run_workload`, and a **failure policy** decides
-  what a task that raises :class:`~repro.errors.SpireError` does to the
-  run — ``"raise"`` (default) or ``"skip"`` (return ``None`` for the task
-  and record it);
+  :func:`~repro.pipeline.run_workload` in the calling process, and a
+  **failure policy** decides what a task that raises
+  :class:`~repro.errors.SpireError` does to the run — ``"raise"``
+  (default) or ``"skip"`` (return ``None`` for the task and record it);
 - a :class:`RunReport` records every task's latency and outcome.
 
 Per-workload RNG seeds are derived from the experiment seed and the
@@ -84,7 +86,8 @@ class RunReport:
 
 
 class ParallelRunner:
-    """Executes a plan's tasks in the calling process.
+    """Executes a plan's tasks: the fused chunks on every available CPU,
+    the per-task path in the calling process.
 
     Parameters
     ----------
@@ -97,7 +100,8 @@ class ParallelRunner:
         faults (corrupt-sample/drop-metric) degrade their tasks' samples.
     """
 
-    #: Processes the tasks run on: always the caller's one.
+    #: Worker processes the runner keeps: always one, the caller's.  The
+    #: fused engine's fork-join lives only for the length of one call.
     jobs = 1
 
     def __init__(
@@ -157,9 +161,12 @@ class ParallelRunner:
         Returns the indices left for the per-task path.  Tasks with
         collector faults always stay there: those faults are defined per
         workload run.  Everything else simulates as one concatenated
-        columnar plan.  ``SPIRE_SCALAR_FALLBACK`` sends every task down
-        the per-task path, whose scalar :func:`~repro.pipeline.run_workload`
-        is the fused engine's oracle.
+        columnar plan.  Any :class:`~repro.errors.SpireError` from the
+        engine, a forked chunk's included (a child that dies is one),
+        sends every task down the per-task path, which raises or skips
+        with its own accounting.  ``SPIRE_SCALAR_FALLBACK`` sends every
+        task down the per-task path, whose scalar
+        :func:`~repro.pipeline.run_workload` is the fused engine's oracle.
         """
         from repro.runtime.fused import simulate_tasks_fused
 

@@ -1,4 +1,5 @@
-"""The trace rounds' fork-join: bit identity, failures, no stray children.
+"""The fork-join of trace rounds and fused experiment chunks: bit
+identity, failures, no stray children.
 
 Each test forces its path by patching ``available_cpus`` where
 :func:`repro.concurrency.share_count` looks it up, so both the forked and
@@ -22,9 +23,20 @@ import pytest
 import repro.concurrency as concurrency
 from repro.concurrency import fork_join, share_count
 from repro.errors import ConfigError, SpireError
+from repro.pipeline import ExperimentConfig, run_workload
+from repro.runtime import ExecutionPlan, ParallelRunner, fused
+from repro.runtime.fused import runs_equal, simulate_tasks_fused
+from repro.runtime.plan import TRAINING, WorkloadTask
 from repro.trace import phases, wavefront
 from repro.trace import sampling
 from repro.trace.sampling import collect_trace_samples
+from repro.uarch import skylake_gold_6126
+from repro.workloads import all_workloads
+from tests.test_experiment_golden import (
+    GOLDEN,
+    experiment_digests,
+    reduced_config,
+)
 
 
 @pytest.fixture
@@ -239,9 +251,10 @@ def test_own_share_failure_kills_and_reaps_the_children(
 
 def test_child_that_dies_without_results_is_a_spire_error(monkeypatch, forks):
     _cpus(monkeypatch, 2)
+    caller = os.getpid()
 
     def run(index):
-        if index == 1:
+        if index == 1 and os.getpid() != caller:  # never kill the caller
             os.kill(os.getpid(), signal.SIGKILL)
         return index
 
@@ -286,3 +299,112 @@ def test_share_count_is_one_per_cpu_and_at_most_one_per_round(monkeypatch):
     assert share_count(5) == 5
     _cpus(monkeypatch, 1)
     assert share_count(5) == 1
+
+
+# ----------------------------------------------------------------------
+# Fused experiment chunks
+# ----------------------------------------------------------------------
+
+
+def _chunked_plan(monkeypatch) -> ExecutionPlan:
+    """Five 12-window tasks in three fused chunks (a budget of 24)."""
+    monkeypatch.setattr(fused, "CHUNK_WINDOWS", 24)
+    suite = all_workloads()
+    tasks = tuple(
+        WorkloadTask(workload=suite[index], role=TRAINING, n_windows=12)
+        for index in (0, 4, 8, 12, 16)
+    )
+    assert len(fused._task_chunks(tasks)) == 3
+    return ExecutionPlan(
+        tasks=tasks,
+        machine=skylake_gold_6126(),
+        config=ExperimentConfig(windows_per_period=6, seed=3),
+    )
+
+
+def _per_task(plan: ExecutionPlan) -> list:
+    return [
+        run_workload(task.workload, plan.machine, task.n_windows, plan.config)
+        for task in plan.tasks
+    ]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_forked_chunks_keep_the_golden_digests(monkeypatch, forks, seed):
+    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK", raising=False)
+    config = reduced_config(seed)
+    # 23 x 96 + 4 x 48 windows: chunks of 960, 960 and 480.
+    monkeypatch.setattr(fused, "CHUNK_WINDOWS", 1_000)
+    tasks = ExecutionPlan.for_experiment(config, skylake_gold_6126()).tasks
+    assert len(fused._task_chunks(tasks)) == 3
+    _cpus(monkeypatch, 2)
+    assert experiment_digests(config) == GOLDEN[seed]
+    assert len(forks) == 1
+
+
+def test_forked_chunks_equal_per_task_runs(monkeypatch, forks):
+    plan = _chunked_plan(monkeypatch)
+    _cpus(monkeypatch, 2)
+    runs = simulate_tasks_fused(plan.tasks, plan.machine, plan.config)
+    assert len(forks) == 1
+    for task, run, oracle in zip(plan.tasks, runs, _per_task(plan)):
+        assert run.workload is task.workload  # not a copy from the child
+        assert runs_equal(run, oracle), task.name
+
+
+def test_one_chunk_and_the_scalar_oracle_never_fork(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    monkeypatch.delenv("SPIRE_SCALAR_FALLBACK", raising=False)
+    assert experiment_digests(reduced_config(1)) == GOLDEN[1]  # one chunk
+    plan = _chunked_plan(monkeypatch)
+    monkeypatch.setenv("SPIRE_SCALAR_FALLBACK", "1")
+    assert all(ParallelRunner().run(plan))
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ("killed", "config_error"))
+def test_failed_child_chunk_falls_back_to_per_task_runs(
+    monkeypatch, forks, failure
+):
+    plan = _chunked_plan(monkeypatch)
+    simulate_plan = fused._simulate_plan
+    caller = os.getpid()
+
+    def fail_chunk_1(chunk_plan, *args):
+        # Chunk 1 (tasks 2 and 3) is share 1's: a forked child's.
+        if chunk_plan.tasks[0] is plan.tasks[2]:
+            if failure == "killed" and os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ConfigError("chunk 1 failed")
+        return simulate_plan(chunk_plan, *args)
+
+    monkeypatch.setattr(fused, "_simulate_plan", fail_chunk_1)
+    raised = []
+    for cpus in ((1, 2) if failure == "config_error" else (2,)):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises(SpireError) as caught:
+            simulate_tasks_fused(plan.tasks, plan.machine, plan.config)
+        raised.append((type(caught.value), str(caught.value)))
+    if failure == "killed":
+        assert raised[0][0] is SpireError
+        assert "killed by signal 9" in raised[0][1]
+    else:  # the child's error crosses with its own type and message
+        assert raised[0] == raised[1] == (ConfigError, "chunk 1 failed")
+    assert len(forks) == 1
+
+    # The runner falls back to the per-task path, which is correct.
+    _cpus(monkeypatch, 2)
+    runs = ParallelRunner().run(plan)
+    assert len(forks) == 2
+    for task, run, oracle in zip(plan.tasks, runs, _per_task(plan)):
+        assert runs_equal(run, oracle), task.name
+
+
+def test_forked_chunks_draw_no_fork_warning(monkeypatch, forks):
+    plan = _chunked_plan(monkeypatch)
+    _cpus(monkeypatch, 2)
+    warned = _fork_warnings(lambda: simulate_tasks_fused(
+        plan.tasks, plan.machine, plan.config
+    ))
+    assert len(forks) == 1
+    assert warned == []

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.concurrency as concurrency
 from repro.pipeline import ExperimentConfig, run_workload
 from repro.runtime import fused
 from repro.runtime.fused import runs_equal, simulate_tasks_fused
@@ -251,6 +252,9 @@ def test_fused_collection_shapes_match_per_workload(monkeypatch, case):
 def test_fused_chunk_boundaries_match_per_workload(monkeypatch, case):
     windows, expected_chunks = CHUNK_CASES[case]
     monkeypatch.setattr(fused, "CHUNK_WINDOWS", 16)
+    # The spy sees only this process's calls, so keep every chunk here:
+    # on more than one CPU the chunks would be dealt to forked children.
+    monkeypatch.setattr(concurrency, "available_cpus", lambda: 1)
     chunks = []
     build = fused.build_fused_plan
 
