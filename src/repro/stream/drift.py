@@ -118,6 +118,9 @@ class DriftMonitor:
     def __init__(self, policy: DriftPolicy | None = None) -> None:
         self.policy = policy or DriftPolicy()
         self._refits: dict[str, int] = {}
+        # Clean verdicts by sample count: most verdicts are clean, and a
+        # frozen verdict can be shared.
+        self._clean: dict[int, DriftAssessment] = {}
 
     @property
     def refit_counts(self) -> dict[str, int]:
@@ -193,7 +196,12 @@ class DriftMonitor:
         self, samples: int, violations: int, worst: float
     ) -> DriftAssessment:
         if not violations:
-            return DriftAssessment(CLEAN, 0, samples, 0.0)
+            clean = self._clean.get(samples)
+            if clean is None:
+                clean = self._clean[samples] = DriftAssessment(
+                    CLEAN, 0, samples, 0.0
+                )
+            return clean
         refuted = (
             violations >= self.policy.min_violations
             and violations >= self.policy.refute_fraction * samples

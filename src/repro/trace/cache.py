@@ -13,6 +13,13 @@ batch path works on a dense ``[n_sets, ways]`` tag matrix that is lazily
 synchronized with the scalar ``OrderedDict`` sets in either direction, so
 mixing the two paths stays bit-exact.  A scalar set exists only once it
 is touched: a cache the batch path alone drives builds none.
+
+The scalar :meth:`SetAssociativeCache.access` is the oracle.  The batch
+path does not replay accesses one by one: it decides each from its LRU
+reuse window (the stack-distance rule of Mattson et al., 1970), with a
+handful of whole-column NumPy passes per call, and writes each touched
+set's new LRU stack once.  Addresses must be non-negative: ``-1`` pads
+the empty ways of the tag matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ class SetAssociativeCache:
         self.line = line
         self.ways = ways
         self.n_sets = size // (line * ways)
+        # The batch path's per-set sort: NumPy's stable sort is a radix
+        # sort on 16-bit keys.
+        self._set_key = np.uint16 if self.n_sets <= 1 << 16 else np.int64
         # Set index -> its LRU → MRU tags, created on first touch; a
         # missing set is empty.
         self._sets: dict[int, OrderedDict[int, None]] = {}
@@ -87,6 +97,10 @@ class SetAssociativeCache:
 
     def access(self, address: int) -> bool:
         """Access ``address``; returns True on hit.  Misses fill the line."""
+        if address < 0:
+            raise ConfigError(
+                f"{self.name}: cache addresses must be non-negative, got {address}"
+            )
         self._sync_from_dense()
         self._dense = None  # scalar mutation invalidates the mirror
         cache_set, tag = self._locate(address)
@@ -104,66 +118,94 @@ class SetAssociativeCache:
         """Vectorized :meth:`access` over an address column.
 
         Returns per-access hit flags; state and hit/miss counters end up
-        exactly as a scalar replay would leave them.  Accesses are
-        bucketed per set (stable sort keeps program order within a set)
-        and consecutive same-tag accesses collapse into runs — only a
-        run's first access can miss, the rest re-touch the MRU way.  Runs
-        are then replayed round-by-round, one run per set per round, on
-        the dense tag matrix.
+        exactly as a scalar replay would leave them.  Each access of a
+        run of consecutive same-line accesses after the first re-touches
+        the MRU way, so only runs are decided.  Runs are sorted per set
+        (stably, so program order holds within a set) behind that set's
+        LRU stack, whose live tags stand in as its earliest uses.  By the
+        LRU stack-distance rule (Mattson et al., 1970) a run hits iff its
+        line was used before in that history and fewer than ``ways``
+        distinct lines of the set were used since; the set's new stack
+        is its last ``ways`` distinct lines, ordered by last use.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
         n = len(addresses)
         if n == 0:
             return np.zeros(0, dtype=np.bool_)
         lines = addresses // self.line
-        set_ids = lines % self.n_sets
-        dense = self._dense_state()
-
-        order = np.argsort(set_ids, kind="stable")
-        sorted_set = set_ids[order]
-        sorted_tag = lines[order]
-        new_set = np.empty(n, dtype=np.bool_)
-        new_set[0] = True
-        new_set[1:] = sorted_set[1:] != sorted_set[:-1]
-        new_run = new_set.copy()
-        new_run[1:] |= sorted_tag[1:] != sorted_tag[:-1]
-        run_starts = np.flatnonzero(new_run)
-        n_runs = len(run_starts)
-        run_set = sorted_set[run_starts]
-        run_tag = sorted_tag[run_starts]
-
-        group_first_run = np.flatnonzero(new_set[run_starts])
-        n_groups = len(group_first_run)
-        runs_per_group = np.empty(n_groups, dtype=np.int64)
-        runs_per_group[:-1] = group_first_run[1:] - group_first_run[:-1]
-        runs_per_group[-1] = n_runs - group_first_run[-1]
-
-        run_hit = np.empty(n_runs, dtype=np.bool_)
+        heads = _changes(lines)
+        tags = lines[heads]
+        if tags.min() < 0:
+            raise ConfigError(
+                f"{self.name}: cache addresses must be non-negative, "
+                f"got {int(addresses.min())}"
+            )
         ways = self.ways
-        columns = np.arange(ways - 1)
-        for round_number in range(int(runs_per_group.max())):
-            active = runs_per_group > round_number
-            run_pos = group_first_run[active] + round_number
-            row_ids = run_set[run_pos]
-            tags = run_tag[run_pos]
-            rows = dense[row_ids]
-            match = rows == tags[:, None]
-            hit = match.any(axis=1)
-            run_hit[run_pos] = hit
-            # Drop the hit way (or the LRU-side slot 0 on a miss — the
-            # eviction/fill case) and append the tag at the MRU end.
-            drop = np.where(hit, match.argmax(axis=1), 0)
-            keep = columns[None, :] + (columns[None, :] >= drop[:, None])
-            rows[:, : ways - 1] = np.take_along_axis(rows, keep, axis=1)
-            rows[:, ways - 1] = tags
-            dense[row_ids] = rows
+        set_ids = tags % self.n_sets
+        order = np.argsort(set_ids.astype(self._set_key), kind="stable")
+        sorted_tag = tags[order]
+        run_starts = _changes(sorted_tag)  # one line is in one set
+        n_runs = len(run_starts)
+        run_tag = sorted_tag[run_starts]
+        run_set = set_ids[order[run_starts]]
+        first_run = _changes(run_set)
+        touched = run_set[first_run]
+        runs_per_set = np.diff(first_run, append=n_runs)
+
+        # One history per touched set: its live stack (LRU → MRU), then
+        # its runs.  The -1 pads of a stack row sit on its LRU side.
+        dense = self._dense_state()
+        stacks = dense[touched]
+        live = stacks >= 0
+        depth = np.count_nonzero(live, axis=1)
+        stacked = np.cumsum(depth)
+        n_stacked = int(stacked[-1])
+        size = n_runs + n_stacked
+        history = np.empty(size, dtype=np.int64)
+        run_pos = np.arange(n_runs) + np.repeat(stacked, runs_per_set)
+        history[run_pos] = run_tag
+        history[np.arange(n_stacked) + np.repeat(first_run, depth)] = stacks[live]
+
+        # Link each use to the line's previous and next use.  A line
+        # belongs to one set, so links never leave a set's history.
+        by_line = np.argsort(history, kind="stable")
+        ordered = history[by_line]
+        repeat = ordered[1:] == ordered[:-1]
+        earlier = by_line[:-1][repeat]
+        later = by_line[1:][repeat]
+        prev = np.full(size, -1, dtype=np.int64)
+        prev[later] = earlier
+        nxt = np.full(size, size, dtype=np.int64)
+        nxt[earlier] = later
+        # The lines at q .. reach[q] - 1 are distinct; reach[q] repeats one.
+        reach = np.minimum.accumulate(nxt[::-1])[::-1]
+
+        since = prev[run_pos]
+        run_hit = since >= 0
+        # A window of fewer than ``ways`` entries since the line's last
+        # use holds fewer than ``ways`` lines: a hit.  Longer ones scan.
+        far = np.flatnonzero(run_hit & (run_pos - since > ways))
+        if len(far):
+            run_hit[far] = _window_hits(
+                prev, reach, since[far] + 1, run_pos[far], ways
+            )
+
+        # Each set's new stack: its history's last ``ways`` distinct lines.
+        last = np.flatnonzero(nxt == size)
+        ends = np.searchsorted(last, first_run + runs_per_set + stacked)
+        owner = np.repeat(np.arange(len(touched)), np.diff(ends, prepend=0))
+        age = ends[owner] - np.arange(len(last)) - 1  # 0 is the MRU line
+        kept = age < ways
+        rows = np.full((len(touched), ways), -1, dtype=np.int64)
+        rows[owner[kept], ways - 1 - age[kept]] = history[last[kept]]
+        dense[touched] = rows
         self._dense_dirty = True
 
-        hit_sorted = np.ones(n, dtype=np.bool_)
+        hit_sorted = np.ones(len(tags), dtype=np.bool_)
         hit_sorted[run_starts] = run_hit
-        result = np.empty(n, dtype=np.bool_)
-        result[order] = hit_sorted
-        batch_misses = int(n_runs - run_hit.sum())
+        result = np.ones(n, dtype=np.bool_)
+        result[heads[order]] = hit_sorted
+        batch_misses = n_runs - int(np.count_nonzero(run_hit))
         self.misses += batch_misses
         self.hits += n - batch_misses
         return result
@@ -181,6 +223,42 @@ class SetAssociativeCache:
     def miss_rate(self) -> float:
         total = self.hits + self.misses
         return self.misses / total if total else 0.0
+
+
+def _changes(values: np.ndarray) -> np.ndarray:
+    """Indices of the entries that differ from the one before (0 too)."""
+    change = np.empty(len(values), dtype=np.bool_)
+    change[0] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
+def _window_hits(prev, reach, start, stop, ways) -> np.ndarray:
+    """Hit flags of the runs at ``stop`` whose line was last used at
+    ``start - 1``, for windows ``[start, stop)`` at least ``ways`` long.
+
+    A run hits iff fewer than ``ways`` positions of its window hold the
+    first use of a line since then (``prev < start``).  The first
+    ``reach[start] - start`` positions do; the scan steps past the
+    repeat at ``reach[start]`` one position per round, over the windows
+    still open, and stops each at ``ways`` first uses (a miss) or at its
+    end (a hit).  Rounds are bounded by the longest window: one set's
+    runs plus its stack.
+    """
+    seen = reach[start] - start
+    hit = seen < ways
+    open_ = np.arange(len(start))
+    cursor = start + seen + 1
+    while True:
+        going = (seen < ways) & (cursor < stop)
+        open_, start, stop, seen, cursor = (
+            column[going] for column in (open_, start, stop, seen, cursor)
+        )
+        if not len(open_):
+            return hit
+        seen = seen + (prev[cursor] < start)
+        cursor = cursor + 1
+        hit[open_[seen == ways]] = False
 
 
 @dataclass(frozen=True, slots=True)

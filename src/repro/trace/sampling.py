@@ -93,6 +93,11 @@ def collect_trace_samples(
     """
     if window_uops < 1 or n_uops < window_uops:
         raise ConfigError("need n_uops >= window_uops >= 1")
+    for intensity in intensities:
+        if not 0.0 <= intensity <= 1.0:
+            raise ConfigError(
+                f"kernel intensity must be in [0, 1], got {intensity}"
+            )
     if scalar_fallback_enabled():
         return _collect_scalar(
             kernel, n_uops, window_uops, intensities, seed, config

@@ -146,7 +146,8 @@ class TraceArray:
         Lossless under the columnar register convention: register ids and
         addresses must be non-negative (``-1`` is the "absent" sentinel).
         Every stock kernel and :class:`~repro.trace.program.TraceProgram`
-        satisfies this.
+        satisfies this.  The packed columns are checked by
+        :meth:`validate`.
         """
         ops = ops if isinstance(ops, list) else list(ops)
         n = len(ops)
@@ -169,18 +170,12 @@ class TraceArray:
                 )
             dest[row] = -1 if op.dest is None else op.dest
             taken[row] = op.taken
-            for source in op.sources:
-                if source < 0:
-                    raise ConfigError(
-                        f"columnar traces need non-negative register ids, "
-                        f"got source {source}"
-                    )
             values.extend(op.sources)
             offsets[row + 1] = len(values)
         return cls(
             kind, pc, address, dest, taken, offsets,
             np.array(values, dtype=np.int32),
-        )
+        ).validate()
 
     @classmethod
     def concat(cls, arrays: Sequence["TraceArray"]) -> "TraceArray":
@@ -264,11 +259,17 @@ class TraceArray:
 
     def validate(self) -> "TraceArray":
         """Enforce the :class:`MicroOp` invariants column-wise."""
-        memory = (self.kind == _LOAD) | (self.kind == _STORE)
-        if bool((memory & (self.address < 0)).any()):
-            row = int(np.argmax(memory & (self.address < 0)))
+        if len(self.pc) and int(self.pc.min()) < 0:
             raise ConfigError(
-                f"{KINDS[int(self.kind[row])]} micro-op needs an address"
+                f"micro-op pcs must be non-negative, got {int(self.pc.min())}"
+            )
+        memory = (self.kind == _LOAD) | (self.kind == _STORE)
+        unaddressed = memory & (self.address < 0)
+        if bool(unaddressed.any()):
+            row = int(np.argmax(unaddressed))
+            raise ConfigError(
+                f"{KINDS[int(self.kind[row])]} micro-op needs a non-negative "
+                f"address, got {int(self.address[row])}"
             )
         if bool(((self.kind == _BRANCH) & (self.dest >= 0)).any()):
             raise ConfigError("branches do not write registers")

@@ -28,7 +28,8 @@ class MicroOp:
     Registers are plain integers in a flat namespace; ``dest`` may be
     ``None`` for stores and branches.  Loads and stores carry a byte
     address; branches carry their taken/not-taken outcome (the simulator's
-    predictor guesses it, the trace knows the truth).
+    predictor guesses it, the trace knows the truth).  ``pc`` and
+    ``address`` are non-negative byte addresses.
     """
 
     kind: str
@@ -43,6 +44,12 @@ class MicroOp:
             raise ConfigError(f"unknown micro-op kind {self.kind!r}")
         if self.kind in ("load", "store") and self.address is None:
             raise ConfigError(f"{self.kind} micro-op needs an address")
+        if self.address is not None and self.address < 0:
+            raise ConfigError(
+                f"micro-op addresses must be non-negative, got {self.address}"
+            )
+        if self.pc < 0:
+            raise ConfigError(f"micro-op pcs must be non-negative, got {self.pc}")
         if self.kind == "branch" and self.dest is not None:
             raise ConfigError("branches do not write registers")
 

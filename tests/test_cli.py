@@ -240,6 +240,19 @@ class TestTrace:
     def test_unknown_kernel(self, capsys):
         assert main(["trace", "quantum"]) == 2
 
+    @pytest.mark.parametrize(
+        "kernel, intensities",
+        [("stream", "1.7,-3"), ("codebloat", "nan"), ("pointer_chase", "nan")],
+    )
+    def test_bad_intensities_exit_2(self, kernel, intensities, capsys):
+        argv = ["trace", kernel, "--uops", "8000", "--window", "4000",
+                "--intensities", intensities]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: kernel intensity")
+        assert captured.err.count("\n") == 1
+
 
 class TestCoverage:
     def test_coverage_report(self, sample_csv, capsys):

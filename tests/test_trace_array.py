@@ -12,6 +12,7 @@ Two layers of guarantees:
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -148,6 +149,15 @@ def test_validation_rejects_malformed_columns():
         TraceArray(
             [KIND_CODES["alu"]], [0], [-1], [1], [False], [0, 1], [-2]
         ).validate()
+    # negative pc, negative load address
+    with pytest.raises(ConfigError, match="pcs"):
+        TraceArray(
+            [KIND_CODES["alu"]], [-4], [-1], [1], [False], [0, 0], []
+        ).validate()
+    with pytest.raises(ConfigError, match="non-negative address"):
+        TraceArray(
+            [KIND_CODES["load"]], [0], [-8], [1], [False], [0, 0], []
+        ).validate()
 
 
 def test_from_microops_rejects_negative_register_ids():
@@ -155,6 +165,27 @@ def test_from_microops_rejects_negative_register_ids():
         TraceArray.from_microops([MicroOp("alu", dest=-2, sources=(1,))])
     with pytest.raises(ConfigError):
         TraceArray.from_microops([MicroOp("alu", dest=1, sources=(-3,))])
+
+
+def test_negative_pcs_and_addresses_never_reach_the_pipeline():
+    # MicroOp refuses them, so only duck-typed ops or raw columns carry
+    # them.  Line -1 would read as cached on the batch path.
+    def op(kind, **fields):
+        base = dict(dest=None, sources=(), address=None, pc=0, taken=False)
+        return SimpleNamespace(kind=kind, **{**base, **fields})
+
+    with pytest.raises(ConfigError, match="pcs"):
+        TraceArray.from_microops([op("alu", dest=1, pc=-4)])
+    with pytest.raises(ConfigError, match="non-negative address"):
+        TraceArray.from_microops([op("load", dest=1, address=-8)])
+    alu, load = KIND_CODES["alu"], KIND_CODES["load"]
+    negative_pc = TraceArray(
+        [alu] * 3, [-4] * 3, [-1] * 3, [1, 2, 3], [False] * 3, [0] * 4, []
+    )
+    negative_address = TraceArray([load], [0], [-8], [1], [False], [0, 0], [])
+    for trace in (negative_pc, negative_address):
+        with pytest.raises(ConfigError, match="non-negative"):
+            TracePipeline().execute_array(trace)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,12 @@ class TestMicroOp:
         with pytest.raises(ConfigError):
             MicroOp("branch", dest=1)
 
+    def test_pcs_and_addresses_are_non_negative(self):
+        with pytest.raises(ConfigError, match="pcs"):
+            MicroOp("alu", dest=1, pc=-4)
+        with pytest.raises(ConfigError, match="addresses"):
+            MicroOp("load", dest=1, address=-8)
+
     def test_latency_lookup(self):
         assert MicroOp("div", dest=1).latency == 20
         assert MicroOp("alu", dest=1).latency == 1

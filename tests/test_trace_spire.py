@@ -11,6 +11,7 @@ import pytest
 from repro.core import SpireModel
 from repro.core.sample import SampleSet
 from repro.errors import ConfigError
+from repro.fastpath import force_scalar
 from repro.trace import TRACE_EVENT_AREAS, collect_trace_samples
 
 
@@ -35,6 +36,17 @@ class TestCollection:
     def test_validation(self):
         with pytest.raises(ConfigError):
             collect_trace_samples("stream", n_uops=10, window_uops=100)
+        # Intensities outside [0, 1] (NaN too) are refused on both paths
+        # before any round runs.
+        for kernel, intensities in (
+            ("stream", (1.7, -3.0)),
+            ("codebloat", (float("nan"),)),
+            ("pointer_chase", (0.5, float("nan"))),
+        ):
+            with pytest.raises(ConfigError, match="intensity"):
+                collect_trace_samples(kernel, 8_000, 4_000, intensities)
+            with force_scalar(), pytest.raises(ConfigError, match="intensity"):
+                collect_trace_samples(kernel, 8_000, 4_000, intensities)
 
     def test_run_reports_ipc(self):
         run = collect_trace_samples(
